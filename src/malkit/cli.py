@@ -2,7 +2,8 @@
 JSON envelope, plus reproduction commands pinned to golden fixtures.
 
 Exit codes: 0 = verdict computed (even a negative one), 1 = usage or parse
-error, 2 = hypothesis-violation refusal.
+error, 2 = hypothesis-violation refusal, 3 = failed reproduction (the
+``reproduce`` envelope carries verdict "fail").
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ from typing import Optional, Sequence
 from . import stallings
 from .quotientcert import (
     Certificate,
+    FamilyVerdict,
+    _joint_metric_route,
     certify_malnormal_in_quotient,
     certify_trivial_intersection_in_quotient,
     check_family_cyclically_reduced,
@@ -423,10 +425,16 @@ FORBIDDEN_FACTOR_TEXTS = (
 class PsiImageReport:
     psi: PsiMap
     images: list[Word]
-    family_ok: bool
-    unconditional: bool
+    family: FamilyVerdict
     forbidden_hits: list[tuple[str, str]]  # (factor, containing word prefix)
-    caveat: Optional[str] = None
+
+    @property
+    def family_ok(self) -> bool:
+        return self.family.ok
+
+    @property
+    def unconditional(self) -> bool:
+        return self.family.unconditional
 
     @property
     def ok(self):
@@ -459,23 +467,15 @@ def verify_psi_images(
         raise MalcharError("exponents below 6 are outside the supported range")
     seeds = seed_words_triangle(alpha, rho)
     rels = triangle_relators(alpha, i, j, k)
+    base = symmetrise(alpha, rels)
     reports = []
     for psi in psi_maps(alpha):
         images = [apply_endo(psi.spec, w) for w in seeds.pair]
-        fam = check_family_cyclically_reduced(alpha, rels, images, syllable_bound)
+        fam = check_family_cyclically_reduced(alpha, rels, images, syllable_bound, base=base)
         # scan the same word family for forbidden factors
         scan_words = list(images) + [u * v for u in images for v in images if u != v]
         hits = _scan_forbidden(alpha, scan_words)
-        reports.append(
-            PsiImageReport(
-                psi=psi,
-                images=images,
-                family_ok=fam.ok,
-                unconditional=fam.unconditional,
-                forbidden_hits=hits,
-                caveat=fam.caveat,
-            )
-        )
+        reports.append(PsiImageReport(psi=psi, images=images, family=fam, forbidden_hits=hits))
     return reports
 
 
@@ -493,6 +493,10 @@ def decide_malcharacteristic_triangle(
     Stage 3: for every non-identity map in the transversal superset, the
     certified-transfer intersection check between the image pair and the
     seed pair; the identity map is covered by stage 1.
+
+    The joint small cancellation hypothesis on the relators and the seed
+    pair is decided once and shared by stage 1 and every transfer, and each
+    transfer reuses the family verdict of its map's image check.
     """
     if min(i, j, k) < 6:
         raise MalcharError("exponents below 6 are outside the supported range")
@@ -500,9 +504,10 @@ def decide_malcharacteristic_triangle(
     rels = triangle_relators(alpha, i, j, k)
     seeds = seed_words_triangle(alpha, rho)
     x, y = seeds.pair
+    joint = _joint_metric_route(alpha, rels, [x, y])
 
     # stage 1: malnormal and free in the quotient
-    stage1 = certify_malnormal_in_quotient(alpha, rels, [x, y])
+    stage1 = certify_malnormal_in_quotient(alpha, rels, [x, y], joint=joint)
     cert.add(
         "stage 1: M malnormal in the quotient",
         stage1.certified,
@@ -543,7 +548,7 @@ def decide_malcharacteristic_triangle(
             ok = report.ok
         else:
             inter = certify_trivial_intersection_in_quotient(
-                alpha, rels, [x, y], report.images, syllable_bound
+                alpha, rels, [x, y], report.images, syllable_bound, joint=joint, family=report.family
             )
             entry["transfer_certified"] = inter.certified
             entry["free_verdict"] = inter.data["free_verdict"]

@@ -75,21 +75,36 @@ class Certificate:
         }
 
 
-def _joint_metric_route(cert: Certificate, joint: RelatorSet, routes=("C'(1/4)-T(4)", "C'(1/6)")) -> bool:
-    """Record the small cancellation hypothesis on a symmetrised set,
-    trying C'(1/4)-T(4) first and falling back to C'(1/6)."""
+@dataclass(frozen=True)
+class JointRoute:
+    """The small cancellation hypothesis on a joint set r ∪ s, decided once:
+    the route that holds (None when neither does) and the hypotheses it
+    records.  Every certificate over the same (r, s) records the same."""
+
+    route: Optional[str]
+    hypotheses: tuple[Hypothesis, ...]
+
+    def record(self, cert: Certificate) -> None:
+        if self.route is not None:
+            cert.route = self.route
+        for h in self.hypotheses:
+            cert.add(h.name, h.ok, h.detail, h.caveat)
+
+
+def _joint_metric_route(alpha: Alphabet, r: Sequence[Word], s: Sequence[Word]) -> JointRoute:
+    """The small cancellation hypothesis on the symmetrised r ∪ s, trying
+    C'(1/4)-T(4) first and falling back to C'(1/6)."""
+    joint = symmetrise(alpha, list(r) + list(s))
     quarter = check_metric(joint, Fraction(1, 4))
     t4 = check_T(joint, 4)
-    if quarter.ok and t4.ok and "C'(1/4)-T(4)" in routes:
-        cert.route = "C'(1/4)-T(4)"
-        cert.add("small-cancellation C'(1/4)", True)
-        cert.add("small-cancellation T(4)", True)
-        return True
+    if quarter.ok and t4.ok:
+        return JointRoute("C'(1/4)-T(4)", (
+            Hypothesis("small-cancellation C'(1/4)", True),
+            Hypothesis("small-cancellation T(4)", True),
+        ))
     sixth = check_metric(joint, Fraction(1, 6))
-    if sixth.ok and "C'(1/6)" in routes:
-        cert.route = "C'(1/6)"
-        cert.add("small-cancellation C'(1/6)", True)
-        return True
+    if sixth.ok:
+        return JointRoute("C'(1/6)", (Hypothesis("small-cancellation C'(1/6)", True),))
     detail = []
     if not quarter.ok:
         detail.append(
@@ -107,8 +122,9 @@ def _joint_metric_route(cert: Certificate, joint: RelatorSet, routes=("C'(1/4)-T
             f"C'(1/6) fails: piece '{sixth.failing_piece}' inside relator of length "
             f"{len(sixth.failing_relator)}"
         )
-    cert.add("small-cancellation C'(1/6) or C'(1/4)-T(4)", False, "; ".join(detail))
-    return False
+    return JointRoute(None, (
+        Hypothesis("small-cancellation C'(1/6) or C'(1/4)-T(4)", False, "; ".join(detail)),
+    ))
 
 
 def _clip(w: Word, limit: int = 30) -> str:
@@ -167,14 +183,14 @@ def certify_free_basis(alpha: Alphabet, r: Sequence[Word], s: Sequence[Word]) ->
 
 
 def certify_malnormal_in_quotient(
-    alpha: Alphabet, r: Sequence[Word], s: Sequence[Word]
+    alpha: Alphabet, r: Sequence[Word], s: Sequence[Word], joint: Optional[JointRoute] = None
 ) -> Certificate:
     """<s> is malnormal and free with basis s in the quotient, provided the
-    joint set is C'(1/6) or C'(1/4)-T(4) and no s-word is a proper power."""
+    joint set is C'(1/6) or C'(1/4)-T(4) and no s-word is a proper power.
+    ``joint``, when given, is ``_joint_metric_route(alpha, r, s)``."""
     cert = Certificate(kind="malnormal")
     _distinct_shift_classes(cert, list(r) + list(s))
-    joint = symmetrise(alpha, list(r) + list(s))
-    _joint_metric_route(cert, joint)
+    (joint or _joint_metric_route(alpha, r, s)).record(cert)
     for w in s:
         pp = proper_power(w)
         if pp is not None:
@@ -215,17 +231,23 @@ def _reduced_words_over(k: int, bound: int):
 
 
 def check_family_cyclically_reduced(
-    alpha: Alphabet, r: Sequence[Word], t: Sequence[Word], syllable_bound: int = 3
+    alpha: Alphabet,
+    r: Sequence[Word],
+    t: Sequence[Word],
+    syllable_bound: int = 3,
+    base: Optional[RelatorSet] = None,
 ) -> FamilyVerdict:
     """Are all words over t (freely reduced over t) cyclically Dehn-reduced
     over r?  Checked for syllable length up to the bound; additionally
     reports whether the block-length criterion makes the bounded scan
-    unconditionally sufficient."""
+    unconditionally sufficient.  ``base``, when given, is the symmetrised r,
+    for callers that check several families against one relator set."""
     if syllable_bound < 3:
         raise CertificateError("syllable bound below 3: the criterion needs window 3")
     graph = stallings.build_and_fold(alpha, t)
     basis_ok = graph.rank() == len(t)
-    base = symmetrise(alpha, r) if r else RelatorSet(alpha, [])
+    if base is None:
+        base = symmetrise(alpha, r)
 
     checked = 0
     for expr in _reduced_words_over(len(t), syllable_bound):
@@ -295,15 +317,20 @@ def certify_trivial_intersection_in_quotient(
     s: Sequence[Word],
     t: Sequence[Word],
     syllable_bound: int = 3,
+    joint: Optional[JointRoute] = None,
+    family: Optional[FamilyVerdict] = None,
 ) -> Certificate:
     """Transfer certificate: when the joint (r, s) presentation is small
     cancellation and every t-word is cyclically Dehn-reduced, the quotient
     question "some conjugate of <s> meets <t>" equals the free-group
-    question, which is answered by the fibre product."""
+    question, which is answered by the fibre product.
+
+    ``joint`` and ``family``, when given, are the results of
+    ``_joint_metric_route(alpha, r, s)`` and of
+    ``check_family_cyclically_reduced(alpha, r, t, syllable_bound)``."""
     cert = Certificate(kind="trivial-intersection")
-    joint = symmetrise(alpha, list(r) + list(s))
-    _joint_metric_route(cert, joint)
-    fam = check_family_cyclically_reduced(alpha, r, t, syllable_bound)
+    (joint or _joint_metric_route(alpha, r, s)).record(cert)
+    fam = family or check_family_cyclically_reduced(alpha, r, t, syllable_bound)
     cert.add(
         "t-words form a free basis",
         fam.basis_ok,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .words import Alphabet, EndomorphismSpec, Word, apply_endo, cyclic_reduce, free_reduce_letters
@@ -112,11 +113,22 @@ def symmetrise(alpha: Alphabet, relators: Sequence[Word]) -> RelatorSet:
 class PieceTable:
     max_piece_per_relator: list[int]
     max_piece_words: list[Optional[Word]]
-    min_factorization_per_relator: list[int]  # over all shifts; big number = no cover
     maximal_pieces: list[Word]
     prefix_piece_len: dict[tuple[int, ...], int]
+    # per relator, the piece-prefix length of every rotation of the relator
+    # and of its inverse
+    rotation_jumps: list[list[list[int]]]
 
     NO_COVER = 10 ** 9
+
+    @cached_property
+    def min_factorization_per_relator(self) -> list[int]:
+        """Fewest pieces concatenating to some shift of each relator, or
+        NO_COVER; only C(m) reads it, so it is computed on first use."""
+        return [
+            min(_min_cover_at(jump, i) for jump in jumps for i in range(len(jump)))
+            for jumps in self.rotation_jumps
+        ]
 
 
 def _lcp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -147,23 +159,22 @@ def compute_pieces(rs: RelatorSet) -> PieceTable:
 
     max_per_rel = []
     max_word: list[Optional[Word]] = []
-    min_fact = []
+    jumps = []
     for r in rs.relators:
         best = 0
         best_w: Optional[Word] = None
-        fact = PieceTable.NO_COVER
+        rel_jumps = []
         for base in (r.letters, _inv(r.letters)):
             rots = list(_rotations(base))
             jump = [prefix_len[rot] for rot in rots]
-            for i, rot in enumerate(rots):
-                pl = jump[i]
+            rel_jumps.append(jump)
+            for pl, rot in zip(jump, rots):
                 if pl > best:
                     best = pl
                     best_w = Word(rs.alphabet, rot[:pl], reduced=True)
-                fact = min(fact, _min_cover_at(jump, i))
         max_per_rel.append(best)
         max_word.append(best_w)
-        min_fact.append(fact)
+        jumps.append(rel_jumps)
 
     maximal = sorted(
         {elems[i][: prefix_len[elems[i]]] for i in range(n) if prefix_len[elems[i]] > 0}
@@ -171,9 +182,9 @@ def compute_pieces(rs: RelatorSet) -> PieceTable:
     return PieceTable(
         max_piece_per_relator=max_per_rel,
         max_piece_words=max_word,
-        min_factorization_per_relator=min_fact,
         maximal_pieces=[Word(rs.alphabet, t, reduced=True) for t in maximal],
         prefix_piece_len=prefix_len,
+        rotation_jumps=jumps,
     )
 
 

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +252,14 @@ class TestTriangleCertificate:
             if "free_verdict" in entry:
                 assert entry["free_verdict"] == "trivial"
                 assert entry["transfer_certified"] is False
+
+    def test_golden_certificate(self):
+        # the whole certificate JSON at (6,6,6) rho=8, pinned byte for byte
+        cert = decide_malcharacteristic_triangle(AB, 6, 6, 6, 8)
+        text = json.dumps(cert.to_dict(), sort_keys=True, default=str)
+        golden = (Path(__file__).parent / "fixtures" / "triangle_cert_6_6_6_rho8.json").read_text()
+        assert text == golden.rstrip("\n")
+        assert hashlib.sha256(text.encode()).hexdigest().startswith("4f75dcd954e9d88a")
 
     def test_below_six_rejected(self):
         with pytest.raises(MalcharError):

@@ -1,14 +1,25 @@
+import os
 import random
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import malkit
+from malkit import stallings
 from malkit.stallings import (
+    _SCIPY_MIN_EDGES,
+    _fibre_analysis,
     BasisRewriter,
+    IntersectionWitness,
     StallingsError,
+    WitnessError,
     build_and_fold,
     basis,
     contains,
-    fibre_product,
     is_malnormal,
     rank,
     rewrite_over_generators,
@@ -182,28 +193,183 @@ class TestRewriting:
 
 class TestFibreProduct:
     def test_disjoint_letters_forest(self):
-        fp = fibre_product(fold("a"), fold("b"))
-        assert all(c.is_forest for c in fp.components)
+        comps, _diag = _fibre_analysis(fold("a"), fold("b")).components()
+        assert all(c.is_forest for c in comps)
 
     def test_nondiagonal_cycle_for_a2_b(self):
         g = fold("a^2", "b")
-        fp = fibre_product(g, g)
-        assert fp.diagonal_index is not None
-        assert any(not c.is_forest for c in fp.non_diagonal())
+        comps, diag = _fibre_analysis(g, g).components()
+        assert diag is not None
+        assert any(not c.is_forest for i, c in enumerate(comps) if i != diag)
 
     def test_same_graph_diagonal_only(self):
         g = fold("a")
-        fp = fibre_product(g, g)
-        assert fp.diagonal_index is not None
-        assert all(c.is_forest for c in fp.non_diagonal())
+        comps, diag = _fibre_analysis(g, g).components()
+        assert diag is not None
+        assert all(c.is_forest for i, c in enumerate(comps) if i != diag)
 
     def test_diagonal_rank_matches(self):
         g = fold("a b a^-1 b^-1", "a^2 b")
-        fp = fibre_product(g, g)
-        diag = fp.components[fp.diagonal_index]
-        v = len(diag.vertices)
-        e = len(diag.edges)
+        comps, diag = _fibre_analysis(g, g).components()
+        v = len(comps[diag].vertices)
+        e = len(comps[diag].edges)
         assert e - v + 1 == rank(g)
+
+
+def _reference_fibre(g1, g2):
+    """Brute-force fibre product: the explicit pair graph, its components
+    by BFS in least-vertex order, and forest <=> edges = vertices - 1."""
+    edges = []
+    for u1, d1 in enumerate(g1.out):
+        for s, v1 in d1.items():
+            if s < 0:
+                continue
+            for u2, d2 in enumerate(g2.out):
+                if s in d2:
+                    edges.append(((u1, u2), s, (v1, d2[s])))
+    adj = {}
+    for a, _s, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    comp_of = {}
+    comps = []
+    for root in sorted(adj):
+        if root in comp_of:
+            continue
+        comp_of[root] = len(comps)
+        verts = [root]
+        queue = deque([root])
+        while queue:
+            for x in adj[queue.popleft()]:
+                if x not in comp_of:
+                    comp_of[x] = len(comps)
+                    verts.append(x)
+                    queue.append(x)
+        comps.append((sorted(verts), []))
+    for e in edges:
+        comps[comp_of[e[0]]][1].append(e)
+    comps = [(verts, sorted(es)) for verts, es in comps]
+    same = g1.canonical_form() == g2.canonical_form()
+    diag = comp_of.get((0, 0)) if same else None
+    failing = [i for i, (verts, es) in enumerate(comps) if len(es) != len(verts) - 1]
+    return comps, diag, failing
+
+
+@st.composite
+def _reduced_word(draw, min_len, max_len):
+    """A freely reduced word: each letter is one of the three that do not
+    cancel the previous one."""
+    first = draw(st.sampled_from([1, -1, 2, -2]))
+    turns = draw(st.lists(st.integers(0, 2), min_size=min_len - 1, max_size=max_len - 1))
+    letters = [first]
+    for turn in turns:
+        letters.append([x for x in (1, -1, 2, -2) if x != -letters[-1]][turn])
+    return Word(AB, tuple(letters), reduced=True)
+
+
+def _folded_graphs(min_len, max_len):
+    return st.lists(_reduced_word(min_len, max_len), min_size=1, max_size=3).map(
+        lambda gens: build_and_fold(AB, gens))
+
+
+class TestFibreAnalysisDifferential:
+    """The dense engine against a brute-force pair graph, on products below
+    and above the edge count where the labeller switches to scipy."""
+
+    @staticmethod
+    def _compare(g1, g2):
+        fa = _fibre_analysis(g1, g2)
+        comps, diag, failing = _reference_fibre(g1, g2)
+        assert fa.component_count == len(comps)
+        assert fa.all_forests == (not failing)
+        off_diag = [i for i in failing if i != diag]
+        assert fa.diagonal_ok == (not off_diag)
+        if failing:
+            assert fa.failing_component.vertices == comps[failing[0]][0]
+            assert fa.failing_component.edges == comps[failing[0]][1]
+        else:
+            assert fa.failing_component is None
+        if off_diag:
+            assert fa.failing_nondiag_component.vertices == comps[off_diag[0]][0]
+            assert fa.failing_nondiag_component.edges == comps[off_diag[0]][1]
+        else:
+            assert fa.failing_nondiag_component is None
+        view, view_diag = fa.components()
+        assert [(c.vertices, c.edges) for c in view] == comps
+        assert view_diag == diag
+        return fa
+
+    @staticmethod
+    def _product_edges(g1, g2):
+        return sum(
+            sum(1 for d in g1.out for x in d if x == s) * sum(1 for d in g2.out for x in d if x == s)
+            for s in (1, 2)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(_folded_graphs(1, 8), _folded_graphs(1, 8), st.booleans())
+    def test_below_cut(self, g1, g2, diagonal):
+        g2 = g1 if diagonal else g2
+        assume(self._product_edges(g1, g2) < _SCIPY_MIN_EDGES)
+        self._compare(g1, g2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_folded_graphs(20, 40), _folded_graphs(20, 40), st.booleans())
+    def test_above_cut(self, g1, g2, diagonal):
+        g2 = g1 if diagonal else g2
+        assume(self._product_edges(g1, g2) >= _SCIPY_MIN_EDGES)
+        self._compare(g1, g2)
+
+
+class TestWitnessChecks:
+    """A witness that fails re-verification is a typed error, also when
+    Python runs with -O and bare asserts are stripped."""
+
+    BAD_MALNORMAL = [
+        ("a", "1"),    # trivial element
+        ("a", "a"),    # element outside <a^2, b>
+        ("a", "b"),    # conjugate a b a^-1 outside <a^2, b>
+        ("b", "a^2"),  # conjugator inside <a^2, b>
+    ]
+
+    @pytest.mark.parametrize("g, u", BAD_MALNORMAL)
+    def test_bad_malnormality_witness(self, monkeypatch, g, u):
+        bad = IntersectionWitness(conjugator=w(g), element=w(u))
+        monkeypatch.setattr(stallings, "_witness_from_component", lambda *args: bad)
+        with pytest.raises(WitnessError):
+            is_malnormal(AB, ws("a^2", "b"))
+
+    @pytest.mark.parametrize("g, u", [("a", "1"), ("1", "b"), ("b", "a^2")])
+    def test_bad_intersection_witness(self, monkeypatch, g, u):
+        # <a^2> meets <a^3> in every conjugate; u = b is not in <a^2>, and
+        # b a^2 b^-1 is not in <a^3>
+        bad = IntersectionWitness(conjugator=w(g), element=w(u))
+        monkeypatch.setattr(stallings, "_witness_from_component", lambda *args: bad)
+        with pytest.raises(WitnessError):
+            trivial_intersection_all_conjugates(AB, ws("a^3"), ws("a^2"))
+
+    def test_checks_survive_optimised_python(self):
+        code = (
+            "from malkit import stallings\n"
+            "from malkit.words import alphabet, word\n"
+            "AB = alphabet('a b')\n"
+            "bad = stallings.IntersectionWitness(conjugator=word(AB, 'a'), element=word(AB, 'b'))\n"
+            "stallings._witness_from_component = lambda *args: bad\n"
+            "raised = []\n"
+            "for call in (lambda: stallings.is_malnormal(AB, [word(AB, 'a^2'), word(AB, 'b')]),\n"
+            "             lambda: stallings.trivial_intersection_all_conjugates(\n"
+            "                 AB, [word(AB, 'a^3')], [word(AB, 'a^2')])):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except stallings.WitnessError:\n"
+            "        raised.append(True)\n"
+            "print(__debug__, len(raised))\n"
+        )
+        src = str(Path(malkit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "2"], out.stderr
 
 
 class TestMalnormality:
