@@ -19,7 +19,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import hnnforge, malchar, presfile, quotientcert, smallcancel, stallings
-from .cosetenum import DEFAULT_MAX_COSETS, CosetEnumError, Overflow, schreier_kernel_generators, todd_coxeter
+from .cosetenum import DEFAULT_MAX_COSETS, CosetEnumError, Overflow, todd_coxeter
 from .words import Alphabet, Word, WordError, alphabet, parse_word_list, word
 
 
@@ -162,8 +162,19 @@ def cmd_dehn(args):
     rs = smallcancel.symmetrise(parsed.alphabet, parsed.relators)
     w = word(parsed.alphabet, args.word)
     reduced = smallcancel.dehn_reduce(rs, w)
-    payload = {"verdict": {"reduced": str(reduced), "trivial": len(reduced) == 0}}
-    return _emit("dehn", _digest(args.word), payload, started)
+    # an empty result proves triviality over any presentation; a non-empty
+    # one proves non-triviality only where Dehn's algorithm is complete
+    caveats = []
+    if not reduced:
+        trivial = True
+    elif rs.dehn_admissible()[0]:
+        trivial = False
+    else:
+        trivial = None
+        caveats.append("presentation is not C'(1/6) or C'(1/4)-T(4): "
+                       "a non-empty Dehn-reduced word may still be trivial")
+    payload = {"verdict": {"reduced": str(reduced), "trivial": trivial}}
+    return _emit("dehn", _digest(args.word), payload, started, caveats=caveats)
 
 
 def cmd_certify(args):
@@ -225,8 +236,7 @@ def cmd_coset_enum(args):
     if args.kernel:
         if subgroup:
             raise UsageError("--kernel applies to the trivial-subgroup enumeration")
-        gens, _ = schreier_kernel_generators(parsed.alphabet, parsed.relators, (), _max_cosets(args))
-        payload["kernel_generators"] = [str(g) for g in gens]
+        payload["kernel_generators"] = [str(g) for g in outcome.kernel_generators()]
     return _emit("coset-enum", _digest(args.presentation), payload, started)
 
 

@@ -1,18 +1,27 @@
 """Todd-Coxeter coset enumeration and Schreier kernel generators.
 
 HLT-style relator tracing with immediate deduction filling and standard
-coincidence merging (union-find on cosets).  Overflow - exceeding the
-coset cap - is a distinguished outcome, not an error: callers legitimately
-probe for finiteness.
+coincidence merging (union-find on cosets; Holt-Eick-O'Brien, Handbook of
+Computational Group Theory, ch. 5).  Overflow - exceeding the coset cap,
+which counts live cosets - is a distinguished outcome, not an error:
+callers legitimately probe for finiteness.
+
+During enumeration the table is stored column-major: one list per signed
+letter code, ``cols[c][coset]``, with -1 for an undefined entry.  Each
+relator and subgroup generator is turned once into its lists of forward
+and inverse columns, so a scan indexes those lists directly; defining a
+coset appends one entry to every column.  Rows of dead cosets are not
+reclaimed.  At the end the live cosets are renumbered by BFS from the
+subgroup coset straight from the columns, which also gives the Schreier
+transversal, and the result is a list-of-rows :class:`CosetTable`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .words import Alphabet, Word, free_reduce_letters
+from .words import Alphabet, Word
 
 DEFAULT_MAX_COSETS = 10 ** 5
 
@@ -29,10 +38,6 @@ class Overflow:
 
 def _code(letter: int) -> int:
     return 2 * (letter - 1) if letter > 0 else -2 * letter - 1
-
-
-def _inv_code(code: int) -> int:
-    return code ^ 1
 
 
 class CosetTable:
@@ -66,6 +71,29 @@ class CosetTable:
             raise CosetEnumError("word over a different alphabet")
         return self.trace(w.letters) + 1
 
+    def kernel_generators(self) -> list[Word]:
+        """Schreier generators rep(c) g rep(cg)^-1 of the preimage of the
+        subgroup in the free group (for the trivial subgroup, the kernel of
+        F -> Q), one per edge c --g--> cg with g a generator that is not an
+        edge of the BFS tree of the representatives, in coset and generator
+        order.  Cancellation could only happen next to g, and it happens
+        exactly on tree edges, so the words are freely reduced as spelled
+        and pairwise distinct.  Each is traced through the table, which
+        must take coset 0 back to itself."""
+        tbl, reps = self.table, self.reps
+        gens: list[Word] = []
+        for c, rep_c in enumerate(reps):
+            for gen in range(len(self.alphabet)):
+                rep_t = reps[tbl[c][2 * gen]]
+                if rep_t == rep_c + (gen + 1,) or rep_c == rep_t + (-gen - 1,):
+                    continue
+                letters = rep_c + (gen + 1,) + tuple(-x for x in reversed(rep_t))
+                v = self.trace(letters)
+                if v != 0:
+                    raise CosetEnumError(f"internal: Schreier generator {letters} maps to coset {v + 1}")
+                gens.append(Word(self.alphabet, letters, reduced=True))
+        return gens
+
     def rep_word(self, coset_id: int) -> Word:
         """Schreier representative of a 1-based coset id."""
         return Word(self.alphabet, self.reps[coset_id - 1], reduced=True)
@@ -82,138 +110,144 @@ def todd_coxeter(
     Returns a complete, standardized CosetTable if the index is discovered
     within ``max_cosets`` live cosets, else an Overflow marker."""
     ncols = 2 * len(alpha)
-    table: list[list[Optional[int]]] = [[None] * ncols]
-    p = [0]
+    cols: list[list[int]] = [[-1] for _ in range(ncols)]
+    inv_cols = [cols[c ^ 1] for c in range(ncols)]
+    p = [0]  # union-find parent; the smaller coset survives a merge
     live = 1
 
-    def rep(k: int) -> int:
-        r = k
-        while p[r] != r:
-            r = p[r]
-        while p[k] != r:
-            p[k], k = r, p[k]
-        return r
+    def find(k: int) -> int:
+        while p[k] != k:
+            p[k] = k = p[p[k]]
+        return k
 
-    def define(a: int, c: int) -> int:
+    def define(f: int, col: list[int], icol: list[int]):
         nonlocal live
-        b = len(table)
-        table.append([None] * ncols)
-        p.append(b)
-        table[a][c] = b
-        table[b][_inv_code(c)] = a
+        n = len(p)
+        p.append(n)
+        for c in cols:
+            c.append(-1)
+        col[f] = n
+        icol[n] = f
         live += 1
-        return b
 
     def coincidence(a: int, b: int):
+        # a, b are distinct live cosets; every coset that dies is queued and
+        # its row re-hung on the survivor, queueing the merges this forces
         nonlocal live
-        q = deque()
-
-        def merge(x: int, y: int):
-            nonlocal live
-            x, y = rep(x), rep(y)
-            if x != y:
-                x, y = min(x, y), max(x, y)
-                p[y] = x
-                live -= 1
-                q.append(y)
-
-        merge(a, b)
-        while q:
-            g = q.popleft()
-            row = table[g]
-            for c in range(ncols):
-                d = row[c]
-                if d is None:
+        if a > b:
+            a, b = b, a
+        p[b] = a
+        live -= 1
+        q = [b]
+        for g in q:
+            for col, icol in zip(cols, inv_cols):
+                d = col[g]
+                if d < 0:
                     continue
-                table[d][_inv_code(c)] = None
-                mu, nu = rep(g), rep(d)
-                t = table[mu][c]
-                if t is not None:
-                    merge(nu, rep(t))
+                icol[d] = -1
+                mu = find(g)
+                nu = d if p[d] == d else find(d)
+                t = col[mu]
+                if t >= 0:
+                    x, y = nu, t if p[t] == t else find(t)
                 else:
-                    t2 = table[nu][_inv_code(c)]
-                    if t2 is not None:
-                        merge(mu, rep(t2))
-                    else:
-                        table[mu][c] = nu
-                        table[nu][_inv_code(c)] = mu
+                    t = icol[nu]
+                    if t < 0:
+                        col[mu] = nu
+                        icol[nu] = mu
+                        continue
+                    x, y = mu, t if p[t] == t else find(t)
+                if x != y:
+                    if x > y:
+                        x, y = y, x
+                    p[y] = x
+                    live -= 1
+                    q.append(y)
 
-    def scan_and_fill(a: int, codes: tuple[int, ...]):
-        i, j = 0, len(codes) - 1
+    def scan_and_fill(a: int, fwd: list[list[int]], bwd: list[list[int]]):
+        # fwd[i] is the column of letter i of the word, bwd[i] its inverse's.
+        # Outside coincidence processing every entry of a live row names a
+        # live coset (processing a dead coset clears its partners' entries
+        # to it), so a scan reads entries without find; _standardize
+        # re-checks this on the final table
+        i, j = 0, len(fwd) - 1
         f = b = a
         while True:
-            while i <= j and table[f][codes[i]] is not None:
-                f = rep(table[f][codes[i]])
+            while i <= j:
+                t = fwd[i][f]
+                if t < 0:
+                    break
+                f = t
                 i += 1
-            if i > j:
+            while j >= i:
+                t = bwd[j][b]
+                if t < 0:
+                    break
+                b = t
+                j -= 1
+            if j < i:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][_inv_code(codes[j])] is not None:
-                b = rep(table[b][_inv_code(codes[j])])
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
             if j == i:
-                table[f][codes[i]] = b
-                table[b][_inv_code(codes[i])] = f
+                fwd[i][f] = b
+                bwd[i][b] = f
                 return
-            define(f, codes[i])
+            define(f, fwd[i], bwd[i])
 
-    rel_codes = [tuple(_code(x) for x in r.letters) for r in relators if r.letters]
-    sub_codes = [tuple(_code(x) for x in g.letters) for g in subgroup_gens if g.letters]
+    def columns(words: Sequence[Word]) -> list[tuple[list[list[int]], list[list[int]]]]:
+        out = []
+        for w in words:
+            if w.letters:
+                codes = [_code(x) for x in w.letters]
+                out.append(([cols[c] for c in codes], [inv_cols[c] for c in codes]))
+        return out
 
-    for codes in sub_codes:
-        scan_and_fill(0, codes)
+    for fwd, bwd in columns(subgroup_gens):
+        scan_and_fill(0, fwd, bwd)
         if live > max_cosets:
             return Overflow(max_cosets, live)
 
+    rel_cols = columns(relators)
     a = 0
-    while a < len(table):
-        if rep(a) != a:
+    while a < len(p):
+        if p[a] != a:
             a += 1
             continue
-        for codes in rel_codes:
-            scan_and_fill(a, codes)
-            if rep(a) != a:
+        for fwd, bwd in rel_cols:
+            scan_and_fill(a, fwd, bwd)
+            if p[a] != a:
                 break
-        if rep(a) == a:
-            for c in range(ncols):
-                if table[a][c] is None:
-                    define(a, c)
+        else:
+            for col, icol in zip(cols, inv_cols):
+                if col[a] < 0:
+                    define(a, col, icol)
         if live > max_cosets:
             return Overflow(max_cosets, live)
         a += 1
-
-    # compact live cosets and standardize by BFS from coset 0
-    return _standardize(alpha, relators, subgroup_gens, table, p, rep)
+    return _standardize(alpha, relators, subgroup_gens, cols, p)
 
 
-def _standardize(alpha, relators, subgroup_gens, table, p, rep) -> CosetTable:
-    ncols = 2 * len(alpha)
-    number: dict[int, int] = {rep(0): 0}
-    reps_letters: list[tuple[int, ...]] = [()]
-    order = [rep(0)]
-    q = deque(order)
-    while q:
-        v = q.popleft()
-        for gen in range(len(alpha)):
-            for code, letter in ((2 * gen, gen + 1), (2 * gen + 1, -(gen + 1))):
-                wv = table[v][code]
-                if wv is None:
-                    raise CosetEnumError("internal: incomplete table after enumeration")
-                wv = rep(wv)
-                if wv not in number:
-                    number[wv] = len(order)
-                    reps_letters.append(reps_letters[number[v]] + (letter,))
-                    order.append(wv)
-                    q.append(wv)
-    new_table = [[0] * ncols for _ in order]
-    for old, new in number.items():
-        for c in range(ncols):
-            new_table[new][c] = number[rep(table[old][c])]
-    return CosetTable(alpha, relators, subgroup_gens, new_table, reps_letters)
+def _standardize(alpha, relators, subgroup_gens, cols, p) -> CosetTable:
+    """Number the live cosets in BFS order from coset 0, columns in code
+    order, and record each coset's BFS-tree word as its representative."""
+    letters = [c // 2 + 1 if c % 2 == 0 else -(c // 2 + 1) for c in range(len(cols))]
+    number = [-1] * len(p)
+    number[0] = 0
+    order = [0]
+    reps: list[tuple[int, ...]] = [()]
+    for v in order:
+        rep_v = reps[number[v]]
+        for col, letter in zip(cols, letters):
+            w = col[v]
+            if w < 0 or p[w] != w:
+                raise CosetEnumError("internal: incomplete table after enumeration")
+            if number[w] < 0:
+                number[w] = len(order)
+                order.append(w)
+                reps.append(rep_v + (letter,))
+    table = [[number[col[v]] for col in cols] for v in order]
+    return CosetTable(alpha, relators, subgroup_gens, table, reps)
 
 
 def schreier_kernel_generators(
@@ -225,29 +259,10 @@ def schreier_kernel_generators(
     """Generators of the kernel of F(gens) -> Q, where Q is presented by
     the relators together with the killed generators.
 
-    Schreier generators rep(c) * g * rep(c*g)^-1 over all cosets of the
-    trivial subgroup, freely reduced, trivial entries dropped, deduplicated.
-    Requires the quotient to be finite within the cap."""
+    Enumerates the quotient, which must be finite within the cap, and
+    returns ``CosetTable.kernel_generators()`` with the table."""
     killed_words = [Word(alpha, (i + 1,), reduced=True) for i in killed]
     outcome = todd_coxeter(alpha, list(relators) + killed_words, (), max_cosets)
     if isinstance(outcome, Overflow):
         raise CosetEnumError("finite quotient required")
-    gens: list[Word] = []
-    seen = set()
-    for c in range(outcome.index):
-        rep_c = outcome.reps[c]
-        for gen in range(len(alpha)):
-            target = outcome.table[c][2 * gen]
-            letters = free_reduce_letters(
-                rep_c + (gen + 1,) + tuple(-x for x in reversed(outcome.reps[target]))
-            )
-            if letters and letters not in seen:
-                seen.add(letters)
-                gens.append(Word(alpha, letters, reduced=True))
-    for g in gens:
-        assert outcome.image_in_quotient(g) == 1
-    return gens, outcome
-
-
-def image_in_quotient(table: CosetTable, w: Word) -> int:
-    return table.image_in_quotient(w)
+    return outcome.kernel_generators(), outcome

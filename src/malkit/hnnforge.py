@@ -17,7 +17,6 @@ from .cosetenum import (
     DEFAULT_MAX_COSETS,
     CosetTable,
     Overflow,
-    schreier_kernel_generators,
     todd_coxeter,
 )
 from .malchar import rank_n_family, seed_words_triangle, triangle_relators
@@ -211,10 +210,8 @@ def build_tp(
         table = None
         truncated = truncate
     else:
-        kernel, table = schreier_kernel_generators(
-            hat_alpha, hat.presentation.relators, (), max_cosets
-        )
-        abstract = tuple(kernel)
+        abstract = tuple(outcome.kernel_generators())
+        table = outcome
         truncated = None
 
     hnn = HnnPresentation(
@@ -236,9 +233,11 @@ def build_tp(
     # automorphism must preserve the base relators
     m_graph = build_and_fold(alpha, list(m_by_slot))
     for u in concrete:
-        assert contains(m_graph, u)
+        if not contains(m_graph, u):
+            raise HnnError(f"internal: kernel generator {u} is not in the family subgroup")
     for r in rels:
-        assert word_problem(rs, apply_endo(phi, r))
+        if not word_problem(rs, apply_endo(phi, r)):
+            raise HnnError(f"internal: the base automorphism does not preserve the relator {r}")
     return hnn
 
 

@@ -200,22 +200,45 @@ class _Folder:
 def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
     """Folded core graph of the subgroup generated by ``gens``.
 
-    Builds the bouquet of generator loops at a common basepoint and folds
-    with union-find; then trims non-basepoint vertices of degree <= 1 and
-    renumbers canonically.
+    Adds each generator as a loop at the basepoint and folds with
+    union-find.  A loop is first read forward from the basepoint, then
+    backward along inverse letters, over edges already present; only the
+    unread middle gets fresh vertices, and two reads that meet merge their
+    endpoints.  The folded graph is unique, so this gives the same graph as
+    folding the whole bouquet.  Then trims non-basepoint vertices of
+    degree <= 1 and renumbers canonically.
     """
     for g in gens:
         if g.alphabet != alpha:
             raise StallingsError("generator over a different alphabet")
     f = _Folder()
     bp = f.new_vertex()
+    adj, parent, find = f.adj, f.parent, f.find
     for g in gens:
         lets = g.letters
-        prev = bp
-        for i, s in enumerate(lets):
-            nxt = bp if i == len(lets) - 1 else f.new_vertex()
-            f.add_edge(f.find(prev), s, f.find(nxt))
-            prev = nxt
+        i, j = 0, len(lets) - 1
+        v = u = find(bp)
+        while i <= j:
+            t = adj[v].get(lets[i])
+            if t is None:
+                break
+            v = t if parent[t] == t else find(t)
+            i += 1
+        while j >= i:
+            t = adj[u].get(-lets[j])
+            if t is None:
+                break
+            u = t if parent[t] == t else find(t)
+            j -= 1
+        if i > j:
+            if v != u:
+                f._merge(v, u)
+            continue
+        for s in lets[i:j]:
+            w = f.new_vertex()
+            f.add_edge(v, s, w)
+            v = find(w)
+        f.add_edge(v, lets[j], u)
     # collect representative adjacency, with resolved targets
     reps = [v for v in range(len(f.parent)) if f.find(v) == v]
     out = {v: {s: f.find(t) for s, t in f.adj[v].items()} for v in reps}
@@ -242,25 +265,19 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
 
 def _canonicalize(alpha: Alphabet, out: dict[int, dict[int, int]], bp: int) -> SubgroupGraph:
     """BFS renumbering from the basepoint with fixed signed-label order."""
-    n = len(alpha)
+    signed = tuple(_signed_letters(len(alpha)))
     number = {bp: 0}
     order = [bp]
-    q = deque([bp])
-    while q:
-        v = q.popleft()
-        for s in _signed_letters(n):
-            w = out[v].get(s)
+    for v in order:
+        d = out[v]
+        for s in signed:
+            w = d.get(s)
             if w is not None and w not in number:
                 number[w] = len(order)
                 order.append(w)
-                q.append(w)
     if len(number) != sum(1 for v, d in out.items() if d or v == bp):
         raise StallingsError("subgroup graph is not connected")
-    new_out: list[dict[int, int]] = [dict() for _ in order]
-    for v in order:
-        nv = number[v]
-        for s, w in out[v].items():
-            new_out[nv][s] = number[w]
+    new_out = [{s: number[w] for s, w in out[v].items()} for v in order]
     return SubgroupGraph(alpha, new_out)
 
 

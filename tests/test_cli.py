@@ -113,6 +113,23 @@ class TestCli:
         code, out = run_cli(capsys, "dehn", t666_file, "--word", "b^-1 a^6 b")
         assert code == 0 and out["verdict"]["trivial"] is True
 
+    def test_dehn_nontrivial_over_admissible(self, capsys, t666_file):
+        code, out = run_cli(capsys, "dehn", t666_file, "--word", "a b")
+        assert code == 0 and out["verdict"] == {"reduced": "a b", "trivial": False}
+        assert out["caveats"] == []
+
+    def test_dehn_not_admissible_is_not_a_verdict(self, capsys, tmp_path):
+        # Z^2 is not Dehn-admissible: this commutator is trivial in Z^2, but
+        # Dehn's algorithm leaves it unchanged
+        path = tmp_path / "z2.pres"
+        path.write_text("gens: a b\nrels: a b a^-1 b^-1\n")
+        code, out = run_cli(capsys, "dehn", str(path), "--word", "a^2 b^2 a^-2 b^-2")
+        assert code == 0
+        assert out["verdict"] == {"reduced": "a^2 b^2 a^-2 b^-2", "trivial": None}
+        assert len(out["caveats"]) == 1
+        code, out = run_cli(capsys, "dehn", str(path), "--word", "a b a^-1 b^-1")
+        assert out["verdict"] == {"reduced": "1", "trivial": True}
+
     def test_certify_refusal_exit_code(self, capsys, tmp_path):
         # a base presentation that is not Dehn-admissible must refuse (exit 2)
         path = tmp_path / "bad.pres"

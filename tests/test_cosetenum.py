@@ -1,9 +1,17 @@
-import pytest
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import malkit
 from malkit.cosetenum import (
     CosetEnumError,
     Overflow,
-    image_in_quotient,
     schreier_kernel_generators,
     todd_coxeter,
 )
@@ -64,15 +72,15 @@ class TestToddCoxeter:
 class TestImageInQuotient:
     def test_relator_trivial(self):
         t = todd_coxeter(Z, [word(Z, "z^5")])
-        assert image_in_quotient(t, word(Z, "z^5")) == 1
+        assert t.image_in_quotient(word(Z, "z^5")) == 1
 
     def test_square_nontrivial(self):
         t = todd_coxeter(Z, [word(Z, "z^5")])
-        assert image_in_quotient(t, word(Z, "z^2")) != 1
+        assert t.image_in_quotient(word(Z, "z^2")) != 1
 
     def test_wraparound(self):
         t = todd_coxeter(Z, [word(Z, "z^5")])
-        assert image_in_quotient(t, word(Z, "z^7")) == image_in_quotient(t, word(Z, "z^2"))
+        assert t.image_in_quotient(word(Z, "z^7")) == t.image_in_quotient(word(Z, "z^2"))
 
 
 class TestSchreierKernel:
@@ -121,3 +129,111 @@ class TestSchreierKernel:
             assert same_subgroup(
                 build_and_fold(XY, gens), build_and_fold(XY, expected)
             ), f"k={k}"
+
+
+def _sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestGoldenIndex10752:
+    """<a, b | a^2, b^3, (ab)^7, [a,b]^8> has order 10,752.  The table, the
+    Schreier generators, their folded graph and the overflow counts at two
+    caps (which follow HLT's definition order) are pinned by digest."""
+
+    AB = alphabet("a b")
+    RELS = ("a^2", "b^3", "(a b)^7", "(a^-1 b^-1 a b)^8")
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return todd_coxeter(self.AB, [word(self.AB, r) for r in self.RELS], (), 400_000)
+
+    def test_table(self, table):
+        assert table.index == 10_752
+        assert _sha16(json.dumps([table.table, table.reps])) == "828cd0b3984421b6"
+
+    def test_kernel_and_fold(self, table):
+        gens = table.kernel_generators()
+        assert len(gens) == 10_753
+        assert _sha16(json.dumps([list(g.letters) for g in gens])) == "995234dfcdd4c862"
+        graph = build_and_fold(self.AB, gens)
+        assert (graph.num_vertices, graph.rank()) == (10_752, 10_753)
+        assert _sha16(repr(graph.canonical_form())) == "8ae874e5a1289636"
+
+    def test_schreier_kernel_generators_agrees(self, table):
+        gens, again = schreier_kernel_generators(self.AB, [word(self.AB, r) for r in self.RELS], (), 400_000)
+        assert again.table == table.table and again.reps == table.reps
+        assert gens == table.kernel_generators()
+
+    @pytest.mark.parametrize("cap, live", [(100_000, 100_022), (150_000, 150_003)])
+    def test_overflow_counts(self, cap, live):
+        out = todd_coxeter(self.AB, [word(self.AB, r) for r in self.RELS], (), cap)
+        assert out == Overflow(cap, live)
+
+
+@st.composite
+def _small_presentations(draw):
+    alpha = draw(st.sampled_from([alphabet("a"), alphabet("a b"), alphabet("a b c")]))
+    letters = [s for i in range(1, len(alpha) + 1) for s in (i, -i)]
+    # a power of each generator keeps many of the quotients finite
+    rels = [Word(alpha, (i,) * draw(st.integers(1, 6))) for i in range(1, len(alpha) + 1)]
+    rels += [Word(alpha, lets) for lets in draw(st.lists(st.lists(st.sampled_from(letters), max_size=8),
+                                                           max_size=3))]
+    subgroup = [Word(alpha, lets) for lets in draw(st.lists(st.lists(st.sampled_from(letters), max_size=5),
+                                                            max_size=2))]
+    return alpha, rels, subgroup
+
+
+class TestCompleteTables:
+    @settings(max_examples=200, deadline=None)
+    @given(_small_presentations())
+    def test_complete_table_is_a_coset_action(self, case):
+        alpha, rels, subgroup = case
+        t = todd_coxeter(alpha, rels, subgroup, max_cosets=300)
+        if isinstance(t, Overflow):
+            assert t.live_cosets > t.max_cosets == 300
+            return
+        n = t.index
+        assert len(t.table) == len(t.reps) == n
+        for c in range(2 * len(alpha)):
+            column = [row[c] for row in t.table]
+            assert sorted(column) == list(range(n))
+            assert all(t.table[column[v]][c ^ 1] == v for v in range(n))
+        for v in range(n):
+            for r in rels:
+                assert t.trace(r.letters, v) == v
+        for g in subgroup:
+            assert t.trace(g.letters) == 0
+        for v, rep in enumerate(t.reps):
+            assert t.trace(rep) == v
+        for g in t.kernel_generators():
+            assert t.trace(g.letters) == 0
+
+
+class TestKernelCheck:
+    """A Schreier generator whose image is not trivial is a typed error,
+    also when Python runs with -O and bare asserts are stripped."""
+
+    def test_bad_representative(self):
+        t = todd_coxeter(Z, [word(Z, "z^5")])
+        t.reps[1] = t.reps[1] * 2
+        with pytest.raises(CosetEnumError):
+            t.kernel_generators()
+
+    def test_check_survives_optimised_python(self):
+        code = (
+            "from malkit.cosetenum import CosetEnumError, todd_coxeter\n"
+            "from malkit.words import alphabet, word\n"
+            "Z = alphabet('z')\n"
+            "t = todd_coxeter(Z, [word(Z, 'z^5')])\n"
+            "t.reps[1] = t.reps[1] * 2\n"
+            "try:\n"
+            "    t.kernel_generators()\n"
+            "    print(__debug__, 'no error')\n"
+            "except CosetEnumError:\n"
+            "    print(__debug__, 'raised')\n"
+        )
+        src = str(Path(malkit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "raised"], out.stderr

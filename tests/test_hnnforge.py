@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import malkit
 from malkit import hnnforge
 from malkit.hnnforge import (
     HnnError,
@@ -112,6 +118,45 @@ class TestBuildTp:
             # kernel of F(x, z) -> Z/k has rank 1 + k (Nielsen-Schreier)
             g = build_and_fold(hnn.hat_alphabet, list(hnn.assoc_abstract))
             assert g.rank() == 1 + k
+
+
+class TestBuildTpChecks:
+    """build_tp re-checks that every kernel generator lies in the family
+    subgroup and that the base automorphism preserves the relators; a
+    failure is a typed error, also under python -O."""
+
+    def test_kernel_outside_family(self, monkeypatch):
+        monkeypatch.setattr(hnnforge, "contains", lambda graph, u: False)
+        with pytest.raises(HnnError, match="family subgroup"):
+            build_tp(AB, 6, 6, 6, pres("z", ["z^2"]), rho=2, mode="minimal")
+
+    def test_relator_not_preserved(self, monkeypatch):
+        monkeypatch.setattr(hnnforge, "word_problem", lambda rs, w: False)
+        with pytest.raises(HnnError, match="does not preserve"):
+            build_tp(AB, 6, 6, 6, pres("z", ["z^2"]), rho=2, mode="minimal")
+
+    def test_checks_survive_optimised_python(self):
+        code = (
+            "from malkit import hnnforge\n"
+            "from malkit.words import alphabet\n"
+            "AB = alphabet('a b')\n"
+            "P = hnnforge.presentation('z', ['z^2'])\n"
+            "raised = []\n"
+            "for name, bad in (('contains', lambda graph, u: False), ('word_problem', lambda rs, w: False)):\n"
+            "    good = getattr(hnnforge, name)\n"
+            "    setattr(hnnforge, name, bad)\n"
+            "    try:\n"
+            "        hnnforge.build_tp(AB, 6, 6, 6, P, rho=2, mode='minimal')\n"
+            "    except hnnforge.HnnError:\n"
+            "        raised.append(name)\n"
+            "    setattr(hnnforge, name, good)\n"
+            "print(__debug__, len(raised))\n"
+        )
+        src = str(Path(malkit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "2"], out.stderr
 
 
 class TestMorphisms:

@@ -79,6 +79,107 @@ class TestFolding:
             assert build_and_fold(AB, shuffled).canonical_form() == reference
 
 
+def _bouquet_then_fold(alpha, gens):
+    """Reference fold: the whole bouquet of generator loops first, then
+    identify the ends of two edges that leave or enter one vertex with one
+    label until none remain, trim, and number by BFS from the basepoint in
+    the signed-label order a, a^-1, b, b^-1, ..."""
+    edges = set()  # (u, s, v) with s > 0
+    n = 1
+    for g in gens:
+        lets = g.letters
+        prev = 0
+        for k, x in enumerate(lets):
+            if k == len(lets) - 1:
+                nxt = 0
+            else:
+                nxt, n = n, n + 1
+            edges.add((prev, x, nxt) if x > 0 else (nxt, -x, prev))
+            prev = nxt
+    verts = set(range(n))
+    while True:
+        pair = None
+        for u, s, v in edges:
+            for u2, s2, v2 in edges:
+                if s == s2 and ((u == u2 and v != v2) or (v == v2 and u != u2)):
+                    pair = (v, v2) if u == u2 else (u, u2)
+                    break
+            if pair:
+                break
+        if pair is None:
+            break
+        keep, drop = min(pair), max(pair)
+        edges = {(keep if u == drop else u, s, keep if v == drop else v) for u, s, v in edges}
+        verts.discard(drop)
+    while True:
+        degree = {v: 0 for v in verts}
+        for u, _, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        dead = {v for v in verts if v != 0 and degree[v] <= 1}
+        if not dead:
+            break
+        verts -= dead
+        edges = {e for e in edges if e[0] not in dead and e[2] not in dead}
+    number, order = {0: 0}, [0]
+    for v in order:
+        for i in range(1, len(alpha) + 1):
+            for s in (i, -i):
+                targets = [e[2] for e in edges if e[0] == v and e[1] == s] if s > 0 else \
+                          [e[0] for e in edges if e[2] == v and e[1] == -s]
+                for t in targets:
+                    if t not in number:
+                        number[t] = len(order)
+                        order.append(t)
+    canon = sorted((number[u], s, number[v]) for u, s, v in edges)
+    return alpha.names, len(order), tuple(canon)
+
+
+@st.composite
+def _overlapping_gens(draw):
+    """Generator lists built from a small pool of pieces, so generators
+    share prefixes and suffixes, repeat, appear inverted and conjugated,
+    and the two reads of a loop often meet."""
+    alpha = draw(st.sampled_from([alphabet("a"), AB, alphabet("a b c")]))
+    letters = [s for i in range(1, len(alpha) + 1) for s in (i, -i)]
+    pieces = draw(st.lists(st.lists(st.sampled_from(letters), max_size=4), min_size=1, max_size=4))
+    pieces = [Word(alpha, p) for p in pieces]
+    gens = []
+    for _ in range(draw(st.integers(0, 6))):
+        parts = draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=3))
+        g = Word(alpha, ())
+        for part in parts:
+            g = g * (part if draw(st.booleans()) else part.inverse())
+        if draw(st.booleans()):
+            c = draw(st.sampled_from(pieces))
+            g = c * g * c.inverse()
+        gens.append(g)
+        if gens and draw(st.booleans()):
+            old = draw(st.sampled_from(gens))
+            gens.append(old if draw(st.booleans()) else old.inverse())
+    return alpha, gens
+
+
+class TestReadAheadFold:
+    """Folding reads each loop ahead from both ends before adding vertices;
+    the folded graph is unique, so it must equal the graph obtained by
+    folding the whole bouquet."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_overlapping_gens())
+    def test_matches_bouquet_then_fold(self, case):
+        alpha, gens = case
+        assert build_and_fold(alpha, gens).canonical_form() == _bouquet_then_fold(alpha, gens)
+
+    def test_reads_that_meet(self):
+        # later loops read wholly along earlier edges, or read from both
+        # ends until the reads meet
+        for gens in (["a b^-1", "b a^-1"], ["a b", "a b a b^-1 a^-1"], ["a b a^-1", "a b^2 a^-1"],
+                     ["a", "a^-1", "a^2"], ["a b a^-1 b^-1", "b a b^-1 a^-1"]):
+            gens = ws(*gens)
+            assert build_and_fold(AB, gens).canonical_form() == _bouquet_then_fold(AB, gens)
+
+
 class TestMembership:
     def test_contains_examples(self):
         g = fold("a^2", "b")
