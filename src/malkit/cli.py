@@ -20,7 +20,7 @@ from importlib import resources
 
 from . import hnnforge, malchar, presfile, quotientcert, smallcancel, stallings
 from .cosetenum import DEFAULT_MAX_COSETS, CosetEnumError, Overflow, todd_coxeter
-from .words import Alphabet, Word, WordError, alphabet, parse_word_list, word
+from .words import Alphabet, Word, WordError, alphabet, inverse_letters, parse_word_list, word
 
 
 class UsageError(ValueError):
@@ -228,14 +228,14 @@ def cmd_coset_enum(args):
     started = time.monotonic()
     parsed = _load_presentation(args.presentation)
     subgroup = parse_word_list(parsed.alphabet, args.subgroup) if args.subgroup else []
+    if args.kernel and subgroup:
+        raise UsageError("--kernel applies to the trivial-subgroup enumeration")
     outcome = todd_coxeter(parsed.alphabet, parsed.relators, subgroup, _max_cosets(args))
     if isinstance(outcome, Overflow):
         payload = {"verdict": "overflow", "cap": outcome.max_cosets}
         return _emit("coset-enum", _digest(args.presentation), payload, started)
     payload = {"verdict": "complete", "index": outcome.index}
     if args.kernel:
-        if subgroup:
-            raise UsageError("--kernel applies to the trivial-subgroup enumeration")
         payload["kernel_generators"] = [str(g) for g in outcome.kernel_generators()]
     return _emit("coset-enum", _digest(args.presentation), payload, started)
 
@@ -311,7 +311,7 @@ def parse_britton_text(hnn, text: str):
             hat_name = combined.names[abs(x) - 1]
             img = hnn.m_word(hat_name).letters
             if x < 0:
-                img = tuple(-u for u in reversed(img))
+                img = inverse_letters(img)
             segments[-1].extend(img)
     words = [Word(hnn.base_alphabet, tuple(seg)) for seg in segments]
     return hnnforge.britton_word(hnn, words, exponents)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import Alphabet, Word
+from .words import Alphabet, Word, inverse_letters
 
 DEFAULT_MAX_COSETS = 10 ** 5
 
@@ -87,7 +87,7 @@ class CosetTable:
                 rep_t = reps[tbl[c][2 * gen]]
                 if rep_t == rep_c + (gen + 1,) or rep_c == rep_t + (-gen - 1,):
                     continue
-                letters = rep_c + (gen + 1,) + tuple(-x for x in reversed(rep_t))
+                letters = rep_c + (gen + 1,) + inverse_letters(rep_t)
                 v = self.trace(letters)
                 if v != 0:
                     raise CosetEnumError(f"internal: Schreier generator {letters} maps to coset {v + 1}")

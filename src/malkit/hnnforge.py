@@ -21,7 +21,7 @@ from .cosetenum import (
 )
 from .malchar import rank_n_family, seed_words_triangle, triangle_relators
 from .smallcancel import RelatorSet, endo_order_in_quotient, symmetrise, word_problem
-from .stallings import BasisRewriter, build_and_fold, contains, same_subgroup
+from .stallings import BasisRewriter, build_and_fold, same_subgroup
 from .words import (
     Alphabet,
     EndomorphismSpec,
@@ -29,7 +29,8 @@ from .words import (
     apply_endo,
     endo,
     endo_power,
-    free_reduce_letters,
+    reduced_words,
+    substitute,
     word,
 )
 
@@ -137,17 +138,8 @@ class HnnPresentation:
 
     def substitute(self, abstract: Word) -> Word:
         """Spell a hat-alphabet word through the concrete family words."""
-        out: list[int] = []
-        for x in abstract.letters:
-            img = self.m_gens[self.hat.slots[self.hat_alphabet.names[abs(x) - 1]]].letters
-            if x < 0:
-                img = tuple(-t for t in reversed(img))
-            for t in img:
-                if out and out[-1] == -t:
-                    out.pop()
-                else:
-                    out.append(t)
-        return Word(self.base_alphabet, tuple(out), reduced=True)
+        images = [self.m_word(name).letters for name in self.hat_alphabet.names]
+        return Word(self.base_alphabet, substitute(images, abstract.letters), reduced=True)
 
     def hnn_relator_texts(self) -> list[str]:
         t = self.stable
@@ -233,7 +225,7 @@ def build_tp(
     # automorphism must preserve the base relators
     m_graph = build_and_fold(alpha, list(m_by_slot))
     for u in concrete:
-        if not contains(m_graph, u):
+        if not m_graph.contains(u):
             raise HnnError(f"internal: kernel generator {u} is not in the family subgroup")
     for r in rels:
         if not word_problem(rs, apply_endo(phi, r)):
@@ -248,21 +240,10 @@ def _truncated_kernel(hat: HatPresentation, depth: int) -> tuple[Word, ...]:
     alpha = hat.presentation.alphabet
     out: list[Word] = []
     seen = set()
-    conjugators: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(depth):
-        nxt = []
-        for t in frontier:
-            for s in [x for i in range(1, len(alpha) + 1) for x in (i, -i)]:
-                if t and t[-1] == -s:
-                    continue
-                nxt.append(t + (s,))
-        conjugators.extend(nxt)
-        frontier = nxt
+    conjugators = [()] + list(reduced_words(len(alpha), depth))
     for g in conjugators:
-        ginv = tuple(-x for x in reversed(g))
         for r in hat.presentation.relators:
-            lets = free_reduce_letters(ginv + r.letters + g)
+            lets = substitute((g, r.letters), (-1, 2, 1))
             if lets and lets not in seen:
                 seen.add(lets)
                 out.append(Word(alpha, lets, reduced=True))
@@ -306,7 +287,8 @@ def quotient_morphism(
     h2 = build_tp(alpha, i, j, k, P2, rho=rho, mode=mode, max_cosets=max_cosets, truncate=truncate)
     caveats: list[str] = []
     hat_alpha = h1.hat_alphabet
-    assert hat_alpha == h2.hat_alphabet
+    if hat_alpha != h2.hat_alphabet:
+        raise HnnError("internal: the two padded presentations have different alphabets")
 
     if h2.table is not None:
         for r in h1.hat.presentation.relators:
@@ -323,7 +305,7 @@ def quotient_morphism(
     else:
         caveats.append("kernel comparison on truncated parametric families")
 
-    extra = [u for u in h2.assoc_abstract if not contains(g1, u)]
+    extra = [u for u in h2.assoc_abstract if not g1.contains(u)]
     if h1.truncated is None and h2.truncated is None and not extra:
         raise HnnError("not a proper quotient")
     return MorphismData(
@@ -380,11 +362,12 @@ def free_product_morphism(
     g1 = build_and_fold(big_alpha, k1)
     if hp.truncated is not None or hpq.truncated is not None:
         caveats.append("kernel comparison on truncated parametric families")
-    extra = [u for u in hpq.assoc_abstract if not contains(g1, u)]
+    extra = [u for u in hpq.assoc_abstract if not g1.contains(u)]
     if not Q.alphabet.names and not Q.relators:
         # trivial free factor: the kernels must agree
         g2 = build_and_fold(big_alpha, list(hpq.assoc_abstract))
-        assert same_subgroup(g1, g2)
+        if not same_subgroup(g1, g2):
+            raise HnnError("internal: a trivial free factor changed the kernel")
     return MorphismData(
         extra_abstract=extra,
         extra_concrete=[hpq.substitute(u) for u in extra],
@@ -462,13 +445,13 @@ class _KMembership:
         direct = self.k_graph.contains(hn)
         pairs = self.rewriter.rewrite(hn) if self.rewriter.graph.contains(hn) else None
         if pairs is None:
-            assert not direct
             verdict = False
         else:
             letters = tuple(self._slot_to_hat_letter[idx] * sign for idx, sign in pairs)
             abstract = Word(self.H.hat_alphabet, letters)
             verdict = self.H.table.image_in_quotient(abstract) == 1
-            assert verdict == direct
+        if verdict != direct:
+            raise HnnError(f"internal: the two membership checks disagree on {h}")
         self._k_memo[h.letters] = verdict
         return verdict
 
@@ -534,7 +517,7 @@ def britton_trivial(H: HnnPresentation, bw: BrittonWord) -> bool:
     reduced, _ = britton_reduce(H, bw)
     if reduced.stable_count:
         return False
-    return word_problem(H.base_relator_set(), reduced.head)
+    return word_problem(H.membership().rs, reduced.head)
 
 
 # -- residual witnesses ---------------------------------------------------------------
@@ -571,7 +554,7 @@ def residual_witness(H: HnnPresentation, bw: BrittonWord) -> ResidualWitness:
     if log or reduced.tail != bw.tail or reduced.head != bw.head:
         raise HnnError("word is not Britton-reduced")
     if not bw.tail:
-        nontrivial = not word_problem(H.base_relator_set(), bw.head)
+        nontrivial = not word_problem(member.rs, bw.head)
         return ResidualWitness(
             [], "trivial", nontrivial,
             "no stable letters: decided in the base group by Dehn's algorithm",
@@ -585,7 +568,8 @@ def residual_witness(H: HnnPresentation, bw: BrittonWord) -> ResidualWitness:
             if member.in_m(mid):
                 abstract = member.abstract_image(mid)
                 coset = H.table.image_in_quotient(abstract)
-                assert coset != 1  # Britton-reducedness keeps h out of K
+                if coset == 1:  # Britton-reducedness keeps h out of K
+                    raise HnnError(f"internal: the reduced subword {mid} lies in K")
                 entries.append(WitnessEntry(idx, "t h t^-1", mid, True, coset))
             else:
                 entries.append(WitnessEntry(idx, "t h t^-1", mid, False))
@@ -594,7 +578,8 @@ def residual_witness(H: HnnPresentation, bw: BrittonWord) -> ResidualWitness:
             if member.in_m(pre):
                 abstract = member.abstract_image(pre)
                 coset = H.table.image_in_quotient(abstract)
-                assert coset != 1
+                if coset == 1:
+                    raise HnnError(f"internal: the reduced subword {mid} lies in phi(K)")
                 entries.append(WitnessEntry(idx, "t^-1 h t", mid, True, coset))
             else:
                 entries.append(WitnessEntry(idx, "t^-1 h t", mid, False))

@@ -25,7 +25,7 @@ from .quotientcert import (
     certify_trivial_intersection_in_quotient,
     check_family_cyclically_reduced,
 )
-from .smallcancel import symmetrise
+from .smallcancel import symmetrise, word_problem
 from .stallings import (
     IntersectionWitness,
     build_and_fold,
@@ -42,6 +42,8 @@ from .words import (
     endo,
     positive_subsemigroup_member,
     proper_power,
+    signed_letters,
+    substitute,
     word,
 )
 
@@ -73,7 +75,8 @@ def length_preserving_autos(alpha: Alphabet) -> list[EndomorphismSpec]:
                     [Word(alpha, (ia,), reduced=True), Word(alpha, (ib,), reduced=True)],
                 )
             )
-    assert len(autos) == 8
+    if len(autos) != 8:
+        raise MalcharError("internal: expected 8 length-preserving automorphisms")
     return autos
 
 
@@ -103,7 +106,7 @@ def _run_restricted_acyclic(graph: stallings.SubgroupGraph, gen: int) -> bool:
             adj.append([])
         return states[key]
 
-    signed = [s for i in range(1, n + 1) for s in (i, -i)]
+    signed = tuple(signed_letters(n))
     for v in range(graph.num_vertices):
         for last in signed:
             # only states whose incoming letter exists matter, but building
@@ -314,21 +317,8 @@ def rank_n_family(
         if not verdict.malnormal:
             last_reason = "factors not malnormal in the block group"
             continue
-        u, v = seed.pair
-        sub = EndomorphismSpec(seed.alphabet, [u, v]) if len(seed.alphabet) == 2 else None
-        concrete = []
-        for aw in abstract:
-            letters: list[int] = []
-            for sym in aw.letters:
-                img = (u if abs(sym) == 1 else v).letters
-                if sym < 0:
-                    img = tuple(-x for x in reversed(img))
-                for t in img:
-                    if letters and letters[-1] == -t:
-                        letters.pop()
-                    else:
-                        letters.append(t)
-            concrete.append(Word(seed.alphabet, tuple(letters), reduced=True))
+        images = [w.letters for w in seed.pair]
+        concrete = [Word(seed.alphabet, substitute(images, aw.letters), reduced=True) for aw in abstract]
         checks = {
             "rank": n,
             "malnormal_in_blocks": True,
@@ -403,12 +393,11 @@ def psi_transversal(alpha: Alphabet, i: int, j: int, k: int) -> list[PsiMap]:
     else:
         selected = [maps[(1, 1)], maps[(1, -1)]]
     # every emitted map must preserve the relator set
-    from .smallcancel import word_problem
-
     rs = symmetrise(alpha, triangle_relators(alpha, i, j, k))
     for m in selected:
         for rel in rs.relators:
-            assert word_problem(rs, apply_endo(m.spec, rel)), f"{m.name} breaks a relator"
+            if not word_problem(rs, apply_endo(m.spec, rel)):
+                raise MalcharError(f"internal: {m.name} breaks the relator {rel}")
     return selected
 
 

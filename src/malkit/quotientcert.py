@@ -19,7 +19,15 @@ from .smallcancel import (
     is_cyclically_dehn_reduced,
     symmetrise,
 )
-from .words import Alphabet, Word, cyclic_reduce, free_reduce_letters, proper_power
+from .words import (
+    Alphabet,
+    Word,
+    cyclic_reduce,
+    inverse_letters,
+    proper_power,
+    reduced_words,
+    substitute,
+)
 
 
 class CertificateError(ValueError):
@@ -215,21 +223,6 @@ class FamilyVerdict:
     checked_words: int = 0
 
 
-def _reduced_words_over(k: int, bound: int):
-    """Freely reduced nonempty words over k symbols, syllable length <= bound."""
-    symbols = [s for i in range(1, k + 1) for s in (i, -i)]
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(bound):
-        nxt = []
-        for t in frontier:
-            for s in symbols:
-                if t and t[-1] == -s:
-                    continue
-                nxt.append(t + (s,))
-        yield from nxt
-        frontier = nxt
-
-
 def check_family_cyclically_reduced(
     alpha: Alphabet,
     r: Sequence[Word],
@@ -250,18 +243,9 @@ def check_family_cyclically_reduced(
         base = symmetrise(alpha, r)
 
     checked = 0
-    for expr in _reduced_words_over(len(t), syllable_bound):
-        letters: list[int] = []
-        for sym in expr:
-            img = t[abs(sym) - 1].letters
-            if sym < 0:
-                img = tuple(-x for x in reversed(img))
-            for u in img:
-                if letters and letters[-1] == -u:
-                    letters.pop()
-                else:
-                    letters.append(u)
-        wv = Word(alpha, tuple(letters), reduced=True)
+    images = [w.letters for w in t]
+    for expr in reduced_words(len(t), syllable_bound):
+        wv = Word(alpha, substitute(images, expr), reduced=True)
         checked += 1
         if not wv or not is_cyclically_dehn_reduced(base, wv):
             return FamilyVerdict(
@@ -285,7 +269,7 @@ def _block_criterion(base: RelatorSet, t: Sequence[Word]) -> bool:
     letters = []
     for w in t:
         letters.append(w.letters)
-        letters.append(tuple(-x for x in reversed(w.letters)))
+        letters.append(inverse_letters(w.letters))
 
     def cancel(g, h):
         # letters cancelled between g and h in the product g*h
@@ -300,7 +284,7 @@ def _block_criterion(base: RelatorSet, t: Sequence[Word]) -> bool:
     right = {g: 0 for g in letters}
     for g in letters:
         for h in letters:
-            if free_reduce_letters(g + h) == ():
+            if h == inverse_letters(g):
                 continue  # h = g^-1: not an adjacent pair in a reduced t-word
             c = cancel(g, h)
             max_cancel = max(max_cancel, c)
@@ -375,6 +359,7 @@ def free_conjugator(u: Word, v: Word) -> Optional[Word]:
         if lu[d:] + lu[:d] == core_v.letters:
             p = Word(u.alphabet, lu[:d], reduced=True)
             w = conj_u.inverse() * p * conj_v
-            assert w.inverse() * u * w == v
+            if w.inverse() * u * w != v:
+                raise CertificateError(f"internal: {w} does not conjugate {u} to {v}")
             return w
     return None

@@ -14,7 +14,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .words import Alphabet, EndomorphismSpec, Word, apply_endo, cyclic_reduce, free_reduce_letters
+from .words import (
+    Alphabet,
+    EndomorphismSpec,
+    Word,
+    apply_endo,
+    cyclic_reduce,
+    inverse_letters,
+    signed_letters,
+    substitute,
+)
 
 
 class SmallCancelError(ValueError):
@@ -27,19 +36,22 @@ def _rotations(letters: tuple[int, ...]):
         yield letters[i:] + letters[:i]
 
 
+# Dehn scanning encodes each signed letter as one byte
+MAX_GENERATORS = 128
+
+
 def _encode(letters: tuple[int, ...]) -> bytes:
-    """Signed letters as bytes (supports alphabets up to 128 generators)."""
+    """Signed letters as bytes (alphabets of at most MAX_GENERATORS)."""
     return bytes(2 * (x - 1) if x > 0 else -2 * x - 1 for x in letters)
-
-
-def _inv(letters: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in reversed(letters))
 
 
 class RelatorSet:
     """A finite relator list with its symmetrised closure and piece table."""
 
     def __init__(self, alpha: Alphabet, relators: Sequence[Word]):
+        if len(alpha) > MAX_GENERATORS:
+            raise SmallCancelError(
+                f"alphabet of {len(alpha)} generators: at most {MAX_GENERATORS} are supported")
         self.alphabet = alpha
         cores = []
         for r in relators:
@@ -53,7 +65,7 @@ class RelatorSet:
         sym: set[tuple[int, ...]] = set()
         shift_class: dict[tuple[int, ...], set[int]] = {}
         for idx, r in enumerate(self.relators):
-            for base in (r.letters, _inv(r.letters)):
+            for base in (r.letters, inverse_letters(r.letters)):
                 for rot in _rotations(base):
                     sym.add(rot)
                     shift_class.setdefault(rot, set()).add(idx)
@@ -164,7 +176,7 @@ def compute_pieces(rs: RelatorSet) -> PieceTable:
         best = 0
         best_w: Optional[Word] = None
         rel_jumps = []
-        for base in (r.letters, _inv(r.letters)):
+        for base in (r.letters, inverse_letters(r.letters)):
             rots = list(_rotations(base))
             jump = [prefix_len[rot] for rot in rots]
             rel_jumps.append(jump)
@@ -288,7 +300,7 @@ def check_T(rs: RelatorSet, q: int) -> TVerdict:
         lst = classes.setdefault(key, [])
         if len(lst) < 3:
             lst.append(w)
-    letters = [s for i in range(1, len(rs.alphabet) + 1) for s in (i, -i)]
+    letters = tuple(signed_letters(len(rs.alphabet)))
     for a in letters:
         for b in letters:
             e1 = classes.get((a, -b))
@@ -303,10 +315,10 @@ def check_T(rs: RelatorSet, q: int) -> TVerdict:
                     continue
                 for r1 in e1:
                     for r2 in e2:
-                        if r2 == _inv(r1):
+                        if r2 == inverse_letters(r1):
                             continue
                         for r3 in e3:
-                            if r3 == _inv(r2) or r1 == _inv(r3):
+                            if r3 == inverse_letters(r2) or r1 == inverse_letters(r3):
                                 continue
                             triple = tuple(
                                 Word(rs.alphabet, t, reduced=True) for t in (r1, r2, r3)
@@ -363,8 +375,7 @@ def dehn_reduce(rs: RelatorSet, w: Word) -> Word:
             return Word(rs.alphabet, letters, reduced=True)
         i, ln, elem, off = hit
         rotated = elem[off:] + elem[:off]
-        complement = _inv(rotated[ln:])
-        letters = free_reduce_letters(letters[:i] + complement + letters[i + ln:])
+        letters = substitute((letters[:i], rotated[ln:], letters[i + ln:]), (1, -2, 3))
 
 
 def is_dehn_reduced(rs: RelatorSet, w: Word) -> bool:

@@ -17,7 +17,7 @@ import numpy as _np
 from scipy.sparse import coo_matrix as _coo
 from scipy.sparse.csgraph import connected_components as _ccomp
 
-from .words import Alphabet, Word, free_reduce_letters
+from .words import Alphabet, Word, free_reduce_letters, inverse_letters, signed_letters, substitute
 
 
 class StallingsError(ValueError):
@@ -26,12 +26,6 @@ class StallingsError(ValueError):
 
 class WitnessError(StallingsError):
     """A witness read off a fibre product failed its re-verification."""
-
-
-def _signed_letters(n: int):
-    for i in range(1, n + 1):
-        yield i
-        yield -i
 
 
 class SubgroupGraph:
@@ -88,6 +82,9 @@ class SubgroupGraph:
         return v
 
     def contains(self, w: Word) -> bool:
+        """Membership of ``w`` in the subgroup: does w read as a basepoint loop?"""
+        if w.alphabet is not self.alphabet and w.alphabet != self.alphabet:
+            raise StallingsError("alphabet mismatch")
         return self.read(w.letters) == 0
 
     # -- spanning tree -------------------------------------------------------
@@ -101,7 +98,7 @@ class SubgroupGraph:
             q = deque([0])
             while q:
                 v = q.popleft()
-                for s in _signed_letters(n):
+                for s in signed_letters(n):
                     w = self.out[v].get(s)
                     if w is not None and not seen[w]:
                         seen[w] = True
@@ -265,7 +262,7 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
 
 def _canonicalize(alpha: Alphabet, out: dict[int, dict[int, int]], bp: int) -> SubgroupGraph:
     """BFS renumbering from the basepoint with fixed signed-label order."""
-    signed = tuple(_signed_letters(len(alpha)))
+    signed = tuple(signed_letters(len(alpha)))
     number = {bp: 0}
     order = [bp]
     for v in order:
@@ -281,24 +278,11 @@ def _canonicalize(alpha: Alphabet, out: dict[int, dict[int, int]], bp: int) -> S
     return SubgroupGraph(alpha, new_out)
 
 
-def contains(g: SubgroupGraph, w: Word) -> bool:
-    """Membership of ``w`` in the subgroup: does w read as a basepoint loop?"""
-    if w.alphabet != g.alphabet:
-        raise StallingsError("alphabet mismatch")
-    return g.contains(w)
-
-
-def rank(g: SubgroupGraph) -> int:
-    return g.rank()
-
-
 def basis(g: SubgroupGraph) -> list[Word]:
     """A free basis of the subgroup: one word per non-tree edge."""
-    words = []
-    for u, s, v in _nontree_edges(g):
-        letters = g.path_from_basepoint(u) + (s,) + tuple(-x for x in reversed(g.path_from_basepoint(v)))
-        words.append(Word(g.alphabet, free_reduce_letters(letters), reduced=True))
-    return words
+    path = g.path_from_basepoint
+    return [Word(g.alphabet, substitute((path(u), (s,), path(v)), (1, 2, -3)), reduced=True)
+            for u, s, v in _nontree_edges(g)]
 
 
 def _nontree_edges(g: SubgroupGraph) -> list[tuple[int, int, int]]:
@@ -347,6 +331,7 @@ class BasisRewriter:
             self._edge_code[(u, s)] = idx + 1
             self._edge_code[(v, -s)] = -(idx + 1)
         self._tree = None
+        self._gen_letters = [g.letters for g in self.gens]
         self._basis_over_gens = self._invert_basis()
 
     def _crossing(self, w: Word) -> Optional[tuple[int, ...]]:
@@ -381,11 +366,9 @@ class BasisRewriter:
         rows = []
         for i, g in enumerate(self.gens):
             cw = self._crossing(g)
-            assert cw is not None
+            if cw is None:
+                raise StallingsError(f"internal: generator {g} does not read as a loop of its own folded graph")
             rows.append([cw, (i + 1,)])
-
-        def redlen(t):
-            return len(t)
 
         changed = True
         while changed:
@@ -398,18 +381,10 @@ class BasisRewriter:
                         continue
                     ui, ei = rows[i]
                     for e1 in (1, -1):
-                        a = ui if e1 == 1 else tuple(-x for x in reversed(ui))
-                        fa = ei if e1 == 1 else tuple(-x for x in reversed(ei))
-                        lcand = free_reduce_letters(a + uj)
-                        if redlen(lcand) < redlen(uj):
-                            cand = (lcand, free_reduce_letters(fa + ej))
-                            if best is None or redlen(cand[0]) < redlen(best[0]):
-                                best = cand
-                        rcand = free_reduce_letters(uj + a)
-                        if redlen(rcand) < redlen(uj):
-                            cand = (rcand, free_reduce_letters(ej + fa))
-                            if best is None or redlen(cand[0]) < redlen(best[0]):
-                                best = cand
+                        for order in ((e1, 2), (2, e1)):
+                            cand = substitute((ui, uj), order)
+                            if len(cand) < len(uj) and (best is None or len(cand) < len(best[0])):
+                                best = (cand, substitute((ei, ej), order))
                 if best is not None:
                     rows[j] = [best[0], best[1]]
                     changed = True
@@ -427,7 +402,7 @@ class BasisRewriter:
             if sym > 0:
                 expr[sym - 1] = e
             else:
-                expr[-sym - 1] = tuple(-x for x in reversed(e))
+                expr[-sym - 1] = inverse_letters(e)
         return expr  # type: ignore[return-value]
 
     def rewrite(self, w: Word) -> Optional[list[tuple[int, int]]]:
@@ -436,37 +411,11 @@ class BasisRewriter:
         cw = self._crossing(w)
         if cw is None:
             return None
-        out: list[int] = []
-        for sym in cw:
-            seg = self._basis_over_gens[abs(sym) - 1]
-            if sym < 0:
-                seg = tuple(-x for x in reversed(seg))
-            for t in seg:
-                if out and out[-1] == -t:
-                    out.pop()
-                else:
-                    out.append(t)
+        out = substitute(self._basis_over_gens, cw)
         # verify by substitution
-        acc: list[int] = []
-        for t in out:
-            img = self.gens[abs(t) - 1].letters
-            if t < 0:
-                img = tuple(-x for x in reversed(img))
-            for u in img:
-                if acc and acc[-1] == -u:
-                    acc.pop()
-                else:
-                    acc.append(u)
-        if tuple(acc) != w.letters:
+        if substitute(self._gen_letters, out) != w.letters:
             raise StallingsError("internal rewriting verification failed")
         return [(abs(t) - 1, 1 if t > 0 else -1) for t in out]
-
-    def rewrite_word(self, w: Word, target: Alphabet) -> Optional[Word]:
-        """Rewrite and re-spell over ``target`` (one name per generator)."""
-        pairs = self.rewrite(w)
-        if pairs is None:
-            return None
-        return Word(target, tuple((i + 1) * s for i, s in pairs))
 
 
 def rewrite_over_generators(
@@ -704,7 +653,7 @@ def _component_cycle(core_vertices, core_edges):
                     return tuple(reversed(rev))
 
                 pv, pw = path(v), path(w)
-                letters = free_reduce_letters(pv + (lab,) + tuple(-t for t in reversed(pw)))
+                letters = substitute((pv, (lab,), pw), (1, 2, -3))
                 if letters:
                     return root, letters
     raise StallingsError("no cycle found in a non-forest component")
@@ -721,8 +670,8 @@ def _witness_from_component(
     alpha = g_left.alphabet
     p_letters = g_left.path_from_basepoint(left_v)
     q_letters = g_right.path_from_basepoint(right_v)
-    u = Word(alpha, free_reduce_letters(p_letters + cyc + tuple(-x for x in reversed(p_letters))))
-    g = Word(alpha, free_reduce_letters(q_letters + tuple(-x for x in reversed(p_letters))))
+    u = Word(alpha, substitute((p_letters, cyc), (1, 2, -1)), reduced=True)
+    g = Word(alpha, substitute((q_letters, p_letters), (1, -2)), reduced=True)
     return IntersectionWitness(conjugator=g, element=u)
 
 

@@ -3,13 +3,22 @@
 A word is stored as a tuple of nonzero signed integers: letter ``k > 0``
 means generator ``k-1``, and ``-k`` means its inverse.  All operations
 return freely reduced words.
+
+This module is the one place that knows how reduced letter tuples
+combine.  :func:`substitute` is the product and substitution kernel: it
+spells a letter sequence through a list of images and freely reduces, and
+products of reduced tuples are substitutions into their factors.  Its
+precondition is that every image is freely reduced, so letters cancel only
+where two images join.  :func:`free_reduce_letters` is for raw input only;
+:func:`inverse_letters`, :func:`signed_letters` and :func:`reduced_words`
+are the shared inversion, letter order and reduced-word enumeration.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 _NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*$")
 
@@ -68,6 +77,54 @@ def free_reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def inverse_letters(letters: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a letter tuple: reversed, each letter inverted."""
+    return tuple(-x for x in reversed(letters))
+
+
+def signed_letters(n: int) -> Iterator[int]:
+    """The signed letters over n generators in the order 1, -1, 2, -2, ..."""
+    for i in range(1, n + 1):
+        yield i
+        yield -i
+
+
+def substitute(images: Sequence[Sequence[int]], letters: Iterable[int]) -> tuple[int, ...]:
+    """Spell ``letters`` through ``images`` and freely reduce: letter k+1
+    becomes ``images[k]`` and letter -(k+1) its inverse.
+
+    Every image must be freely reduced (``letters`` need not be).  Then
+    letters cancel only where two images join, so each join pops the
+    cancelling end of the result and appends the rest of the image.  The
+    product of reduced tuples u and v is ``substitute((u, v), (1, 2))``."""
+    inverses: dict[int, tuple[int, ...]] = {}
+    out: list[int] = []
+    for x in letters:
+        if x > 0:
+            img = images[x - 1]
+        else:
+            img = inverses.get(x)
+            if img is None:
+                img = inverses[x] = inverse_letters(images[-x - 1])
+        j, n = 0, len(img)
+        while j < n and out and out[-1] == -img[j]:
+            out.pop()
+            j += 1
+        out.extend(img[j:] if j else img)
+    return tuple(out)
+
+
+def reduced_words(k: int, max_len: int) -> Iterator[tuple[int, ...]]:
+    """The nonempty freely reduced words over k symbols of length at most
+    ``max_len``, shortest first, each length in :func:`signed_letters`
+    order."""
+    symbols = tuple(signed_letters(k))
+    level: list[tuple[int, ...]] = [()]
+    for _ in range(max_len):
+        level = [t + (s,) for t in level for s in symbols if not t or t[-1] != -s]
+        yield from level
+
+
 class Word:
     """A freely reduced word over an :class:`Alphabet`.
 
@@ -117,15 +174,15 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise WordError("alphabet mismatch")
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word(self.alphabet, substitute((self.letters, other.letters), (1, 2)), reduced=True)
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, tuple(-x for x in reversed(self.letters)), reduced=True)
+        return Word(self.alphabet, inverse_letters(self.letters), reduced=True)
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.alphabet, self.letters * n)
+        return Word(self.alphabet, substitute((self.letters,), (1,) * n), reduced=True)
 
     def is_reduced(self) -> bool:
         return all(self.letters[i] != -self.letters[i + 1] for i in range(len(self.letters) - 1))
@@ -149,16 +206,6 @@ class Word:
 def word(alpha: Alphabet, text: str) -> Word:
     """Parse a word in the standard text syntax over ``alpha``."""
     return Word(alpha, parse_word_letters(alpha, text))
-
-
-def empty_word(alpha: Alphabet) -> Word:
-    return Word(alpha, (), reduced=True)
-
-
-def free_reduce(w: Word) -> Word:
-    """Return the freely reduced form of ``w`` (words are kept reduced, so
-    this is the identity; provided as the public contract point)."""
-    return Word(w.alphabet, w.letters)
 
 
 def conjugate(w: Word, g: Word) -> Word:
@@ -307,17 +354,7 @@ def apply_endo(e: EndomorphismSpec, w: Word) -> Word:
     """Substitute each letter by its image (inverting on negative letters)."""
     if w.alphabet != e.domain:
         raise WordError("word not over the endomorphism's domain")
-    out: list[int] = []
-    for x in w.letters:
-        img = e.images[abs(x) - 1].letters
-        if x < 0:
-            img = tuple(-t for t in reversed(img))
-        for t in img:
-            if out and out[-1] == -t:
-                out.pop()
-            else:
-                out.append(t)
-    return Word(e.domain, tuple(out), reduced=True)
+    return Word(e.domain, substitute([im.letters for im in e.images], w.letters), reduced=True)
 
 
 def compose_endos(outer: EndomorphismSpec, inner: EndomorphismSpec) -> EndomorphismSpec:
@@ -425,7 +462,7 @@ def parse_word_letters(alpha: Alphabet, text: str) -> tuple[int, ...]:
                 seg = out[start:]
                 del out[start:]
                 if exp < 0:
-                    seg = [-x for x in reversed(seg)]
+                    seg = inverse_letters(seg)
                     exp = -exp
                 out.extend(seg * exp)
         elif tok == "^":

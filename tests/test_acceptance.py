@@ -41,7 +41,7 @@ from malkit.smallcancel import (
     symmetrise,
     word_problem,
 )
-from malkit.stallings import build_and_fold, contains, is_malnormal, same_subgroup
+from malkit.stallings import build_and_fold, is_malnormal, same_subgroup
 from malkit.words import (
     Word,
     alphabet,
@@ -174,9 +174,9 @@ def test_criterion_02_malnormality_oracle_agreement():
             if verdict.witness is not None:
                 wit_g, wit_u = verdict.witness.conjugator, verdict.witness.element
                 graph = verdict.graph
-                assert wit_u and contains(graph, wit_u)
-                assert contains(graph, conjugate(wit_u, wit_g.inverse()))
-                assert not contains(graph, wit_g)
+                assert wit_u and graph.contains(wit_u)
+                assert graph.contains(conjugate(wit_u, wit_g.inverse()))
+                assert not graph.contains(wit_g)
             brute = _brute_force_malnormal(gens, conjugators)
             assert verdict.malnormal == brute, (
                 f"disagreement on {[str(g) for g in gens]}: "

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from malkit import presfile
+from malkit import cli, presfile
 from malkit.cli import main
 from malkit.presfile import PresentationSyntaxError, format_presentation, parse_presentation
 from malkit.words import Word, alphabet
@@ -155,6 +155,19 @@ class TestCli:
         monkeypatch.setenv("MALCHAR_MAX_COSETS", "50")
         code, out = run_cli(capsys, "coset-enum", str(path))
         assert code == 0 and out["verdict"] == "overflow" and out["cap"] == 50
+
+    def test_coset_enum_kernel_with_subgroup_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        # the free group on a, b: the subgroup's enumeration would overflow
+        path = tmp_path / "free2.pres"
+        path.write_text("gens: a b\nrels:\n")
+        monkeypatch.setenv("MALCHAR_MAX_COSETS", "50")
+        code = main(["coset-enum", str(path), "--subgroup", "a", "--kernel"])
+        assert code == 1
+        assert "--kernel applies to the trivial-subgroup enumeration" in capsys.readouterr().err
+        calls = []
+        monkeypatch.setattr(cli, "todd_coxeter", lambda *args: calls.append(args))
+        assert main(["coset-enum", str(path), "--subgroup", "a", "--kernel"]) == 1
+        assert calls == []
 
     def test_malchar_free_reject(self, capsys):
         code, out = run_cli(capsys, "malchar", "--free", "--gens", "a^3 b^3")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from malkit.hnnforge import (
     quotient_morphism,
     residual_witness,
 )
-from malkit.stallings import build_and_fold, contains, same_subgroup
+from malkit.stallings import SubgroupGraph, build_and_fold, same_subgroup
 from malkit.words import Word, alphabet, apply_endo, word
 
 AB = alphabet("a b")
@@ -85,7 +87,7 @@ class TestBuildTp:
     def test_kernel_generators_lie_in_family(self, tp2):
         g = build_and_fold(AB, list(tp2.m_gens))
         for u in tp2.assoc_concrete:
-            assert contains(g, u)
+            assert g.contains(u)
 
     def test_pq_mode_rank_three(self):
         hnn = build_tp(AB, 6, 6, 6, pres("z", ["z^2"]), rho=2, mode="pq")
@@ -102,6 +104,20 @@ class TestBuildTp:
         )
         fold_truncated = build_and_fold(hat, list(hnn.assoc_abstract))
         assert same_subgroup(fold_schema, fold_truncated)
+
+    def test_truncated_kernel_golden(self):
+        # <z | > pads to <x, z | x>: the conjugates of x over reduced
+        # conjugators of length <= 3, in enumeration order, and their
+        # spellings through the family words, pinned from the hand-written
+        # loops that substitute and reduced_words replaced
+        hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal")
+        assert hnn.truncated == 3 and len(hnn.assoc_abstract) == 27
+
+        def digest(words):
+            return hashlib.sha256(json.dumps([list(u.letters) for u in words]).encode()).hexdigest()[:16]
+
+        assert digest(hnn.assoc_abstract) == "bc87a1c3fde0f1df"
+        assert digest(hnn.assoc_concrete) == "2b756ef055156808"
 
     def test_britton_refuses_truncated(self):
         hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal")
@@ -126,7 +142,7 @@ class TestBuildTpChecks:
     failure is a typed error, also under python -O."""
 
     def test_kernel_outside_family(self, monkeypatch):
-        monkeypatch.setattr(hnnforge, "contains", lambda graph, u: False)
+        monkeypatch.setattr(SubgroupGraph, "contains", lambda graph, u: False)
         with pytest.raises(HnnError, match="family subgroup"):
             build_tp(AB, 6, 6, 6, pres("z", ["z^2"]), rho=2, mode="minimal")
 
@@ -138,18 +154,20 @@ class TestBuildTpChecks:
     def test_checks_survive_optimised_python(self):
         code = (
             "from malkit import hnnforge\n"
+            "from malkit.stallings import SubgroupGraph\n"
             "from malkit.words import alphabet\n"
             "AB = alphabet('a b')\n"
             "P = hnnforge.presentation('z', ['z^2'])\n"
             "raised = []\n"
-            "for name, bad in (('contains', lambda graph, u: False), ('word_problem', lambda rs, w: False)):\n"
-            "    good = getattr(hnnforge, name)\n"
-            "    setattr(hnnforge, name, bad)\n"
+            "for owner, name, bad in ((SubgroupGraph, 'contains', lambda graph, u: False),\n"
+            "                         (hnnforge, 'word_problem', lambda rs, w: False)):\n"
+            "    good = getattr(owner, name)\n"
+            "    setattr(owner, name, bad)\n"
             "    try:\n"
             "        hnnforge.build_tp(AB, 6, 6, 6, P, rho=2, mode='minimal')\n"
             "    except hnnforge.HnnError:\n"
             "        raised.append(name)\n"
-            "    setattr(hnnforge, name, good)\n"
+            "    setattr(owner, name, good)\n"
             "print(__debug__, len(raised))\n"
         )
         src = str(Path(malkit.__file__).resolve().parent.parent)
@@ -312,6 +330,59 @@ class TestMembershipOracle:
                 for i, s in expr:
                     target = target * fam.words[i] ** s
                 assert rw.rewrite(target) is not None
+
+
+class _FlippedGraph:
+    """A folded graph whose membership answers are negated."""
+
+    def __init__(self, graph):
+        self.graph = graph
+
+    def contains(self, h):
+        return not self.graph.contains(h)
+
+
+class TestMembershipAgreement:
+    """in_k answers only when the rewriting through the padded quotient and
+    the direct reading through the kernel graph agree; a disagreement is a
+    typed error, also under python -O."""
+
+    @pytest.mark.parametrize("which", ["kernel generator", "outside the family"])
+    def test_disagreement_raises(self, tp2, which):
+        h = tp2.assoc_concrete[0] if which == "kernel generator" else word(AB, "a")
+        member = hnnforge._KMembership(tp2)
+        assert member.in_k(h) == (which == "kernel generator")
+        member = hnnforge._KMembership(tp2)
+        member.k_graph = _FlippedGraph(member.k_graph)
+        with pytest.raises(HnnError, match="disagree"):
+            member.in_k(h)
+
+    def test_check_survives_optimised_python(self):
+        code = (
+            "from malkit import hnnforge\n"
+            "from malkit.words import alphabet, word\n"
+            "AB = alphabet('a b')\n"
+            "H = hnnforge.build_tp(AB, 6, 6, 6, hnnforge.presentation('z', ['z^2']), rho=2, mode='minimal')\n"
+            "class Flipped:\n"
+            "    def __init__(self, graph):\n"
+            "        self.graph = graph\n"
+            "    def contains(self, h):\n"
+            "        return not self.graph.contains(h)\n"
+            "raised = []\n"
+            "for h in (H.assoc_concrete[0], word(AB, 'a')):\n"
+            "    member = hnnforge._KMembership(H)\n"
+            "    member.k_graph = Flipped(member.k_graph)\n"
+            "    try:\n"
+            "        member.in_k(h)\n"
+            "    except hnnforge.HnnError:\n"
+            "        raised.append(True)\n"
+            "print(__debug__, len(raised))\n"
+        )
+        src = str(Path(malkit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "2"], out.stderr
 
 
 class TestResidualWitness:

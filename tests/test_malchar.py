@@ -1,10 +1,15 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import malkit
+from malkit import malchar
 from malkit.malchar import (
     HypothesesViolated,
     MalcharError,
@@ -22,7 +27,7 @@ from malkit.malchar import (
     verify_psi_images,
 )
 from malkit.smallcancel import symmetrise, word_problem
-from malkit.stallings import build_and_fold, contains
+from malkit.stallings import build_and_fold
 from malkit.words import alphabet, apply_endo, compose_endos, conjugate, identity_endo, word
 
 AB = alphabet("a b")
@@ -94,8 +99,8 @@ class TestDecideFree:
         u, g = verdict.witness.element, verdict.witness.conjugator
         c = build_and_fold(AB, [w("a^3 b^3")])
         image = build_and_fold(AB, [apply_endo(verdict.failing_auto, w("a^3 b^3"))])
-        assert contains(c, u)
-        assert contains(image, conjugate(u, g.inverse()))
+        assert c.contains(u)
+        assert image.contains(conjugate(u, g.inverse()))
 
     def test_a3b3_swap_witness_from_spec_worked_example(self):
         # the a<->b swap in particular defeats <a^3 b^3>: b^3 a^3 lies in
@@ -215,6 +220,34 @@ class TestPsiMaps:
     def test_below_six_rejected(self):
         with pytest.raises(MalcharError):
             psi_transversal(AB, 5, 6, 6)
+
+
+class TestTransversalCheck:
+    """psi_transversal re-checks that every emitted map preserves the
+    relators; a failure is a typed error, also under python -O."""
+
+    def test_relator_not_preserved(self, monkeypatch):
+        monkeypatch.setattr(malchar, "word_problem", lambda rs, w: False)
+        with pytest.raises(MalcharError, match="breaks the relator"):
+            psi_transversal(AB, 6, 6, 6)
+
+    def test_check_survives_optimised_python(self):
+        code = (
+            "from malkit import malchar\n"
+            "from malkit.words import alphabet\n"
+            "malchar.word_problem = lambda rs, w: False\n"
+            "try:\n"
+            "    malchar.psi_transversal(alphabet('a b'), 6, 7, 8)\n"
+            "    raised = 0\n"
+            "except malchar.MalcharError:\n"
+            "    raised = 1\n"
+            "print(__debug__, raised)\n"
+        )
+        src = str(Path(malkit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "1"], out.stderr
 
 
 class TestVerifyPsiImages:

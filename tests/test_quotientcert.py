@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import malkit
+from malkit import quotientcert
 from malkit.quotientcert import (
     CertificateError,
     certify_free_basis,
@@ -13,7 +19,7 @@ from malkit.quotientcert import (
 )
 from malkit.smallcancel import check_metric, symmetrise
 from malkit.stallings import is_malnormal
-from malkit.words import Word, alphabet, word
+from malkit.words import Word, alphabet, cyclic_reduce, word
 
 AB = alphabet("a b")
 
@@ -185,3 +191,33 @@ class TestFreeConjugator:
             found = free_conjugator(u, v)
             assert found is not None
             assert found.inverse() * u * found == v
+
+
+class TestConjugatorCheck:
+    """free_conjugator re-checks W^-1 u W = v before returning W; a failure
+    is a typed error, also under python -O."""
+
+    def test_bad_conjugator(self, monkeypatch):
+        # dropping the peeled conjugator a^-1 of u = a b a^-1 makes W = 1
+        monkeypatch.setattr(quotientcert, "cyclic_reduce", lambda x: (cyclic_reduce(x)[0], Word(AB, ())))
+        with pytest.raises(CertificateError, match="does not conjugate"):
+            free_conjugator(w("a b a^-1"), w("b"))
+
+    def test_check_survives_optimised_python(self):
+        code = (
+            "from malkit import quotientcert\n"
+            "from malkit.words import Word, alphabet, cyclic_reduce, word\n"
+            "AB = alphabet('a b')\n"
+            "quotientcert.cyclic_reduce = lambda x: (cyclic_reduce(x)[0], Word(AB, ()))\n"
+            "try:\n"
+            "    quotientcert.free_conjugator(word(AB, 'a b a^-1'), word(AB, 'b'))\n"
+            "    raised = 0\n"
+            "except quotientcert.CertificateError:\n"
+            "    raised = 1\n"
+            "print(__debug__, raised)\n"
+        )
+        src = str(Path(malkit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "1"], out.stderr

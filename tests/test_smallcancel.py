@@ -55,6 +55,15 @@ class TestSymmetrise:
         with pytest.raises(SmallCancelError):
             rels("a a^-1")
 
+    def test_alphabet_limit(self):
+        # Dehn scanning spends one byte per signed letter: 128 generators fit
+        at_limit = alphabet([f"g{i}" for i in range(128)])
+        rs = symmetrise(at_limit, [Word(at_limit, (128,) * 6)])
+        assert word_problem(rs, Word(at_limit, (1, 128) + (128,) * 5 + (-1,)))
+        over = alphabet([f"g{i}" for i in range(130)])
+        with pytest.raises(SmallCancelError, match="at most 128"):
+            symmetrise(over, [Word(over, (130, 1, -130, -1))])
+
     def test_relators_replaced_by_cores(self):
         rs = rels("b a^3 b^-1")
         assert rs.relators[0] == w("a^3")

@@ -19,9 +19,7 @@ from malkit.stallings import (
     WitnessError,
     build_and_fold,
     basis,
-    contains,
     is_malnormal,
-    rank,
     rewrite_over_generators,
     same_subgroup,
     trivial_intersection_all_conjugates,
@@ -46,28 +44,28 @@ def fold(*texts):
 class TestFolding:
     def test_single_loop(self):
         g = fold("a")
-        assert g.num_vertices == 1 and g.num_edges == 1 and rank(g) == 1
+        assert g.num_vertices == 1 and g.num_edges == 1 and g.rank() == 1
 
     def test_conjugated_loops_collapse(self):
         # <aba^-1, ab^2a^-1> = a<b>a^-1: the b-loop and b^2-cycle fold together
         g = fold("a b a^-1", "a b^2 a^-1")
-        assert rank(g) == 1
+        assert g.rank() == 1
         assert same_subgroup(g, fold("a b a^-1"))
 
     def test_genuine_rank_two(self):
         g = fold("a b a^-1", "a b^2 a")
-        assert rank(g) == 2
+        assert g.rank() == 2
 
     def test_duplicates_fold_away(self):
         assert same_subgroup(fold("a", "a"), fold("a"))
 
     def test_powers_collapse(self):
-        assert rank(fold("a^2", "a^3")) == 1
+        assert fold("a^2", "a^3").rank() == 1
         assert same_subgroup(fold("a^2", "a^3"), fold("a"))
 
     def test_empty_gens(self):
         g = build_and_fold(AB, [])
-        assert g.num_vertices == 1 and g.num_edges == 0 and rank(g) == 0
+        assert g.num_vertices == 1 and g.num_edges == 0 and g.rank() == 0
 
     def test_folding_confluent_under_order(self):
         rng = random.Random(23)
@@ -183,9 +181,15 @@ class TestReadAheadFold:
 class TestMembership:
     def test_contains_examples(self):
         g = fold("a^2", "b")
-        assert contains(g, w("a^2 b"))
-        assert not contains(g, w("a"))
-        assert contains(fold("a b a^-1"), w("a b^3 a^-1"))
+        assert g.contains(w("a^2 b"))
+        assert not g.contains(w("a"))
+        assert fold("a b a^-1").contains(w("a b^3 a^-1"))
+
+    def test_contains_rejects_another_alphabet(self):
+        g = fold("a^2 b")
+        assert g.contains(word(alphabet("a b"), "a^2 b"))  # an equal alphabet is the same
+        with pytest.raises(StallingsError, match="alphabet mismatch"):
+            g.contains(word(alphabet("a b c"), "a^2 b"))
 
     def test_agrees_with_bounded_bruteforce(self):
         rng = random.Random(31)
@@ -207,13 +211,13 @@ class TestMembership:
                 }
                 pool |= frontier
             for v in pool:
-                assert contains(g, v)
+                assert g.contains(v)
             # short words outside the pool get the same verdict as folding
             for _ in range(20):
                 v = Word(AB, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(4))])
-                if contains(g, v):
+                if g.contains(v):
                     # verify by a slightly deeper search
-                    assert any(p == v for p in pool) or contains(g, v)
+                    assert any(p == v for p in pool) or g.contains(v)
 
 
 class TestBasis:
@@ -226,14 +230,14 @@ class TestBasis:
     def test_basis_generates_same_subgroup(self):
         g = fold("a b a^-1", "a b^2 a")
         b = basis(g)
-        assert len(b) == rank(g) == 2
+        assert len(b) == g.rank() == 2
         assert same_subgroup(build_and_fold(AB, b), g)
 
     def test_mutual_membership_oracle(self):
         g1 = fold("a b", "b a")
         g2 = fold("a b", "a^2")
-        expected = all(contains(g2, x) for x in basis(g1)) and all(
-            contains(g1, x) for x in basis(g2)
+        expected = all(g2.contains(x) for x in basis(g1)) and all(
+            g1.contains(x) for x in basis(g2)
         )
         assert same_subgroup(g1, g2) == expected
 
@@ -314,7 +318,7 @@ class TestFibreProduct:
         comps, diag = _fibre_analysis(g, g).components()
         v = len(comps[diag].vertices)
         e = len(comps[diag].edges)
-        assert e - v + 1 == rank(g)
+        assert e - v + 1 == g.rank()
 
 
 def _reference_fibre(g1, g2):
@@ -482,9 +486,9 @@ class TestMalnormality:
         assert not verdict.malnormal
         g, u = verdict.witness.conjugator, verdict.witness.element
         graph = verdict.graph
-        assert u and contains(graph, u)
-        assert contains(graph, conjugate(u, g.inverse()))
-        assert not contains(graph, g)
+        assert u and graph.contains(u)
+        assert graph.contains(conjugate(u, g.inverse()))
+        assert not graph.contains(g)
 
     def test_whole_group_malnormal(self):
         assert is_malnormal(AB, ws("a", "b")).malnormal
@@ -542,10 +546,10 @@ def _brute_malnormal(gens, conjugators):
         frontier = {p * q ** e for p in frontier for q in gens for e in (1, -1)}
         elems |= {x for x in frontier if x}
     for g in conjugators:
-        if contains(graph, g):
+        if graph.contains(g):
             continue
         for u in elems:
-            if contains(graph, conjugate(u, g.inverse())):
+            if graph.contains(conjugate(u, g.inverse())):
                 return False
     return True
 
@@ -560,8 +564,8 @@ class TestTrivialIntersection:
         g, u = verdict.witness.conjugator, verdict.witness.element
         t_graph = build_and_fold(AB, ws("b a^2 b^-1"))
         s_graph = build_and_fold(AB, ws("a"))
-        assert contains(t_graph, u)
-        assert contains(s_graph, conjugate(u, g.inverse()))
+        assert t_graph.contains(u)
+        assert s_graph.contains(conjugate(u, g.inverse()))
 
     def test_self_intersection_diagonal_counts(self):
         verdict = trivial_intersection_all_conjugates(AB, ws("a"), ws("a"))

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from malkit.words import (
     CyclicWord,
@@ -18,9 +18,13 @@ from malkit.words import (
     format_word,
     free_reduce_letters,
     identity_endo,
+    inverse_letters,
     parse_word_list,
     positive_subsemigroup_member,
     proper_power,
+    reduced_words,
+    signed_letters,
+    substitute,
     word,
 )
 
@@ -55,6 +59,46 @@ class TestFreeReduce:
     def test_no_cancelling_pair_property(self, raw):
         red = free_reduce_letters(raw)
         assert all(red[i] != -red[i + 1] for i in range(len(red) - 1))
+
+
+REDUCED = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8).map(free_reduce_letters)
+
+
+def _images_and_letters(images):
+    symbols = list(signed_letters(len(images)))
+    return st.tuples(st.just(images), st.lists(st.sampled_from(symbols), max_size=12))
+
+
+class TestSubstitute:
+    """substitute is the one product and substitution kernel: for reduced
+    images it must agree with freely reducing the spelled-out sequence."""
+
+    @given(st.lists(REDUCED, min_size=1, max_size=4).flatmap(_images_and_letters))
+    @example(([(), (1,)], [2, 1, -2, -1, 2]))            # empty images
+    @example(([(1, 2)], [1, -1, -1, 1]))                  # x followed by x^-1, unreduced input
+    @example(([(1, 2, 3), (-3, -2, -1)], [1, 2, 2, 1]))   # a whole image cancels at a join
+    @example(([(1, 2, 3), (-3, -2)], [1, 2, 1]))          # a partial cancel, then a clean join
+    def test_matches_reduction_of_concatenation(self, case):
+        images, letters = case
+        spelled = [x for s in letters for x in (images[s - 1] if s > 0 else inverse_letters(images[-s - 1]))]
+        assert substitute(images, letters) == free_reduce_letters(spelled)
+
+    def test_products_and_powers(self):
+        u, v = w("a b^2 a^-1"), w("a b^-1 a")
+        assert substitute((u.letters, v.letters), (1, 2)) == (u * v).letters == w("a b a").letters
+        assert (u ** 3).letters == w("a b^6 a^-1").letters
+        assert (u ** 0).letters == ()
+        assert inverse_letters(u.letters) == u.inverse().letters == w("a b^-2 a^-1").letters
+
+    def test_signed_letter_order(self):
+        assert list(signed_letters(3)) == [1, -1, 2, -2, 3, -3]
+
+    @pytest.mark.parametrize("k, n", [(1, 4), (2, 3), (3, 2), (2, 0)])
+    def test_reduced_words_brute_force(self, k, n):
+        symbols = list(signed_letters(k))
+        brute = [t for m in range(1, n + 1) for t in itertools.product(symbols, repeat=m)
+                 if free_reduce_letters(t) == t]
+        assert list(reduced_words(k, n)) == brute
 
 
 class TestCyclicReduce:
