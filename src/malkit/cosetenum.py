@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import Alphabet, Word, inverse_letters
+from .words import Alphabet, Word, inverse_letters, signed_letters
 
 DEFAULT_MAX_COSETS = 10 ** 5
 
@@ -37,6 +37,7 @@ class Overflow:
 
 
 def _code(letter: int) -> int:
+    # the column of a letter: its position in signed_letters order
     return 2 * (letter - 1) if letter > 0 else -2 * letter - 1
 
 
@@ -93,10 +94,6 @@ class CosetTable:
                     raise CosetEnumError(f"internal: Schreier generator {letters} maps to coset {v + 1}")
                 gens.append(Word(self.alphabet, letters, reduced=True))
         return gens
-
-    def rep_word(self, coset_id: int) -> Word:
-        """Schreier representative of a 1-based coset id."""
-        return Word(self.alphabet, self.reps[coset_id - 1], reduced=True)
 
 
 def todd_coxeter(
@@ -231,7 +228,7 @@ def todd_coxeter(
 def _standardize(alpha, relators, subgroup_gens, cols, p) -> CosetTable:
     """Number the live cosets in BFS order from coset 0, columns in code
     order, and record each coset's BFS-tree word as its representative."""
-    letters = [c // 2 + 1 if c % 2 == 0 else -(c // 2 + 1) for c in range(len(cols))]
+    letters = list(signed_letters(len(alpha)))
     number = [-1] * len(p)
     number[0] = 0
     order = [0]

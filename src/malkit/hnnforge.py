@@ -20,7 +20,7 @@ from .cosetenum import (
     todd_coxeter,
 )
 from .malchar import rank_n_family, seed_words_triangle, triangle_relators
-from .smallcancel import RelatorSet, endo_order_in_quotient, symmetrise, word_problem
+from .smallcancel import RelatorSet, dehn_reduce, endo_order_in_quotient, symmetrise, word_problem
 from .stallings import BasisRewriter, build_and_fold, same_subgroup
 from .words import (
     Alphabet,
@@ -390,9 +390,6 @@ class BrittonWord:
     def stable_count(self) -> int:
         return len(self.tail)
 
-    def segments(self) -> list[Word]:
-        return [self.head] + [w for _, w in self.tail]
-
     def text(self, stable: str = "t") -> str:
         parts = [str(self.head)] if self.head else []
         for eps, w in self.tail:
@@ -430,27 +427,16 @@ class _KMembership:
         self._phi_k_memo: dict = {}
 
     def normalise(self, h: Word) -> Word:
-        from .smallcancel import dehn_reduce
-
         return dehn_reduce(self.rs, h)
-
-    def in_m(self, h: Word) -> bool:
-        return self.rewriter.graph.contains(self.normalise(h))
 
     def in_k(self, h: Word) -> bool:
         cached = self._k_memo.get(h.letters)
         if cached is not None:
             return cached
         hn = self.normalise(h)
-        direct = self.k_graph.contains(hn)
-        pairs = self.rewriter.rewrite(hn) if self.rewriter.graph.contains(hn) else None
-        if pairs is None:
-            verdict = False
-        else:
-            letters = tuple(self._slot_to_hat_letter[idx] * sign for idx, sign in pairs)
-            abstract = Word(self.H.hat_alphabet, letters)
-            verdict = self.H.table.image_in_quotient(abstract) == 1
-        if verdict != direct:
+        abstract = self.abstract_image(hn)
+        verdict = abstract is not None and self.H.table.image_in_quotient(abstract) == 1
+        if verdict != self.k_graph.contains(hn):
             raise HnnError(f"internal: the two membership checks disagree on {h}")
         self._k_memo[h.letters] = verdict
         return verdict
@@ -462,12 +448,11 @@ class _KMembership:
             self._phi_k_memo[h.letters] = cached
         return cached
 
-    def abstract_image(self, h: Word) -> Optional[Word]:
-        """The hat-alphabet spelling of an element of M, or None."""
-        h = self.normalise(h)
-        if not self.rewriter.graph.contains(h):
+    def abstract_image(self, hn: Word) -> Optional[Word]:
+        """The hat-alphabet spelling of a normalised element of M, or None."""
+        pairs = self.rewriter.rewrite(hn)
+        if pairs is None:
             return None
-        pairs = self.rewriter.rewrite(h)
         letters = tuple(self._slot_to_hat_letter[idx] * sign for idx, sign in pairs)
         return Word(self.H.hat_alphabet, letters)
 
@@ -565,24 +550,19 @@ def residual_witness(H: HnnPresentation, bw: BrittonWord) -> ResidualWitness:
     for idx in range(len(eps) - 1):
         mid = segs[idx]
         if eps[idx] == 1 and eps[idx + 1] == -1:
-            if member.in_m(mid):
-                abstract = member.abstract_image(mid)
-                coset = H.table.image_in_quotient(abstract)
-                if coset == 1:  # Britton-reducedness keeps h out of K
-                    raise HnnError(f"internal: the reduced subword {mid} lies in K")
-                entries.append(WitnessEntry(idx, "t h t^-1", mid, True, coset))
-            else:
-                entries.append(WitnessEntry(idx, "t h t^-1", mid, False))
+            kind, h, group = "t h t^-1", mid, "K"
         elif eps[idx] == -1 and eps[idx + 1] == 1:
-            pre = apply_endo(member.phi_inv, mid)
-            if member.in_m(pre):
-                abstract = member.abstract_image(pre)
-                coset = H.table.image_in_quotient(abstract)
-                if coset == 1:
-                    raise HnnError(f"internal: the reduced subword {mid} lies in phi(K)")
-                entries.append(WitnessEntry(idx, "t^-1 h t", mid, True, coset))
-            else:
-                entries.append(WitnessEntry(idx, "t^-1 h t", mid, False))
+            kind, h, group = "t^-1 h t", apply_endo(member.phi_inv, mid), "phi(K)"
+        else:
+            continue
+        abstract = member.abstract_image(member.normalise(h))
+        if abstract is None:
+            entries.append(WitnessEntry(idx, kind, mid, False))
+            continue
+        coset = H.table.image_in_quotient(abstract)
+        if coset == 1:  # Britton-reducedness keeps h out of K
+            raise HnnError(f"internal: the reduced subword {mid} lies in {group}")
+        entries.append(WitnessEntry(idx, kind, mid, True, coset))
     constrained = [e for e in entries if e.constrained]
     quotient = "input-presentation" if constrained else "trivial"
     note = (

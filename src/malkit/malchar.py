@@ -39,6 +39,7 @@ from .words import (
     Word,
     alphabet,
     apply_endo,
+    encode_letters,
     endo,
     positive_subsemigroup_member,
     proper_power,
@@ -431,17 +432,15 @@ class PsiImageReport:
 
 
 def _scan_forbidden(alpha: Alphabet, words: Sequence[Word]) -> list[tuple[str, str]]:
+    """(factor, word prefix) for each forbidden factor of each word, read
+    cyclically (in the doubled word) when the word is cyclically reduced."""
+    patterns = [(t, encode_letters(word(alpha, t).letters)) for t in FORBIDDEN_FACTOR_TEXTS]
     hits = []
-    patterns = [(t, word(alpha, t).letters) for t in FORBIDDEN_FACTOR_TEXTS]
     for v in words:
-        doubled = v.letters + v.letters if v.is_cyclically_reduced() else v.letters
-        for text, pat in patterns:
-            m = len(pat)
-            limit = len(doubled) - m + 1 if len(doubled) > len(v.letters) else len(v.letters) - m + 1
-            for p in range(max(0, limit)):
-                if doubled[p:p + m] == pat:
-                    hits.append((text, str(v)[:40]))
-                    break
+        code = encode_letters(v.letters)
+        if v.is_cyclically_reduced():
+            code += code
+        hits.extend((text, str(v)[:40]) for text, pat in patterns if pat in code)
     return hits
 
 

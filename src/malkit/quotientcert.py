@@ -86,11 +86,13 @@ class Certificate:
 @dataclass(frozen=True)
 class JointRoute:
     """The small cancellation hypothesis on a joint set r ∪ s, decided once:
-    the route that holds (None when neither does) and the hypotheses it
-    records.  Every certificate over the same (r, s) records the same."""
+    the route that holds (None when neither does), the hypotheses it
+    records, and the joint set's ``shift_class_pair``.  Every certificate
+    over the same (r, s) records the same."""
 
     route: Optional[str]
     hypotheses: tuple[Hypothesis, ...]
+    shift_class_pair: Optional[tuple[int, int]]
 
     def record(self, cert: Certificate) -> None:
         if self.route is not None:
@@ -103,16 +105,17 @@ def _joint_metric_route(alpha: Alphabet, r: Sequence[Word], s: Sequence[Word]) -
     """The small cancellation hypothesis on the symmetrised r ∪ s, trying
     C'(1/4)-T(4) first and falling back to C'(1/6)."""
     joint = symmetrise(alpha, list(r) + list(s))
+    shared = joint.shift_class_pair
     quarter = check_metric(joint, Fraction(1, 4))
     t4 = check_T(joint, 4)
     if quarter.ok and t4.ok:
         return JointRoute("C'(1/4)-T(4)", (
             Hypothesis("small-cancellation C'(1/4)", True),
             Hypothesis("small-cancellation T(4)", True),
-        ))
+        ), shared)
     sixth = check_metric(joint, Fraction(1, 6))
     if sixth.ok:
-        return JointRoute("C'(1/6)", (Hypothesis("small-cancellation C'(1/6)", True),))
+        return JointRoute("C'(1/6)", (Hypothesis("small-cancellation C'(1/6)", True),), shared)
     detail = []
     if not quarter.ok:
         detail.append(
@@ -132,7 +135,7 @@ def _joint_metric_route(alpha: Alphabet, r: Sequence[Word], s: Sequence[Word]) -
         )
     return JointRoute(None, (
         Hypothesis("small-cancellation C'(1/6) or C'(1/4)-T(4)", False, "; ".join(detail)),
-    ))
+    ), shared)
 
 
 def _clip(w: Word, limit: int = 30) -> str:
@@ -140,26 +143,20 @@ def _clip(w: Word, limit: int = 30) -> str:
     return s if len(s) <= limit else s[:limit] + "..."
 
 
-def _distinct_shift_classes(cert: Certificate, words: Sequence[Word]) -> bool:
+def _distinct_rotation_classes(
+    cert: Certificate, words: Sequence[Word], shared: Optional[tuple[int, int]]
+) -> bool:
     """No two of the words may share a symmetrised element (be rotations of
-    one another, up to inversion).  Set-valued symmetrisation would silently
-    merge such pairs, hiding the whole-word pieces they create."""
-    from .words import CyclicWord
-
-    seen: dict = {}
-    for w in words:
-        core, _ = cyclic_reduce(w)
-        keys = {CyclicWord(core), CyclicWord(core.inverse())}
-        for key in keys:
-            if key in seen and seen[key] is not w:
-                return cert.add(
-                    "relator shift-classes pairwise distinct",
-                    False,
-                    f"'{_clip(seen[key])}' and '{_clip(w)}' are rotations of one another",
-                )
-        for key in keys:
-            seen[key] = w
-    return cert.add("relator shift-classes pairwise distinct", True)
+    one another, up to inversion).  ``shared`` is the
+    ``RelatorSet.shift_class_pair`` of the symmetrised words."""
+    if shared is None:
+        return cert.add("relator shift-classes pairwise distinct", True)
+    i, j = shared
+    return cert.add(
+        "relator shift-classes pairwise distinct",
+        False,
+        f"'{_clip(words[i])}' and '{_clip(words[j])}' are rotations of one another",
+    )
 
 
 def certify_free_basis(alpha: Alphabet, r: Sequence[Word], s: Sequence[Word]) -> Certificate:
@@ -172,8 +169,9 @@ def certify_free_basis(alpha: Alphabet, r: Sequence[Word], s: Sequence[Word]) ->
     if not ok:
         raise CertificateError("base presentation not Dehn-admissible")
     cert = Certificate(kind="free-basis", route=route)
-    _distinct_shift_classes(cert, list(r) + list(s))
-    joint = symmetrise(alpha, list(r) + list(s))
+    words = list(r) + list(s)
+    joint = symmetrise(alpha, words)
+    _distinct_rotation_classes(cert, words, joint.shift_class_pair)
     quarter = check_metric(joint, Fraction(1, 4))
     cert.add(
         "joint C'(1/4)",
@@ -197,8 +195,9 @@ def certify_malnormal_in_quotient(
     joint set is C'(1/6) or C'(1/4)-T(4) and no s-word is a proper power.
     ``joint``, when given, is ``_joint_metric_route(alpha, r, s)``."""
     cert = Certificate(kind="malnormal")
-    _distinct_shift_classes(cert, list(r) + list(s))
-    (joint or _joint_metric_route(alpha, r, s)).record(cert)
+    joint = joint or _joint_metric_route(alpha, r, s)
+    _distinct_rotation_classes(cert, list(r) + list(s), joint.shift_class_pair)
+    joint.record(cert)
     for w in s:
         pp = proper_power(w)
         if pp is not None:

@@ -15,11 +15,13 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .words import (
+    MAX_GENERATORS,
     Alphabet,
     EndomorphismSpec,
     Word,
     apply_endo,
     cyclic_reduce,
+    encode_letters,
     inverse_letters,
     signed_letters,
     substitute,
@@ -36,17 +38,13 @@ def _rotations(letters: tuple[int, ...]):
         yield letters[i:] + letters[:i]
 
 
-# Dehn scanning encodes each signed letter as one byte
-MAX_GENERATORS = 128
-
-
-def _encode(letters: tuple[int, ...]) -> bytes:
-    """Signed letters as bytes (alphabets of at most MAX_GENERATORS)."""
-    return bytes(2 * (x - 1) if x > 0 else -2 * x - 1 for x in letters)
-
-
 class RelatorSet:
-    """A finite relator list with its symmetrised closure and piece table."""
+    """A finite relator list with its symmetrised closure and piece table.
+
+    ``shift_class_pair`` is the first pair (i, j), i < j, of relator
+    indices whose cores share a symmetrised element - are rotations of one
+    another up to inversion - or None.  Set-valued symmetrisation merges
+    such a pair, hiding the whole-relator pieces it creates."""
 
     def __init__(self, alpha: Alphabet, relators: Sequence[Word]):
         if len(alpha) > MAX_GENERATORS:
@@ -62,24 +60,22 @@ class RelatorSet:
                 raise SmallCancelError("trivial relator")
             cores.append(core)
         self.relators = tuple(cores)
-        sym: set[tuple[int, ...]] = set()
-        shift_class: dict[tuple[int, ...], set[int]] = {}
-        for idx, r in enumerate(self.relators):
+        # each symmetrised element -> the first relator index producing it
+        first: dict[tuple[int, ...], int] = {}
+        self.shift_class_pair: Optional[tuple[int, int]] = None
+        for j, r in enumerate(self.relators):
             for base in (r.letters, inverse_letters(r.letters)):
                 for rot in _rotations(base):
-                    sym.add(rot)
-                    shift_class.setdefault(rot, set()).add(idx)
-        self.symmetrised: tuple[tuple[int, ...], ...] = tuple(sorted(sym))
-        self._shift_class = shift_class
+                    i = first.setdefault(rot, j)
+                    if i != j and self.shift_class_pair is None:
+                        self.shift_class_pair = (i, j)
+        self.symmetrised: tuple[tuple[int, ...], ...] = tuple(sorted(first))
         self._pieces: Optional[PieceTable] = None
         self._dehn_patterns = None
         self._admissible = None
 
     def __len__(self):
         return len(self.relators)
-
-    def symmetrised_words(self) -> list[Word]:
-        return [Word(self.alphabet, t, reduced=True) for t in self.symmetrised]
 
     def pieces(self) -> "PieceTable":
         if self._pieces is None:
@@ -97,7 +93,7 @@ class RelatorSet:
             for w in self.symmetrised:
                 L = len(w)
                 h = L // 2 + 1
-                doubled = _encode(w + w)
+                doubled = encode_letters(w + w)
                 for p in range(L):
                     occ.setdefault(doubled[p:p + h], []).append((w, p))
             self._dehn_patterns = (sorted(occ), occ)
@@ -335,7 +331,7 @@ def _find_violation(rs: RelatorSet, letters: tuple[int, ...], start: int = 0):
     the leftmost position the match is extended maximally; ties go to the
     least (element, offset)."""
     pattern_list, occ = rs._patterns()
-    wb = _encode(letters)
+    wb = encode_letters(letters)
     n = len(letters)
     # leftmost hit over all patterns (C substring search per pattern)
     leftmost = None
@@ -396,9 +392,9 @@ def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word) -> bool:
     if not core:
         return False
     pattern_list, _ = rs._patterns()
-    wb = _encode(w.letters)
+    wb = encode_letters(w.letters)
     m = len(core.letters)
-    doubled = _encode(core.letters + core.letters)
+    doubled = encode_letters(core.letters + core.letters)
     for pb in pattern_list:
         if pb in wb:
             return False

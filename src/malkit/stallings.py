@@ -117,9 +117,6 @@ class SubgroupGraph:
             v = p
         return tuple(reversed(rev))
 
-    def path_word(self, v: int) -> Word:
-        return Word(self.alphabet, self.path_from_basepoint(v), reduced=True)
-
     # -- canonical form -------------------------------------------------------
     def canonical_form(self):
         if self._canon is None:

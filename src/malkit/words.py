@@ -12,6 +12,12 @@ precondition is that every image is freely reduced, so letters cancel only
 where two images join.  :func:`free_reduce_letters` is for raw input only;
 :func:`inverse_letters`, :func:`signed_letters` and :func:`reduced_words`
 are the shared inversion, letter order and reduced-word enumeration.
+
+:func:`encode_letters` is the one byte code of signed letters: each letter
+becomes its position in :func:`signed_letters` order (1 -> 0, -1 -> 1,
+2 -> 2, ...), so a letter's inverse is its code ``^ 1``.  Factor searches
+(Dehn scanning, forbidden factors) run as C-speed ``bytes`` searches on it.
+One byte per letter bounds it to ``MAX_GENERATORS`` generators.
 """
 
 from __future__ import annotations
@@ -87,6 +93,18 @@ def signed_letters(n: int) -> Iterator[int]:
     for i in range(1, n + 1):
         yield i
         yield -i
+
+
+MAX_GENERATORS = 128
+_BYTE_CODE = {x: c for c, x in enumerate(signed_letters(MAX_GENERATORS))}
+
+
+def encode_letters(letters: Iterable[int]) -> bytes:
+    """Signed letters in the byte code (alphabets of at most MAX_GENERATORS)."""
+    try:
+        return bytes([_BYTE_CODE[x] for x in letters])
+    except KeyError as e:
+        raise WordError(f"letter {e.args[0]} outside the byte code of {MAX_GENERATORS} generators") from None
 
 
 def substitute(images: Sequence[Sequence[int]], letters: Iterable[int]) -> tuple[int, ...]:
@@ -249,53 +267,6 @@ def proper_power(w: Word) -> Optional[tuple[Word, int]]:
         if lets == lets[d:] + lets[:d]:
             return Word(w.alphabet, lets[:d], reduced=True), n // d
     return None
-
-
-# -- canonical cyclic words ------------------------------------------------
-
-def _letter_key(x: int) -> tuple[int, int]:
-    # alphabet order first, then + before -
-    return (abs(x) - 1, 0 if x > 0 else 1)
-
-
-def canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least rotation under (generator, sign) order."""
-    n = len(letters)
-    if n == 0:
-        return letters
-    keys = [_letter_key(x) for x in letters]
-    best = min(range(n), key=lambda i: [keys[(i + j) % n] for j in range(n)])
-    return letters[best:] + letters[:best]
-
-
-class CyclicWord:
-    """Conjugacy-class representative: cyclically reduced, canonical rotation."""
-
-    __slots__ = ("alphabet", "letters")
-
-    def __init__(self, w: Word):
-        core, _ = cyclic_reduce(w)
-        self.alphabet = w.alphabet
-        self.letters = canonical_rotation(core.letters)
-
-    def word(self) -> Word:
-        return Word(self.alphabet, self.letters, reduced=True)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicWord)
-            and self.letters == other.letters
-            and self.alphabet == other.alphabet
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet.names, self.letters))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __repr__(self):
-        return f"CyclicWord({format_word(self.word())!r})"
 
 
 # -- endomorphisms ---------------------------------------------------------

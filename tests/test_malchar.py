@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import malkit
 from malkit import malchar
@@ -268,6 +269,43 @@ class TestVerifyPsiImages:
         assert len(reports) == 12  # outcome recorded, whatever it is
         for r in reports:
             assert isinstance(r.ok, bool)
+
+
+def _scan_windows(alpha, words):
+    """Forbidden factors by sliding a tuple window over each word, doubled
+    when cyclically reduced."""
+    hits = []
+    patterns = [(t, word(alpha, t).letters) for t in malchar.FORBIDDEN_FACTOR_TEXTS]
+    for v in words:
+        doubled = v.letters + v.letters if v.is_cyclically_reduced() else v.letters
+        for text, pat in patterns:
+            m = len(pat)
+            if any(doubled[p:p + m] == pat for p in range(len(doubled) - m + 1)):
+                hits.append((text, str(v)[:40]))
+    return hits
+
+
+_CHUNKS = ("a", "a^-1", "b", "b^-1", "a^2", "b^-2", "a^4", "b^-4", "(a b)^3", "(b^-1 a^-1)^3", "(b a)^2")
+
+
+class TestScanForbidden:
+    @given(st.lists(st.lists(st.sampled_from(_CHUNKS), max_size=8), min_size=1, max_size=4))
+    def test_matches_window_scan(self, chunks):
+        words = [w(" ".join(c) or "1") for c in chunks]
+        assert malchar._scan_forbidden(AB, words) == _scan_windows(AB, words)
+
+    def test_hits_found(self):
+        words = [w("a^4 b"), w("a^2 b a^2"), w("a^2 b a^-2"), w("b (a b)^3 b"), w("a^2"), w("1")]
+        hits = malchar._scan_forbidden(AB, words)
+        assert hits == _scan_windows(AB, words)
+        assert hits == [
+            ("a^4", "a^4 b"),
+            ("a^4", "a^2 b a^2"),  # across the cyclic seam
+            ("(a b)^3", "b a b a b a b^2"),
+            ("(b a)^3", "b a b a b a b^2"),
+            ("b (a b)^3", "b a b a b a b^2"),
+            ("a^4", "a^2"),  # the doubled a^2 reads a^4
+        ]
 
 
 class TestTriangleCertificate:

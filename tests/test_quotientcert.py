@@ -65,6 +65,29 @@ class TestCertifyFreeBasis:
         assert not is_malnormal(AB, ws("b a^-1", "a^-1 b")).malnormal
 
 
+class TestSharedShiftClass:
+    # a b a^2 b^2 ... a^12 b^12: long enough that the joint C'(1/4) and
+    # C'(1/6) hold, so only the shift-class hypothesis can refuse
+    W = w(" ".join(f"a^{k} b^{k}" for k in range(1, 13)))
+
+    @pytest.mark.parametrize("twice", [lambda v: [v, v], lambda v: [v, Word(AB, v.letters)]],
+                             ids=["same-object", "equal-copy"])
+    @pytest.mark.parametrize("certify", [certify_malnormal_in_quotient, certify_free_basis])
+    def test_repeated_word_refused(self, certify, twice):
+        cert = certify(AB, [], twice(self.W))
+        assert not cert.certified
+        failure = cert.first_failure()
+        assert failure.name == "relator shift-classes pairwise distinct"
+        assert failure.detail == f"'{str(self.W)[:30]}...' and '{str(self.W)[:30]}...' are rotations of one another"
+        assert [h.name for h in cert.hypotheses if not h.ok] == [failure.name]
+
+    def test_detail_names_earlier_word_first(self):
+        cert = certify_malnormal_in_quotient(AB, ws("a^3 b^-1"), ws("a b", "b^-1 a^3"))
+        failure = cert.first_failure()
+        assert failure.name == "relator shift-classes pairwise distinct"
+        assert failure.detail == "'a^3 b^-1' and 'b^-1 a^3' are rotations of one another"
+
+
 class TestCertifyMalnormal:
     def test_proper_power_rejected(self):
         cert = certify_malnormal_in_quotient(AB, [], ws("a^2"))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from malkit.smallcancel import (
     RelatorSet,
@@ -16,7 +17,16 @@ from malkit.smallcancel import (
     symmetrise,
     word_problem,
 )
-from malkit.words import Word, alphabet, conjugate, endo, identity_endo, word
+from malkit.words import (
+    Word,
+    alphabet,
+    conjugate,
+    cyclic_reduce,
+    endo,
+    identity_endo,
+    inverse_letters,
+    word,
+)
 
 AB = alphabet("a b")
 
@@ -67,6 +77,87 @@ class TestSymmetrise:
     def test_relators_replaced_by_cores(self):
         rs = rels("b a^3 b^-1")
         assert rs.relators[0] == w("a^3")
+
+
+# -- shift classes against brute-force references ---------------------------------
+
+def _rotation_set(v):
+    """Every rotation of the cyclic core of v and of its inverse."""
+    core = cyclic_reduce(v)[0].letters
+    return {b[k:] + b[:k] for b in (core, inverse_letters(core)) for k in range(len(b))}
+
+
+def _canonical_rotation(letters):
+    """Least rotation under (generator, sign) order, by comparing every
+    rotation in full."""
+    n = len(letters)
+    if not n:
+        return letters
+    keys = [(abs(x) - 1, 0 if x > 0 else 1) for x in letters]
+    best = min(range(n), key=lambda i: [keys[(i + j) % n] for j in range(n)])
+    return letters[best:] + letters[:best]
+
+
+def _class_keys(v):
+    """Canonical rotations of the core of v and of its inverse."""
+    core = cyclic_reduce(v)[0].letters
+    return {_canonical_rotation(core), _canonical_rotation(inverse_letters(core))}
+
+
+def _first_shared_pair(words):
+    """The least j, then i < j, whose canonical rotations meet."""
+    keys = [_class_keys(v) for v in words]
+    for j in range(len(words)):
+        for i in range(j):
+            if keys[i] & keys[j]:
+                return (i, j)
+    return None
+
+
+_letters = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=9)
+
+
+class TestShiftClasses:
+    @given(st.lists(_letters, min_size=1, max_size=5), st.data())
+    def test_matches_references(self, raw, data):
+        words = [v for v in (Word(AB, r) for r in raw) if cyclic_reduce(v)[0]]
+        assume(words)
+        # inject words in the shift class of an earlier one
+        for op in data.draw(st.lists(st.sampled_from(["rotate", "invert", "power", "conjugate", "same"]),
+                                     max_size=3)):
+            v = data.draw(st.sampled_from(words))
+            core = cyclic_reduce(v)[0]
+            if op == "rotate":
+                new = core.shift(data.draw(st.integers(0, len(core) - 1)))
+            elif op == "invert":
+                new = v.inverse()
+            elif op == "power":
+                new = core.shift(data.draw(st.integers(0, len(core) - 1))) ** data.draw(st.integers(2, 3))
+            elif op == "conjugate":
+                new = conjugate(v, Word(AB, data.draw(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4))))
+            else:
+                new = v  # the same object again
+            words.insert(data.draw(st.integers(0, len(words))), new)
+        rs = RelatorSet(AB, words)
+        assert rs.shift_class_pair == _first_shared_pair(words)
+        assert rs.symmetrised == tuple(sorted(set().union(*map(_rotation_set, words))))
+
+    def test_rotations_share(self):
+        assert _canonical_rotation(w("b a").letters) == (1, 2)
+        assert rels("b a", "a b").shift_class_pair == (0, 1)
+        assert rels("a b", "b^-1 a^-1").shift_class_pair == (0, 1)
+        assert rels("a b", "a b^-1").shift_class_pair is None
+
+    def test_first_pair_reported(self):
+        # the first later relator that meets an earlier class decides the pair
+        assert rels("a^2 b", "b^3", "a b a", "b^-3").shift_class_pair == (0, 2)
+        # a proper power shares rotations with itself only
+        assert rels("(a b)^3").shift_class_pair is None
+        assert rels("(a b)^3", "(b a)^3").shift_class_pair == (0, 1)
+
+    def test_same_object_twice(self):
+        v = w("a b^2")
+        assert symmetrise(AB, [v, v]).shift_class_pair == (0, 1)
 
 
 class TestPieces:

@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from malkit.smallcancel import symmetrise
 from malkit.words import (
-    CyclicWord,
     Word,
     WordError,
     alphabet,
@@ -292,19 +292,23 @@ class TestTextSyntax:
 
 
 class TestCyclicWord:
-    def test_canonical_rotation_least(self):
-        assert CyclicWord(w("b a")) == CyclicWord(w("a b"))
-        assert CyclicWord(w("b a")).letters == (1, 2)
+    """A cyclic word is the shift class of a relator: its cyclic core up to
+    rotation and inversion, as RelatorSet records it."""
 
     def test_sign_order(self):
-        # + sorts before - for the same generator
-        assert CyclicWord(w("a^-1 b a")).letters[0] == 2  # reduces to b as cyclic word?
-        # b^-1 a b reduces to a
-        assert CyclicWord(w("b^-1 a b")).letters == (1,)
+        # a^-1 b a has the cyclic core b, b^-1 a b the core a
+        assert cyclic_reduce(w("a^-1 b a"))[0].letters == (2,)
+        assert cyclic_reduce(w("b^-1 a b"))[0].letters == (1,)
+        assert symmetrise(AB, [w("a^-1 b a"), w("b")]).shift_class_pair == (0, 1)
+        assert symmetrise(AB, [w("a"), w("b"), w("b^-1 a b")]).shift_class_pair == (0, 2)
+        assert symmetrise(AB, [w("a^-1 b a"), w("a")]).shift_class_pair is None
 
     def test_conjugacy_invariance(self):
         rng = random.Random(13)
         for _ in range(60):
             u = Word(AB, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(1, 10))])
             g = Word(AB, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(6))])
-            assert CyclicWord(u) == CyclicWord(conjugate(u, g))
+            if cyclic_reduce(u)[0]:
+                v = conjugate(u, g)
+                assert symmetrise(AB, [u]).symmetrised == symmetrise(AB, [v]).symmetrised
+                assert symmetrise(AB, [u, v]).shift_class_pair == (0, 1)
