@@ -27,10 +27,6 @@ class UsageError(ValueError):
     pass
 
 
-class Refusal(ValueError):
-    pass
-
-
 def _max_cosets(args) -> int:
     env = os.environ.get("MALCHAR_MAX_COSETS")
     if getattr(args, "max", None):

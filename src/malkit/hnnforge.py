@@ -179,7 +179,8 @@ def build_tp(
     automorphism group.
 
     The kernel generators of the padded quotient are computed by coset
-    enumeration when the quotient is finite within the cap; otherwise a
+    enumeration when the quotient is finite within the cap; when it is
+    visibly infinite (it maps onto Z) or overflows the cap, a
     parametric conjugate family truncated at the given depth is emitted and
     marked as such."""
     if min(i, j, k) < 6:
@@ -196,8 +197,9 @@ def build_tp(
     family = rank_n_family(seed_words_triangle(alpha, rho), n, r=rels)
     m_by_slot = tuple(family.words[s] for s in range(n))
 
-    outcome = todd_coxeter(hat_alpha, hat.presentation.relators, (), max_cosets)
-    if isinstance(outcome, Overflow):
+    outcome = (None if _maps_onto_z(hat.presentation)
+               else todd_coxeter(hat_alpha, hat.presentation.relators, (), max_cosets))
+    if outcome is None or isinstance(outcome, Overflow):
         abstract = _truncated_kernel(hat, truncate)
         table = None
         truncated = truncate
@@ -231,6 +233,14 @@ def build_tp(
         if not word_problem(rs, apply_endo(phi, r)):
             raise HnnError(f"internal: the base automorphism does not preserve the relator {r}")
     return hnn
+
+
+def _maps_onto_z(p: InputPresentation) -> bool:
+    """Some generator has exponent sum zero in every relator: sending it to
+    1 and the others to 0 maps the group onto Z, so it is infinite and coset
+    enumeration could only run to its cap."""
+    return any(all(r.letters.count(g) == r.letters.count(-g) for r in p.relators)
+               for g in range(1, len(p.alphabet) + 1))
 
 
 def _truncated_kernel(hat: HatPresentation, depth: int) -> tuple[Word, ...]:

@@ -325,6 +325,11 @@ def check_T(rs: RelatorSet, q: int) -> TVerdict:
 
 # -- Dehn reduction ---------------------------------------------------------------
 
+def _check_alphabet(rs: RelatorSet, w: Word) -> None:
+    if w.alphabet != rs.alphabet:
+        raise SmallCancelError("word over a different alphabet")
+
+
 def _find_violation(rs: RelatorSet, letters: tuple[int, ...], start: int = 0):
     """Leftmost position carrying a subword W of some symmetrised relator R
     with |W| > |R|/2; returns (pos, matched length, element, offset).  At
@@ -364,6 +369,7 @@ def _find_violation(rs: RelatorSet, letters: tuple[int, ...], start: int = 0):
 def dehn_reduce(rs: RelatorSet, w: Word) -> Word:
     """Replace any subword longer than half a relator by the inverse of the
     complement, leftmost-longest first, until no such subword remains."""
+    _check_alphabet(rs, w)
     letters = w.letters
     while True:
         hit = _find_violation(rs, letters)
@@ -375,6 +381,7 @@ def dehn_reduce(rs: RelatorSet, w: Word) -> Word:
 
 
 def is_dehn_reduced(rs: RelatorSet, w: Word) -> bool:
+    _check_alphabet(rs, w)
     return w.is_reduced() and _find_violation(rs, w.letters) is None
 
 
@@ -386,6 +393,7 @@ def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word) -> bool:
     exactly the rotations of M together with the nested conjugates
     (A[:p])^-1 M A[:p] - and the latter are subwords of w itself.  So one
     scan of w plus one scan of the doubled core decide the question."""
+    _check_alphabet(rs, w)
     if not w:
         return False
     core, _conj = cyclic_reduce(w)

@@ -5,17 +5,20 @@ graph: a basepointed graph with edges labeled by generators, no vertex
 having two outgoing edges with the same signed label.  Folding is done by
 union-find over vertices.  Fibre products of folded graphs decide
 malnormality and conjugate-intersection questions.
+
+A fibre product is never built whole.  A cycle in it projects to a closed
+non-backtracking walk in each folded factor, and every such walk meets the
+sources of the factor's non-tree edges, whose removal leaves a forest.  So
+only the components of the pairs at those sources are searched; the rest
+are trees, counted by the Euler characteristic of the whole product.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
-
-import numpy as _np
-from scipy.sparse import coo_matrix as _coo
-from scipy.sparse.csgraph import connected_components as _ccomp
 
 from .words import Alphabet, Word, free_reduce_letters, inverse_letters, signed_letters, substitute
 
@@ -91,17 +94,15 @@ class SubgroupGraph:
     def tree_parent(self):
         """BFS tree from the basepoint: list of (parent, signed letter into v)."""
         if self._tree_parent is None:
-            n = len(self.alphabet)
+            signed = tuple(signed_letters(len(self.alphabet)))
             parent: list[Optional[tuple[int, int]]] = [None] * self.num_vertices
-            seen = [False] * self.num_vertices
-            seen[0] = True
             q = deque([0])
             while q:
                 v = q.popleft()
-                for s in signed_letters(n):
-                    w = self.out[v].get(s)
-                    if w is not None and not seen[w]:
-                        seen[w] = True
+                d = self.out[v]
+                for s in signed:
+                    w = d.get(s)
+                    if w is not None and w != 0 and parent[w] is None:
                         parent[w] = (v, s)
                         q.append(w)
             self._tree_parent = parent
@@ -285,18 +286,8 @@ def basis(g: SubgroupGraph) -> list[Word]:
 def _nontree_edges(g: SubgroupGraph) -> list[tuple[int, int, int]]:
     """Non-tree edges (u, s, v), s > 0 canonical orientation, sorted."""
     parent = g.tree_parent()
-    tree = set()
-    for v in range(g.num_vertices):
-        if parent[v] is not None:
-            p, s = parent[v]
-            tree.add((p, s, v))
-            tree.add((v, -s, p))
-    edges = []
-    for v, d in enumerate(g.out):
-        for s, w in d.items():
-            if s > 0 and (v, s, w) not in tree:
-                edges.append((v, s, w))
-    return sorted(edges)
+    return sorted((v, s, w) for v, d in enumerate(g.out) for s, w in d.items()
+                  if s > 0 and parent[w] != (v, s) and parent[v] != (w, -s))
 
 
 def same_subgroup(g1: SubgroupGraph, g2: SubgroupGraph) -> bool:
@@ -327,30 +318,22 @@ class BasisRewriter:
         for idx, (u, s, v) in enumerate(self._edges):
             self._edge_code[(u, s)] = idx + 1
             self._edge_code[(v, -s)] = -(idx + 1)
-        self._tree = None
         self._gen_letters = [g.letters for g in self.gens]
         self._basis_over_gens = self._invert_basis()
 
     def _crossing(self, w: Word) -> Optional[tuple[int, ...]]:
         """Express a subgroup element over the tree basis (non-tree edges
         crossed, in order); None if the word is not in the subgroup."""
-        if self._tree is None:
-            parent = self.graph.tree_parent()
-            tree = set()
-            for v in range(self.graph.num_vertices):
-                if parent[v] is not None:
-                    p, s = parent[v]
-                    tree.add((p, s))
-                    tree.add((v, -s))
-            self._tree = tree
+        out, edge_code = self.graph.out, self._edge_code
         v = 0
         outsyms = []
         for x in w.letters:
-            nxt = self.graph.out[v].get(x)
+            nxt = out[v].get(x)
             if nxt is None:
                 return None
-            if (v, x) not in self._tree:
-                outsyms.append(self._edge_code[(v, x)])
+            code = edge_code.get((v, x))
+            if code is not None:
+                outsyms.append(code)
             v = nxt
         if v != 0:
             return None
@@ -424,12 +407,23 @@ def rewrite_over_generators(
 
 
 # -- fibre products ------------------------------------------------------------
-
-# Products with at least this many edges are labelled by scipy; below it a
-# pure-Python union-find is faster.  scipy's graph set-up costs a fixed
-# 0.3-0.4 ms, and the two cross between 256 and 512 edges on random folded
-# graphs over F(a, b) (2-vCPU x86-64 host, CPython 3.11).
-_SCIPY_MIN_EDGES = 384
+#
+# A verdict only needs the components of a fibre product that hold a
+# cycle, and those can be found without building the product.  Both graphs
+# are folded, so a non-backtracking cycle in the product projects to a
+# closed non-backtracking walk in each factor: a step back in one factor
+# reads the inverse label, which the other, folded, factor can only follow
+# back too.  Removing F, the sources of a factor's non-tree edges (at most
+# its rank many), removes every non-tree edge and leaves a forest, which
+# carries no such walk; so every component that is not a forest contains a
+# pair (f, v) with f in F.  The search explores the components of those
+# seed pairs only, from the factor that gives fewer of them.  Every other
+# component is a tree, so the component count follows from the Euler
+# characteristic: components = V - E + sum(E_c - V_c + 1) over the
+# explored components, with V the pairs on at least one edge (counted from
+# per-vertex masks of signed labels) and E the product's edge count, both
+# read off the factors alone.  When every component holds a cycle, as in
+# a^m x a^n, the search visits the whole product.
 
 
 @dataclass
@@ -446,151 +440,141 @@ class FibreComponent:
 
 def _trim_core(verts, edges):
     """Iteratively delete degree-1 vertices; what survives carries the cycles."""
-    deg: dict[int, int] = {v: 0 for v in verts}
-    inc: dict[int, list[int]] = {v: [] for v in verts}
+    inc: dict[tuple[int, int], list[int]] = {v: [] for v in verts}
     for idx, (a, _lab, b) in enumerate(edges):
-        deg[a] += 1
-        deg[b] += 1
         inc[a].append(idx)
         inc[b].append(idx)
-    alive_v = {v: True for v in verts}
+    deg = {v: len(es) for v, es in inc.items()}
     alive_e = [True] * len(edges)
     stack = [v for v in verts if deg[v] <= 1]
     while stack:
         v = stack.pop()
-        if not alive_v.get(v, False) or deg[v] > 1:
-            continue
-        alive_v[v] = False
         for idx in inc[v]:
-            if not alive_e[idx]:
-                continue
-            alive_e[idx] = False
-            a, _lab, b = edges[idx]
-            other = b if a == v else a
-            if alive_v.get(other, False):
-                deg[other] -= 1
-                if deg[other] <= 1:
-                    stack.append(other)
-    core_v = [v for v in verts if alive_v[v]]
-    core_e = [e for idx, e in enumerate(edges) if alive_e[idx]]
-    return core_v, core_e
+            if alive_e[idx]:
+                alive_e[idx] = False
+                a, _lab, b = edges[idx]
+                w = b if a == v else a
+                deg[w] -= 1
+                if deg[w] == 1:
+                    stack.append(w)
+    return [v for v in verts if deg[v] > 1], [e for e, alive in zip(edges, alive_e) if alive]
+
+
+def _label_masks(g: SubgroupGraph) -> list[int]:
+    """One bit per signed label leaving each vertex: a pair of vertices lies
+    on a product edge exactly when their masks meet."""
+    return [sum(1 << (2 * s if s > 0 else -2 * s - 1) for s in d) for d in g.out]
 
 
 class _FibreAnalysis:
-    """Component and forest statistics of a fibre product.
+    """Component and forest statistics of the fibre product of two folded
+    graphs, from a search of the seed pairs' components only.
 
-    Product vertices are the pairs incident to at least one product edge
-    (isolated pairs carry no cycles), numbered in increasing order of the
-    encoded pair ``u1 * n2 + u2``; components are compared by their least
+    Product vertices are the pairs incident to at least one product edge,
+    encoded as ``u1 * n2 + u2``; components are compared by their least
     vertex.  A component is a forest exactly when its edge count is one
     less than its vertex count.  Only the least failing component, and the
-    least failing one off the diagonal, are built as ``FibreComponent``s.
+    least failing one off the diagonal, are built as ``FibreComponent``s,
+    and each only when it is read.
     """
 
-    def __init__(self, n2, pu, labs, pv, edge_comp, vert_comp, diagonal):
+    def __init__(self, g1: SubgroupGraph, g2: SubgroupGraph):
+        if g1.alphabet != g2.alphabet:
+            raise StallingsError("alphabet mismatch")
+        self._g1, self._g2 = g1, g2
+        n1, n2 = g1.num_vertices, g2.num_vertices
         self._n2 = n2
-        self._pu, self._labs, self._pv = pu, labs, pv
-        self._edge_comp = edge_comp
-        self._vert_comp = vert_comp
-        self._diagonal = diagonal  # component of the basepoint pair, or -1
-        ncomp = int(vert_comp.max()) + 1 if len(vert_comp) else 0
-        n_vert = _np.bincount(vert_comp, minlength=ncomp)
-        n_edge = _np.bincount(edge_comp, minlength=ncomp)
-        in_bad = (n_edge >= n_vert)[vert_comp]
-        bad_verts = _np.flatnonzero(in_bad)
-        off_diag = bad_verts[vert_comp[bad_verts] != diagonal]
-        self.component_count = ncomp
-        self.all_forests = not len(bad_verts)
-        self.diagonal_ok = not len(off_diag)
-        self.failing_component = (
-            None if self.all_forests else self._component(int(vert_comp[bad_verts[0]])))
-        self.failing_nondiag_component = (
-            None if self.diagonal_ok else self._component(int(vert_comp[off_diag[0]])))
+        self._mask1, self._mask2 = m1, m2 = _label_masks(g1), _label_masks(g2)
+        # V counts the pairs whose masks meet, and E half their common labels
+        touched = doubled_edges = 0
+        c2 = Counter(m2).items()
+        for a, k1 in Counter(m1).items():
+            for b, k2 in c2:
+                if a & b:
+                    touched += k1 * k2
+                    doubled_edges += k1 * k2 * (a & b).bit_count()
+        f1 = {u for u, _s, _v in _nontree_edges(g1)}
+        f2 = {u for u, _s, _v in _nontree_edges(g2)}
+        if len(f1) * n2 <= n1 * len(f2):
+            seeds = (f * n2 + v for f in f1 for v in range(n2) if m1[f] & m2[v])
+        else:
+            seeds = (u * n2 + f for f in f2 for u in range(n1) if m1[u] & m2[f])
+        count = touched - doubled_edges // 2
+        seen: set[int] = set()
+        bad = []
+        for root in seeds:
+            if root not in seen:
+                comp, ne = self._explore(root, seen)
+                count += ne - len(comp) + 1
+                if ne >= len(comp):
+                    bad.append(min(comp))
+        bad.sort()
+        # the diagonal component holds the basepoint pair, the least of all
+        self._bad = bad
+        self._off_diag = bad[1:] if bad and bad[0] == 0 and self._same() else bad
+        self.component_count = count
+        self.all_forests = not bad
+        self.diagonal_ok = not self._off_diag
 
-    def _component(self, cid: int) -> FibreComponent:
-        sel = _np.flatnonzero(self._edge_comp == cid)
-        n2 = self._n2
+    @cached_property
+    def failing_component(self) -> Optional[FibreComponent]:
+        return self._component(self._bad[0], set()) if self._bad else None
+
+    @cached_property
+    def failing_nondiag_component(self) -> Optional[FibreComponent]:
+        return self._component(self._off_diag[0], set()) if self._off_diag else None
+
+    def _same(self) -> bool:
+        g1, g2 = self._g1, self._g2
+        return g1 is g2 or g1.canonical_form() == g2.canonical_form()
+
+    def _explore(self, root: int, seen: set[int]) -> tuple[list[int], int]:
+        """The pairs of root's component, added to ``seen``, and its edge count."""
+        out1, out2, n2 = self._g1.out, self._g2.out, self._n2
+        comp = [root]
+        seen.add(root)
+        half_edges = 0
+        for c in comp:
+            d2 = out2[c % n2]
+            for s, t1 in out1[c // n2].items():
+                t2 = d2.get(s)
+                if t2 is not None:
+                    half_edges += 1
+                    t = t1 * n2 + t2
+                    if t not in seen:
+                        seen.add(t)
+                        comp.append(t)
+        return comp, half_edges // 2
+
+    def _component(self, root: int, seen: set[int]) -> FibreComponent:
+        out1, out2, n2 = self._g1.out, self._g2.out, self._n2
+        comp, _ne = self._explore(root, seen)
+        verts = sorted(divmod(c, n2) for c in comp)
         es = sorted(
-            ((a // n2, a % n2), lab, (b // n2, b % n2))
-            for a, lab, b in zip(self._pu[sel].tolist(), self._labs[sel].tolist(), self._pv[sel].tolist())
+            ((a, b), s, (t1, out2[b][s]))
+            for a, b in verts
+            for s, t1 in out1[a].items()
+            if s > 0 and s in out2[b]
         )
-        verts = sorted({e[0] for e in es} | {e[2] for e in es})
-        core_v, core_e = _trim_core(verts, es)
-        return FibreComponent(verts, es, core_v, core_e)
+        return FibreComponent(verts, es, *_trim_core(verts, es))
 
     def components(self) -> tuple[list[FibreComponent], Optional[int]]:
         """Every component, ordered by least vertex, and the position of the
-        diagonal component among them (None when there is none).  Built on
-        demand from the same labels the verdicts are read from."""
-        firsts = _np.unique(self._vert_comp, return_index=True)[1]
-        order = self._vert_comp[_np.sort(firsts)].tolist()
-        diag = order.index(self._diagonal) if self._diagonal >= 0 else None
-        return [self._component(c) for c in order], diag
-
-
-def _edges_by_label(g: SubgroupGraph) -> list[list[tuple[int, int]]]:
-    """(source, target) of every edge, grouped by its positive label."""
-    by: list[list[tuple[int, int]]] = [[] for _ in range(len(g.alphabet))]
-    for v, d in enumerate(g.out):
-        for s, w in d.items():
-            if s > 0:
-                by[s - 1].append((v, w))
-    return by
-
-
-def _union_find_labels(cu: list[int], cv: list[int], nvert: int) -> list[int]:
-    """Component label of each vertex 0..nvert-1 of a small edge list."""
-    parent = list(range(nvert))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in zip(cu, cv):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    label: dict[int, int] = {}
-    return [label.setdefault(find(x), len(label)) for x in range(nvert)]
+        diagonal component among them (None when there is none): the same
+        search seeded at every touched pair in increasing order."""
+        m1, m2, n2 = self._mask1, self._mask2, self._n2
+        seen: set[int] = set()
+        comps = []
+        for u1, a in enumerate(m1):
+            for u2, b in enumerate(m2):
+                if a & b and u1 * n2 + u2 not in seen:
+                    comps.append(self._component(u1 * n2 + u2, seen))
+        return comps, 0 if m1[0] & m2[0] and self._same() else None
 
 
 def _fibre_analysis(g1: SubgroupGraph, g2: SubgroupGraph) -> _FibreAnalysis:
-    """The fibre product of two folded graphs, split into components.
-
-    Product edges pair equally labelled edges of the two graphs.  The pair
-    space is dense and bounded by n1 * n2, so the touched pairs are
-    relabelled by a boolean mark and its running count, without hashing."""
-    if g1.alphabet != g2.alphabet:
-        raise StallingsError("alphabet mismatch")
-    n2 = g2.num_vertices
-    pu_parts, pv_parts, lab_parts = [], [], []
-    for lab, (e1, e2) in enumerate(zip(_edges_by_label(g1), _edges_by_label(g2)), start=1):
-        if not e1 or not e2:
-            continue
-        a1 = _np.array(e1, dtype=_np.int64)
-        a2 = _np.array(e2, dtype=_np.int64)
-        pu_parts.append((a1[:, 0, None] * n2 + a2[None, :, 0]).ravel())
-        pv_parts.append((a1[:, 1, None] * n2 + a2[None, :, 1]).ravel())
-        lab_parts.append(_np.full(len(e1) * len(e2), lab, dtype=_np.int64))
-    empty = _np.zeros(0, dtype=_np.int64)
-    pu, pv, labs = (_np.concatenate(parts or [empty]) for parts in (pu_parts, pv_parts, lab_parts))
-
-    mark = _np.zeros(g1.num_vertices * n2, dtype=bool)
-    mark[pu] = True
-    mark[pv] = True
-    ids = _np.cumsum(mark) - 1
-    cu, cv = ids[pu], ids[pv]
-    nvert = int(ids[-1]) + 1
-    if len(pu) < _SCIPY_MIN_EDGES:
-        vert_comp = _np.array(_union_find_labels(cu.tolist(), cv.tolist(), nvert), dtype=_np.int64)
-    else:
-        graph = _coo((_np.ones(len(cu), dtype=_np.int8), (cu, cv)), shape=(nvert, nvert))
-        vert_comp = _ccomp(graph, directed=False)[1]
-    same = g1 is g2 or g1.canonical_form() == g2.canonical_form()
-    diagonal = int(vert_comp[0]) if same and mark[0] else -1
-    return _FibreAnalysis(n2, pu, labs, pv, vert_comp[cu], vert_comp, diagonal)
+    """The fibre product of two folded graphs, split into components."""
+    return _FibreAnalysis(g1, g2)
 
 
 # -- verdicts -------------------------------------------------------------------

@@ -119,6 +119,22 @@ class TestBuildTp:
         assert digest(hnn.assoc_abstract) == "bc87a1c3fde0f1df"
         assert digest(hnn.assoc_concrete) == "2b756ef055156808"
 
+    @pytest.mark.parametrize("gens, rels", [("z", []), ("y z", ["y z y^-1 z^-1"]), ("y z", ["y^3", "z y z^-1 y"])])
+    def test_visibly_infinite_skips_enumeration(self, monkeypatch, gens, rels):
+        # a generator with exponent sum zero in every padded relator (z in
+        # <x, z | x>, y and z in <y, z | [y, z]>, z in <y, z | y^3, z y z^-1 y>)
+        # maps the quotient onto Z, so the truncated kernel comes at once
+        def never(*args, **kwargs):
+            raise AssertionError("todd_coxeter called on a visibly infinite quotient")
+
+        monkeypatch.setattr(hnnforge, "todd_coxeter", never)
+        hnn = build_tp(AB, 6, 6, 6, pres(gens, rels), rho=2, mode="minimal", truncate=2)
+        assert hnn.truncated == 2 and hnn.table is None
+
+    def test_finite_quotient_still_enumerates(self):
+        assert not hnnforge._maps_onto_z(hat_presentation(pres("z", ["z^2"]), "pq").presentation)
+        assert not hnnforge._maps_onto_z(hat_presentation(pres("y z", ["y^2", "z^3", "(y z)^2"]), "minimal").presentation)
+
     def test_britton_refuses_truncated(self):
         hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal")
         with pytest.raises(HnnError):

@@ -416,6 +416,25 @@ class TestWordProblem:
                 assert not word_problem(T6, v)
 
 
+class TestForeignAlphabet:
+    """A word over another alphabet is refused, not read through the codes
+    of its letters: x^4 over <x, y> used to Dehn-reduce to a^-2 over <a, b>,
+    and x^6 used to be trivial."""
+
+    XY = alphabet("x y")
+
+    @pytest.mark.parametrize("decide", [dehn_reduce, word_problem, is_dehn_reduced,
+                                        is_cyclically_dehn_reduced])
+    @pytest.mark.parametrize("text", ["x^4", "x^6", "1"])
+    def test_refused(self, decide, text):
+        with pytest.raises(SmallCancelError, match="different alphabet"):
+            decide(T6, word(self.XY, text))
+
+    def test_equal_alphabet_accepted(self):
+        assert dehn_reduce(T6, word(alphabet("a b"), "a^5")) == w("a^-1")
+        assert word_problem(T6, word(alphabet("a b"), "a^6"))
+
+
 class TestEndoOrder:
     def test_phi_order_three(self):
         assert endo_order_in_quotient(T6, PHI, 10) == 3

@@ -6,14 +6,30 @@ from pathlib import Path
 import malkit
 
 
-def test_no_bare_asserts():
-    # python -O strips assert statements, so no check in the library may be one
+def _nodes():
     modules = sorted(Path(malkit.__file__).parent.glob("*.py"))
     assert "words.py" in {p.name for p in modules}
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path, node
+
+
+def test_no_bare_asserts():
+    # python -O strips assert statements, so no check in the library may be one
+    found = [f"{path.name}:{node.lineno}" for path, node in _nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_numpy_or_scipy():
+    # the library runs on the standard library alone
+    found = []
+    for path, node in _nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names
+                  if name.split(".")[0] in ("numpy", "scipy")]
     assert found == []

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -11,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 import malkit
 from malkit import stallings
 from malkit.stallings import (
-    _SCIPY_MIN_EDGES,
     _fibre_analysis,
     BasisRewriter,
     IntersectionWitness,
@@ -377,9 +377,14 @@ def _folded_graphs(min_len, max_len):
         lambda gens: build_and_fold(AB, gens))
 
 
+# products are drawn on both sides of this edge count, so the engine is
+# checked on small products and on large ones with many tree components
+_SIZE_SPLIT = 384
+
+
 class TestFibreAnalysisDifferential:
-    """The dense engine against a brute-force pair graph, on products below
-    and above the edge count where the labeller switches to scipy."""
+    """The seeded component search against a brute-force pair graph, on
+    products below and above a size split."""
 
     @staticmethod
     def _compare(g1, g2):
@@ -415,15 +420,56 @@ class TestFibreAnalysisDifferential:
     @given(_folded_graphs(1, 8), _folded_graphs(1, 8), st.booleans())
     def test_below_cut(self, g1, g2, diagonal):
         g2 = g1 if diagonal else g2
-        assume(self._product_edges(g1, g2) < _SCIPY_MIN_EDGES)
+        assume(self._product_edges(g1, g2) < _SIZE_SPLIT)
         self._compare(g1, g2)
 
     @settings(max_examples=30, deadline=None)
     @given(_folded_graphs(20, 40), _folded_graphs(20, 40), st.booleans())
     def test_above_cut(self, g1, g2, diagonal):
         g2 = g1 if diagonal else g2
-        assume(self._product_edges(g1, g2) >= _SCIPY_MIN_EDGES)
+        assume(self._product_edges(g1, g2) >= _SIZE_SPLIT)
         self._compare(g1, g2)
+
+
+class TestFibreAnalysisAdversarial:
+    """Products the seeded search could get wrong: factors with no seeds
+    (rank 0), cycles without a branch vertex, where every component is
+    explored whole, single-letter loops, and self-products that fail off
+    the diagonal."""
+
+    compare = staticmethod(TestFibreAnalysisDifferential._compare)
+
+    @pytest.mark.parametrize("left, right", [
+        ((), ()),                                 # rank 0 on both sides
+        ((), ("a b a^-1 b^-1",)),                 # rank 0 against rank 1
+        (("a b^2 a^-1",), ()),                    # a cycle on a stem against rank 0
+        (("a b a b^-1",), ("a b a b^-1",)),       # a cycle, no branch vertex
+        (("a b a b^-1",), ("b a^2 b^-1 a",)),
+        (("b a b a b^-1 b^-1",), ("a b a b^-1",)),  # a cycle on a stem
+        (("b^2 a b^-2",), ("b a b^-1",)),
+        (("a",), ("a",)),                         # single-letter loops
+        (("a",), ("b",)),
+        (("a", "b"), ("a",)),
+        (("a", "b"), ("a", "b")),
+    ])
+    def test_against_reference(self, left, right):
+        self.compare(fold(*left), fold(*right))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (2, 3), (4, 6), (6, 9), (12, 18), (7, 7)])
+    def test_power_cycles(self, m, n):
+        # a^m x a^n is gcd(m, n) cycles of length lcm(m, n), none of them a tree
+        fa = self.compare(fold(f"a^{m}"), fold(f"a^{n}"))
+        assert fa.component_count == math.gcd(m, n)
+        assert not fa.all_forests
+
+    @pytest.mark.parametrize("gens", [("a^2", "b"), ("a^3",), ("a b a b",), ("a b a^-1", "b^2"),
+                                      ("a^2 b^-1 a^2 b^-1",), ("a b^2 a^-1", "b a^2 b^-1")])
+    def test_self_products_failing_off_diagonal(self, gens):
+        g = fold(*gens)
+        fa = self.compare(g, g)
+        assert not fa.diagonal_ok
+        assert fa.failing_component.vertices[0] == (0, 0)
+        assert fa.failing_nondiag_component.vertices[0] != (0, 0)
 
 
 class TestWitnessChecks:
