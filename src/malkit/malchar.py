@@ -31,7 +31,7 @@ from .stallings import (
     build_and_fold,
     is_malnormal,
     same_subgroup,
-    trivial_intersection_all_conjugates,
+    trivial_intersection_graphs,
 )
 from .words import (
     Alphabet,
@@ -205,7 +205,7 @@ def decide_malcharacteristic_free(alpha: Alphabet, s: Sequence[Word]) -> Malchar
         if auto.is_identity():
             continue
         image = [apply_endo(auto, v) for v in s]
-        verdict = trivial_intersection_all_conjugates(alpha, image, s)
+        verdict = trivial_intersection_graphs(build_and_fold(alpha, image), mal.graph)
         if not verdict.trivial:
             return MalcharVerdict(False, failing_auto=auto, witness=verdict.witness)
     return MalcharVerdict(True)
@@ -433,14 +433,18 @@ class PsiImageReport:
 
 def _scan_forbidden(alpha: Alphabet, words: Sequence[Word]) -> list[tuple[str, str]]:
     """(factor, word prefix) for each forbidden factor of each word, read
-    cyclically (in the doubled word) when the word is cyclically reduced."""
+    cyclically when the word is cyclically reduced.  A cyclic factor is no
+    longer than the word, so it lies in the code followed by at most the
+    pattern's length minus one of its first letters."""
     patterns = [(t, encode_letters(word(alpha, t).letters)) for t in FORBIDDEN_FACTOR_TEXTS]
+    wrap = max(len(pat) for _, pat in patterns) - 1
     hits = []
     for v in words:
         code = encode_letters(v.letters)
+        m = len(code)
         if v.is_cyclically_reduced():
-            code += code
-        hits.extend((text, str(v)[:40]) for text, pat in patterns if pat in code)
+            code += code[:wrap]
+        hits.extend((text, str(v)[:40]) for text, pat in patterns if len(pat) <= m and pat in code)
     return hits
 
 
@@ -483,8 +487,9 @@ def decide_malcharacteristic_triangle(
     seed pair; the identity map is covered by stage 1.
 
     The joint small cancellation hypothesis on the relators and the seed
-    pair is decided once and shared by stage 1 and every transfer, and each
-    transfer reuses the family verdict of its map's image check.
+    pair is decided once and shared by stage 1 and every transfer, the seed
+    pair is folded once for stage 2 and every transfer, and each transfer
+    reuses the family verdict of its map's image check.
     """
     if min(i, j, k) < 6:
         raise MalcharError("exponents below 6 are outside the supported range")
@@ -506,10 +511,9 @@ def decide_malcharacteristic_triangle(
     # stage 2: free-group shadow
     free_seeds = seed_words_free(alpha, rho)
     sub = seed_block_substitution(alpha)
+    seed_graph = build_and_fold(alpha, [x, y])
     orbit_ok = same_subgroup(
-        build_and_fold(alpha, [apply_endo(sub, w) for w in free_seeds.pair]),
-        build_and_fold(alpha, [x, y]),
-    )
+        build_and_fold(alpha, [apply_endo(sub, w) for w in free_seeds.pair]), seed_graph)
     route = "block-substitution orbit" if orbit_ok else "direct"
     try:
         shadow = decide_malcharacteristic_free(alpha, list(free_seeds.pair))
@@ -536,7 +540,8 @@ def decide_malcharacteristic_triangle(
             ok = report.ok
         else:
             inter = certify_trivial_intersection_in_quotient(
-                alpha, rels, [x, y], report.images, syllable_bound, joint=joint, family=report.family
+                alpha, rels, [x, y], report.images, syllable_bound,
+                joint=joint, family=report.family, s_graph=seed_graph,
             )
             entry["transfer_certified"] = inter.certified
             entry["free_verdict"] = inter.data["free_verdict"]

@@ -22,7 +22,10 @@ from .smallcancel import (
 from .words import (
     Alphabet,
     Word,
+    code_product,
     cyclic_reduce,
+    encode_letters,
+    invert_code,
     inverse_letters,
     proper_power,
     reduced_words,
@@ -232,24 +235,37 @@ def check_family_cyclically_reduced(
     """Are all words over t (freely reduced over t) cyclically Dehn-reduced
     over r?  Checked for syllable length up to the bound; additionally
     reports whether the block-length criterion makes the bounded scan
-    unconditionally sufficient.  ``base``, when given, is the symmetrised r,
-    for callers that check several families against one relator set."""
+    unconditionally sufficient, and whether t is a free basis of <t>.
+    ``base``, when given, is the symmetrised r, for callers that check
+    several families against one relator set."""
     if syllable_bound < 3:
         raise CertificateError("syllable bound below 3: the criterion needs window 3")
-    graph = stallings.build_and_fold(alpha, t)
-    basis_ok = graph.rank() == len(t)
     if base is None:
         base = symmetrise(alpha, r)
+    if base.alphabet != alpha or any(w.alphabet != alpha for w in t):
+        raise CertificateError("relator set or t-word over a different alphabet")
 
+    # each t-word is spelled on the byte code from the encoded images; only
+    # a failing word is spelled again as a Word, for the witness
+    codes: dict[int, bytes] = {}
+    for k, w in enumerate(t, 1):
+        codes[k] = encode_letters(w.letters)
+        codes[-k] = invert_code(codes[k])
+    if len(t) == 2:
+        # two elements of a free group generate a free group of rank two
+        # exactly when they do not commute, so no folding is needed
+        basis_ok = code_product((codes[1], codes[2])) != code_product((codes[2], codes[1]))
+    else:
+        basis_ok = stallings.build_and_fold(alpha, t).rank() == len(t)
     checked = 0
-    images = [w.letters for w in t]
     for expr in reduced_words(len(t), syllable_bound):
-        wv = Word(alpha, substitute(images, expr), reduced=True)
+        code = code_product([codes[x] for x in expr])
         checked += 1
-        if not wv or not is_cyclically_dehn_reduced(base, wv):
+        if not code or not is_cyclically_dehn_reduced(base, code):
+            witness = Word(alpha, substitute([w.letters for w in t], expr), reduced=True)
             return FamilyVerdict(
                 False, False, syllable_bound,
-                caveat=None, witness=wv, basis_ok=basis_ok, checked_words=checked,
+                caveat=None, witness=witness, basis_ok=basis_ok, checked_words=checked,
             )
 
     unconditional = _block_criterion(base, t) if r else True
@@ -302,15 +318,17 @@ def certify_trivial_intersection_in_quotient(
     syllable_bound: int = 3,
     joint: Optional[JointRoute] = None,
     family: Optional[FamilyVerdict] = None,
+    s_graph: Optional[stallings.SubgroupGraph] = None,
 ) -> Certificate:
     """Transfer certificate: when the joint (r, s) presentation is small
     cancellation and every t-word is cyclically Dehn-reduced, the quotient
     question "some conjugate of <s> meets <t>" equals the free-group
     question, which is answered by the fibre product.
 
-    ``joint`` and ``family``, when given, are the results of
-    ``_joint_metric_route(alpha, r, s)`` and of
-    ``check_family_cyclically_reduced(alpha, r, t, syllable_bound)``."""
+    ``joint``, ``family`` and ``s_graph``, when given, are the results of
+    ``_joint_metric_route(alpha, r, s)``, of
+    ``check_family_cyclically_reduced(alpha, r, t, syllable_bound)`` and of
+    ``stallings.build_and_fold(alpha, s)``."""
     cert = Certificate(kind="trivial-intersection")
     (joint or _joint_metric_route(alpha, r, s)).record(cert)
     fam = family or check_family_cyclically_reduced(alpha, r, t, syllable_bound)
@@ -325,7 +343,8 @@ def certify_trivial_intersection_in_quotient(
         "" if fam.ok else f"witness: {_clip(fam.witness)}",
         caveat=fam.caveat,
     )
-    free = stallings.trivial_intersection_all_conjugates(alpha, s, t)
+    free = stallings.trivial_intersection_graphs(
+        s_graph or stallings.build_and_fold(alpha, s), stallings.build_and_fold(alpha, t))
     cert.data["free_verdict"] = "trivial" if free.trivial else "intersects"
     if free.witness is not None:
         cert.data["free_witness"] = free.witness.as_dict()

@@ -385,31 +385,35 @@ def is_dehn_reduced(rs: RelatorSet, w: Word) -> bool:
     return w.is_reduced() and _find_violation(rs, w.letters) is None
 
 
-def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word) -> bool:
+def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word | bytes) -> bool:
     """Every free reduction of every cyclic shift of w is nonempty and
     Dehn reduced over the symmetrised set.
+
+    ``w`` is a :class:`Word`, alphabet-checked and encoded here, or the byte
+    code of a freely reduced word over ``rs.alphabet`` (the caller vouches
+    for it, as the family check does for words spelled from encoded images).
 
     For w = A^-1 M A with M the cyclic core, the shift reductions are
     exactly the rotations of M together with the nested conjugates
     (A[:p])^-1 M A[:p] - and the latter are subwords of w itself.  So one
-    scan of w plus one scan of the doubled core decide the question."""
-    _check_alphabet(rs, w)
-    if not w:
+    scan of w plus one scan of the doubled core decide the question; the
+    core is found by index on the code, where a letter's inverse is its
+    code ``^ 1``."""
+    if isinstance(w, Word):
+        _check_alphabet(rs, w)
+        w = encode_letters(w.letters)
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == w[j - 1] ^ 1:
+        i += 1
+        j -= 1
+    m = j - i
+    if not m:
         return False
-    core, _conj = cyclic_reduce(w)
-    if not core:
-        return False
+    doubled = w[i:j] * 2
     pattern_list, _ = rs._patterns()
-    wb = encode_letters(w.letters)
-    m = len(core.letters)
-    doubled = encode_letters(core.letters + core.letters)
     for pb in pattern_list:
-        if pb in wb:
+        if pb in w or (len(pb) <= m and pb in doubled):
             return False
-        if len(pb) <= m:
-            pos = doubled.find(pb)
-            if pos != -1 and pos < m:
-                return False
     return True
 
 

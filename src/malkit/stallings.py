@@ -689,12 +689,17 @@ def is_malnormal(alpha: Alphabet, gens: Sequence[Word]) -> MalnormalVerdict:
 def trivial_intersection_all_conjugates(
     alpha: Alphabet, s: Sequence[Word], t: Sequence[Word]
 ) -> TrivialIntersectionVerdict:
-    """Is <t> ∩ <s>^g trivial for every g in the free group?
+    """Is <t> ∩ <s>^g trivial for every g in the free group?  Folds both
+    lists and asks :func:`trivial_intersection_graphs`."""
+    return trivial_intersection_graphs(build_and_fold(alpha, s), build_and_fold(alpha, t))
+
+
+def trivial_intersection_graphs(gs: SubgroupGraph, gt: SubgroupGraph) -> TrivialIntersectionVerdict:
+    """:func:`trivial_intersection_all_conjugates` on folded graphs, for
+    callers that check one subgroup against several.
 
     Yes exactly when the fibre product of the folded graphs of t and s is
     a forest (every component, the diagonal included when t = s)."""
-    gt = build_and_fold(alpha, t)
-    gs = build_and_fold(alpha, s)
     fa = _fibre_analysis(gt, gs)
     if not fa.all_forests:
         wit = _witness_from_component(fa.failing_component, gt, gs)

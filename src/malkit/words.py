@@ -17,7 +17,10 @@ are the shared inversion, letter order and reduced-word enumeration.
 becomes its position in :func:`signed_letters` order (1 -> 0, -1 -> 1,
 2 -> 2, ...), so a letter's inverse is its code ``^ 1``.  Factor searches
 (Dehn scanning, forbidden factors) run as C-speed ``bytes`` searches on it.
-One byte per letter bounds it to ``MAX_GENERATORS`` generators.
+One byte per letter bounds it to ``MAX_GENERATORS`` generators.  The byte
+code has its own inversion and product, :func:`invert_code` and
+:func:`code_product`, so words spelled from encoded images (the t-words of
+a family check) are never decoded to tuples.
 """
 
 from __future__ import annotations
@@ -105,6 +108,33 @@ def encode_letters(letters: Iterable[int]) -> bytes:
         return bytes([_BYTE_CODE[x] for x in letters])
     except KeyError as e:
         raise WordError(f"letter {e.args[0]} outside the byte code of {MAX_GENERATORS} generators") from None
+
+
+_INVERT_CODE = bytes(c ^ 1 for c in range(256))
+
+
+def invert_code(code: bytes) -> bytes:
+    """The byte code of the inverse word: reversed, each code ``^ 1``."""
+    return code[::-1].translate(_INVERT_CODE)
+
+
+def code_product(factors: Iterable[bytes]) -> bytes:
+    """The freely reduced product of freely reduced words in the byte code.
+
+    This is :func:`substitute` on the byte code: each factor cancels
+    against the end of the product so far while their codes are inverse
+    (``out[-1] == f[j] ^ 1``), and the rest of it is appended.  The tuple
+    :func:`substitute` stays the general kernel because stallings,
+    cosetenum and hnnforge index tables by signed letters, and alphabets
+    over ``MAX_GENERATORS`` generators have no byte code."""
+    out = bytearray()
+    for f in factors:
+        j, n, m = 0, len(f), len(out)
+        while j < n and j < m and out[m - 1 - j] == f[j] ^ 1:
+            j += 1
+        del out[m - j:]
+        out += f[j:] if j else f
+    return bytes(out)
 
 
 def substitute(images: Sequence[Sequence[int]], letters: Iterable[int]) -> tuple[int, ...]:
@@ -238,14 +268,12 @@ def commutator(u: Word, v: Word) -> Word:
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split ``w`` as conjugator^-1 * core * conjugator with the core
     cyclically reduced and the conjugator of minimal length."""
-    lets = list(w.letters)
+    lets = w.letters
     i, j = 0, len(lets)
     while j - i >= 2 and lets[i] == -lets[j - 1]:
         i += 1
         j -= 1
-    core = Word(w.alphabet, tuple(lets[i:j]), reduced=True)
-    conj = Word(w.alphabet, tuple(lets[j:]), reduced=True)
-    return core, conj
+    return Word(w.alphabet, lets[i:j], reduced=True), Word(w.alphabet, lets[j:], reduced=True)
 
 
 def proper_power(w: Word) -> Optional[tuple[Word, int]]:

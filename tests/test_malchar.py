@@ -272,15 +272,21 @@ class TestVerifyPsiImages:
 
 
 def _scan_windows(alpha, words):
-    """Forbidden factors by sliding a tuple window over each word, doubled
-    when cyclically reduced."""
+    """Forbidden factors by sliding a tuple window over each word; when the
+    word is cyclically reduced, a window may start at any of its positions
+    and wrap around the end, but it is never longer than the word."""
     hits = []
     patterns = [(t, word(alpha, t).letters) for t in malchar.FORBIDDEN_FACTOR_TEXTS]
     for v in words:
-        doubled = v.letters + v.letters if v.is_cyclically_reduced() else v.letters
+        n = len(v.letters)
         for text, pat in patterns:
             m = len(pat)
-            if any(doubled[p:p + m] == pat for p in range(len(doubled) - m + 1)):
+            if v.is_cyclically_reduced():
+                found = m <= n and any(
+                    tuple(v.letters[(p + q) % n] for q in range(m)) == pat for p in range(n))
+            else:
+                found = any(v.letters[p:p + m] == pat for p in range(n - m + 1))
+            if found:
                 hits.append((text, str(v)[:40]))
     return hits
 
@@ -304,8 +310,12 @@ class TestScanForbidden:
             ("(a b)^3", "b a b a b a b^2"),
             ("(b a)^3", "b a b a b a b^2"),
             ("b (a b)^3", "b a b a b a b^2"),
-            ("a^4", "a^2"),  # the doubled a^2 reads a^4
-        ]
+        ]  # a cyclic a^2 is shorter than a^4, so it holds none
+
+
+def _certificate_text(i, j, k, rho):
+    cert = decide_malcharacteristic_triangle(AB, i, j, k, rho)
+    return json.dumps(cert.to_dict(), sort_keys=True, default=str)
 
 
 class TestTriangleCertificate:
@@ -326,11 +336,15 @@ class TestTriangleCertificate:
 
     def test_golden_certificate(self):
         # the whole certificate JSON at (6,6,6) rho=8, pinned byte for byte
-        cert = decide_malcharacteristic_triangle(AB, 6, 6, 6, 8)
-        text = json.dumps(cert.to_dict(), sort_keys=True, default=str)
+        text = _certificate_text(6, 6, 6, 8)
         golden = (Path(__file__).parent / "fixtures" / "triangle_cert_6_6_6_rho8.json").read_text()
         assert text == golden.rstrip("\n")
         assert hashlib.sha256(text.encode()).hexdigest().startswith("4f75dcd954e9d88a")
+
+    def test_golden_scalene_certificate(self):
+        # the scalene certificate at (7,8,9) rho=10, pinned by digest
+        text = _certificate_text(7, 8, 9, 10)
+        assert hashlib.sha256(text.encode()).hexdigest().startswith("858937e97535775d")
 
     def test_below_six_rejected(self):
         with pytest.raises(MalcharError):
@@ -343,3 +357,5 @@ class TestTriangleCertificate:
         cert = decide_malcharacteristic_triangle(AB, 13, 13, 13, 19)
         assert cert.certified
         assert cert.data["stage1"]["route"] == "C'(1/6)"
+        text = json.dumps(cert.to_dict(), sort_keys=True, default=str)
+        assert hashlib.sha256(text.encode()).hexdigest().startswith("dbf1b07d97a9ba44")

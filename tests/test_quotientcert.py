@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import malkit
 from malkit import quotientcert
@@ -17,9 +18,9 @@ from malkit.quotientcert import (
     check_family_cyclically_reduced,
     free_conjugator,
 )
-from malkit.smallcancel import check_metric, symmetrise
-from malkit.stallings import is_malnormal
-from malkit.words import Word, alphabet, cyclic_reduce, word
+from malkit.smallcancel import check_metric, is_cyclically_dehn_reduced, symmetrise
+from malkit.stallings import build_and_fold, is_malnormal
+from malkit.words import Word, alphabet, cyclic_reduce, reduced_words, substitute, word
 
 AB = alphabet("a b")
 
@@ -156,6 +157,15 @@ class TestFamilyCheck:
         )
         assert v.ok and v.unconditional and v.caveat is None
 
+    def test_other_alphabet_refused(self):
+        # t-words are spelled on the byte code, which carries no alphabet
+        xy = alphabet("x y")
+        base = symmetrise(xy, [word(xy, "x^6")])
+        with pytest.raises(CertificateError, match="different alphabet"):
+            check_family_cyclically_reduced(AB, [], ws("a^5 b"), 3, base=base)
+        with pytest.raises(CertificateError, match="different alphabet"):
+            check_family_cyclically_reduced(AB, T6, [w("a"), word(xy, "x y")], 3)
+
     def test_t6_a3b_family(self):
         v = check_family_cyclically_reduced(AB, ws("a^6"), ws("a^3 b"), 3)
         # a^3 b * a^3 b never accumulates more than a^3: verdict yes,
@@ -163,6 +173,60 @@ class TestFamilyCheck:
         assert v.ok
         assert not v.unconditional
         assert v.caveat is not None
+
+
+def _family_by_tuples(alpha, r, t, bound):
+    """The family check spelled on letter tuples, every t-word a Word:
+    (ok, witness, checked_words, unconditional, basis_ok)."""
+    base = symmetrise(alpha, r)
+    basis_ok = build_and_fold(alpha, t).rank() == len(t)
+    images = [v.letters for v in t]
+    checked = 0
+    for expr in reduced_words(len(t), bound):
+        wv = Word(alpha, substitute(images, expr), reduced=True)
+        checked += 1
+        if not wv or not is_cyclically_dehn_reduced(base, wv):
+            return False, wv, checked, False, basis_ok
+    return True, None, checked, quotientcert._block_criterion(base, t) if r else True, basis_ok
+
+
+# nonempty and distinct, so most families are free bases; about half fail
+_SHORT_WORDS = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=2, max_size=8).map(
+    lambda raw: Word(AB, raw)).filter(bool)
+
+
+class TestFamilyAgainstTuples:
+    """The family check spells t-words on the byte code; every field of its
+    verdict must equal the tuple spelling's, failing families included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_SHORT_WORDS, min_size=1, max_size=3, unique_by=lambda v: v.letters),
+           st.sampled_from([3, 4]))
+    @example([Word(AB, ()), Word(AB, (1, 2))], 3)  # an empty t-word fails at once
+    @example([Word(AB, (1, 2)), Word(AB, (1, 2, 1, 2))], 3)  # a commuting pair is no basis
+    @example([Word(AB, (1, 2, -1)), Word(AB, (1, 2, 2, -1))], 3)
+    def test_random_families(self, t, bound):
+        v = check_family_cyclically_reduced(AB, T6, t, bound)
+        assert (v.ok, v.witness, v.checked_words, v.unconditional, v.basis_ok) == \
+            _family_by_tuples(AB, T6, t, bound)
+
+    def test_one_call_per_checked_word(self, monkeypatch):
+        # the benchmark's tracer counts is_cyclically_dehn_reduced calls
+        # under the family check; each checked word must be one call
+        calls = []
+        original = quotientcert.is_cyclically_dehn_reduced
+
+        def counting(rs, v):
+            calls.append(v)
+            return original(rs, v)
+
+        monkeypatch.setattr(quotientcert, "is_cyclically_dehn_reduced", counting)
+        from malkit.malchar import seed_words_triangle
+
+        for t in (list(seed_words_triangle(AB, 8).pair), ws("a^5 b"), ws("a^3 b", "b^2 a")):
+            calls.clear()
+            v = check_family_cyclically_reduced(AB, T6, t, 3)
+            assert v.checked_words == len(calls) > 0
 
 
 class TestTrivialIntersectionCertificate:

@@ -22,6 +22,7 @@ from malkit.words import (
     alphabet,
     conjugate,
     cyclic_reduce,
+    encode_letters,
     endo,
     identity_endo,
     inverse_letters,
@@ -311,30 +312,42 @@ class TestDehnReduce:
             assert is_dehn_reduced(T6, out)
 
 
+def _brute_cyclically_dehn_reduced(rs, v):
+    """The literal definition: every free reduction of every cyclic shift
+    is nonempty and violation-free."""
+    from malkit.smallcancel import _find_violation
+
+    if not v:
+        return False
+    for k in range(len(v.letters)):
+        shifted = Word(AB, v.letters[k:] + v.letters[:k])
+        if not shifted:
+            return False
+        if _find_violation(rs, shifted.letters) is not None:
+            return False
+    return True
+
+
+_SCAN_SETS = [T6, rels("a^4", "b^3 a"), rels("(a b)^2", "a^3")]
+
+
 class TestCyclicallyDehnReducedBruteForce:
     def test_matches_per_shift_definition(self):
-        # the two-scan implementation must agree with the literal
-        # definition: every free reduction of every cyclic shift is
-        # nonempty and violation-free
-        from malkit.smallcancel import _find_violation
-
-        def brute(rs, v):
-            if not v:
-                return False
-            for k in range(len(v.letters)):
-                shifted = Word(AB, v.letters[k:] + v.letters[:k])
-                if not shifted:
-                    return False
-                if _find_violation(rs, shifted.letters) is not None:
-                    return False
-            return True
-
+        # the two-scan implementation must agree with the literal definition
         rng = random.Random(101)
-        sets = [T6, rels("a^4", "b^3 a"), rels("(a b)^2", "a^3")]
-        for rs in sets:
+        for rs in _SCAN_SETS:
             for _ in range(150):
                 v = Word(AB, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(1, 14))])
-                assert is_cyclically_dehn_reduced(rs, v) == brute(rs, v), (rs.relators, v)
+                expected = _brute_cyclically_dehn_reduced(rs, v)
+                assert is_cyclically_dehn_reduced(rs, v) == expected, (rs.relators, v)
+
+    @given(st.sampled_from(_SCAN_SETS), st.lists(st.sampled_from([1, -1, 2, -2]), max_size=16))
+    def test_code_matches_word(self, rs, raw):
+        # the byte code of a reduced word gets the Word's verdict
+        v = Word(AB, raw)
+        verdict = is_cyclically_dehn_reduced(rs, v)
+        assert is_cyclically_dehn_reduced(rs, encode_letters(v.letters)) == verdict
+        assert verdict == _brute_cyclically_dehn_reduced(rs, v)
 
 
 class TestCyclicallyDehnReduced:

@@ -10,15 +10,18 @@ from malkit.words import (
     WordError,
     alphabet,
     apply_endo,
+    code_product,
     compose_endos,
     conjugate,
     cyclic_reduce,
+    encode_letters,
     endo,
     endo_power,
     format_word,
     free_reduce_letters,
     identity_endo,
     inverse_letters,
+    invert_code,
     parse_word_list,
     positive_subsemigroup_member,
     proper_power,
@@ -99,6 +102,30 @@ class TestSubstitute:
         brute = [t for m in range(1, n + 1) for t in itertools.product(symbols, repeat=m)
                  if free_reduce_letters(t) == t]
         assert list(reduced_words(k, n)) == brute
+
+
+class TestCodeProduct:
+    """code_product is substitute on the byte code: spelling a letter
+    sequence from encoded images and their inverse codes gives the code of
+    the tuple product."""
+
+    @given(st.lists(REDUCED, min_size=1, max_size=4).flatmap(_images_and_letters))
+    @example(([(), (1,)], [2, 1, -2, -1, 2]))            # empty images
+    @example(([(1, 2, 3), (-3, -2, -1)], [1, 2, 2, 1]))   # a whole image cancels at a join
+    @example(([(1, -2), (2, -1)], [1, 2, 1, 1]))          # the product cancels completely
+    @example(([(1, 2, 3), (-3, -2)], [1, 2, 1]))          # a partial cancel, then a clean join
+    def test_matches_tuple_substitute(self, case):
+        images, letters = case
+        codes = {}
+        for k, img in enumerate(images, 1):
+            codes[k] = encode_letters(img)
+            codes[-k] = invert_code(codes[k])
+        product = code_product([codes[x] for x in letters])
+        assert product == encode_letters(substitute(images, letters))
+
+    @given(REDUCED)
+    def test_inverse_code(self, letters):
+        assert invert_code(encode_letters(letters)) == encode_letters(inverse_letters(letters))
 
 
 class TestCyclicReduce:
