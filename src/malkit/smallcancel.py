@@ -390,8 +390,11 @@ def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word | bytes) -> bool:
     Dehn reduced over the symmetrised set.
 
     ``w`` is a :class:`Word`, alphabet-checked and encoded here, or the byte
-    code of a freely reduced word over ``rs.alphabet`` (the caller vouches
-    for it, as the family check does for words spelled from encoded images).
+    code of a freely reduced word over ``rs.alphabet``.  The byte form is a
+    trusted entry point for internal callers such as the family check, whose
+    words are spelled from encoded images: a code has no alphabet, so only
+    its range is checked (a byte at or above ``2 * len(rs.alphabet)`` raises
+    :class:`SmallCancelError`), and free reduction is the caller's to keep.
 
     For w = A^-1 M A with M the cyclic core, the shift reductions are
     exactly the rotations of M together with the nested conjugates
@@ -402,6 +405,8 @@ def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word | bytes) -> bool:
     if isinstance(w, Word):
         _check_alphabet(rs, w)
         w = encode_letters(w.letters)
+    elif w and max(w) >= 2 * len(rs.alphabet):
+        raise SmallCancelError("byte code outside the relator set's alphabet")
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == w[j - 1] ^ 1:
         i += 1

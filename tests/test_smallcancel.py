@@ -443,6 +443,14 @@ class TestForeignAlphabet:
         with pytest.raises(SmallCancelError, match="different alphabet"):
             decide(T6, word(self.XY, text))
 
+    @pytest.mark.parametrize("text", ["c^4", "c", "a c^-1 b"])
+    def test_foreign_code_refused(self, text):
+        # the byte form has no alphabet: a code of a third generator (4 or 5)
+        # lies outside <a, b>'s codes 0..3 and is refused by range
+        code = encode_letters(word(alphabet("a b c"), text).letters)
+        with pytest.raises(SmallCancelError, match="outside the relator set's alphabet"):
+            is_cyclically_dehn_reduced(T6, code)
+
     def test_equal_alphabet_accepted(self):
         assert dehn_reduce(T6, word(alphabet("a b"), "a^5")) == w("a^-1")
         assert word_problem(T6, word(alphabet("a b"), "a^6"))
