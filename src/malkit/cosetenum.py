@@ -9,11 +9,16 @@ callers legitimately probe for finiteness.
 During enumeration the table is stored column-major: one list per signed
 letter code, ``cols[c][coset]``, with -1 for an undefined entry.  Each
 relator and subgroup generator is turned once into its lists of forward
-and inverse columns, so a scan indexes those lists directly; defining a
-coset appends one entry to every column.  Rows of dead cosets are not
-reclaimed.  At the end the live cosets are renumbered by BFS from the
-subgroup coset straight from the columns, which also gives the Schreier
-transversal, and the result is a list-of-rows :class:`CosetTable`.
+and inverse columns, so a scan indexes those lists directly.  Rows are
+allocated a block at a time, so defining a coset is one append to the
+union-find parents and two stores.  A coincidence finds roots inline,
+since the coset it dequeues is never a root.  Definitions, scans and
+merges happen in HLT order, which fixes every coset number and the live
+count of an overflow.  A dead coset's row is cleared when its
+coincidence is processed, but the row itself is not reclaimed.  At the end
+the live cosets are renumbered by BFS from the subgroup coset straight
+from the columns, which also gives the Schreier transversal, and the
+result is a list-of-rows :class:`CosetTable`.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from typing import Sequence
 from .words import Alphabet, Word, inverse_letters, signed_letters
 
 DEFAULT_MAX_COSETS = 10 ** 5
+_BLOCK = 1024  # coset rows are allocated this many at a time
+_PAD = [-1] * _BLOCK
 
 
 class CosetEnumError(ValueError):
@@ -63,7 +70,7 @@ class CosetTable:
         v = start
         tbl = self.table
         for x in letters:
-            v = tbl[v][_code(x)]
+            v = tbl[v][2 * (x - 1) if x > 0 else -2 * x - 1]
         return v
 
     def image_in_quotient(self, w: Word) -> int:
@@ -107,59 +114,62 @@ def todd_coxeter(
     Returns a complete, standardized CosetTable if the index is discovered
     within ``max_cosets`` live cosets, else an Overflow marker."""
     ncols = 2 * len(alpha)
-    cols: list[list[int]] = [[-1] for _ in range(ncols)]
+    cols: list[list[int]] = [[-1] * _BLOCK for _ in range(ncols)]
     inv_cols = [cols[c ^ 1] for c in range(ncols)]
-    p = [0]  # union-find parent; the smaller coset survives a merge
-    live = 1
+    pairs = list(zip(cols, inv_cols))
+    # union-find parent, appended per definition so that each coset id is
+    # one int object shared with the columns; the smaller coset survives
+    p = [0]
+    dead = 0
 
-    def find(k: int) -> int:
-        while p[k] != k:
-            p[k] = k = p[p[k]]
-        return k
-
-    def define(f: int, col: list[int], icol: list[int]):
-        nonlocal live
-        n = len(p)
-        p.append(n)
-        for c in cols:
-            c.append(-1)
-        col[f] = n
-        icol[n] = f
-        live += 1
+    def grow():
+        for col in cols:
+            col.extend(_PAD)
 
     def coincidence(a: int, b: int):
         # a, b are distinct live cosets; every coset that dies is queued and
-        # its row re-hung on the survivor, queueing the merges this forces
-        nonlocal live
+        # its row moved onto the survivor, queueing the merges this forces.
+        # A queued coset is never a root, and mu tracks its root across the
+        # merges made while its row is processed.  Moving clears both ends
+        # of each edge: no row is read after it dies, and a cleared row
+        # keeps no coset id alive
+        nonlocal dead
         if a > b:
             a, b = b, a
         p[b] = a
-        live -= 1
         q = [b]
         for g in q:
-            for col, icol in zip(cols, inv_cols):
+            mu = g
+            while p[mu] != mu:
+                p[mu] = mu = p[p[mu]]
+            for col, icol in pairs:
                 d = col[g]
                 if d < 0:
                     continue
-                icol[d] = -1
-                mu = find(g)
-                nu = d if p[d] == d else find(d)
+                col[g] = icol[d] = -1
+                nu = d
+                while p[nu] != nu:
+                    p[nu] = nu = p[p[nu]]
                 t = col[mu]
                 if t >= 0:
-                    x, y = nu, t if p[t] == t else find(t)
+                    x = nu
                 else:
                     t = icol[nu]
                     if t < 0:
                         col[mu] = nu
                         icol[nu] = mu
                         continue
-                    x, y = mu, t if p[t] == t else find(t)
-                if x != y:
-                    if x > y:
-                        x, y = y, x
-                    p[y] = x
-                    live -= 1
-                    q.append(y)
+                    x = mu
+                while p[t] != t:
+                    p[t] = t = p[p[t]]
+                if x != t:
+                    if x > t:
+                        x, t = t, x
+                    p[t] = x
+                    q.append(t)
+                    if t == mu:
+                        mu = x
+        dead += len(q)
 
     def scan_and_fill(a: int, fwd: list[list[int]], bwd: list[list[int]]):
         # fwd[i] is the column of letter i of the word, bwd[i] its inverse's.
@@ -190,7 +200,12 @@ def todd_coxeter(
                 fwd[i][f] = b
                 bwd[i][b] = f
                 return
-            define(f, fwd[i], bwd[i])
+            col, n = fwd[i], len(p)
+            if n == len(col):
+                grow()
+            p.append(n)
+            col[f] = n
+            bwd[i][n] = f
 
     def columns(words: Sequence[Word]) -> list[tuple[list[list[int]], list[list[int]]]]:
         out = []
@@ -202,8 +217,8 @@ def todd_coxeter(
 
     for fwd, bwd in columns(subgroup_gens):
         scan_and_fill(0, fwd, bwd)
-        if live > max_cosets:
-            return Overflow(max_cosets, live)
+        if len(p) - dead > max_cosets:
+            return Overflow(max_cosets, len(p) - dead)
 
     rel_cols = columns(relators)
     a = 0
@@ -216,11 +231,16 @@ def todd_coxeter(
             if p[a] != a:
                 break
         else:
-            for col, icol in zip(cols, inv_cols):
+            for col, icol in pairs:
                 if col[a] < 0:
-                    define(a, col, icol)
-        if live > max_cosets:
-            return Overflow(max_cosets, live)
+                    n = len(p)
+                    if n == len(col):
+                        grow()
+                    p.append(n)
+                    col[a] = n
+                    icol[n] = a
+        if len(p) - dead > max_cosets:
+            return Overflow(max_cosets, len(p) - dead)
         a += 1
     return _standardize(alpha, relators, subgroup_gens, cols, p)
 
@@ -243,7 +263,10 @@ def _standardize(alpha, relators, subgroup_gens, cols, p) -> CosetTable:
                 number[w] = len(order)
                 order.append(w)
                 reps.append(rep_v + (letter,))
-    table = [[number[col[v]] for col in cols] for v in order]
+    # each column renumbered by its own iterator and zipped into rows, so no
+    # renumbered column is held whole
+    renumbered = (map(number.__getitem__, map(col.__getitem__, order)) for col in cols)
+    table = [list(row) for row in zip(*renumbered)]
     return CosetTable(alpha, relators, subgroup_gens, table, reps)
 
 

@@ -236,11 +236,21 @@ def build_tp(
 
 
 def _maps_onto_z(p: InputPresentation) -> bool:
-    """Some generator has exponent sum zero in every relator: sending it to
-    1 and the others to 0 maps the group onto Z, so it is infinite and coset
-    enumeration could only run to its cap."""
-    return any(all(r.letters.count(g) == r.letters.count(-g) for r in p.relators)
-               for g in range(1, len(p.alphabet) + 1))
+    """The exponent-sum matrix (relators x generators) has rank below the
+    number of generators: the abelianisation then has a free part, so the
+    group maps onto Z, is infinite, and coset enumeration could only run to
+    its cap.  The rank comes from fraction-free integer elimination, so it
+    is exact.  A generator with exponent sum zero in every relator is the
+    case of a zero column."""
+    n = len(p.alphabet)
+    rows = [[r.letters.count(g) - r.letters.count(-g) for g in range(1, n + 1)] for r in p.relators]
+    rank = 0
+    for c in range(n):
+        top = next((row for row in rows if row[c]), None)
+        if top is not None:
+            rows = [[top[c] * x - row[c] * y for x, y in zip(row, top)] for row in rows if row is not top]
+            rank += 1
+    return rank < n
 
 
 def _truncated_kernel(hat: HatPresentation, depth: int) -> tuple[Word, ...]:

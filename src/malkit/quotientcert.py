@@ -290,8 +290,9 @@ def _block_criterion(base: RelatorSet, t: Sequence[Word]) -> bool:
     left = {g: 0 for g in letters}
     right = {g: 0 for g in letters}
     for g in letters:
+        g_inv = inverse_letters(g)
         for h in letters:
-            if h == inverse_letters(g):
+            if h == g_inv:
                 continue  # h = g^-1: not an adjacent pair in a reduced t-word
             c = cancel(g, h)
             max_cancel = max(max_cancel, c)

@@ -170,6 +170,32 @@ class TestGoldenIndex10752:
         assert out == Overflow(cap, live)
 
 
+class TestHltOutcomes:
+    """Outcomes of 200 seeded small presentations at caps 30 and 300, pinned
+    by tests/fixtures/make_hlt_outcomes.py: the live count of each overflow
+    and the digest of each complete table follow HLT's definition and
+    coincidence order, which a change in bookkeeping must keep."""
+
+    def test_fixture_outcomes(self):
+        cases = json.loads((Path(__file__).parent / "fixtures" / "hlt_outcomes.json").read_text())
+        assert len(cases) == 200
+        mismatches = []
+        for n, case in enumerate(cases):
+            alpha = alphabet(" ".join("abc"[:case["generators"]]))
+            rels = [Word(alpha, r) for r in case["relators"]]
+            subgroup = [Word(alpha, s) for s in case["subgroup"]]
+            for expected in case["outcomes"]:
+                out = todd_coxeter(alpha, rels, subgroup, expected["cap"])
+                if isinstance(out, Overflow):
+                    got = {"cap": out.max_cosets, "overflow": out.live_cosets}
+                else:
+                    digest = hashlib.sha256(json.dumps([out.table, out.reps]).encode()).hexdigest()
+                    got = {"cap": expected["cap"], "index": out.index, "sha256": digest}
+                if got != expected:
+                    mismatches.append((n, expected, got))
+        assert not mismatches
+
+
 @st.composite
 def _small_presentations(draw):
     alpha = draw(st.sampled_from([alphabet("a"), alphabet("a b"), alphabet("a b c")]))

@@ -119,11 +119,15 @@ class TestBuildTp:
         assert digest(hnn.assoc_abstract) == "bc87a1c3fde0f1df"
         assert digest(hnn.assoc_concrete) == "2b756ef055156808"
 
-    @pytest.mark.parametrize("gens, rels", [("z", []), ("y z", ["y z y^-1 z^-1"]), ("y z", ["y^3", "z y z^-1 y"])])
+    @pytest.mark.parametrize("gens, rels", [("z", []), ("y z", ["y z y^-1 z^-1"]), ("y z", ["y^3", "z y z^-1 y"]),
+                                            ("y z", ["y z^2"]), ("y z", ["y^2 z^4"])])
     def test_visibly_infinite_skips_enumeration(self, monkeypatch, gens, rels):
-        # a generator with exponent sum zero in every padded relator (z in
-        # <x, z | x>, y and z in <y, z | [y, z]>, z in <y, z | y^3, z y z^-1 y>)
-        # maps the quotient onto Z, so the truncated kernel comes at once
+        # an exponent-sum matrix of the padded relators with rank below the
+        # number of generators maps the quotient onto Z, so the truncated
+        # kernel comes at once: with a zero column (z in <x, z | x>, y and z
+        # in <y, z | [y, z]>, z in <y, z | y^3, z y z^-1 y>) or without one
+        # (the inputs <y, z | y z^2> and <y, z | y^2 z^4> have rank 1 in two
+        # generators)
         def never(*args, **kwargs):
             raise AssertionError("todd_coxeter called on a visibly infinite quotient")
 
@@ -134,6 +138,16 @@ class TestBuildTp:
     def test_finite_quotient_still_enumerates(self):
         assert not hnnforge._maps_onto_z(hat_presentation(pres("z", ["z^2"]), "pq").presentation)
         assert not hnnforge._maps_onto_z(hat_presentation(pres("y z", ["y^2", "z^3", "(y z)^2"]), "minimal").presentation)
+
+    @pytest.mark.parametrize("gens, rels, onto_z", [
+        ("y z", ["y z", "y z^-1"], False),  # Z/2, determinant -2
+        ("y z", ["y z^2", "y^2 z^4"], True),  # second row twice the first
+        ("x y z", ["x y", "y z", "x z^-1"], True),  # third row: first minus second
+        ("x y z", ["x y", "y z", "x z"], False),  # determinant 2
+        ("y z", [], True),
+    ])
+    def test_exponent_sum_rank(self, gens, rels, onto_z):
+        assert hnnforge._maps_onto_z(pres(gens, rels)) is onto_z
 
     def test_britton_refuses_truncated(self):
         hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal")
