@@ -18,7 +18,9 @@ count of an overflow.  A dead coset's row is cleared when its
 coincidence is processed, but the row itself is not reclaimed.  At the end
 the live cosets are renumbered by BFS from the subgroup coset straight
 from the columns, which also gives the Schreier transversal, and the
-result is a list-of-rows :class:`CosetTable`.
+result is a list-of-rows :class:`CosetTable`.  The columns are in the
+order of the letter code (:mod:`malkit.words`), so a word is traced by
+indexing rows with its code.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import Alphabet, Word, inverse_letters, signed_letters
+from .words import Alphabet, Word, decode_letters, invert_code
 
 DEFAULT_MAX_COSETS = 10 ** 5
 _BLOCK = 1024  # coset rows are allocated this many at a time
@@ -43,41 +45,44 @@ class Overflow:
     live_cosets: int
 
 
-def _code(letter: int) -> int:
-    # the column of a letter: its position in signed_letters order
-    return 2 * (letter - 1) if letter > 0 else -2 * letter - 1
-
-
 class CosetTable:
     """Complete coset table with a Schreier transversal.
 
     Cosets are numbered 0..n-1 internally with 0 the subgroup coset;
-    public coset ids are 1-based (1 = trivial/subgroup coset)."""
+    public coset ids are 1-based (1 = trivial/subgroup coset).
+    ``table[v][c]`` is the coset reached from v by the letter of code c, and
+    ``rep_codes[v]`` the code of coset v's representative."""
 
     def __init__(self, alpha: Alphabet, relators: Sequence[Word], subgroup: Sequence[Word],
-                 table: list[list[int]], reps: list[tuple[int, ...]]):
+                 table: list[list[int]], rep_codes: list[str]):
         self.alphabet = alpha
         self.relators = tuple(relators)
         self.subgroup = tuple(subgroup)
         self.table = table
-        self.reps = reps
+        self.rep_codes = rep_codes
 
     @property
     def index(self) -> int:
         return len(self.table)
 
-    def trace(self, letters: Sequence[int], start: int = 0) -> int:
+    @property
+    def reps(self) -> list[tuple[int, ...]]:
+        """The representatives as signed-letter tuples, decoded."""
+        return [decode_letters(code) for code in self.rep_codes]
+
+    def trace(self, code: str, start: int = 0) -> int:
+        """The coset reached from ``start`` by a word's code."""
         v = start
         tbl = self.table
-        for x in letters:
-            v = tbl[v][2 * (x - 1) if x > 0 else -2 * x - 1]
+        for c in map(ord, code):
+            v = tbl[v][c]
         return v
 
     def image_in_quotient(self, w: Word) -> int:
         """1-based coset id of the image of w; 1 means trivial image."""
         if w.alphabet != self.alphabet:
             raise CosetEnumError("word over a different alphabet")
-        return self.trace(w.letters) + 1
+        return self.trace(w.code) + 1
 
     def kernel_generators(self) -> list[Word]:
         """Schreier generators rep(c) g rep(cg)^-1 of the preimage of the
@@ -88,18 +93,20 @@ class CosetTable:
         exactly on tree edges, so the words are freely reduced as spelled
         and pairwise distinct.  Each is traced through the table, which
         must take coset 0 back to itself."""
-        tbl, reps = self.table, self.reps
+        tbl, reps = self.table, self.rep_codes
+        units = [(2 * gen, chr(2 * gen), chr(2 * gen + 1)) for gen in range(len(self.alphabet))]
         gens: list[Word] = []
         for c, rep_c in enumerate(reps):
-            for gen in range(len(self.alphabet)):
-                rep_t = reps[tbl[c][2 * gen]]
-                if rep_t == rep_c + (gen + 1,) or rep_c == rep_t + (-gen - 1,):
+            for col, unit, inv_unit in units:
+                rep_t = reps[tbl[c][col]]
+                if rep_t == rep_c + unit or rep_c == rep_t + inv_unit:
                     continue
-                letters = rep_c + (gen + 1,) + inverse_letters(rep_t)
-                v = self.trace(letters)
+                code = rep_c + unit + invert_code(rep_t)
+                v = self.trace(code)
                 if v != 0:
-                    raise CosetEnumError(f"internal: Schreier generator {letters} maps to coset {v + 1}")
-                gens.append(Word(self.alphabet, letters, reduced=True))
+                    raise CosetEnumError(
+                        f"internal: Schreier generator {decode_letters(code)} maps to coset {v + 1}")
+                gens.append(Word.from_code(self.alphabet, code))
         return gens
 
 
@@ -210,8 +217,8 @@ def todd_coxeter(
     def columns(words: Sequence[Word]) -> list[tuple[list[list[int]], list[list[int]]]]:
         out = []
         for w in words:
-            if w.letters:
-                codes = [_code(x) for x in w.letters]
+            if w.code:
+                codes = list(map(ord, w.code))
                 out.append(([cols[c] for c in codes], [inv_cols[c] for c in codes]))
         return out
 
@@ -247,22 +254,23 @@ def todd_coxeter(
 
 def _standardize(alpha, relators, subgroup_gens, cols, p) -> CosetTable:
     """Number the live cosets in BFS order from coset 0, columns in code
-    order, and record each coset's BFS-tree word as its representative."""
-    letters = list(signed_letters(len(alpha)))
+    order, and record the code of each coset's BFS-tree word as its
+    representative."""
+    units = [chr(c) for c in range(len(cols))]
     number = [-1] * len(p)
     number[0] = 0
     order = [0]
-    reps: list[tuple[int, ...]] = [()]
+    reps: list[str] = [""]
     for v in order:
         rep_v = reps[number[v]]
-        for col, letter in zip(cols, letters):
+        for col, unit in zip(cols, units):
             w = col[v]
             if w < 0 or p[w] != w:
                 raise CosetEnumError("internal: incomplete table after enumeration")
             if number[w] < 0:
                 number[w] = len(order)
                 order.append(w)
-                reps.append(rep_v + (letter,))
+                reps.append(rep_v + unit)
     # each column renumbered by its own iterator and zipped into rows, so no
     # renumbered column is held whole
     renumbered = (map(number.__getitem__, map(col.__getitem__, order)) for col in cols)

@@ -11,6 +11,7 @@ letter conjugating the kernel subgroup by the chosen base automorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cosetenum import (
@@ -27,10 +28,11 @@ from .words import (
     EndomorphismSpec,
     Word,
     apply_endo,
+    code_product,
     endo,
     endo_power,
+    images_by_unit,
     reduced_words,
-    substitute,
     word,
 )
 
@@ -136,10 +138,14 @@ class HnnPresentation:
     def m_word(self, name: str) -> Word:
         return self.m_gens[self.hat.slots[name]]
 
+    @cached_property
+    def _m_images(self) -> dict[str, str]:
+        return images_by_unit([self.m_word(name).code for name in self.hat_alphabet.names])
+
     def substitute(self, abstract: Word) -> Word:
         """Spell a hat-alphabet word through the concrete family words."""
-        images = [self.m_word(name).letters for name in self.hat_alphabet.names]
-        return Word(self.base_alphabet, substitute(images, abstract.letters), reduced=True)
+        images = self._m_images
+        return Word.from_code(self.base_alphabet, code_product(map(images.__getitem__, abstract.code)))
 
     def hnn_relator_texts(self) -> list[str]:
         t = self.stable
@@ -262,11 +268,12 @@ def _truncated_kernel(hat: HatPresentation, depth: int) -> tuple[Word, ...]:
     seen = set()
     conjugators = [()] + list(reduced_words(len(alpha), depth))
     for g in conjugators:
+        gw = Word(alpha, g, reduced=True)
         for r in hat.presentation.relators:
-            lets = substitute((g, r.letters), (-1, 2, 1))
-            if lets and lets not in seen:
-                seen.add(lets)
-                out.append(Word(alpha, lets, reduced=True))
+            conj = gw.inverse() * r * gw
+            if conj and conj.code not in seen:
+                seen.add(conj.code)
+                out.append(conj)
     return tuple(out)
 
 
@@ -450,7 +457,7 @@ class _KMembership:
         return dehn_reduce(self.rs, h)
 
     def in_k(self, h: Word) -> bool:
-        cached = self._k_memo.get(h.letters)
+        cached = self._k_memo.get(h.code)
         if cached is not None:
             return cached
         hn = self.normalise(h)
@@ -458,14 +465,14 @@ class _KMembership:
         verdict = abstract is not None and self.H.table.image_in_quotient(abstract) == 1
         if verdict != self.k_graph.contains(hn):
             raise HnnError(f"internal: the two membership checks disagree on {h}")
-        self._k_memo[h.letters] = verdict
+        self._k_memo[h.code] = verdict
         return verdict
 
     def in_phi_k(self, h: Word) -> bool:
-        cached = self._phi_k_memo.get(h.letters)
+        cached = self._phi_k_memo.get(h.code)
         if cached is None:
             cached = self.in_k(apply_endo(self.phi_inv, h))
-            self._phi_k_memo[h.letters] = cached
+            self._phi_k_memo[h.code] = cached
         return cached
 
     def abstract_image(self, hn: Word) -> Optional[Word]:

@@ -39,12 +39,12 @@ from .words import (
     Word,
     alphabet,
     apply_endo,
-    encode_letters,
+    code_product,
     endo,
+    images_by_unit,
     positive_subsemigroup_member,
     proper_power,
     signed_letters,
-    substitute,
     word,
 )
 
@@ -160,7 +160,7 @@ def malcharlem_hypotheses(alpha: Alphabet, s: Sequence[Word]) -> HypothesesVerdi
     graph has every circuit carrying an a^3-run and a b^3-run."""
     if len(alpha) != 2:
         raise MalcharError("the decision procedure lives in rank two")
-    if len(set(w.letters for w in s)) != len(s):
+    if len(set(w.code for w in s)) != len(s):
         return HypothesesVerdict(False, "generators not pairwise distinct")
     blocks = [word(alpha, t) for t in ("a^2", "a^3", "b^2", "b^3")]
     for v in s:
@@ -318,8 +318,9 @@ def rank_n_family(
         if not verdict.malnormal:
             last_reason = "factors not malnormal in the block group"
             continue
-        images = [w.letters for w in seed.pair]
-        concrete = [Word(seed.alphabet, substitute(images, aw.letters), reduced=True) for aw in abstract]
+        images = images_by_unit([w.code for w in seed.pair])
+        concrete = [Word.from_code(seed.alphabet, code_product(map(images.__getitem__, aw.code)))
+                    for aw in abstract]
         checks = {
             "rank": n,
             "malnormal_in_blocks": True,
@@ -436,11 +437,11 @@ def _scan_forbidden(alpha: Alphabet, words: Sequence[Word]) -> list[tuple[str, s
     cyclically when the word is cyclically reduced.  A cyclic factor is no
     longer than the word, so it lies in the code followed by at most the
     pattern's length minus one of its first letters."""
-    patterns = [(t, encode_letters(word(alpha, t).letters)) for t in FORBIDDEN_FACTOR_TEXTS]
+    patterns = [(t, word(alpha, t).code) for t in FORBIDDEN_FACTOR_TEXTS]
     wrap = max(len(pat) for _, pat in patterns) - 1
     hits = []
     for v in words:
-        code = encode_letters(v.letters)
+        code = v.code
         m = len(code)
         if v.is_cyclically_reduced():
             code += code[:wrap]

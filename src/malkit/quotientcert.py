@@ -24,12 +24,9 @@ from .words import (
     Word,
     code_product,
     cyclic_reduce,
-    encode_letters,
     invert_code,
-    inverse_letters,
     proper_power,
     reduced_words,
-    substitute,
 )
 
 
@@ -243,21 +240,20 @@ def check_family_cyclically_reduced(
     if base.alphabet != alpha or any(w.alphabet != alpha for w in t):
         raise CertificateError("relator set or t-word over a different alphabet")
 
-    # each t-word is spelled on the byte code from the encoded images; only
-    # a failing word is spelled again as a Word, for the witness
-    codes: dict[int, bytes] = {}
+    # each t-word is spelled as a code from the codes of the images; only a
+    # failing word becomes a Word, for the witness
+    codes: dict[int, str] = {}
     for k, w in enumerate(t, 1):
-        codes[k] = encode_letters(w.letters)
-        codes[-k] = invert_code(codes[k])
+        codes[k] = w.code
+        codes[-k] = invert_code(w.code)
     checked = 0
     for expr in reduced_words(len(t), syllable_bound):
         code = code_product([codes[x] for x in expr])
         checked += 1
         if not code or not is_cyclically_dehn_reduced(base, code):
-            witness = Word(alpha, substitute([w.letters for w in t], expr), reduced=True)
             return FamilyVerdict(
                 False, False, syllable_bound,
-                caveat=None, witness=witness, checked_words=checked,
+                caveat=None, witness=Word.from_code(alpha, code), checked_words=checked,
             )
 
     unconditional = _block_criterion(base, t) if r else True
@@ -275,22 +271,18 @@ def _block_criterion(base: RelatorSet, t: Sequence[Word]) -> bool:
         return True
     letters = []
     for w in t:
-        letters.append(w.letters)
-        letters.append(inverse_letters(w.letters))
+        letters.append(w.code)
+        letters.append(invert_code(w.code))
 
     def cancel(g, h):
         # letters cancelled between g and h in the product g*h
-        n = min(len(g), len(h))
-        i = 0
-        while i < n and g[len(g) - 1 - i] == -h[i]:
-            i += 1
-        return i
+        return (len(g) + len(h) - len(code_product((g, h)))) // 2
 
     max_cancel = 0
     left = {g: 0 for g in letters}
     right = {g: 0 for g in letters}
     for g in letters:
-        g_inv = inverse_letters(g)
+        g_inv = invert_code(g)
         for h in letters:
             if h == g_inv:
                 continue  # h = g^-1: not an adjacent pair in a reduced t-word
@@ -367,10 +359,10 @@ def free_conjugator(u: Word, v: Word) -> Optional[Word]:
         return None
     if not core_u:
         return Word(u.alphabet, ())
-    lu = core_u.letters
-    for d in range(len(lu)):
-        if lu[d:] + lu[:d] == core_v.letters:
-            p = Word(u.alphabet, lu[:d], reduced=True)
+    cu = core_u.code
+    for d in range(len(cu)):
+        if cu[d:] + cu[:d] == core_v.code:
+            p = Word.from_code(u.alphabet, cu[:d])
             w = conj_u.inverse() * p * conj_v
             if w.inverse() * u * w != v:
                 raise CertificateError(f"internal: {w} does not conjugate {u} to {v}")

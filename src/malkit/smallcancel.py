@@ -4,47 +4,55 @@ Dehn's algorithm.
 Pieces are common initial segments of two distinct elements of the
 symmetrised closure (the closure is a *set*: coinciding shifts of a proper
 power are one element).  All metric comparisons use exact rational
-arithmetic.
+arithmetic.  Dehn's algorithm works on the letter code of words
+(:mod:`malkit.words`): its scans are ``str`` searches.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .words import (
-    MAX_GENERATORS,
+    UNIT_INVERSE,
     Alphabet,
     EndomorphismSpec,
     Word,
     apply_endo,
+    code_product,
+    core_bounds,
     cyclic_reduce,
-    encode_letters,
-    inverse_letters,
+    decode_letters,
+    invert_code,
     signed_letters,
-    substitute,
 )
+
+# the alphabets small cancellation is tested and benchmarked on: up to
+# here every code unit is one byte of a CPython string
+MAX_GENERATORS = 128
 
 
 class SmallCancelError(ValueError):
     pass
 
 
-def _rotations(letters: tuple[int, ...]):
-    n = len(letters)
-    for i in range(n):
-        yield letters[i:] + letters[:i]
+def _rotations(code: str) -> list[str]:
+    return [code[i:] + code[:i] for i in range(len(code))]
 
 
 class RelatorSet:
     """A finite relator list with its symmetrised closure and piece table.
 
-    ``shift_class_pair`` is the first pair (i, j), i < j, of relator
-    indices whose cores share a symmetrised element - are rotations of one
-    another up to inversion - or None.  Set-valued symmetrisation merges
-    such a pair, hiding the whole-relator pieces it creates."""
+    The closure is kept as codes in letter order: the order of their
+    letter tuples, -n < ... < -1 < 1 < ... < n letter by letter, which
+    ``_rank`` translates a code into.  ``shift_class_pair`` is the first
+    pair (i, j), i < j, of relator indices whose cores share a symmetrised
+    element - are rotations of one another up to inversion - or None.
+    Set-valued symmetrisation merges such a pair, hiding the whole-relator
+    pieces it creates."""
 
     def __init__(self, alpha: Alphabet, relators: Sequence[Word]):
         if len(alpha) > MAX_GENERATORS:
@@ -60,22 +68,35 @@ class RelatorSet:
                 raise SmallCancelError("trivial relator")
             cores.append(core)
         self.relators = tuple(cores)
-        # each symmetrised element -> the first relator index producing it
-        first: dict[tuple[int, ...], int] = {}
+        # each symmetrised element's code -> the first relator index producing it
+        first: dict[str, int] = {}
         self.shift_class_pair: Optional[tuple[int, int]] = None
         for j, r in enumerate(self.relators):
-            for base in (r.letters, inverse_letters(r.letters)):
+            for base in (r.code, invert_code(r.code)):
                 for rot in _rotations(base):
                     i = first.setdefault(rot, j)
                     if i != j and self.shift_class_pair is None:
                         self.shift_class_pair = (i, j)
-        self.symmetrised: tuple[tuple[int, ...], ...] = tuple(sorted(first))
+        n = len(alpha)
+        letters = list(signed_letters(n))
+        self._rank = {c: r for r, c in enumerate(sorted(range(2 * n), key=letters.__getitem__))}
+        self._codes: tuple[str, ...] = tuple(sorted(first, key=self._letter_order))
+        # a code point outside the alphabet's codes 0 .. 2n-1
+        self._foreign = re.compile(f"[^{re.escape(chr(0))}-{re.escape(chr(2 * n - 1))}]" if n else "(?s:.)")
         self._pieces: Optional[PieceTable] = None
         self._dehn_patterns = None
         self._admissible = None
 
     def __len__(self):
         return len(self.relators)
+
+    def _letter_order(self, code: str) -> str:
+        return code.translate(self._rank)
+
+    @cached_property
+    def symmetrised(self) -> tuple[tuple[int, ...], ...]:
+        """The symmetrised closure as letter tuples, in order."""
+        return tuple(map(decode_letters, self._codes))
 
     def pieces(self) -> "PieceTable":
         if self._pieces is None:
@@ -85,18 +106,19 @@ class RelatorSet:
     # -- Dehn machinery ------------------------------------------------------
     def _patterns(self):
         """Minimal Dehn violations: for each symmetrised element of length L,
-        its cyclic subwords of length L//2+1.  Stored as byte strings so
-        scanning uses C-speed substring search; each pattern keeps its
-        occurrences (element, offset) for the replacement step."""
+        its cyclic subwords of length L//2+1, as codes, so that scanning is
+        a ``str`` search.  Each pattern keeps its occurrences (element
+        index, offset) for the replacement step; an element is read from
+        its doubled code, also returned."""
         if self._dehn_patterns is None:
-            occ: dict[bytes, list[tuple[tuple[int, ...], int]]] = {}
-            for w in self.symmetrised:
-                L = len(w)
+            occ: dict[str, list[tuple[int, int]]] = {}
+            doubled = [code * 2 for code in self._codes]
+            for e, code in enumerate(self._codes):
+                L = len(code)
                 h = L // 2 + 1
-                doubled = encode_letters(w + w)
                 for p in range(L):
-                    occ.setdefault(doubled[p:p + h], []).append((w, p))
-            self._dehn_patterns = (sorted(occ), occ)
+                    occ.setdefault(doubled[e][p:p + h], []).append((e, p))
+            self._dehn_patterns = (sorted(occ), occ, doubled)
         return self._dehn_patterns
 
     def dehn_admissible(self) -> tuple[bool, Optional[str]]:
@@ -122,7 +144,7 @@ class PieceTable:
     max_piece_per_relator: list[int]
     max_piece_words: list[Optional[Word]]
     maximal_pieces: list[Word]
-    prefix_piece_len: dict[tuple[int, ...], int]
+    prefix_piece_len: dict[str, int]  # by the code of a symmetrised element
     # per relator, the piece-prefix length of every rotation of the relator
     # and of its inverse
     rotation_jumps: list[list[list[int]]]
@@ -139,7 +161,7 @@ class PieceTable:
         ]
 
 
-def _lcp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+def _lcp(a: str, b: str) -> int:
     n = min(len(a), len(b))
     i = 0
     while i < n and a[i] == b[i]:
@@ -154,9 +176,9 @@ def compute_pieces(rs: RelatorSet) -> PieceTable:
     distinct element is attained at an adjacent element, so one pass gives,
     for every symmetrised element, the longest piece that is a prefix of it.
     """
-    elems = rs.symmetrised
+    elems = rs._codes
     n = len(elems)
-    prefix_len: dict[tuple[int, ...], int] = {}
+    prefix_len: dict[str, int] = {}
     lcp_next = [0] * n
     for i in range(n - 1):
         lcp_next[i] = _lcp(elems[i], elems[i + 1])
@@ -172,25 +194,23 @@ def compute_pieces(rs: RelatorSet) -> PieceTable:
         best = 0
         best_w: Optional[Word] = None
         rel_jumps = []
-        for base in (r.letters, inverse_letters(r.letters)):
-            rots = list(_rotations(base))
+        for base in (r.code, invert_code(r.code)):
+            rots = _rotations(base)
             jump = [prefix_len[rot] for rot in rots]
             rel_jumps.append(jump)
             for pl, rot in zip(jump, rots):
                 if pl > best:
                     best = pl
-                    best_w = Word(rs.alphabet, rot[:pl], reduced=True)
+                    best_w = Word.from_code(rs.alphabet, rot[:pl])
         max_per_rel.append(best)
         max_word.append(best_w)
         jumps.append(rel_jumps)
 
-    maximal = sorted(
-        {elems[i][: prefix_len[elems[i]]] for i in range(n) if prefix_len[elems[i]] > 0}
-    )
+    maximal = sorted({e[:prefix_len[e]] for e in elems if prefix_len[e] > 0}, key=rs._letter_order)
     return PieceTable(
         max_piece_per_relator=max_per_rel,
         max_piece_words=max_word,
-        maximal_pieces=[Word(rs.alphabet, t, reduced=True) for t in maximal],
+        maximal_pieces=[Word.from_code(rs.alphabet, code) for code in maximal],
         prefix_piece_len=prefix_len,
         rotation_jumps=jumps,
     )
@@ -290,35 +310,34 @@ def check_T(rs: RelatorSet, q: int) -> TVerdict:
         raise SmallCancelError("only T(3) and T(4) are implemented")
     # group elements by (first, last) letter; three exemplars per class are
     # enough to decide the non-inverse side conditions
-    classes: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for w in rs.symmetrised:
+    classes: dict[tuple[str, str], list[str]] = {}
+    for w in rs._codes:
         key = (w[0], w[-1])
         lst = classes.setdefault(key, [])
         if len(lst) < 3:
             lst.append(w)
-    letters = tuple(signed_letters(len(rs.alphabet)))
-    for a in letters:
-        for b in letters:
-            e1 = classes.get((a, -b))
+    units = [chr(c) for c in range(2 * len(rs.alphabet))]  # signed-letter order
+    inverse = UNIT_INVERSE
+    for a in units:
+        for b in units:
+            e1 = classes.get((a, inverse[b]))
             if not e1:
                 continue
-            for c in letters:
-                e2 = classes.get((b, -c))
+            for c in units:
+                e2 = classes.get((b, inverse[c]))
                 if not e2:
                     continue
-                e3 = classes.get((c, -a))
+                e3 = classes.get((c, inverse[a]))
                 if not e3:
                     continue
                 for r1 in e1:
                     for r2 in e2:
-                        if r2 == inverse_letters(r1):
+                        if r2 == invert_code(r1):
                             continue
                         for r3 in e3:
-                            if r3 == inverse_letters(r2) or r1 == inverse_letters(r3):
+                            if r3 == invert_code(r2) or r1 == invert_code(r3):
                                 continue
-                            triple = tuple(
-                                Word(rs.alphabet, t, reduced=True) for t in (r1, r2, r3)
-                            )
+                            triple = tuple(Word.from_code(rs.alphabet, t) for t in (r1, r2, r3))
                             return TVerdict(False, q, triple=triple)
     return TVerdict(True, q)
 
@@ -330,18 +349,18 @@ def _check_alphabet(rs: RelatorSet, w: Word) -> None:
         raise SmallCancelError("word over a different alphabet")
 
 
-def _find_violation(rs: RelatorSet, letters: tuple[int, ...], start: int = 0):
-    """Leftmost position carrying a subword W of some symmetrised relator R
-    with |W| > |R|/2; returns (pos, matched length, element, offset).  At
-    the leftmost position the match is extended maximally; ties go to the
-    least (element, offset)."""
-    pattern_list, occ = rs._patterns()
-    wb = encode_letters(letters)
-    n = len(letters)
+def _find_violation(rs: RelatorSet, code: str, start: int = 0):
+    """Leftmost position at or after ``start`` carrying a subword W of some
+    symmetrised relator R with |W| > |R|/2; returns (pos, matched length,
+    element index, offset).  At the leftmost position the match is
+    extended maximally; ties go to the least (element, offset), elements
+    in letter order."""
+    pattern_list, occ, doubled = rs._patterns()
+    n = len(code)
     # leftmost hit over all patterns (C substring search per pattern)
     leftmost = None
     for pb in pattern_list:
-        pos = wb.find(pb, start)
+        pos = code.find(pb, start)
         if pos != -1 and (leftmost is None or pos < leftmost):
             leftmost = pos
             if leftmost == start:
@@ -352,15 +371,15 @@ def _find_violation(rs: RelatorSet, letters: tuple[int, ...], start: int = 0):
     best = None
     for pb in pattern_list:
         h = len(pb)
-        if wb[i:i + h] != pb:
+        if not code.startswith(pb, i):
             continue
-        for (elem, off) in occ[pb]:
-            L = len(elem)
-            doubled = elem + elem
+        for (e, off) in occ[pb]:
+            d = doubled[e]
+            L = len(d) // 2
             ln = h
-            while ln < L and i + ln < n and letters[i + ln] == doubled[off + ln]:
+            while ln < L and i + ln < n and code[i + ln] == d[off + ln]:
                 ln += 1
-            cand = (-ln, elem, off)
+            cand = (-ln, e, off)
             if best is None or cand < best:
                 best = cand
     return (i, -best[0], best[1], best[2])
@@ -368,33 +387,46 @@ def _find_violation(rs: RelatorSet, letters: tuple[int, ...], start: int = 0):
 
 def dehn_reduce(rs: RelatorSet, w: Word) -> Word:
     """Replace any subword longer than half a relator by the inverse of the
-    complement, leftmost-longest first, until no such subword remains."""
+    complement, leftmost-longest first, until no such subword remains.
+
+    Before a splice at position i no violation starts left of i, and the
+    splice leaves all but the last c letters before i alone, where c is
+    at most the number of letters it cancelled.  A violation wholly inside
+    the untouched part would have been found, so the next scan starts the
+    longest pattern's length before it."""
     _check_alphabet(rs, w)
-    letters = w.letters
+    pattern_list, _, doubled = rs._patterns()
+    longest = max(map(len, pattern_list), default=0)
+    code, start = w.code, 0
     while True:
-        hit = _find_violation(rs, letters)
+        hit = _find_violation(rs, code, start)
         if hit is None:
-            return Word(rs.alphabet, letters, reduced=True)
-        i, ln, elem, off = hit
-        rotated = elem[off:] + elem[:off]
-        letters = substitute((letters[:i], rotated[ln:], letters[i + ln:]), (1, -2, 3))
+            return Word.from_code(rs.alphabet, code)
+        i, ln, e, off = hit
+        d = doubled[e]
+        complement = invert_code(d[off + ln:off + len(d) // 2])
+        spliced = code_product((code[:i], complement, code[i + ln:]))
+        cancelled = (len(code) - ln + len(complement) - len(spliced)) // 2
+        start = max(0, i - cancelled - longest + 1)
+        code = spliced
 
 
 def is_dehn_reduced(rs: RelatorSet, w: Word) -> bool:
     _check_alphabet(rs, w)
-    return w.is_reduced() and _find_violation(rs, w.letters) is None
+    return w.is_reduced() and _find_violation(rs, w.code) is None
 
 
-def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word | bytes) -> bool:
+def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word | str) -> bool:
     """Every free reduction of every cyclic shift of w is nonempty and
     Dehn reduced over the symmetrised set.
 
-    ``w`` is a :class:`Word`, alphabet-checked and encoded here, or the byte
-    code of a freely reduced word over ``rs.alphabet``.  The byte form is a
-    trusted entry point for internal callers such as the family check, whose
-    words are spelled from encoded images: a code has no alphabet, so only
-    its range is checked (a byte at or above ``2 * len(rs.alphabet)`` raises
-    :class:`SmallCancelError`), and free reduction is the caller's to keep.
+    ``w`` is a :class:`Word`, alphabet-checked here, or the code of a
+    freely reduced word over ``rs.alphabet``.  The code form is a trusted
+    entry point for internal callers such as the family check, whose words
+    are spelled from the codes of images: a code has no alphabet, so only
+    its range is checked (a code point at or above ``2 * len(rs.alphabet)``
+    raises :class:`SmallCancelError`), and free reduction is the caller's
+    to keep.
 
     For w = A^-1 M A with M the cyclic core, the shift reductions are
     exactly the rotations of M together with the nested conjugates
@@ -404,18 +436,15 @@ def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word | bytes) -> bool:
     code ``^ 1``."""
     if isinstance(w, Word):
         _check_alphabet(rs, w)
-        w = encode_letters(w.letters)
-    elif w and max(w) >= 2 * len(rs.alphabet):
-        raise SmallCancelError("byte code outside the relator set's alphabet")
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == w[j - 1] ^ 1:
-        i += 1
-        j -= 1
+        w = w.code
+    elif rs._foreign.search(w):
+        raise SmallCancelError("code outside the relator set's alphabet")
+    i, j = core_bounds(w)
     m = j - i
     if not m:
         return False
     doubled = w[i:j] * 2
-    pattern_list, _ = rs._patterns()
+    pattern_list = rs._patterns()[0]
     for pb in pattern_list:
         if pb in w or (len(pb) <= m and pb in doubled):
             return False

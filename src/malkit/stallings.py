@@ -20,7 +20,19 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .words import Alphabet, Word, free_reduce_letters, inverse_letters, signed_letters, substitute
+from .words import (
+    UNIT_INVERSE,
+    UNIT_LETTER,
+    Alphabet,
+    Word,
+    code_product,
+    decode_letters,
+    free_reduce_letters,
+    images_by_unit,
+    invert_code,
+    inverse_letters,
+    signed_letters,
+)
 
 
 class StallingsError(ValueError):
@@ -36,7 +48,8 @@ class SubgroupGraph:
 
     Vertices are 0..n-1 in canonical (BFS from basepoint, label-ordered)
     numbering; the basepoint is vertex 0.  ``out[v]`` maps signed letters
-    to target vertices.
+    to target vertices; words are read through the dense :meth:`table`,
+    whose columns are the letter code.
     """
 
     __slots__ = ("alphabet", "out", "_table", "_tree_parent", "_canon")
@@ -62,24 +75,23 @@ class SubgroupGraph:
 
     # -- reading -------------------------------------------------------------
     def table(self) -> list[list[int]]:
-        """Dense transition table: table[v][code] = target or -1, where
-        code = 2*(gen) for a positive letter and 2*gen+1 for its inverse."""
+        """Dense transition table: table[v][c] = target or -1, where c is the
+        position of the letter in signed_letters order - its code."""
         if self._table is None:
-            n = len(self.alphabet)
-            tbl = [[-1] * (2 * n) for _ in range(self.num_vertices)]
-            for v, d in enumerate(self.out):
+            column = {s: c for c, s in enumerate(signed_letters(len(self.alphabet)))}
+            tbl = [[-1] * len(column) for _ in self.out]
+            for row, d in zip(tbl, self.out):
                 for s, w in d.items():
-                    code = 2 * (abs(s) - 1) + (0 if s > 0 else 1)
-                    tbl[v][code] = w
+                    row[column[s]] = w
             self._table = tbl
         return self._table
 
-    def read(self, letters: Sequence[int], start: int = 0) -> int:
-        """Trace a signed-letter sequence; return final vertex or -1."""
+    def read(self, code: str, start: int = 0) -> int:
+        """Trace a word's code; return the final vertex or -1."""
         tbl = self.table()
         v = start
-        for x in letters:
-            v = tbl[v][2 * (x - 1) if x > 0 else -2 * x - 1]
+        for c in map(ord, code):
+            v = tbl[v][c]
             if v < 0:
                 return -1
         return v
@@ -88,7 +100,7 @@ class SubgroupGraph:
         """Membership of ``w`` in the subgroup: does w read as a basepoint loop?"""
         if w.alphabet is not self.alphabet and w.alphabet != self.alphabet:
             raise StallingsError("alphabet mismatch")
-        return self.read(w.letters) == 0
+        return self.read(w.code) == 0
 
     # -- spanning tree -------------------------------------------------------
     def tree_parent(self):
@@ -136,11 +148,12 @@ class SubgroupGraph:
 # -- folding -----------------------------------------------------------------
 
 class _Folder:
-    """Union-find folding of a labeled graph under construction."""
+    """Union-find folding of a labeled graph under construction; edges are
+    labeled by code units."""
 
     def __init__(self):
         self.parent: list[int] = []
-        self.adj: list[Optional[dict[int, int]]] = []
+        self.adj: list[Optional[dict[str, int]]] = []
 
     def new_vertex(self) -> int:
         v = len(self.parent)
@@ -174,7 +187,7 @@ class _Folder:
                 else:
                     da[s] = t
 
-    def add_edge(self, u: int, s: int, v: int):
+    def add_edge(self, u: int, s: str, v: int):
         """Insert edge u --s--> v, folding as necessary."""
         u, v = self.find(u), self.find(v)
         du = self.adj[u]
@@ -183,13 +196,14 @@ class _Folder:
             if self.find(t) != v:
                 self._merge(t, v)
             return
-        r = self.adj[v].get(-s)
+        s_inv = UNIT_INVERSE[s]
+        r = self.adj[v].get(s_inv)
         if r is not None:
             if self.find(r) != u:
                 self._merge(r, u)
             return
         du[s] = v
-        self.adj[v][-s] = u
+        self.adj[v][s_inv] = u
 
 
 def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
@@ -209,18 +223,19 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
     f = _Folder()
     bp = f.new_vertex()
     adj, parent, find = f.adj, f.parent, f.find
+    inverse = UNIT_INVERSE
     for g in gens:
-        lets = g.letters
-        i, j = 0, len(lets) - 1
+        code = g.code
+        i, j = 0, len(code) - 1
         v = u = find(bp)
         while i <= j:
-            t = adj[v].get(lets[i])
+            t = adj[v].get(code[i])
             if t is None:
                 break
             v = t if parent[t] == t else find(t)
             i += 1
         while j >= i:
-            t = adj[u].get(-lets[j])
+            t = adj[u].get(inverse[code[j]])
             if t is None:
                 break
             u = t if parent[t] == t else find(t)
@@ -229,11 +244,11 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
             if v != u:
                 f._merge(v, u)
             continue
-        for s in lets[i:j]:
+        for s in code[i:j]:
             w = f.new_vertex()
             f.add_edge(v, s, w)
             v = find(w)
-        f.add_edge(v, lets[j], u)
+        f.add_edge(v, code[j], u)
     # collect representative adjacency, with resolved targets
     reps = [v for v in range(len(f.parent)) if f.find(v) == v]
     out = {v: {s: f.find(t) for s, t in f.adj[v].items()} for v in reps}
@@ -250,7 +265,7 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
         for s, w in out[v].items():
             if w in dead:
                 continue
-            del out[w][-s]
+            del out[w][inverse[s]]
             degree[w] -= 1
             if w != bp and degree[w] <= 1:
                 stack.append(w)
@@ -258,29 +273,35 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
     return _canonicalize(alpha, out, bp)
 
 
-def _canonicalize(alpha: Alphabet, out: dict[int, dict[int, int]], bp: int) -> SubgroupGraph:
-    """BFS renumbering from the basepoint with fixed signed-label order."""
-    signed = tuple(signed_letters(len(alpha)))
+def _canonicalize(alpha: Alphabet, out: dict[int, dict[str, int]], bp: int) -> SubgroupGraph:
+    """BFS renumbering from the basepoint with fixed signed-label order; the
+    labels go from code units to signed letters on the way."""
+    n = len(alpha)
+    labels = tuple(zip(map(chr, range(2 * n)), signed_letters(n)))  # (code unit, letter)
     number = {bp: 0}
     order = [bp]
+    new_out = []
     for v in order:
         d = out[v]
-        for s in signed:
+        row = {}
+        for s, x in labels:
             w = d.get(s)
-            if w is not None and w not in number:
-                number[w] = len(order)
-                order.append(w)
+            if w is not None:
+                if w not in number:
+                    number[w] = len(order)
+                    order.append(w)
+                row[x] = number[w]
+        new_out.append(row)
     if len(number) != sum(1 for v, d in out.items() if d or v == bp):
         raise StallingsError("subgroup graph is not connected")
-    new_out = [{s: number[w] for s, w in out[v].items()} for v in order]
     return SubgroupGraph(alpha, new_out)
 
 
 def basis(g: SubgroupGraph) -> list[Word]:
-    """A free basis of the subgroup: one word per non-tree edge."""
+    """A free basis of the subgroup: one word per non-tree edge, spelled
+    from the graph's labels."""
     path = g.path_from_basepoint
-    return [Word(g.alphabet, substitute((path(u), (s,), path(v)), (1, 2, -3)), reduced=True)
-            for u, s, v in _nontree_edges(g)]
+    return [Word(g.alphabet, path(u) + (s,) + inverse_letters(path(v))) for u, s, v in _nontree_edges(g)]
 
 
 def _nontree_edges(g: SubgroupGraph) -> list[tuple[int, int, int]]:
@@ -304,7 +325,8 @@ class BasisRewriter:
     The generators are folded; elements are first expressed over the
     spanning-tree basis of the folded graph (crossing word), then carried
     to the given basis through a tracked Nielsen reduction.  Every result
-    is verified by substitution before being returned.
+    is verified by substitution before being returned.  Words over either
+    basis are codes whose symbol k is the k-th non-tree edge or generator.
     """
 
     def __init__(self, alpha: Alphabet, gens: Sequence[Word]):
@@ -313,33 +335,37 @@ class BasisRewriter:
         self.graph = build_and_fold(alpha, gens)
         if self.graph.rank() != len(gens):
             raise StallingsError("not a free basis")
-        self._edges = _nontree_edges(self.graph)
-        self._edge_code = {}
-        for idx, (u, s, v) in enumerate(self._edges):
-            self._edge_code[(u, s)] = idx + 1
-            self._edge_code[(v, -s)] = -(idx + 1)
-        self._gen_letters = [g.letters for g in self.gens]
-        self._basis_over_gens = self._invert_basis()
+        # the graph's table with each non-tree edge entry replaced by
+        # -2 - k, where self._crossings[k] is (basis symbol unit, target)
+        self._steps = [row[:] for row in self.graph.table()]
+        self._crossings: list[tuple[str, int]] = []
+        column = {s: c for c, s in enumerate(signed_letters(len(alpha)))}
+        for idx, (u, s, v) in enumerate(_nontree_edges(self.graph)):
+            for a, col, b, unit in ((u, column[s], v, chr(2 * idx)), (v, column[-s], u, chr(2 * idx + 1))):
+                self._steps[a][col] = -2 - len(self._crossings)
+                self._crossings.append((unit, b))
+        self._gen_codes = images_by_unit([g.code for g in self.gens])
+        self._basis_over_gens = images_by_unit(self._invert_basis())
 
-    def _crossing(self, w: Word) -> Optional[tuple[int, ...]]:
+    def _crossing(self, w: Word) -> Optional[str]:
         """Express a subgroup element over the tree basis (non-tree edges
         crossed, in order); None if the word is not in the subgroup."""
-        out, edge_code = self.graph.out, self._edge_code
+        steps, crossings = self._steps, self._crossings
         v = 0
-        outsyms = []
-        for x in w.letters:
-            nxt = out[v].get(x)
-            if nxt is None:
-                return None
-            code = edge_code.get((v, x))
-            if code is not None:
-                outsyms.append(code)
-            v = nxt
+        crossed = []
+        for c in map(ord, w.code):
+            t = steps[v][c]
+            if t < 0:
+                if t == -1:
+                    return None
+                unit, t = crossings[-2 - t]
+                crossed.append(unit)
+            v = t
         if v != 0:
             return None
-        return free_reduce_letters(outsyms)
+        return code_product(crossed)
 
-    def _invert_basis(self) -> list[tuple[int, ...]]:
+    def _invert_basis(self) -> list[str]:
         """Expression of each tree-basis symbol over the generator symbols,
         via Nielsen reduction with transformation tracking."""
         n = len(self.gens)
@@ -348,7 +374,7 @@ class BasisRewriter:
             cw = self._crossing(g)
             if cw is None:
                 raise StallingsError(f"internal: generator {g} does not read as a loop of its own folded graph")
-            rows.append([cw, (i + 1,)])
+            rows.append([cw, chr(2 * i)])
 
         changed = True
         while changed:
@@ -360,29 +386,24 @@ class BasisRewriter:
                     if i == j:
                         continue
                     ui, ei = rows[i]
-                    for e1 in (1, -1):
-                        for order in ((e1, 2), (2, e1)):
-                            cand = substitute((ui, uj), order)
+                    for ue, ee in ((ui, ei), (invert_code(ui), invert_code(ei))):
+                        for order in ((0, 1), (1, 0)):
+                            cand = code_product([(ue, uj)[k] for k in order])
                             if len(cand) < len(uj) and (best is None or len(cand) < len(best[0])):
-                                best = (cand, substitute((ei, ej), order))
+                                best = (cand, code_product([(ee, ej)[k] for k in order]))
                 if best is not None:
                     rows[j] = [best[0], best[1]]
                     changed = True
         # a basis must have reduced to distinct single symbols
-        expr = [None] * len(self._edges)
-        seen = set()
+        expr = [None] * n
         for u, e in rows:
-            if len(u) != 1 or abs(u[0]) in seen:
+            sym = UNIT_LETTER[u] if len(u) == 1 else 0
+            if not sym or expr[abs(sym) - 1] is not None:
                 raise StallingsError(
                     "Nielsen reduction did not terminate at a letter tuple; "
                     "generators do not form a recognised free basis"
                 )
-            seen.add(abs(u[0]))
-            sym = u[0]
-            if sym > 0:
-                expr[sym - 1] = e
-            else:
-                expr[-sym - 1] = inverse_letters(e)
+            expr[abs(sym) - 1] = e if sym > 0 else invert_code(e)
         return expr  # type: ignore[return-value]
 
     def rewrite(self, w: Word) -> Optional[list[tuple[int, int]]]:
@@ -391,11 +412,11 @@ class BasisRewriter:
         cw = self._crossing(w)
         if cw is None:
             return None
-        out = substitute(self._basis_over_gens, cw)
+        out = code_product(map(self._basis_over_gens.__getitem__, cw))
         # verify by substitution
-        if substitute(self._gen_letters, out) != w.letters:
+        if code_product(map(self._gen_codes.__getitem__, out)) != w.code:
             raise StallingsError("internal rewriting verification failed")
-        return [(abs(t) - 1, 1 if t > 0 else -1) for t in out]
+        return [(abs(t) - 1, 1 if t > 0 else -1) for t in decode_letters(out)]
 
 
 def rewrite_over_generators(
@@ -633,8 +654,7 @@ def _component_cycle(core_vertices, core_edges):
                         x = p
                     return tuple(reversed(rev))
 
-                pv, pw = path(v), path(w)
-                letters = substitute((pv, (lab,), pw), (1, 2, -3))
+                letters = free_reduce_letters(path(v) + (lab,) + inverse_letters(path(w)))
                 if letters:
                     return root, letters
     raise StallingsError("no cycle found in a non-forest component")
@@ -649,10 +669,10 @@ def _witness_from_component(
     base, cyc = _component_cycle(comp.core_vertices, comp.core_edges)
     left_v, right_v = base
     alpha = g_left.alphabet
-    p_letters = g_left.path_from_basepoint(left_v)
-    q_letters = g_right.path_from_basepoint(right_v)
-    u = Word(alpha, substitute((p_letters, cyc), (1, 2, -1)), reduced=True)
-    g = Word(alpha, substitute((q_letters, p_letters), (1, -2)), reduced=True)
+    p = g_left.path_from_basepoint(left_v)
+    q = g_right.path_from_basepoint(right_v)
+    u = Word(alpha, p + cyc + inverse_letters(p))
+    g = Word(alpha, q + inverse_letters(p))
     return IntersectionWitness(conjugator=g, element=u)
 
 

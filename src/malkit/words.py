@@ -1,26 +1,25 @@
 """Alphabets, words in free groups, and substitution endomorphisms.
 
-A word is stored as a tuple of nonzero signed integers: letter ``k > 0``
-means generator ``k-1``, and ``-k`` means its inverse.  All operations
-return freely reduced words.
+A word stores its letter code: a ``str`` with one code point per signed
+letter.  Letter ``k > 0`` means generator ``k-1`` and ``-k`` its inverse;
+the code of a letter is its position in :func:`signed_letters` order
+(1 -> 0, -1 -> 1, 2 -> 2, ...), so the inverse of a code unit ``c`` is
+``c ^ 1``.  CPython stores a code over at most 128 generators at one byte
+per letter, and ``find``, ``endswith``, slicing, ``join`` and ``translate``
+work on code points, so larger alphabets need no second form.
 
-This module is the one place that knows how reduced letter tuples
-combine.  :func:`substitute` is the product and substitution kernel: it
-spells a letter sequence through a list of images and freely reduces, and
-products of reduced tuples are substitutions into their factors.  Its
-precondition is that every image is freely reduced, so letters cancel only
-where two images join.  :func:`free_reduce_letters` is for raw input only;
-:func:`inverse_letters`, :func:`signed_letters` and :func:`reduced_words`
-are the shared inversion, letter order and reduced-word enumeration.
-
-:func:`encode_letters` is the one byte code of signed letters: each letter
-becomes its position in :func:`signed_letters` order (1 -> 0, -1 -> 1,
-2 -> 2, ...), so a letter's inverse is its code ``^ 1``.  Factor searches
-(Dehn scanning, forbidden factors) run as C-speed ``bytes`` searches on it.
-One byte per letter bounds it to ``MAX_GENERATORS`` generators.  The byte
-code has its own inversion and product, :func:`invert_code` and
-:func:`code_product`, so words spelled from encoded images (the t-words of
-a family check) are never decoded to tuples.
+This module is the one place that encodes letters.  :func:`encode_letters`
+builds and validates the code once, where a word is built from letters;
+every operation on words works on the code and builds its result with
+:meth:`Word.from_code`, which trusts it.  ``Word.letters`` is a decoded view
+(:func:`decode_letters`).  :func:`code_product` is the one product and
+substitution kernel: it multiplies freely reduced codes, and a
+substitution is the product of the images of a word's letters.  At each
+join it finds how many letters cancel by bisection on ``endswith``.
+:func:`invert_code` is the inversion.  :func:`free_reduce_letters` is for
+raw input only; :func:`inverse_letters`, :func:`signed_letters` and
+:func:`reduced_words` are the shared inversion, letter order and
+reduced-word enumeration of letter tuples.
 """
 
 from __future__ import annotations
@@ -49,6 +48,9 @@ class Alphabet:
             if not _NAME_RE.match(n):
                 raise WordError(f"bad generator name {n!r}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        # signed letter -> its code unit, for encode_letters
+        units = {x: chr(c) for c, x in enumerate(signed_letters(len(self.names)))}
+        object.__setattr__(self, "_unit", units)
 
     def __len__(self):
         return len(self.names)
@@ -98,68 +100,110 @@ def signed_letters(n: int) -> Iterator[int]:
         yield -i
 
 
-MAX_GENERATORS = 128
-_BYTE_CODE = {x: c for c, x in enumerate(signed_letters(MAX_GENERATORS))}
+# -- the letter code -----------------------------------------------------------
+#
+# A code unit is one character of a code.  The tables below are keyed by
+# code point, not by alphabet: a code has no alphabet, and a code over the
+# symbols of a basis can use more code points than any alphabet made so
+# far.
+
+class _Table(dict):
+    """A table that fills an entry on first use, from a function of its key."""
+
+    def __init__(self, entry):
+        super().__init__()
+        self._entry = entry
+
+    def __missing__(self, key):
+        value = self[key] = self._entry(key)
+        return value
 
 
-def encode_letters(letters: Iterable[int]) -> bytes:
-    """Signed letters in the byte code (alphabets of at most MAX_GENERATORS)."""
+# code unit -> signed letter
+UNIT_LETTER = _Table(lambda u: -(ord(u) >> 1) - 1 if ord(u) & 1 else (ord(u) >> 1) + 1)
+# code unit -> the unit of the inverse letter
+UNIT_INVERSE = _Table(lambda u: chr(ord(u) ^ 1))
+# code point -> the inverse code point: the str.translate table of invert_code
+_INVERSE = _Table(lambda c: c ^ 1)
+
+
+def encode_letters(alpha: Alphabet, letters: Iterable[int]) -> str:
+    """The code of signed letters over ``alpha``; a letter outside the
+    alphabet raises :class:`WordError`.  The letters are not reduced."""
     try:
-        return bytes([_BYTE_CODE[x] for x in letters])
+        return "".join(map(alpha._unit.__getitem__, letters))
     except KeyError as e:
-        raise WordError(f"letter {e.args[0]} outside the byte code of {MAX_GENERATORS} generators") from None
+        raise WordError(f"letter {e.args[0]} outside alphabet of size {len(alpha)}") from None
 
 
-_INVERT_CODE = bytes(c ^ 1 for c in range(256))
+def decode_letters(code: str) -> tuple[int, ...]:
+    """The signed letters of a code."""
+    return tuple(map(UNIT_LETTER.__getitem__, code))
 
 
-def invert_code(code: bytes) -> bytes:
-    """The byte code of the inverse word: reversed, each code ``^ 1``."""
-    return code[::-1].translate(_INVERT_CODE)
+def invert_code(code: str) -> str:
+    """The code of the inverse word: reversed, each code point ``^ 1``."""
+    return code[::-1].translate(_INVERSE)
 
 
-def code_product(factors: Iterable[bytes]) -> bytes:
-    """The freely reduced product of freely reduced words in the byte code.
-
-    This is :func:`substitute` on the byte code: each factor cancels
-    against the end of the product so far while their codes are inverse
-    (``out[-1] == f[j] ^ 1``), and the rest of it is appended.  The tuple
-    :func:`substitute` stays the general kernel because stallings,
-    cosetenum and hnnforge index tables by signed letters, and alphabets
-    over ``MAX_GENERATORS`` generators have no byte code."""
-    out = bytearray()
-    for f in factors:
-        j, n, m = 0, len(f), len(out)
-        while j < n and j < m and out[m - 1 - j] == f[j] ^ 1:
-            j += 1
-        del out[m - j:]
-        out += f[j:] if j else f
-    return bytes(out)
-
-
-def substitute(images: Sequence[Sequence[int]], letters: Iterable[int]) -> tuple[int, ...]:
-    """Spell ``letters`` through ``images`` and freely reduce: letter k+1
-    becomes ``images[k]`` and letter -(k+1) its inverse.
-
-    Every image must be freely reduced (``letters`` need not be).  Then
-    letters cancel only where two images join, so each join pops the
-    cancelling end of the result and appends the rest of the image.  The
-    product of reduced tuples u and v is ``substitute((u, v), (1, 2))``."""
-    inverses: dict[int, tuple[int, ...]] = {}
-    out: list[int] = []
-    for x in letters:
-        if x > 0:
-            img = images[x - 1]
+def _cancellation(a: str, b: str, j: int) -> int:
+    """How many letters cancel in the product of ``a`` and ``b[j:]``, given
+    that at least the first does: the largest k with ``a`` ending in the
+    inverse of ``b[j:j+k]``.  That property holds for every smaller k, so
+    k is found by bisection on ``endswith``."""
+    m = min(len(a), len(b) - j)
+    if m == 1 or a[-2] != UNIT_INVERSE[b[j + 1]]:
+        return 1
+    inv = invert_code(b[j:j + m])  # a ends with inv[m - k:] for every k up to the answer
+    lo, hi = 2, m
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if a.endswith(inv[m - mid:]):
+            lo = mid
         else:
-            img = inverses.get(x)
-            if img is None:
-                img = inverses[x] = inverse_letters(images[-x - 1])
-        j, n = 0, len(img)
-        while j < n and out and out[-1] == -img[j]:
-            out.pop()
-            j += 1
-        out.extend(img[j:] if j else img)
-    return tuple(out)
+            hi = mid - 1
+    return lo
+
+
+def images_by_unit(codes: Sequence[str]) -> dict[str, str]:
+    """The images of a substitution by code unit: generator k goes to
+    ``codes[k]`` and its inverse to the inverse code.  The substituted code
+    of a word ``w`` is ``code_product(map(images.__getitem__, w))``."""
+    images = {}
+    for k, code in enumerate(codes):
+        images[chr(2 * k)] = code
+        images[chr(2 * k + 1)] = invert_code(code)
+    return images
+
+
+def code_product(factors: Iterable[str]) -> str:
+    """The freely reduced product of freely reduced codes.
+
+    The product so far is a list of pieces.  Where a factor's first letter
+    cancels against the last piece, :func:`_cancellation` finds how far
+    the cancellation runs; it may eat whole pieces before the rest of the
+    factor is appended."""
+    out: list[str] = []
+    inverse = UNIT_INVERSE
+    for f in factors:
+        if not f:
+            continue
+        if out and out[-1][-1] == inverse[f[0]]:
+            j, n = 0, len(f)
+            while True:
+                last = out.pop()
+                k = _cancellation(last, f, j)
+                j += k
+                if k < len(last):
+                    out.append(last[:-k])
+                    break
+                if j == n or not out or out[-1][-1] != inverse[f[j]]:
+                    break
+            if j < n:
+                out.append(f[j:])
+        else:
+            out.append(f)
+    return "".join(out)
 
 
 def reduced_words(k: int, max_len: int) -> Iterator[tuple[int, ...]]:
@@ -174,7 +218,7 @@ def reduced_words(k: int, max_len: int) -> Iterator[tuple[int, ...]]:
 
 
 class Word:
-    """A freely reduced word over an :class:`Alphabet`.
+    """A freely reduced word over an :class:`Alphabet`, stored as its code.
 
     >>> ab = alphabet("a b")
     >>> w = Word(ab, [1, 2, -2, 1])
@@ -184,33 +228,43 @@ class Word:
     '1'
     """
 
-    __slots__ = ("alphabet", "letters")
+    __slots__ = ("alphabet", "code")
 
     def __init__(self, alpha: Alphabet, letters: Iterable[int], reduced: bool = False):
         self.alphabet = alpha
-        lets = tuple(letters) if reduced else free_reduce_letters(letters)
-        n = len(alpha)
-        for x in lets:
-            if x == 0 or abs(x) > n:
-                raise WordError(f"letter {x} outside alphabet of size {n}")
-        self.letters = lets
+        self.code = encode_letters(alpha, letters if reduced else free_reduce_letters(letters))
+
+    @classmethod
+    def from_code(cls, alpha: Alphabet, code: str) -> "Word":
+        """The word with the given code, trusted: it must be a freely
+        reduced code over ``alpha``, such as one computed from the codes of
+        words over ``alpha``.  Nothing is checked."""
+        w = object.__new__(cls)
+        w.alphabet = alpha
+        w.code = code
+        return w
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The signed letters, decoded from the code."""
+        return decode_letters(self.code)
 
     # -- basic protocol ----------------------------------------------------
     def __len__(self):
-        return len(self.letters)
+        return len(self.code)
 
     def __eq__(self, other):
         return (
             isinstance(other, Word)
-            and self.letters == other.letters
+            and self.code == other.code
             and self.alphabet == other.alphabet
         )
 
     def __hash__(self):
-        return hash((self.alphabet.names, self.letters))
+        return hash((self.alphabet.names, self.code))
 
     def __bool__(self):
-        return bool(self.letters)
+        return bool(self.code)
 
     def __repr__(self):
         return f"Word({str(self)!r})"
@@ -222,38 +276,45 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise WordError("alphabet mismatch")
-        return Word(self.alphabet, substitute((self.letters, other.letters), (1, 2)), reduced=True)
+        return Word.from_code(self.alphabet, code_product((self.code, other.code)))
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, inverse_letters(self.letters), reduced=True)
+        return Word.from_code(self.alphabet, invert_code(self.code))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.alphabet, substitute((self.letters,), (1,) * n), reduced=True)
+        # w = c^-1 m c with m cyclically reduced, so w^n = c^-1 m^n c
+        code = self.code
+        i, j = core_bounds(code)
+        return Word.from_code(self.alphabet, code[:i] + code[i:j] * n + code[j:] if n else "")
 
     def is_reduced(self) -> bool:
-        return all(self.letters[i] != -self.letters[i + 1] for i in range(len(self.letters) - 1))
+        codes = list(map(ord, self.code))
+        return all(a ^ 1 != b for a, b in zip(codes, codes[1:]))
 
     def is_cyclically_reduced(self) -> bool:
-        lets = self.letters
-        return self.is_reduced() and not (lets and lets[0] == -lets[-1])
+        """A word is freely reduced by construction, so only its end letters
+        can cancel."""
+        code = self.code
+        return not code or code[0] != UNIT_INVERSE[code[-1]]
 
     def is_positive(self) -> bool:
-        return all(x > 0 for x in self.letters)
+        return all(c & 1 == 0 for c in map(ord, self.code))
 
     def shift(self, k: int) -> "Word":
         """Cyclic rotation by k positions (left)."""
-        lets = self.letters
-        if not lets:
+        code = self.code
+        if not code:
             return self
-        k %= len(lets)
-        return Word(self.alphabet, lets[k:] + lets[:k], reduced=True)
+        k %= len(code)
+        return Word.from_code(self.alphabet, code[k:] + code[:k])
+
 
 
 def word(alpha: Alphabet, text: str) -> Word:
     """Parse a word in the standard text syntax over ``alpha``."""
-    return Word(alpha, parse_word_letters(alpha, text))
+    return Word(alpha, parse_word_letters(alpha, text), reduced=True)
 
 
 def conjugate(w: Word, g: Word) -> Word:
@@ -265,15 +326,22 @@ def commutator(u: Word, v: Word) -> Word:
     return u.inverse() * v.inverse() * u * v
 
 
+def core_bounds(code: str) -> tuple[int, int]:
+    """(i, j) with ``code[i:j]`` the cyclic core of a freely reduced code
+    and ``code[:i]`` the inverse of ``code[j:]``."""
+    i, j = 0, len(code)
+    while j - i >= 2 and code[i] == UNIT_INVERSE[code[j - 1]]:
+        i += 1
+        j -= 1
+    return i, j
+
+
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split ``w`` as conjugator^-1 * core * conjugator with the core
     cyclically reduced and the conjugator of minimal length."""
-    lets = w.letters
-    i, j = 0, len(lets)
-    while j - i >= 2 and lets[i] == -lets[j - 1]:
-        i += 1
-        j -= 1
-    return Word(w.alphabet, lets[i:j], reduced=True), Word(w.alphabet, lets[j:], reduced=True)
+    code = w.code
+    i, j = core_bounds(code)
+    return Word.from_code(w.alphabet, code[i:j]), Word.from_code(w.alphabet, code[j:])
 
 
 def proper_power(w: Word) -> Optional[tuple[Word, int]]:
@@ -284,25 +352,49 @@ def proper_power(w: Word) -> Optional[tuple[Word, int]]:
     power exactly when its core is, and powers only matter up to conjugacy
     here.
     """
-    if not w.letters:
+    if not w.code:
         raise WordError("empty input")
-    core, _ = cyclic_reduce(w)
-    lets = core.letters
-    n = len(lets)
+    i, j = core_bounds(w.code)
+    core = w.code[i:j]
+    n = len(core)
     for d in range(1, n // 2 + 1):
         if n % d:
             continue
-        if lets == lets[d:] + lets[:d]:
-            return Word(w.alphabet, lets[:d], reduced=True), n // d
+        if core == core[d:] + core[:d]:
+            return Word.from_code(w.alphabet, core[:d]), n // d
     return None
 
 
 # -- endomorphisms ---------------------------------------------------------
 
-class EndomorphismSpec:
-    """A map generator -> word, applied by substitution then reduction."""
+class _BlockImages(dict):
+    """Reduced code -> the code of its image, seeded with the images of
+    both signs of every generator; the image of a longer block is the
+    product of its letters' images, kept up to ``_BLOCK_CACHE`` blocks."""
 
-    __slots__ = ("domain", "images")
+    def __missing__(self, block: str) -> str:
+        if len(block) == 1:
+            raise WordError(f"code unit {ord(block)} outside the endomorphism's domain")
+        image = code_product(map(self.__getitem__, block))
+        if len(self) < _BLOCK_CACHE:
+            self[block] = image
+        return image
+
+
+# apply_endo substitutes blocks of this many letters, so the product kernel
+# joins a sixth as many factors.  A two-generator alphabet has 972 reduced
+# blocks of this length, all of which fit in the cache.
+_BLOCK = 6
+_BLOCK_CACHE = 4096
+
+
+class EndomorphismSpec:
+    """A map generator -> word, applied by substitution then reduction.
+
+    ``images`` are the image words in generator order; the codes of the
+    images of blocks of letters are kept by block for substitution."""
+
+    __slots__ = ("domain", "images", "_blocks")
 
     def __init__(self, domain: Alphabet, images: Sequence[Word]):
         if len(images) != len(domain):
@@ -312,6 +404,7 @@ class EndomorphismSpec:
                 raise WordError("image over a different alphabet")
         self.domain = domain
         self.images = tuple(images)
+        self._blocks = _BlockImages(images_by_unit([im.code for im in self.images]))
 
     def __eq__(self, other):
         return (
@@ -321,7 +414,7 @@ class EndomorphismSpec:
         )
 
     def __hash__(self):
-        return hash((self.domain.names, tuple(im.letters for im in self.images)))
+        return hash((self.domain.names, tuple(im.code for im in self.images)))
 
     def __repr__(self):
         parts = ", ".join(
@@ -333,7 +426,7 @@ class EndomorphismSpec:
         return apply_endo(self, w)
 
     def is_identity(self) -> bool:
-        return all(im.letters == (i + 1,) for i, im in enumerate(self.images))
+        return all(im.code == chr(2 * i) for i, im in enumerate(self.images))
 
 
 def endo(alpha: Alphabet, mapping: dict[str, str] | Sequence[str]) -> EndomorphismSpec:
@@ -346,14 +439,17 @@ def endo(alpha: Alphabet, mapping: dict[str, str] | Sequence[str]) -> Endomorphi
 
 
 def identity_endo(alpha: Alphabet) -> EndomorphismSpec:
-    return EndomorphismSpec(alpha, [Word(alpha, (i + 1,), reduced=True) for i in range(len(alpha))])
+    return EndomorphismSpec(alpha, [Word.from_code(alpha, chr(2 * i)) for i in range(len(alpha))])
 
 
 def apply_endo(e: EndomorphismSpec, w: Word) -> Word:
-    """Substitute each letter by its image (inverting on negative letters)."""
+    """Substitute each letter by its image (inverting on negative letters):
+    the product of the images of the word's blocks of ``_BLOCK`` letters."""
     if w.alphabet != e.domain:
         raise WordError("word not over the endomorphism's domain")
-    return Word(e.domain, substitute([im.letters for im in e.images], w.letters), reduced=True)
+    code = w.code
+    blocks = [code[i:i + _BLOCK] for i in range(0, len(code), _BLOCK)]
+    return Word.from_code(e.domain, code_product(map(e._blocks.__getitem__, blocks)))
 
 
 def compose_endos(outer: EndomorphismSpec, inner: EndomorphismSpec) -> EndomorphismSpec:
@@ -384,17 +480,17 @@ def positive_subsemigroup_member(w: Word, gens: Sequence[Word]) -> bool:
     for g in gens:
         if not g.is_positive() or not g:
             raise WordError("positive generators required")
-    target = w.letters
+    target = w.code
     n = len(target)
     if n == 0:
         return False
-    gl = [g.letters for g in gens]
+    gl = [g.code for g in gens]
     ok = [False] * (n + 1)
     ok[0] = True
     for i in range(1, n + 1):
         for g in gl:
             m = len(g)
-            if m <= i and ok[i - m] and target[i - m:i] == g:
+            if m <= i and ok[i - m] and target.startswith(g, i - m):
                 ok[i] = True
                 break
     return ok[n]
@@ -489,15 +585,16 @@ def parse_word_letters(alpha: Alphabet, text: str) -> tuple[int, ...]:
 def format_word(w: Word) -> str:
     """Render a word in the text syntax: letter runs get exponents, and a
     word that is a whole-word power prints as a parenthesized group."""
-    lets = w.letters
-    if not lets:
+    code = w.code
+    if not code:
         return "1"
-    n = len(lets)
-    if len(set(lets)) > 1:  # single-letter runs read better as a^n
+    n = len(code)
+    if len(set(code)) > 1:  # single-letter runs read better as a^n
         for d in range(2, n // 2 + 1):
-            if n % d == 0 and lets == lets[:d] * (n // d):
-                inner = format_word(Word(w.alphabet, lets[:d], reduced=True))
+            if n % d == 0 and code == code[:d] * (n // d):
+                inner = format_word(Word.from_code(w.alphabet, code[:d]))
                 return f"({inner})^{n // d}"
+    lets = w.letters
     parts = []
     run_letter, run_len = lets[0], 1
     for x in lets[1:]:

@@ -20,7 +20,7 @@ from malkit.quotientcert import (
 )
 from malkit.smallcancel import check_metric, is_cyclically_dehn_reduced, symmetrise
 from malkit.stallings import build_and_fold, is_malnormal
-from malkit.words import Word, alphabet, cyclic_reduce, reduced_words, substitute, word
+from malkit.words import Word, alphabet, cyclic_reduce, inverse_letters, reduced_words, word
 
 AB = alphabet("a b")
 
@@ -176,13 +176,15 @@ class TestFamilyCheck:
 
 
 def _family_by_tuples(alpha, r, t, bound):
-    """The family check spelled on letter tuples, every t-word a Word:
-    (ok, witness, checked_words, unconditional)."""
+    """The family check spelled on letter tuples, every t-word a Word
+    freely reduced from its spelling: (ok, witness, checked_words,
+    unconditional)."""
     base = symmetrise(alpha, r)
-    images = [v.letters for v in t]
+    images = {k: v.letters for k, v in enumerate(t, 1)}
+    images.update({-k: inverse_letters(v) for k, v in list(images.items())})
     checked = 0
     for expr in reduced_words(len(t), bound):
-        wv = Word(alpha, substitute(images, expr), reduced=True)
+        wv = Word(alpha, [x for k in expr for x in images[k]])
         checked += 1
         if not wv or not is_cyclically_dehn_reduced(base, wv):
             return False, wv, checked, False

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from malkit.smallcancel import (
     RelatorSet,
@@ -20,12 +20,14 @@ from malkit.smallcancel import (
 from malkit.words import (
     Word,
     alphabet,
+    code_product,
     conjugate,
     cyclic_reduce,
-    encode_letters,
     endo,
+    free_reduce_letters,
     identity_endo,
     inverse_letters,
+    invert_code,
     word,
 )
 
@@ -312,6 +314,89 @@ class TestDehnReduce:
             assert is_dehn_reduced(T6, out)
 
 
+def _dehn_from_zero(rs, w):
+    """Dehn reduction that scans from position 0 after every splice."""
+    from malkit.smallcancel import _find_violation
+
+    _, _, doubled = rs._patterns()
+    code = w.code
+    while (hit := _find_violation(rs, code)) is not None:
+        i, ln, e, off = hit
+        d = doubled[e]
+        code = code_product((code[:i], invert_code(d[off + ln:off + len(d) // 2]), code[i + ln:]))
+    return Word.from_code(rs.alphabet, code)
+
+
+def _dehn_on_letters(rs, letters):
+    """Dehn reduction by its definition, on letter tuples: at the leftmost
+    position where more than half of a symmetrised element R starts, take
+    the longest such subword W, ties to the least (element, offset), and
+    replace W by the inverse of the rest of R."""
+    elems = rs.symmetrised
+    while True:
+        for i in range(len(letters)):
+            hits = []
+            for e, elem in enumerate(elems):
+                size, doubled = len(elem), elem + elem
+                for off in range(size):
+                    ln = 0
+                    while ln < size and i + ln < len(letters) and letters[i + ln] == doubled[off + ln]:
+                        ln += 1
+                    if 2 * ln > size:
+                        hits.append((-ln, e, off))
+            if hits:
+                break
+        else:
+            return letters
+        neg, e, off = min(hits)
+        ln = -neg
+        rotated = elems[e][off:] + elems[e][:off]
+        letters = free_reduce_letters(letters[:i] + inverse_letters(rotated[ln:]) + letters[i + ln:])
+
+
+T13 = rels("a^13", "b^13", "(a b)^13")
+
+
+@st.composite
+def _dehn_cases(draw):
+    """A relator set and a word spliced from pieces of its symmetrised
+    elements, most longer than half, and short random runs."""
+    rs = draw(st.sampled_from([T6, T13]))
+    letters = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            elem = draw(st.sampled_from(rs.symmetrised))
+            off = draw(st.integers(0, len(elem) - 1))
+            letters += (elem + elem)[off:off + draw(st.integers(1, len(elem)))]
+        else:
+            letters += draw(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4))
+    return rs, Word(AB, letters)
+
+
+class TestDehnResume:
+    """dehn_reduce resumes its scan a pattern's length before the untouched
+    prefix instead of at 0; the output is the same."""
+
+    # splices whose left seam cancels, so that a new violation starts more
+    # than a pattern's length before the splice
+    CANCELLING = [(T6, w("b^-1 a^-2 b^-1 a^-1 b^-1 a^-1 b^-1 a b^-6 a^-7")),
+                  (T6, w("a b a b a b a^-1 b a b a b a b a b a b a^3"))]
+
+    @given(_dehn_cases())
+    @example(CANCELLING[0])
+    @example(CANCELLING[1])
+    def test_matches_restart_from_zero(self, case):
+        rs, v = case
+        assert dehn_reduce(rs, v) == _dehn_from_zero(rs, v)
+
+    @given(_dehn_cases())
+    @example(CANCELLING[0])
+    @example(CANCELLING[1])
+    def test_matches_letter_definition(self, case):
+        rs, v = case
+        assert dehn_reduce(rs, v).letters == _dehn_on_letters(rs, v.letters)
+
+
 def _brute_cyclically_dehn_reduced(rs, v):
     """The literal definition: every free reduction of every cyclic shift
     is nonempty and violation-free."""
@@ -323,7 +408,7 @@ def _brute_cyclically_dehn_reduced(rs, v):
         shifted = Word(AB, v.letters[k:] + v.letters[:k])
         if not shifted:
             return False
-        if _find_violation(rs, shifted.letters) is not None:
+        if _find_violation(rs, shifted.code) is not None:
             return False
     return True
 
@@ -343,10 +428,10 @@ class TestCyclicallyDehnReducedBruteForce:
 
     @given(st.sampled_from(_SCAN_SETS), st.lists(st.sampled_from([1, -1, 2, -2]), max_size=16))
     def test_code_matches_word(self, rs, raw):
-        # the byte code of a reduced word gets the Word's verdict
+        # the code of a reduced word gets the Word's verdict
         v = Word(AB, raw)
         verdict = is_cyclically_dehn_reduced(rs, v)
-        assert is_cyclically_dehn_reduced(rs, encode_letters(v.letters)) == verdict
+        assert is_cyclically_dehn_reduced(rs, v.code) == verdict
         assert verdict == _brute_cyclically_dehn_reduced(rs, v)
 
 
@@ -445,9 +530,9 @@ class TestForeignAlphabet:
 
     @pytest.mark.parametrize("text", ["c^4", "c", "a c^-1 b"])
     def test_foreign_code_refused(self, text):
-        # the byte form has no alphabet: a code of a third generator (4 or 5)
+        # the code form has no alphabet: a code of a third generator (4 or 5)
         # lies outside <a, b>'s codes 0..3 and is refused by range
-        code = encode_letters(word(alphabet("a b c"), text).letters)
+        code = word(alphabet("a b c"), text).code
         with pytest.raises(SmallCancelError, match="outside the relator set's alphabet"):
             is_cyclically_dehn_reduced(T6, code)
 

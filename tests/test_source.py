@@ -33,3 +33,22 @@ def test_no_numpy_or_scipy():
         found += [f"{path.name}:{node.lineno} {name}" for name in names
                   if name.split(".")[0] in ("numpy", "scipy")]
     assert found == []
+
+
+def test_letters_encoded_only_in_words():
+    # a word's code is built and validated once, where the word is built
+    # from letters; every other module reads the code it carries
+    found = []
+    for path, node in _nodes():
+        if path.name == "words.py":
+            continue
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}" for name in names if name == "encode_letters"]
+    assert found == []

@@ -4,8 +4,12 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from malkit import words as words_module
+from malkit.cosetenum import todd_coxeter
 from malkit.smallcancel import symmetrise
+from malkit.stallings import basis, build_and_fold
 from malkit.words import (
+    EndomorphismSpec,
     Word,
     WordError,
     alphabet,
@@ -14,6 +18,7 @@ from malkit.words import (
     compose_endos,
     conjugate,
     cyclic_reduce,
+    decode_letters,
     encode_letters,
     endo,
     endo_power,
@@ -27,11 +32,11 @@ from malkit.words import (
     proper_power,
     reduced_words,
     signed_letters,
-    substitute,
     word,
 )
 
 AB = alphabet("a b")
+ABC = alphabet("a b c")
 
 
 def w(text):
@@ -64,6 +69,21 @@ class TestFreeReduce:
         assert all(red[i] != -red[i + 1] for i in range(len(red) - 1))
 
 
+def substitute(images, letters):
+    """The product and substitution kernel on letter tuples that the code
+    kernel replaced, kept as the reference: spell ``letters`` through
+    ``images`` (all freely reduced) and pop what cancels at each join."""
+    out = []
+    for x in letters:
+        img = images[x - 1] if x > 0 else inverse_letters(images[-x - 1])
+        j = 0
+        while j < len(img) and out and out[-1] == -img[j]:
+            out.pop()
+            j += 1
+        out.extend(img[j:])
+    return tuple(out)
+
+
 REDUCED = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8).map(free_reduce_letters)
 
 
@@ -73,8 +93,8 @@ def _images_and_letters(images):
 
 
 class TestSubstitute:
-    """substitute is the one product and substitution kernel: for reduced
-    images it must agree with freely reducing the spelled-out sequence."""
+    """The tuple reference agrees with freely reducing the spelled-out
+    sequence."""
 
     @given(st.lists(REDUCED, min_size=1, max_size=4).flatmap(_images_and_letters))
     @example(([(), (1,)], [2, 1, -2, -1, 2]))            # empty images
@@ -105,9 +125,9 @@ class TestSubstitute:
 
 
 class TestCodeProduct:
-    """code_product is substitute on the byte code: spelling a letter
-    sequence from encoded images and their inverse codes gives the code of
-    the tuple product."""
+    """code_product is the tuple kernel on the code: spelling a letter
+    sequence from the codes of the images and of their inverses gives the
+    code of the tuple product."""
 
     @given(st.lists(REDUCED, min_size=1, max_size=4).flatmap(_images_and_letters))
     @example(([(), (1,)], [2, 1, -2, -1, 2]))            # empty images
@@ -118,14 +138,127 @@ class TestCodeProduct:
         images, letters = case
         codes = {}
         for k, img in enumerate(images, 1):
-            codes[k] = encode_letters(img)
+            codes[k] = encode_letters(ABC, img)
             codes[-k] = invert_code(codes[k])
         product = code_product([codes[x] for x in letters])
-        assert product == encode_letters(substitute(images, letters))
+        assert product == encode_letters(ABC, substitute(images, letters))
 
     @given(REDUCED)
     def test_inverse_code(self, letters):
-        assert invert_code(encode_letters(letters)) == encode_letters(inverse_letters(letters))
+        assert invert_code(encode_letters(ABC, letters)) == encode_letters(ABC, inverse_letters(letters))
+
+
+def _reduced(min_size=0, max_size=40, k=2):
+    return st.lists(st.sampled_from(list(signed_letters(k))), min_size=min_size, max_size=max_size).map(
+        free_reduce_letters)
+
+
+@st.composite
+def _seam_pairs(draw):
+    """(u, v) with v starting with the inverse of a suffix of u longer than
+    half of u or of v: seams that cancel whole factors or most of them."""
+    u = draw(_reduced(1, 40))
+    cut = draw(st.integers(0, len(u)))
+    v = free_reduce_letters(inverse_letters(u[cut:]) + draw(_reduced(0, 6)))
+    return Word(AB, u), Word(AB, v)
+
+
+class TestCodeKernel:
+    """Products, inversion, powers, substitution and Dehn reduction run on
+    the code; each agrees with the tuple reference, and ``letters`` decodes
+    the code."""
+
+    @given(_reduced())
+    def test_letters_round_trip(self, letters):
+        v = Word(AB, letters, reduced=True)
+        assert v.letters == letters
+        assert decode_letters(v.code) == letters
+        assert Word(AB, v.letters) == v
+        assert Word.from_code(AB, v.code) == v
+
+    @given(_seam_pairs())
+    @example((w("a b a"), w("a^-1 b^-1 a^-1")))      # the product cancels completely
+    @example((w("a b a b a"), w("a^-1 b^-1 a^-1 b")))  # a seam longer than half of each factor
+    def test_product(self, pair):
+        u, v = pair
+        assert (u * v).letters == substitute((u.letters, v.letters), (1, 2))
+        assert (v * u).letters == substitute((u.letters, v.letters), (2, 1))
+
+    @given(_reduced())
+    def test_inverse(self, letters):
+        v = Word(AB, letters, reduced=True)
+        assert v.inverse().letters == inverse_letters(letters)
+        assert v.inverse().inverse() == v
+
+    @given(_reduced(max_size=12), st.integers(-4, 4))
+    def test_power(self, letters, n):
+        v = Word(AB, letters, reduced=True)
+        base = letters if n >= 0 else inverse_letters(letters)
+        assert (v ** n).letters == substitute((base,), (1,) * abs(n))
+
+    @given(st.lists(_reduced(max_size=5), min_size=2, max_size=2), _reduced(max_size=30))
+    @example([(2, 1), (-1, -2)], (1, 2, 1, 2))          # images that cancel completely
+    @example([(1, 2, 1), (-1, -2, 1, 1)], (1, 2, -1))   # joins longer than half an image
+    def test_apply_endo(self, images, letters):
+        e = EndomorphismSpec(AB, [Word(AB, img, reduced=True) for img in images])
+        v = Word(AB, letters, reduced=True)
+        assert apply_endo(e, v).letters == substitute(images, letters)
+
+    def test_block_cache_bound(self, monkeypatch):
+        # past the cache bound a block's image is computed and not kept
+        monkeypatch.setattr(words_module, "_BLOCK_CACHE", 8)
+        e = endo(AB, {"a": "b", "b": "b^-1 a^-1"})
+        rng = random.Random(2)
+        for _ in range(30):
+            letters = free_reduce_letters([rng.choice([1, -1, 2, -2]) for _ in range(40)])
+            assert apply_endo(e, Word(AB, letters)).letters == substitute([(2,), (-2, -1)], letters)
+        assert len(e._blocks) == 8
+
+    def test_cyclic_reduce_and_shift(self):
+        v = w("b^-1 a^2 b a^-1 b")
+        core, conj = cyclic_reduce(v)
+        assert core.letters == (1, 2) and conj.letters == (-1, 2)
+        assert conj.inverse() * core * conj == v
+        assert not v.is_cyclically_reduced() and core.is_cyclically_reduced()
+        assert w("a^2 b a^-1").shift(1).letters == (1, 2, -1, 1)
+        assert w("a").is_cyclically_reduced() and w("1").is_cyclically_reduced()
+
+    def test_letter_outside_alphabet(self):
+        for bad in ([3], [0], [1, -3]):
+            with pytest.raises(WordError, match="outside alphabet of size 2"):
+                Word(AB, bad)
+
+
+class TestLargeAlphabet:
+    """Alphabets over 128 generators have code points above one byte; every
+    operation on words works on them unchanged."""
+
+    BIG = alphabet([f"g{i}" for i in range(130)])
+
+    def test_operations(self):
+        u = Word(self.BIG, (130, 1, -129, 2, 130))
+        v = Word(self.BIG, (-130, -2, 129, 5))
+        assert (u * v).letters == (130, 1, 5)
+        assert u.inverse().letters == (-130, -2, 129, -1, -130)
+        assert (u * u.inverse()).letters == ()
+        assert (u ** 2).letters == u.letters * 2
+        swap = EndomorphismSpec(self.BIG, [Word(self.BIG, (130 - i,)) for i in range(130)])
+        assert apply_endo(swap, u).letters == (1, 130, -2, 129, 1)
+        assert str(Word(self.BIG, (130, 130, -1))) == "g129^2 g0^-1"
+
+    def test_fold_and_enumerate(self):
+        gens = [Word(self.BIG, (130, 130)), Word(self.BIG, (1, 130, -1))]
+        graph = build_and_fold(self.BIG, gens)
+        assert graph.rank() == 2
+        assert graph.contains(Word(self.BIG, (1, 130, 130, -1)))
+        assert not graph.contains(Word(self.BIG, (130,)))
+        assert [b.letters for b in basis(graph)] == [(1, 130, -1), (130, 130)]
+        rels = [Word(self.BIG, (x,) * 2) for x in range(1, 131)]
+        rels += [Word(self.BIG, (x, -y)) for x in range(1, 130) for y in (x + 1,)]
+        table = todd_coxeter(self.BIG, rels)
+        assert table.index == 2
+        assert table.image_in_quotient(Word(self.BIG, (130,))) == 2
+        assert table.image_in_quotient(Word(self.BIG, (1, 130))) == 1
 
 
 class TestCyclicReduce:
