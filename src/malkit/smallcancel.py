@@ -23,6 +23,7 @@ from .words import (
     Word,
     apply_endo,
     code_product,
+    common_prefix,
     core_bounds,
     cyclic_reduce,
     decode_letters,
@@ -161,14 +162,6 @@ class PieceTable:
         ]
 
 
-def _lcp(a: str, b: str) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
-
-
 def compute_pieces(rs: RelatorSet) -> PieceTable:
     """Maximal piece per position via sorted-neighbour common prefixes.
 
@@ -181,7 +174,7 @@ def compute_pieces(rs: RelatorSet) -> PieceTable:
     prefix_len: dict[str, int] = {}
     lcp_next = [0] * n
     for i in range(n - 1):
-        lcp_next[i] = _lcp(elems[i], elems[i + 1])
+        lcp_next[i] = common_prefix(elems[i], elems[i + 1])
     for i, w in enumerate(elems):
         left = lcp_next[i - 1] if i > 0 else 0
         right = lcp_next[i] if i < n - 1 else 0

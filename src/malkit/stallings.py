@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .words import (
+    LETTER_UNIT,
     UNIT_INVERSE,
     UNIT_LETTER,
     Alphabet,
@@ -33,6 +34,14 @@ from .words import (
     inverse_letters,
     signed_letters,
 )
+
+
+# a graph reads by chains when at most one vertex in this many is a stop:
+# when at least 95% of its vertices have degree 2, and its paths average
+# some twenty letters.  A chain step costs about as much as reading a
+# handful of letters through the table, and the view costs a little more
+# to build than the table, so graphs of short paths read by the table.
+_STOP_EVERY = 20
 
 
 class StallingsError(ValueError):
@@ -48,16 +57,18 @@ class SubgroupGraph:
 
     Vertices are 0..n-1 in canonical (BFS from basepoint, label-ordered)
     numbering; the basepoint is vertex 0.  ``out[v]`` maps signed letters
-    to target vertices; words are read through the dense :meth:`table`,
-    whose columns are the letter code.
+    to target vertices.  Words are read through the :meth:`chains` view
+    when most vertices lie inside branch-free paths, and through the dense
+    :meth:`table` otherwise; each graph decides which once.
     """
 
-    __slots__ = ("alphabet", "out", "_table", "_tree_parent", "_canon")
+    __slots__ = ("alphabet", "out", "_table", "_chains", "_tree_parent", "_canon")
 
     def __init__(self, alpha: Alphabet, out: list[dict[int, int]]):
         self.alphabet = alpha
         self.out = out
         self._table = None
+        self._chains = None
         self._tree_parent = None
         self._canon = None
 
@@ -86,14 +97,81 @@ class SubgroupGraph:
             self._table = tbl
         return self._table
 
-    def read(self, code: str, start: int = 0) -> int:
-        """Trace a word's code; return the final vertex or -1."""
-        tbl = self.table()
-        v = start
-        for c in map(ord, code):
-            v = tbl[v][c]
-            if v < 0:
+    def chains(self) -> Optional[list[Optional[dict[str, tuple[str, int]]]]]:
+        """The chain view, or None when the graph reads through the table.
+
+        A stop vertex is the basepoint or a vertex whose degree is not 2;
+        every other vertex lies inside one branch-free path between stops.
+        ``chains()[v]`` maps each code unit leaving a stop ``v`` to the code
+        of the path that starts with it and the stop where that path ends;
+        it is None at the other vertices.  A graph reads by chains when at
+        most one vertex in ``_STOP_EVERY`` is a stop.  The view is built
+        once, from ``out`` alone: each path is walked once, and its reverse
+        is the inverse code."""
+        if self._chains is None:
+            out = self.out
+            n = len(out)
+            # the basepoint is a stop, so a graph of fewer than _STOP_EVERY
+            # vertices reads by the table without counting
+            count = n if n < _STOP_EVERY else n - list(map(len, out)).count(2) + (len(out[0]) == 2)
+            if count * _STOP_EVERY > n:
+                self._chains = False
+                return None
+            stops = [v for v, d in enumerate(out) if len(d) != 2 or not v]
+            unit = LETTER_UNIT
+            view: list[Optional[dict[str, tuple[str, int]]]] = [None] * n
+            for v in stops:
+                view[v] = {}
+            for a in stops:
+                row = view[a]
+                for s, w in out[a].items():
+                    first = unit[s]
+                    if first in row:  # the reverse of a path walked before
+                        continue
+                    path = [s]
+                    while view[w] is None:  # w has degree 2: leave by the other letter
+                        d = out[w]
+                        s1, s2 = d
+                        s = s2 if s1 == -s else s1
+                        path.append(s)
+                        w = d[s]
+                    code = "".join(map(unit.__getitem__, path))
+                    row[first] = (code, w)
+                    view[w][unit[-s]] = (invert_code(code), a)
+            self._chains = view
+        return self._chains or None
+
+    def read(self, code: str) -> int:
+        """Trace a code from the basepoint; return the final vertex or -1.
+
+        By chains, each step takes a whole path with one ``startswith``.
+        Where the code leaves a path or ends inside one, the rest is read
+        letter by letter from the path's start, so every code, reduced or
+        not, reads to the vertex the table gives."""
+        chains = self.chains()
+        v = 0
+        if chains is None:
+            tbl = self.table()
+            for c in map(ord, code):
+                v = tbl[v][c]
+                if v < 0:
+                    return -1
+            return v
+        i, n = 0, len(code)
+        while i < n:
+            link = chains[v].get(code[i])
+            if link is None:
                 return -1
+            path, end = link
+            if not code.startswith(path, i):
+                out = self.out
+                for u in code[i:]:
+                    v = out[v].get(UNIT_LETTER[u], -1)
+                    if v < 0:
+                        return -1
+                return v
+            i += len(path)
+            v = end
         return v
 
     def contains(self, w: Word) -> bool:
@@ -332,35 +410,58 @@ class BasisRewriter:
     def __init__(self, alpha: Alphabet, gens: Sequence[Word]):
         self.alphabet = alpha
         self.gens = list(gens)
-        self.graph = build_and_fold(alpha, gens)
-        if self.graph.rank() != len(gens):
+        self.graph = graph = build_and_fold(alpha, gens)
+        if graph.rank() != len(gens):
             raise StallingsError("not a free basis")
-        # the graph's table with each non-tree edge entry replaced by
-        # -2 - k, where self._crossings[k] is (basis symbol unit, target)
-        self._steps = [row[:] for row in self.graph.table()]
-        self._crossings: list[tuple[str, int]] = []
-        column = {s: c for c, s in enumerate(signed_letters(len(alpha)))}
-        for idx, (u, s, v) in enumerate(_nontree_edges(self.graph)):
-            for a, col, b, unit in ((u, column[s], v, chr(2 * idx)), (v, column[-s], u, chr(2 * idx + 1))):
-                self._steps[a][col] = -2 - len(self._crossings)
-                self._crossings.append((unit, b))
+        # (vertex, code unit) of each non-tree edge, both ways -> the unit
+        # of the tree-basis symbol it crosses
+        self._symbol_at: dict[tuple[int, str], str] = {}
+        for idx, (u, s, v) in enumerate(_nontree_edges(graph)):
+            self._symbol_at[u, LETTER_UNIT[s]] = chr(2 * idx)
+            self._symbol_at[v, LETTER_UNIT[-s]] = chr(2 * idx + 1)
+        # the graph's reading steps - its chains, or else its single edges -
+        # each with the symbols it crosses
+        steps = graph.chains() or [{LETTER_UNIT[s]: (LETTER_UNIT[s], w) for s, w in d.items()} for d in graph.out]
+        self._steps = [
+            None if row is None else {u: (path, end, self._walk(v, path)[1]) for u, (path, end) in row.items()}
+            for v, row in enumerate(steps)
+        ]
         self._gen_codes = images_by_unit([g.code for g in self.gens])
         self._basis_over_gens = images_by_unit(self._invert_basis())
 
+    def _walk(self, v: int, code: str) -> tuple[int, str]:
+        """Read ``code`` letter by letter from ``v``: the final vertex, or -1,
+        and the symbols of the non-tree edges crossed on the way."""
+        out, symbol_at = self.graph.out, self._symbol_at
+        symbols = []
+        for u in code:
+            t = out[v].get(UNIT_LETTER[u], -1)
+            if t < 0:
+                return -1, ""
+            symbols.append(symbol_at.get((v, u), ""))
+            v = t
+        return v, "".join(symbols)
+
     def _crossing(self, w: Word) -> Optional[str]:
         """Express a subgroup element over the tree basis (non-tree edges
-        crossed, in order); None if the word is not in the subgroup."""
-        steps, crossings = self._steps, self._crossings
-        v = 0
+        crossed, in order); None if the word is not in the subgroup.  It
+        reads the way the graph does, finishing letter by letter where the
+        code leaves a chain."""
+        steps, code = self._steps, w.code
+        v, i, n = 0, 0, len(code)
         crossed = []
-        for c in map(ord, w.code):
-            t = steps[v][c]
-            if t < 0:
-                if t == -1:
-                    return None
-                unit, t = crossings[-2 - t]
-                crossed.append(unit)
-            v = t
+        while i < n:
+            step = steps[v].get(code[i])
+            if step is None:
+                return None
+            path, end, symbols = step
+            if not code.startswith(path, i):
+                v, symbols = self._walk(v, code[i:])
+                crossed.extend(symbols)  # one factor per letter: the code may not be reduced
+                break
+            crossed.append(symbols)
+            i += len(path)
+            v = end
         if v != 0:
             return None
         return code_product(crossed)

@@ -16,7 +16,8 @@ every operation on words works on the code and builds its result with
 substitution kernel: it multiplies freely reduced codes, and a
 substitution is the product of the images of a word's letters.  At each
 join it finds how many letters cancel by bisection on ``endswith``.
-:func:`invert_code` is the inversion.  :func:`free_reduce_letters` is for
+:func:`invert_code` is the inversion, and :func:`common_prefix` the
+common prefix of two codes.  :func:`free_reduce_letters` is for
 raw input only; :func:`inverse_letters`, :func:`signed_letters` and
 :func:`reduced_words` are the shared inversion, letter order and
 reduced-word enumeration of letter tuples.
@@ -119,8 +120,9 @@ class _Table(dict):
         return value
 
 
-# code unit -> signed letter
+# code unit -> signed letter, and back
 UNIT_LETTER = _Table(lambda u: -(ord(u) >> 1) - 1 if ord(u) & 1 else (ord(u) >> 1) + 1)
+LETTER_UNIT = _Table(lambda x: chr(2 * x - 2 if x > 0 else -2 * x - 1))
 # code unit -> the unit of the inverse letter
 UNIT_INVERSE = _Table(lambda u: chr(ord(u) ^ 1))
 # code point -> the inverse code point: the str.translate table of invert_code
@@ -159,6 +161,20 @@ def _cancellation(a: str, b: str, j: int) -> int:
     while lo < hi:
         mid = (lo + hi + 1) >> 1
         if a.endswith(inv[m - mid:]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def common_prefix(a: str, b: str) -> int:
+    """The length of the longest common prefix of two codes.  Every shorter
+    prefix is common too, so the length is found by bisection on slice
+    equality, as :func:`_cancellation` finds a cancellation."""
+    lo, hi = 0, min(len(a), len(b))  # a[:lo] == b[:lo], and the answer is at most hi
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if a[lo:mid] == b[lo:mid]:
             lo = mid
         else:
             hi = mid - 1
@@ -320,10 +336,6 @@ def word(alpha: Alphabet, text: str) -> Word:
 def conjugate(w: Word, g: Word) -> Word:
     """g^-1 w g, freely reduced."""
     return g.inverse() * w * g
-
-
-def commutator(u: Word, v: Word) -> Word:
-    return u.inverse() * v.inverse() * u * v
 
 
 def core_bounds(code: str) -> tuple[int, int]:

@@ -24,7 +24,7 @@ from malkit.stallings import (
     same_subgroup,
     trivial_intersection_all_conjugates,
 )
-from malkit.words import Word, alphabet, conjugate, word
+from malkit.words import Word, alphabet, code_product, conjugate, encode_letters, invert_code, word
 
 AB = alphabet("a b")
 
@@ -616,3 +616,180 @@ class TestTrivialIntersection:
     def test_self_intersection_diagonal_counts(self):
         verdict = trivial_intersection_all_conjugates(AB, ws("a"), ws("a"))
         assert not verdict.trivial
+
+
+# -- chain reads ----------------------------------------------------------------
+
+SIGNED = (1, -1, 2, -2)
+
+
+def _read_by_letters(g, code):
+    """The per-letter reader: one table step per code unit."""
+    tbl = g.table()
+    v = 0
+    for c in map(ord, code):
+        v = tbl[v][c]
+        if v < 0:
+            return -1
+    return v
+
+
+def _crossing_by_letters(rw, code):
+    """The rewriter's crossing word read one table step per code unit: the
+    non-tree edges crossed, freely reduced, or None off a basepoint loop;
+    and the positions of the crossing steps."""
+    g = rw.graph
+    symbol = {}
+    for idx, (u, s, v) in enumerate(stallings._nontree_edges(g)):
+        symbol[u, encode_letters(AB, [s])] = chr(2 * idx)
+        symbol[v, encode_letters(AB, [-s])] = chr(2 * idx + 1)
+    tbl = g.table()
+    v, crossed, at = 0, [], []
+    for k, c in enumerate(code):
+        t = tbl[v][ord(c)]
+        if t < 0:
+            return None, at
+        if (v, c) in symbol:
+            crossed.append(symbol[v, c])
+            at.append(k)
+        v = t
+    return (code_product(crossed) if v == 0 else None), at
+
+
+def _bend(data, letters):
+    """``letters`` as they are, cut short, bent off at some position or
+    padded with a cancelling pair, and encoded without reduction."""
+    letters = list(letters)
+    k = data.draw(st.integers(0, len(letters)))
+    kind = data.draw(st.sampled_from(["same", "cut", "bend", "pad"]))
+    if kind == "cut":
+        letters = letters[:k]
+    elif kind == "bend":
+        letters = letters[:k] + [data.draw(st.sampled_from(SIGNED))] + letters[k + 1:]
+    elif kind == "pad":
+        x = data.draw(st.sampled_from(SIGNED))
+        letters[k:k] = [x, -x]
+    return encode_letters(AB, letters)
+
+
+def _walk(data, g):
+    """The letters of a walk from the basepoint that never turns back: long
+    walks end inside chains, and most pass through several."""
+    letters, v = [], 0
+    for turn in data.draw(st.lists(st.integers(0, 3), max_size=400)):
+        options = [s for s in sorted(g.out[v]) if not letters or s != -letters[-1]]
+        if not options:
+            break
+        s = options[turn % len(options)]
+        letters.append(s)
+        v = g.out[v][s]
+    return letters
+
+
+@st.composite
+def _chain_graphs(draw):
+    """Folded graphs that read by chains: words p x_i q for long x_i, with
+    p and q short and possibly empty, so that the basepoint has degree 1
+    (a stem), 2 (inside a cycle) or more."""
+    p, q = draw(_reduced_word(1, 4)), draw(_reduced_word(1, 4))
+    if draw(st.booleans()):
+        p = Word(AB, ())
+    if draw(st.booleans()):
+        q = Word(AB, ())
+    middles = draw(st.lists(_reduced_word(40, 120), min_size=1, max_size=3))
+    g = build_and_fold(AB, [p * x * q for x in middles if p * x * q])
+    assume(g.chains() is not None)
+    return g
+
+
+class TestChainReads:
+    """Reading by chains against the per-letter table reader."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_chain_graphs(), st.data())
+    def test_read_matches_letters(self, g, data):
+        code = _bend(data, _walk(data, g))
+        assert g.read(code) == _read_by_letters(g, code)
+        assert g.contains(Word.from_code(AB, code)) == (_read_by_letters(g, code) == 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_chain_graphs(), st.data())
+    def test_every_prefix(self, g, data):
+        # each prefix of a walk ends at a stop or inside a chain
+        code = encode_letters(AB, _walk(data, g))
+        for k in range(len(code) + 1):
+            assert g.read(code[:k]) == _read_by_letters(g, code[:k])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_chain_graphs(), st.lists(st.sampled_from(SIGNED), max_size=40))
+    def test_unreduced_random_codes(self, g, letters):
+        code = encode_letters(AB, letters)
+        assert g.read(code) == _read_by_letters(g, code)
+
+    @pytest.mark.parametrize("gens", [("(a b^2)^12",),
+                                      ("a^2 (b a^-1)^15 b a^2", "a^2 (b^-1 a^-1)^15 b a^2")])
+    def test_basepoint_of_degree_two(self, gens):
+        # the basepoint is a stop inside a cycle: chains start and end there
+        g = fold(*gens)
+        assert len(g.out[0]) == 2 and g.chains() is not None
+        for x in ws(*gens):
+            for code in (x.code, (x * x).code, x.code[:-1], x.code[1:], x.code + x.inverse().code):
+                assert g.read(code) == _read_by_letters(g, code)
+            assert g.contains(x) and g.contains(x.inverse())
+
+    def test_stops_decide(self):
+        # a graph reads by chains when at most one vertex in twenty is a
+        # stop; the basepoint always is one
+        assert fold("a^19").chains() is None
+        view = fold("a^20").chains()
+        assert view is not None and view[0] == {"\x00": ("\x00" * 20, 0), "\x01": ("\x01" * 20, 0)}
+        assert all(row is None for row in view[1:])
+        # a lollipop: the basepoint and the vertex where the stem meets the
+        # cycle are the stops
+        assert fold("b^10 a^29 b^-10").chains() is None
+        assert fold("b^10 a^30 b^-10").chains() is not None
+        # the triangle seed pair: 551 vertices, two of them branch
+        from malkit.malchar import seed_words_triangle
+
+        g = build_and_fold(AB, list(seed_words_triangle(AB, 6).pair))
+        stops = [v for v, row in enumerate(g.chains()) if row is not None]
+        assert stops == [v for v, d in enumerate(g.out) if len(d) != 2 or v == 0]
+        assert sum(map(len, (g.chains()[v] for v in stops))) == sum(len(g.out[v]) for v in stops)
+
+    def test_no_degree_two_vertices_read_by_table(self):
+        # the kernel of F(a, b) -> A5: a finite-index subgroup whose 60
+        # vertices all have degree 4, so there are no chains to read
+        from malkit.cosetenum import schreier_kernel_generators
+
+        gens, _ = schreier_kernel_generators(AB, ws("a^2", "b^3", "(a b)^5"), (), 1000)
+        g = build_and_fold(AB, gens)
+        assert g.num_vertices == 60 and all(len(d) == 4 for d in g.out)
+        assert g.chains() is None and g._table is None
+        rng = random.Random(7)
+        for _ in range(200):
+            code = encode_letters(AB, [rng.choice(SIGNED) for _ in range(rng.randrange(30))])
+            assert g.read(code) == _read_by_letters(g, code)
+        assert g._table is not None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.lists(_reduced_word(1, 8), min_size=1, max_size=3),
+                     st.lists(_reduced_word(40, 120), min_size=1, max_size=3)), st.data())
+    def test_crossings_match_letters(self, gens, data):
+        try:
+            rw = BasisRewriter(AB, gens)
+        except StallingsError:
+            assume(False)
+        element = Word(AB, ())
+        for _ in range(data.draw(st.integers(0, 5))):
+            element = element * data.draw(st.sampled_from(gens)) ** data.draw(st.sampled_from((1, -1)))
+        code = _bend(data, element.letters)
+        assert rw._crossing(Word.from_code(AB, code)) == _crossing_by_letters(rw, code)[0]
+        # turning back on a non-tree edge crosses it there and back
+        for k in _crossing_by_letters(rw, element.code)[1]:
+            code = element.code[:k + 1] + invert_code(element.code[k]) + element.code[k:]
+            assert rw._crossing(Word.from_code(AB, code)) == _crossing_by_letters(rw, code)[0]
+        back = rw.rewrite(element)
+        rebuilt = Word(AB, ())
+        for i, s in back:
+            rebuilt = rebuilt * gens[i] ** s
+        assert rebuilt == element

@@ -15,6 +15,7 @@ from malkit.words import (
     alphabet,
     apply_endo,
     code_product,
+    common_prefix,
     compose_endos,
     conjugate,
     cyclic_reduce,
@@ -146,6 +147,29 @@ class TestCodeProduct:
     @given(REDUCED)
     def test_inverse_code(self, letters):
         assert invert_code(encode_letters(ABC, letters)) == encode_letters(ABC, inverse_letters(letters))
+
+
+@st.composite
+def _prefix_pairs(draw):
+    """Two codes that share a drawn prefix and then go on freely: one may
+    be a prefix of the other, or equal to it."""
+    unit = st.sampled_from("\x00\x01\x02\x03")
+    shared = draw(st.text(unit, max_size=200))
+    return shared + draw(st.text(unit, max_size=30)), shared + draw(st.text(unit, max_size=30))
+
+
+class TestCommonPrefix:
+    @given(_prefix_pairs())
+    @example(("", ""))
+    @example(("\x00" * 7, "\x00" * 7))
+    @example(("\x00\x01", "\x00\x01\x02"))
+    @example(("\x01", "\x00"))
+    def test_matches_letter_loop(self, pair):
+        a, b = pair
+        k = 0
+        while k < min(len(a), len(b)) and a[k] == b[k]:
+            k += 1
+        assert common_prefix(a, b) == common_prefix(b, a) == k
 
 
 def _reduced(min_size=0, max_size=40, k=2):
