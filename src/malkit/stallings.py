@@ -7,15 +7,15 @@ union-find over vertices.  Fibre products of folded graphs decide
 malnormality and conjugate-intersection questions.
 
 A fibre product is never built whole.  A cycle in it projects to a closed
-non-backtracking walk in each folded factor, and every such walk meets the
-sources of the factor's non-tree edges, whose removal leaves a forest.  So
-only the components of the pairs at those sources are searched; the rest
-are trees, counted by the Euler characteristic of the whole product.
+non-backtracking walk in each folded factor, and every such walk crosses a
+non-tree edge of the factor.  So only the components of the pairs where a
+cycle can cross one are searched; the rest are trees, counted by the Euler
+characteristic of the whole product.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -62,7 +62,7 @@ class SubgroupGraph:
     :meth:`table` otherwise; each graph decides which once.
     """
 
-    __slots__ = ("alphabet", "out", "_table", "_chains", "_tree_parent", "_canon")
+    __slots__ = ("alphabet", "out", "_table", "_chains", "_tree_parent", "_canon", "_fibre")
 
     def __init__(self, alpha: Alphabet, out: list[dict[int, int]]):
         self.alphabet = alpha
@@ -71,6 +71,7 @@ class SubgroupGraph:
         self._chains = None
         self._tree_parent = None
         self._canon = None
+        self._fibre = None
 
     # -- size & invariants ---------------------------------------------------
     @property
@@ -87,15 +88,48 @@ class SubgroupGraph:
     # -- reading -------------------------------------------------------------
     def table(self) -> list[list[int]]:
         """Dense transition table: table[v][c] = target or -1, where c is the
-        position of the letter in signed_letters order - its code."""
+        ordinal of the letter's code unit."""
         if self._table is None:
-            column = {s: c for c, s in enumerate(signed_letters(len(self.alphabet)))}
-            tbl = [[-1] * len(column) for _ in self.out]
+            tbl = [[-1] * (2 * len(self.alphabet)) for _ in self.out]
             for row, d in zip(tbl, self.out):
                 for s, w in d.items():
-                    row[column[s]] = w
+                    row[2 * s - 2 if s > 0 else -2 * s - 1] = w  # ord(LETTER_UNIT[s])
             self._table = tbl
         return self._table
+
+    def fibre_facts(self) -> tuple[list[int], dict[int, list[int]], dict[int, int]]:
+        """What a fibre product reads off this graph, built once: the mask
+        of each vertex, with bit c set for each label leaving it whose code
+        unit has ordinal c; the vertices grouped by mask, in increasing
+        order; and, at each vertex where a non-tree edge is recorded, the
+        bits of those edges' labels read from it.  The tree keeps, at each
+        vertex but the basepoint, its first edge to a lower-numbered vertex:
+        a spanning tree in the BFS numbering, found without a search, and
+        not always that of :meth:`tree_parent`.  Every other edge is
+        recorded once: at its higher end, or by its positive label for a
+        loop."""
+        if self._fibre is None:
+            masks = []
+            groups: dict[int, list[int]] = {}
+            sources: dict[int, int] = {}
+            for v, d in enumerate(self.out):
+                m = nontree = 0
+                tree_edge_found = not v
+                for s, w in d.items():
+                    bit = 1 << (2 * s - 2 if s > 0 else -2 * s - 1)
+                    m |= bit
+                    if w < v:
+                        if tree_edge_found:
+                            nontree |= bit
+                        tree_edge_found = True
+                    elif w == v and s > 0:
+                        nontree |= bit
+                masks.append(m)
+                groups.setdefault(m, []).append(v)
+                if nontree:
+                    sources[v] = nontree
+            self._fibre = masks, groups, sources
+        return self._fibre
 
     def chains(self) -> Optional[list[Optional[dict[str, tuple[str, int]]]]]:
         """The chain view, or None when the graph reads through the table.
@@ -532,32 +566,43 @@ def rewrite_over_generators(
 #
 # A verdict only needs the components of a fibre product that hold a
 # cycle, and those can be found without building the product.  Both graphs
-# are folded, so a non-backtracking cycle in the product projects to a
-# closed non-backtracking walk in each factor: a step back in one factor
-# reads the inverse label, which the other, folded, factor can only follow
-# back too.  Removing F, the sources of a factor's non-tree edges (at most
-# its rank many), removes every non-tree edge and leaves a forest, which
-# carries no such walk; so every component that is not a forest contains a
-# pair (f, v) with f in F.  The search explores the components of those
-# seed pairs only, from the factor that gives fewer of them.  Every other
-# component is a tree, so the component count follows from the Euler
+# are folded, so the product is folded too: no two edges leave a pair with
+# the same label.  A simple cycle in the product therefore never turns
+# back, and it projects to a closed non-backtracking walk in g1.  Such a
+# walk cannot stay inside a spanning tree, so it crosses some non-tree edge
+# of g1, in one direction or the other.  Let u be either end of that edge
+# and s its label read from u.  At the crossing the cycle passes a pair
+# (u, v), and the product edge it crosses leaves (u, v) with label s, so
+# mask2[v] holds s's bit.  The cycle enters and leaves (u, v) by two
+# edges, so the pair's product degree, the number of labels the two masks
+# share, is at least 2; a loop gives both bits s and -s.  So every
+# component that is not a tree contains a seed pair
+#
+#     (u, v):  a non-tree edge of g1 has label s read from u,
+#              s in mask2[v], and (mask1[u] & mask2[v]).bit_count() > 1,
+#
+# where each non-tree edge is taken at one end only, and the same holds
+# from g2's side.  The search explores the components of the smaller of
+# the two seed sets only.  Each graph keeps its masks, its vertices grouped
+# by mask and its non-tree labels (SubgroupGraph.fibre_facts), so seeding
+# costs one step per distinct mask of the other factor.  A seed can still
+# lie in a tree, which costs its search and nothing else.  Every component
+# never seeded is a tree, so the component count follows from the Euler
 # characteristic: components = V - E + sum(E_c - V_c + 1) over the
-# explored components, with V the pairs on at least one edge (counted from
-# per-vertex masks of signed labels) and E the product's edge count, both
-# read off the factors alone.  When every component holds a cycle, as in
-# a^m x a^n, the search visits the whole product.
+# explored components, with V the pairs on at least one edge and E the
+# product's edge count, both counted from the mask groups alone.  When
+# every component holds a cycle, as in a^m x a^n, the search visits the
+# whole product.
 
 
 @dataclass
 class FibreComponent:
+    """A component of a fibre product; its core is empty exactly when it is a tree."""
+
     vertices: list[tuple[int, int]]
     edges: list[tuple[tuple[int, int], int, tuple[int, int]]]
     core_vertices: list[tuple[int, int]] = field(default_factory=list)
     core_edges: list[tuple[tuple[int, int], int, tuple[int, int]]] = field(default_factory=list)
-
-    @property
-    def is_forest(self) -> bool:
-        return not self.core_edges
 
 
 def _trim_core(verts, edges):
@@ -582,49 +627,55 @@ def _trim_core(verts, edges):
     return [v for v in verts if deg[v] > 1], [e for e, alive in zip(edges, alive_e) if alive]
 
 
-def _label_masks(g: SubgroupGraph) -> list[int]:
-    """One bit per signed label leaving each vertex: a pair of vertices lies
-    on a product edge exactly when their masks meet."""
-    return [sum(1 << (2 * s if s > 0 else -2 * s - 1) for s in d) for d in g.out]
+def _seeds(masks: list[int], sources: dict[int, int], other: dict[int, list[int]]):
+    """The seed pairs seen from one factor: each vertex ``u`` where it
+    records non-tree edges, with each group of the other factor's vertices
+    whose mask holds one of those labels and meets u's mask in at least
+    two labels."""
+    return [(u, vs) for u, bits in sources.items() for b, vs in other.items()
+            if b & bits and (masks[u] & b).bit_count() > 1]
 
 
 class _FibreAnalysis:
     """Component and forest statistics of the fibre product of two folded
-    graphs, from a search of the seed pairs' components only.
+    graphs, from a search of the seed pairs' components only: the pairs
+    where a cycle can cross a non-tree edge of one factor (see the comment
+    above).
 
     Product vertices are the pairs incident to at least one product edge,
     encoded as ``u1 * n2 + u2``; components are compared by their least
     vertex.  A component is a forest exactly when its edge count is one
-    less than its vertex count.  Only the least failing component, and the
-    least failing one off the diagonal, are built as ``FibreComponent``s,
-    and each only when it is read.
+    less than its vertex count.  ``explored`` is the number of pairs the
+    search visited.  Only the least failing component, and the least
+    failing one off the diagonal, are built as ``FibreComponent``s, and
+    each only when it is read.
     """
 
     def __init__(self, g1: SubgroupGraph, g2: SubgroupGraph):
         if g1.alphabet != g2.alphabet:
             raise StallingsError("alphabet mismatch")
         self._g1, self._g2 = g1, g2
-        n1, n2 = g1.num_vertices, g2.num_vertices
-        self._n2 = n2
-        self._mask1, self._mask2 = m1, m2 = _label_masks(g1), _label_masks(g2)
+        n2 = self._n2 = g2.num_vertices
+        m1, groups1, sources1 = g1.fibre_facts()
+        m2, groups2, sources2 = g2.fibre_facts()
         # V counts the pairs whose masks meet, and E half their common labels
         touched = doubled_edges = 0
-        c2 = Counter(m2).items()
-        for a, k1 in Counter(m1).items():
-            for b, k2 in c2:
+        for a, us in groups1.items():
+            for b, vs in groups2.items():
                 if a & b:
-                    touched += k1 * k2
-                    doubled_edges += k1 * k2 * (a & b).bit_count()
-        f1 = {u for u, _s, _v in _nontree_edges(g1)}
-        f2 = {u for u, _s, _v in _nontree_edges(g2)}
-        if len(f1) * n2 <= n1 * len(f2):
-            seeds = (f * n2 + v for f in f1 for v in range(n2) if m1[f] & m2[v])
+                    k = len(us) * len(vs)
+                    touched += k
+                    doubled_edges += k * (a & b).bit_count()
+        seeds1 = _seeds(m1, sources1, groups2)
+        seeds2 = _seeds(m2, sources2, groups1)
+        if sum(len(vs) for _u, vs in seeds1) <= sum(len(us) for _v, us in seeds2):
+            roots = (u * n2 + v for u, vs in seeds1 for v in vs)
         else:
-            seeds = (u * n2 + f for f in f2 for u in range(n1) if m1[u] & m2[f])
+            roots = (u * n2 + v for v, us in seeds2 for u in us)
         count = touched - doubled_edges // 2
         seen: set[int] = set()
         bad = []
-        for root in seeds:
+        for root in roots:
             if root not in seen:
                 comp, ne = self._explore(root, seen)
                 count += ne - len(comp) + 1
@@ -635,6 +686,7 @@ class _FibreAnalysis:
         self._bad = bad
         self._off_diag = bad[1:] if bad and bad[0] == 0 and self._same() else bad
         self.component_count = count
+        self.explored = len(seen)
         self.all_forests = not bad
         self.diagonal_ok = not self._off_diag
 
@@ -684,7 +736,7 @@ class _FibreAnalysis:
         """Every component, ordered by least vertex, and the position of the
         diagonal component among them (None when there is none): the same
         search seeded at every touched pair in increasing order."""
-        m1, m2, n2 = self._mask1, self._mask2, self._n2
+        m1, m2, n2 = self._g1.fibre_facts()[0], self._g2.fibre_facts()[0], self._n2
         seen: set[int] = set()
         comps = []
         for u1, a in enumerate(m1):

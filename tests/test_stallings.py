@@ -24,7 +24,7 @@ from malkit.stallings import (
     same_subgroup,
     trivial_intersection_all_conjugates,
 )
-from malkit.words import Word, alphabet, code_product, conjugate, encode_letters, invert_code, word
+from malkit.words import Word, alphabet, apply_endo, code_product, conjugate, encode_letters, invert_code, word
 
 AB = alphabet("a b")
 
@@ -299,19 +299,19 @@ class TestRewriting:
 class TestFibreProduct:
     def test_disjoint_letters_forest(self):
         comps, _diag = _fibre_analysis(fold("a"), fold("b")).components()
-        assert all(c.is_forest for c in comps)
+        assert all(not c.core_edges for c in comps)
 
     def test_nondiagonal_cycle_for_a2_b(self):
         g = fold("a^2", "b")
         comps, diag = _fibre_analysis(g, g).components()
         assert diag is not None
-        assert any(not c.is_forest for i, c in enumerate(comps) if i != diag)
+        assert any(c.core_edges for i, c in enumerate(comps) if i != diag)
 
     def test_same_graph_diagonal_only(self):
         g = fold("a")
         comps, diag = _fibre_analysis(g, g).components()
         assert diag is not None
-        assert all(c.is_forest for i, c in enumerate(comps) if i != diag)
+        assert all(not c.core_edges for i, c in enumerate(comps) if i != diag)
 
     def test_diagonal_rank_matches(self):
         g = fold("a b a^-1 b^-1", "a^2 b")
@@ -377,9 +377,47 @@ def _folded_graphs(min_len, max_len):
         lambda gens: build_and_fold(AB, gens))
 
 
-# products are drawn on both sides of this edge count, so the engine is
-# checked on small products and on large ones with many tree components
+# products are drawn on both sides of this edge count, so that the search
+# is checked on small products and on large ones with many tree components;
+# nothing in the search changes at this size
 _SIZE_SPLIT = 384
+
+
+@st.composite
+def _chain_graphs(draw):
+    """Folded graphs that read by chains: words p x_i q for long x_i, with
+    p and q short and possibly empty, so that the basepoint has degree 1
+    (a stem), 2 (inside a cycle) or more."""
+    p, q = draw(_reduced_word(1, 4)), draw(_reduced_word(1, 4))
+    if draw(st.booleans()):
+        p = Word(AB, ())
+    if draw(st.booleans()):
+        q = Word(AB, ())
+    middles = draw(st.lists(_reduced_word(40, 120), min_size=1, max_size=3))
+    g = build_and_fold(AB, [p * x * q for x in middles if p * x * q])
+    assume(g.chains() is not None)
+    return g
+
+
+@st.composite
+def _looped_graphs(draw):
+    """Folded graphs with one-letter loops, at the basepoint or at the end
+    of a stem p, which give loops in the product."""
+    p = draw(_reduced_word(1, 4)) if draw(st.booleans()) else Word(AB, ())
+    loops = draw(st.lists(st.sampled_from(ws("a", "b")), min_size=1, max_size=2))
+    others = draw(st.lists(_reduced_word(1, 6), max_size=2))
+    return build_and_fold(AB, [p * x * p.inverse() for x in loops] + others)
+
+
+@st.composite
+def _shared_source_graphs(draw):
+    """Folded graphs where two non-tree edges are recorded at one vertex:
+    two or three cycles hung at the end of one stem."""
+    p = draw(_reduced_word(1, 4)) if draw(st.booleans()) else Word(AB, ())
+    cycles = draw(st.lists(_reduced_word(1, 3), min_size=2, max_size=3))
+    g = build_and_fold(AB, [p * x * p.inverse() for x in cycles])
+    assume(any(bits & (bits - 1) for bits in g.fibre_facts()[2].values()))
+    return g
 
 
 class TestFibreAnalysisDifferential:
@@ -407,6 +445,8 @@ class TestFibreAnalysisDifferential:
         view, view_diag = fa.components()
         assert [(c.vertices, c.edges) for c in view] == comps
         assert view_diag == diag
+        # every component with a cycle is explored, and nothing outside the product
+        assert sum(len(comps[i][0]) for i in failing) <= fa.explored <= sum(len(v) for v, _es in comps)
         return fa
 
     @staticmethod
@@ -429,6 +469,52 @@ class TestFibreAnalysisDifferential:
         g2 = g1 if diagonal else g2
         assume(self._product_edges(g1, g2) >= _SIZE_SPLIT)
         self._compare(g1, g2)
+
+    # graphs that stress the seed rule: a product loop has both labels of
+    # its letter at one pair, a vertex with two non-tree edges seeds by
+    # either label, and long chains give large products with few cycles
+
+    @settings(max_examples=60, deadline=None)
+    @given(_looped_graphs(), st.one_of(_looped_graphs(), _folded_graphs(1, 6)), st.booleans())
+    def test_one_letter_loops(self, g1, g2, swap):
+        self._compare(*((g2, g1) if swap else (g1, g2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_shared_source_graphs(), st.one_of(_shared_source_graphs(), _folded_graphs(1, 6)), st.booleans())
+    def test_shared_sources(self, g1, g2, swap):
+        self._compare(*((g2, g1) if swap else (g1, g2)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(_chain_graphs(), st.one_of(_chain_graphs(), _folded_graphs(1, 8)), st.booleans())
+    def test_chain_graphs(self, g1, g2, diagonal):
+        self._compare(g1, g1 if diagonal else g2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_reduced_word(1, 8), min_size=1, max_size=3), st.data())
+    def test_equal_distinct_graphs(self, gens, data):
+        # the same subgroup from a second generating set: the diagonal is
+        # found by comparing canonical forms, not by identity
+        k = data.draw(st.integers(0, len(gens) - 1))
+        other = [x * gens[k] if i != k else x for i, x in enumerate(gens)]
+        g1, g2 = build_and_fold(AB, gens), build_and_fold(AB, data.draw(st.permutations(other)))
+        assert g1 is not g2 and same_subgroup(g1, g2)
+        self._compare(g1, g2)
+        self._compare(g2, g1)
+
+    def test_explores_few_pairs_on_a_psi_image(self):
+        # a psi-image of the (6,6,6) rho=8 seed pair against the seed pair:
+        # 749 x 551 vertices and every component a tree.  Seeding every pair
+        # at a source of a non-tree edge explores more than 2,000 pairs here.
+        from malkit.malchar import psi_maps, seed_words_triangle
+
+        pair = list(seed_words_triangle(AB, 8).pair)
+        psi = next(p for p in psi_maps(AB) if p.name == "psi(2,+1)")
+        t_graph = build_and_fold(AB, [apply_endo(psi.spec, x) for x in pair])
+        s_graph = build_and_fold(AB, pair)
+        assert (t_graph.num_vertices, s_graph.num_vertices) == (749, 551)
+        fa = _fibre_analysis(t_graph, s_graph)
+        assert fa.all_forests and fa.component_count == 178595
+        assert fa.explored <= 20
 
 
 class TestFibreAnalysisAdversarial:
@@ -454,6 +540,16 @@ class TestFibreAnalysisAdversarial:
     ])
     def test_against_reference(self, left, right):
         self.compare(fold(*left), fold(*right))
+
+    def test_seeds_need_the_non_tree_label(self):
+        # the b-loop of <a^-1 b^-1 a> sits at a vertex with labels a, b and
+        # b^-1, and it is the only non-tree edge there; vertex 1 of the
+        # 2-cycle <a^-1 b^-1> has labels a and b^-1.  That pair has product
+        # degree 2 but no b-edge, so no cycle crosses the loop there: the
+        # loop's side gives no seed, and the product, a forest, is not
+        # searched at all
+        fa = self.compare(fold("a^-1 b^-1"), fold("a^-1 b^-1 a"))
+        assert fa.all_forests and fa.explored == 0
 
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (2, 3), (4, 6), (6, 9), (12, 18), (7, 7)])
     def test_power_cycles(self, m, n):
@@ -686,22 +782,6 @@ def _walk(data, g):
     return letters
 
 
-@st.composite
-def _chain_graphs(draw):
-    """Folded graphs that read by chains: words p x_i q for long x_i, with
-    p and q short and possibly empty, so that the basepoint has degree 1
-    (a stem), 2 (inside a cycle) or more."""
-    p, q = draw(_reduced_word(1, 4)), draw(_reduced_word(1, 4))
-    if draw(st.booleans()):
-        p = Word(AB, ())
-    if draw(st.booleans()):
-        q = Word(AB, ())
-    middles = draw(st.lists(_reduced_word(40, 120), min_size=1, max_size=3))
-    g = build_and_fold(AB, [p * x * q for x in middles if p * x * q])
-    assume(g.chains() is not None)
-    return g
-
-
 class TestChainReads:
     """Reading by chains against the per-letter table reader."""
 
@@ -748,7 +828,7 @@ class TestChainReads:
         # cycle are the stops
         assert fold("b^10 a^29 b^-10").chains() is None
         assert fold("b^10 a^30 b^-10").chains() is not None
-        # the triangle seed pair: 551 vertices, two of them branch
+        # the triangle seed pair at rho=6: 335 vertices, its stops found by the view
         from malkit.malchar import seed_words_triangle
 
         g = build_and_fold(AB, list(seed_words_triangle(AB, 6).pair))
