@@ -27,13 +27,8 @@ class UsageError(ValueError):
     pass
 
 
-def _max_cosets(args) -> int:
-    env = os.environ.get("MALCHAR_MAX_COSETS")
-    if getattr(args, "max", None):
-        return args.max
-    if env:
-        return int(env)
-    return DEFAULT_MAX_COSETS
+# options that name a file the command reads
+_INPUT_FILES = ("presentation", "rels", "pres", "hnn")
 
 
 def _infer_alphabet(texts) -> Alphabet:
@@ -53,18 +48,33 @@ def _alphabet_and_words(args, *lists):
     return alpha, [parse_word_list(alpha, t) for t in lists]
 
 
-def _digest(*parts) -> str:
+def _resolve_inputs(args) -> None:
+    """Replace each input file's path by its text, and the coset cap by the
+    one in force (``--max``, else ``MALCHAR_MAX_COSETS``, else the default),
+    so that the parsed options alone decide the answer."""
+    for key in _INPUT_FILES:
+        if key in vars(args):
+            with open(vars(args)[key]) as fh:
+                setattr(args, key, fh.read())
+    if "max" in vars(args):
+        args.max = args.max or int(os.environ.get("MALCHAR_MAX_COSETS") or DEFAULT_MAX_COSETS)
+
+
+def _inputs_digest(args) -> str:
+    """Digest of every parsed option but the output path, after
+    :func:`_resolve_inputs`."""
     h = hashlib.sha256()
-    for p in parts:
-        h.update(repr(p).encode())
-        h.update(b"\0")
+    for key, value in sorted(vars(args).items()):
+        if key not in ("func", "out"):
+            h.update(repr((key, value)).encode())
+            h.update(b"\0")
     return h.hexdigest()[:16]
 
 
-def _emit(command, digest, payload, started, caveats=None, witnesses=None):
+def _emit(args, payload, started, caveats=None, witnesses=None):
     out = {
-        "command": command,
-        "inputs_digest": digest,
+        "command": args.command,
+        "inputs_digest": _inputs_digest(args),
         **payload,
         "witnesses": witnesses or [],
         "caveats": caveats or [],
@@ -73,11 +83,6 @@ def _emit(command, digest, payload, started, caveats=None, witnesses=None):
     json.dump(out, sys.stdout, indent=2, default=str)
     sys.stdout.write("\n")
     return 0
-
-
-def _load_presentation(path):
-    with open(path) as fh:
-        return presfile.parse_presentation(fh.read())
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -93,7 +98,7 @@ def cmd_fold(args):
         "edges": g.num_edges,
         "basis": [str(b) for b in stallings.basis(g)],
     }
-    return _emit("fold", _digest(alpha.names, [w.letters for w in gens]), payload, started)
+    return _emit(args, payload, started)
 
 
 def cmd_malnormal(args):
@@ -106,7 +111,7 @@ def cmd_malnormal(args):
         "component_count": v.component_count,
     }
     wit = [v.witness.as_dict()] if v.witness else []
-    return _emit("malnormal", _digest(alpha.names, [w.letters for w in gens]), payload, started, witnesses=wit)
+    return _emit(args, payload, started, witnesses=wit)
 
 
 def cmd_intersect(args):
@@ -118,12 +123,12 @@ def cmd_intersect(args):
         "component_count": v.component_count,
     }
     wit = [v.witness.as_dict()] if v.witness else []
-    return _emit("intersect", _digest(alpha.names, args.s, args.t), payload, started, witnesses=wit)
+    return _emit(args, payload, started, witnesses=wit)
 
 
 def cmd_sc_check(args):
     started = time.monotonic()
-    parsed = _load_presentation(args.presentation)
+    parsed = presfile.parse_presentation(args.presentation)
     rs = smallcancel.symmetrise(parsed.alphabet, parsed.relators)
     checks = {}
     witnesses = []
@@ -148,13 +153,12 @@ def cmd_sc_check(args):
         "verdict": checks,
         "max_piece_per_relator": dict(zip((str(r) for r in rs.relators), pt.max_piece_per_relator)),
     }
-    return _emit("sc-check", _digest(parsed.alphabet.names, [r.letters for r in parsed.relators]),
-                 payload, started, witnesses=witnesses)
+    return _emit(args, payload, started, witnesses=witnesses)
 
 
 def cmd_dehn(args):
     started = time.monotonic()
-    parsed = _load_presentation(args.presentation)
+    parsed = presfile.parse_presentation(args.presentation)
     rs = smallcancel.symmetrise(parsed.alphabet, parsed.relators)
     w = word(parsed.alphabet, args.word)
     reduced = smallcancel.dehn_reduce(rs, w)
@@ -170,12 +174,12 @@ def cmd_dehn(args):
         caveats.append("presentation is not C'(1/6) or C'(1/4)-T(4): "
                        "a non-empty Dehn-reduced word may still be trivial")
     payload = {"verdict": {"reduced": str(reduced), "trivial": trivial}}
-    return _emit("dehn", _digest(args.word), payload, started, caveats=caveats)
+    return _emit(args, payload, started, caveats=caveats)
 
 
 def cmd_certify(args):
     started = time.monotonic()
-    parsed = _load_presentation(args.rels)
+    parsed = presfile.parse_presentation(args.rels)
     alpha = parsed.alphabet
     s = parse_word_list(alpha, args.s)
     if args.kind == "malnormal":
@@ -192,8 +196,7 @@ def cmd_certify(args):
     else:
         raise UsageError(f"unknown certificate kind {args.kind!r}")
     payload = {"certificate": cert.to_dict()}
-    return _emit("certify", _digest(args.kind, args.s, args.t or ""), payload, started,
-                 caveats=cert.caveats)
+    return _emit(args, payload, started, caveats=cert.caveats)
 
 
 def cmd_malchar(args):
@@ -203,7 +206,7 @@ def cmd_malchar(args):
         i, j, k = (int(x) for x in args.triangle.split(","))
         cert = malchar.decide_malcharacteristic_triangle(ab, i, j, k, args.rho, args.bound)
         payload = {"certificate": cert.to_dict()}
-        return _emit("malchar", _digest(args.triangle, args.rho), payload, started, caveats=cert.caveats)
+        return _emit(args, payload, started, caveats=cert.caveats)
     if args.gens:
         gens = parse_word_list(ab, args.gens)
     else:
@@ -217,34 +220,34 @@ def cmd_malchar(args):
         witnesses.append({"automorphism": repr(verdict.failing_auto), **verdict.witness.as_dict()})
     if verdict.malnormal_witness is not None:
         witnesses.append(verdict.malnormal_witness.as_dict())
-    return _emit("malchar", _digest(args.rho, args.gens or ""), payload, started, witnesses=witnesses)
+    return _emit(args, payload, started, witnesses=witnesses)
 
 
 def cmd_coset_enum(args):
     started = time.monotonic()
-    parsed = _load_presentation(args.presentation)
+    parsed = presfile.parse_presentation(args.presentation)
     subgroup = parse_word_list(parsed.alphabet, args.subgroup) if args.subgroup else []
     if args.kernel and subgroup:
         raise UsageError("--kernel applies to the trivial-subgroup enumeration")
-    outcome = todd_coxeter(parsed.alphabet, parsed.relators, subgroup, _max_cosets(args))
+    outcome = todd_coxeter(parsed.alphabet, parsed.relators, subgroup, args.max)
     if isinstance(outcome, Overflow):
         payload = {"verdict": "overflow", "cap": outcome.max_cosets}
-        return _emit("coset-enum", _digest(args.presentation), payload, started)
+        return _emit(args, payload, started)
     payload = {"verdict": "complete", "index": outcome.index}
     if args.kernel:
         payload["kernel_generators"] = [str(g) for g in outcome.kernel_generators()]
-    return _emit("coset-enum", _digest(args.presentation), payload, started)
+    return _emit(args, payload, started)
 
 
 def cmd_build_tp(args):
     started = time.monotonic()
     ab = alphabet("a b")
     i, j, k = (int(x) for x in args.triangle.split(","))
-    parsed = _load_presentation(args.pres)
+    parsed = presfile.parse_presentation(args.pres)
     P = hnnforge.InputPresentation(parsed.alphabet, parsed.relators)
     hnn = hnnforge.build_tp(
         ab, i, j, k, P, rho=args.rho, mode=args.mode,
-        max_cosets=_max_cosets(args), truncate=args.truncate,
+        max_cosets=args.max, truncate=args.truncate,
     )
     text = presfile.format_presentation(presfile.hnn_to_parsed(hnn))
     if args.out:
@@ -261,14 +264,12 @@ def cmd_build_tp(args):
         "output": args.out,
     }
     caveats = [f"kernel truncated at conjugator depth {hnn.truncated}"] if hnn.truncated is not None else []
-    return _emit("build-tp", _digest(args.triangle, args.rho, args.mode), payload, started, caveats=caveats)
+    return _emit(args, payload, started, caveats=caveats)
 
 
 def cmd_britton(args):
     started = time.monotonic()
-    with open(args.hnn) as fh:
-        parsed = presfile.parse_presentation(fh.read())
-    hnn = presfile.parsed_to_hnn(parsed)
+    hnn = presfile.parsed_to_hnn(presfile.parse_presentation(args.hnn))
     bw = parse_britton_text(hnn, args.word)
     reduced, log = hnnforge.britton_reduce(hnn, bw)
     trivial = (not reduced.stable_count) and smallcancel.word_problem(
@@ -284,7 +285,7 @@ def cmd_britton(args):
             {"position": p.position, "kind": p.kind, "pinched": str(p.pinched)} for p in log
         ],
     }
-    return _emit("britton", _digest(args.word), payload, started)
+    return _emit(args, payload, started)
 
 
 def parse_britton_text(hnn, text: str):
@@ -366,7 +367,7 @@ def cmd_reproduce(args):
     else:
         raise UsageError(f"unknown reproduction target {args.what!r}")
     payload = {"verdict": "pass" if ok else "fail", "report": lines}
-    code = _emit("reproduce", _digest(args.what), payload, started)
+    code = _emit(args, payload, started)
     return code if ok else 3
 
 
@@ -512,6 +513,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 1 if e.code else 0
     try:
+        _resolve_inputs(args)
         return args.func(args)
     except REFUSALS as e:
         json.dump({"command": args.command, "refusal": str(e)}, sys.stdout, indent=2)

@@ -6,6 +6,11 @@ having two outgoing edges with the same signed label.  Folding is done by
 union-find over vertices.  Fibre products of folded graphs decide
 malnormality and conjugate-intersection questions.
 
+Each folded graph has one spanning tree, its BFS tree from the basepoint,
+read off ``out`` in one pass together with what a fibre product needs
+(:meth:`SubgroupGraph.fibre_facts`).  Free bases, witnesses, basis
+rewriting and the fibre-product search all use that tree.
+
 A fibre product is never built whole.  A cycle in it projects to a closed
 non-backtracking walk in each folded factor, and every such walk crosses a
 non-tree edge of the factor.  So only the components of the pairs where a
@@ -62,15 +67,13 @@ class SubgroupGraph:
     :meth:`table` otherwise; each graph decides which once.
     """
 
-    __slots__ = ("alphabet", "out", "_table", "_chains", "_tree_parent", "_canon", "_fibre")
+    __slots__ = ("alphabet", "out", "_table", "_chains", "_fibre")
 
     def __init__(self, alpha: Alphabet, out: list[dict[int, int]]):
         self.alphabet = alpha
         self.out = out
         self._table = None
         self._chains = None
-        self._tree_parent = None
-        self._canon = None
         self._fibre = None
 
     # -- size & invariants ---------------------------------------------------
@@ -97,38 +100,48 @@ class SubgroupGraph:
             self._table = tbl
         return self._table
 
-    def fibre_facts(self) -> tuple[list[int], dict[int, list[int]], dict[int, int]]:
-        """What a fibre product reads off this graph, built once: the mask
-        of each vertex, with bit c set for each label leaving it whose code
-        unit has ordinal c; the vertices grouped by mask, in increasing
-        order; and, at each vertex where a non-tree edge is recorded, the
-        bits of those edges' labels read from it.  The tree keeps, at each
-        vertex but the basepoint, its first edge to a lower-numbered vertex:
-        a spanning tree in the BFS numbering, found without a search, and
-        not always that of :meth:`tree_parent`.  Every other edge is
-        recorded once: at its higher end, or by its positive label for a
-        loop."""
+    def fibre_facts(self) -> tuple[list[int], dict[int, list[int]], dict[int, int],
+                                   list[Optional[tuple[int, int]]], list[tuple[int, int, int]]]:
+        """The graph's one spanning tree, and what a fibre product reads off
+        it, built once in one pass over ``out``: the mask of each vertex (bit
+        c for each label leaving it whose code unit has ordinal c); the
+        vertices grouped by mask, in increasing order; at each vertex where
+        non-tree edges are recorded, the bits of their labels read from it;
+        the tree, as (parent, signed letter into v) at each vertex v and
+        None at the basepoint; and the non-tree edges (u, s, v), s > 0, sorted.
+
+        Vertices are numbered in BFS order and each row is in signed-letter
+        order (``_canonicalize``), so the BFS parent of a vertex is the source
+        of the first edge into it in vertex-then-row order: the edge whose
+        target is the next vertex not yet reached.  A non-tree edge is
+        recorded for the fibre product once: at its higher end, or by its
+        positive label for a loop."""
         if self._fibre is None:
             masks = []
             groups: dict[int, list[int]] = {}
             sources: dict[int, int] = {}
+            parent: list[Optional[tuple[int, int]]] = [None]
+            edges = []
+            reached = 1
             for v, d in enumerate(self.out):
+                back = -parent[v][1] if v else 0  # the label of v's tree edge, read from v
                 m = nontree = 0
-                tree_edge_found = not v
                 for s, w in d.items():
                     bit = 1 << (2 * s - 2 if s > 0 else -2 * s - 1)
                     m |= bit
-                    if w < v:
-                        if tree_edge_found:
+                    if w == reached:
+                        parent.append((v, s))
+                        reached += 1
+                    elif s != back:
+                        if s > 0:
+                            edges.append((v, s, w))
+                        if w < v or (w == v and s > 0):
                             nontree |= bit
-                        tree_edge_found = True
-                    elif w == v and s > 0:
-                        nontree |= bit
                 masks.append(m)
                 groups.setdefault(m, []).append(v)
                 if nontree:
                     sources[v] = nontree
-            self._fibre = masks, groups, sources
+            self._fibre = masks, groups, sources, parent, edges
         return self._fibre
 
     def chains(self) -> Optional[list[Optional[dict[str, tuple[str, int]]]]]:
@@ -215,22 +228,10 @@ class SubgroupGraph:
         return self.read(w.code) == 0
 
     # -- spanning tree -------------------------------------------------------
-    def tree_parent(self):
-        """BFS tree from the basepoint: list of (parent, signed letter into v)."""
-        if self._tree_parent is None:
-            signed = tuple(signed_letters(len(self.alphabet)))
-            parent: list[Optional[tuple[int, int]]] = [None] * self.num_vertices
-            q = deque([0])
-            while q:
-                v = q.popleft()
-                d = self.out[v]
-                for s in signed:
-                    w = d.get(s)
-                    if w is not None and w != 0 and parent[w] is None:
-                        parent[w] = (v, s)
-                        q.append(w)
-            self._tree_parent = parent
-        return self._tree_parent
+    def tree_parent(self) -> list[Optional[tuple[int, int]]]:
+        """The BFS tree from the basepoint, read from :meth:`fibre_facts`:
+        (parent, signed letter into v) at each vertex v, None at the basepoint."""
+        return self.fibre_facts()[3]
 
     def path_from_basepoint(self, v: int) -> tuple[int, ...]:
         """Letters of the BFS tree path basepoint -> v."""
@@ -244,14 +245,10 @@ class SubgroupGraph:
 
     # -- canonical form -------------------------------------------------------
     def canonical_form(self):
-        if self._canon is None:
-            edges = []
-            for v, d in enumerate(self.out):
-                for s, w in d.items():
-                    if s > 0:
-                        edges.append((v, s, w))
-            self._canon = (self.alphabet.names, self.num_vertices, tuple(sorted(edges)))
-        return self._canon
+        """The alphabet, the vertex count and the sorted positive edges; two
+        graphs hold the same subgroup exactly when these are equal."""
+        edges = sorted((v, s, w) for v, d in enumerate(self.out) for s, w in d.items() if s > 0)
+        return self.alphabet.names, self.num_vertices, tuple(edges)
 
     def __repr__(self):
         return f"SubgroupGraph(V={self.num_vertices}, E={self.num_edges}, rank={self.rank()})"
@@ -418,15 +415,13 @@ def basis(g: SubgroupGraph) -> list[Word]:
 
 def _nontree_edges(g: SubgroupGraph) -> list[tuple[int, int, int]]:
     """Non-tree edges (u, s, v), s > 0 canonical orientation, sorted."""
-    parent = g.tree_parent()
-    return sorted((v, s, w) for v, d in enumerate(g.out) for s, w in d.items()
-                  if s > 0 and parent[w] != (v, s) and parent[v] != (w, -s))
+    return g.fibre_facts()[4]
 
 
 def same_subgroup(g1: SubgroupGraph, g2: SubgroupGraph) -> bool:
-    """Equality of subgroups: basepointed labeled-graph isomorphism, via
-    canonical BFS numbering."""
-    return g1.canonical_form() == g2.canonical_form()
+    """Equality of subgroups: basepointed labeled-graph isomorphism.  The
+    numbering is canonical, so that is equality of alphabets and of ``out``."""
+    return g1.alphabet == g2.alphabet and g1.out == g2.out
 
 
 # -- rewriting over a free basis ----------------------------------------------
@@ -554,14 +549,6 @@ class BasisRewriter:
         return [(abs(t) - 1, 1 if t > 0 else -1) for t in decode_letters(out)]
 
 
-def rewrite_over_generators(
-    alpha: Alphabet, gens: Sequence[Word], w: Word
-) -> Optional[list[tuple[int, int]]]:
-    """Unique reduced expression of ``w`` over the free basis ``gens``,
-    or None if w is not in the subgroup.  Raises if gens is not a basis."""
-    return BasisRewriter(alpha, gens).rewrite(w)
-
-
 # -- fibre products ------------------------------------------------------------
 #
 # A verdict only needs the components of a fibre product that hold a
@@ -656,8 +643,8 @@ class _FibreAnalysis:
             raise StallingsError("alphabet mismatch")
         self._g1, self._g2 = g1, g2
         n2 = self._n2 = g2.num_vertices
-        m1, groups1, sources1 = g1.fibre_facts()
-        m2, groups2, sources2 = g2.fibre_facts()
+        m1, groups1, sources1 = g1.fibre_facts()[:3]
+        m2, groups2, sources2 = g2.fibre_facts()[:3]
         # V counts the pairs whose masks meet, and E half their common labels
         touched = doubled_edges = 0
         for a, us in groups1.items():
@@ -684,7 +671,7 @@ class _FibreAnalysis:
         bad.sort()
         # the diagonal component holds the basepoint pair, the least of all
         self._bad = bad
-        self._off_diag = bad[1:] if bad and bad[0] == 0 and self._same() else bad
+        self._off_diag = bad[1:] if bad and bad[0] == 0 and same_subgroup(g1, g2) else bad
         self.component_count = count
         self.explored = len(seen)
         self.all_forests = not bad
@@ -692,15 +679,11 @@ class _FibreAnalysis:
 
     @cached_property
     def failing_component(self) -> Optional[FibreComponent]:
-        return self._component(self._bad[0], set()) if self._bad else None
+        return self._component(self._bad[0]) if self._bad else None
 
     @cached_property
     def failing_nondiag_component(self) -> Optional[FibreComponent]:
-        return self._component(self._off_diag[0], set()) if self._off_diag else None
-
-    def _same(self) -> bool:
-        g1, g2 = self._g1, self._g2
-        return g1 is g2 or g1.canonical_form() == g2.canonical_form()
+        return self._component(self._off_diag[0]) if self._off_diag else None
 
     def _explore(self, root: int, seen: set[int]) -> tuple[list[int], int]:
         """The pairs of root's component, added to ``seen``, and its edge count."""
@@ -720,9 +703,9 @@ class _FibreAnalysis:
                         comp.append(t)
         return comp, half_edges // 2
 
-    def _component(self, root: int, seen: set[int]) -> FibreComponent:
+    def _component(self, root: int) -> FibreComponent:
         out1, out2, n2 = self._g1.out, self._g2.out, self._n2
-        comp, _ne = self._explore(root, seen)
+        comp, _ne = self._explore(root, set())
         verts = sorted(divmod(c, n2) for c in comp)
         es = sorted(
             ((a, b), s, (t1, out2[b][s]))
@@ -731,19 +714,6 @@ class _FibreAnalysis:
             if s > 0 and s in out2[b]
         )
         return FibreComponent(verts, es, *_trim_core(verts, es))
-
-    def components(self) -> tuple[list[FibreComponent], Optional[int]]:
-        """Every component, ordered by least vertex, and the position of the
-        diagonal component among them (None when there is none): the same
-        search seeded at every touched pair in increasing order."""
-        m1, m2, n2 = self._g1.fibre_facts()[0], self._g2.fibre_facts()[0], self._n2
-        seen: set[int] = set()
-        comps = []
-        for u1, a in enumerate(m1):
-            for u2, b in enumerate(m2):
-                if a & b and u1 * n2 + u2 not in seen:
-                    comps.append(self._component(u1 * n2 + u2, seen))
-        return comps, 0 if m1[0] & m2[0] and self._same() else None
 
 
 def _fibre_analysis(g1: SubgroupGraph, g2: SubgroupGraph) -> _FibreAnalysis:

@@ -217,6 +217,30 @@ class TestCli:
         code, out = run_cli(capsys, "britton", "--hnn", str(out_path), "--word", "t^2 z t^-2")
         assert code == 0 and out["verdict"]["stable_letters"] == 4
 
+    def test_inputs_digest_covers_files_and_options(self, capsys, tmp_path):
+        # the same --word over two presentations, and one certificate at two
+        # bounds, are different questions
+        p6, p3 = tmp_path / "p6.pres", tmp_path / "p3.pres"
+        p6.write_text("gens: a b\nrels: a^6, b^6, (a b)^6\n")
+        p3.write_text("gens: a b\nrels: a^3, b^6, (a b)^6\n")
+        _, over6 = run_cli(capsys, "dehn", str(p6), "--word", "a^3")
+        _, over3 = run_cli(capsys, "dehn", str(p3), "--word", "a^3")
+        assert (over6["verdict"]["trivial"], over3["verdict"]["trivial"]) == (False, True)
+        assert over6["inputs_digest"] != over3["inputs_digest"]
+        # the file's text counts, not its path
+        copy = tmp_path / "copy.pres"
+        copy.write_text(p6.read_text())
+        assert run_cli(capsys, "dehn", str(copy), "--word", "a^3")[1]["inputs_digest"] == over6["inputs_digest"]
+        free = tmp_path / "free.pres"
+        free.write_text("gens: a b\nrels:\n")
+        digests = set()
+        for bound in ("3", "4"):
+            _, out = run_cli(capsys, "certify", "--kind", "intersection", "--rels", str(free),
+                             "--s", "a", "--t", "b", "--bound", bound)
+            assert out["certificate"]["certified"]
+            digests.add(out["inputs_digest"])
+        assert len(digests) == 2
+
     def test_json_envelope_fields(self, capsys, tmp_path):
         path = tmp_path / "c3.pres"
         path.write_text("gens: z\nrels: z^3\n")

@@ -20,11 +20,21 @@ from malkit.stallings import (
     build_and_fold,
     basis,
     is_malnormal,
-    rewrite_over_generators,
     same_subgroup,
     trivial_intersection_all_conjugates,
 )
-from malkit.words import Word, alphabet, apply_endo, code_product, conjugate, encode_letters, invert_code, word
+from malkit.words import (
+    LETTER_UNIT,
+    Word,
+    alphabet,
+    apply_endo,
+    code_product,
+    conjugate,
+    encode_letters,
+    invert_code,
+    signed_letters,
+    word,
+)
 
 AB = alphabet("a b")
 
@@ -244,18 +254,18 @@ class TestBasis:
 
 class TestRewriting:
     def test_simple(self):
-        assert rewrite_over_generators(AB, ws("a^2", "b"), w("a^2 b a^2")) == [
+        assert BasisRewriter(AB, ws("a^2", "b")).rewrite(w("a^2 b a^2")) == [
             (0, 1),
             (1, 1),
             (0, 1),
         ]
 
     def test_not_member(self):
-        assert rewrite_over_generators(AB, ws("a^2", "b"), w("a")) is None
+        assert BasisRewriter(AB, ws("a^2", "b")).rewrite(w("a")) is None
 
     def test_not_a_basis(self):
         with pytest.raises(StallingsError):
-            rewrite_over_generators(AB, ws("a^2", "a^3"), w("a"))
+            BasisRewriter(AB, ws("a^2", "a^3")).rewrite(w("a"))
 
     def test_folding_required_case(self):
         # generators share a long prefix, so provenance is nontrivial
@@ -264,14 +274,14 @@ class TestRewriting:
             (w("a b a b^2") * w("a b a b^3"), [(0, 1), (1, 1)]),
             (w("a b a b^3") ** -1 * w("a b a b^2"), [(1, -1), (0, 1)]),
         ]:
-            assert rewrite_over_generators(AB, gens, target) == expected
+            assert BasisRewriter(AB, gens).rewrite(target) == expected
 
     def test_triangle_seed_conjugate(self):
         from malkit.malchar import seed_words_triangle
         from malkit.words import conjugate
 
         x, y = seed_words_triangle(AB, 6).pair
-        assert rewrite_over_generators(AB, [x, y], conjugate(x, y)) == [
+        assert BasisRewriter(AB, [x, y]).rewrite(conjugate(x, y)) == [
             (1, -1),
             (0, 1),
             (1, 1),
@@ -294,31 +304,6 @@ class TestRewriting:
             for i, s in back:
                 rebuilt = rebuilt * gens[i] ** s
             assert rebuilt == target
-
-
-class TestFibreProduct:
-    def test_disjoint_letters_forest(self):
-        comps, _diag = _fibre_analysis(fold("a"), fold("b")).components()
-        assert all(not c.core_edges for c in comps)
-
-    def test_nondiagonal_cycle_for_a2_b(self):
-        g = fold("a^2", "b")
-        comps, diag = _fibre_analysis(g, g).components()
-        assert diag is not None
-        assert any(c.core_edges for i, c in enumerate(comps) if i != diag)
-
-    def test_same_graph_diagonal_only(self):
-        g = fold("a")
-        comps, diag = _fibre_analysis(g, g).components()
-        assert diag is not None
-        assert all(not c.core_edges for i, c in enumerate(comps) if i != diag)
-
-    def test_diagonal_rank_matches(self):
-        g = fold("a b a^-1 b^-1", "a^2 b")
-        comps, diag = _fibre_analysis(g, g).components()
-        v = len(comps[diag].vertices)
-        e = len(comps[diag].edges)
-        assert e - v + 1 == g.rank()
 
 
 def _reference_fibre(g1, g2):
@@ -420,6 +405,73 @@ def _shared_source_graphs(draw):
     return g
 
 
+def _bfs_tree_parent(g):
+    """Reference tree: a BFS from the basepoint with a queue, taking each
+    vertex's edges in signed-letter order; (parent, letter into v) at each
+    vertex v, None at the basepoint."""
+    parent = [None] * g.num_vertices
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for s in signed_letters(len(g.alphabet)):
+            t = g.out[v].get(s)
+            if t is not None and t != 0 and parent[t] is None:
+                parent[t] = (v, s)
+                queue.append(t)
+    return parent
+
+
+def _reference_nontree_edges(g, parent):
+    """Every edge (u, s, v), s > 0, that is not an edge of the tree ``parent``, sorted."""
+    return sorted((v, s, t) for v, d in enumerate(g.out) for s, t in d.items()
+                  if s > 0 and parent[t] != (v, s) and parent[v] != (t, -s))
+
+
+class TestSpanningTree:
+    """The one-pass tree and fibre facts against a BFS with a queue and an
+    edge filter."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_folded_graphs(1, 8), _chain_graphs(), _looped_graphs(), _shared_source_graphs()))
+    def test_matches_bfs(self, g):
+        masks, groups, sources, parent, nontree = g.fibre_facts()
+        assert parent == g.tree_parent() == _bfs_tree_parent(g)
+        assert nontree == stallings._nontree_edges(g) == _reference_nontree_edges(g, parent)
+        assert len(nontree) == g.rank()
+        assert masks == [sum(1 << ord(LETTER_UNIT[s]) for s in d) for d in g.out]
+        assert groups == {m: [v for v, x in enumerate(masks) if x == m] for m in masks}
+        # each non-tree edge is recorded once: at its higher end, or by its
+        # positive label for a loop
+        recorded = {}
+        for u, s, v in nontree:
+            at, label = (u, s) if u >= v else (v, -s)
+            recorded[at] = recorded.get(at, 0) | 1 << ord(LETTER_UNIT[label])
+        assert sources == recorded
+
+    def test_seed_pair(self):
+        from malkit.malchar import seed_words_triangle
+
+        g = build_and_fold(AB, list(seed_words_triangle(AB, 8).pair))
+        parent = _bfs_tree_parent(g)
+        assert g.tree_parent() == parent
+        assert stallings._nontree_edges(g) == _reference_nontree_edges(g, parent)
+        assert same_subgroup(build_and_fold(AB, basis(g)), g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_reduced_word(1, 6), min_size=1, max_size=3),
+           st.lists(_reduced_word(1, 6), min_size=1, max_size=3), st.data())
+    def test_same_subgroup_is_canonical_form_equality(self, gens1, gens2, data):
+        if data.draw(st.booleans()):  # a Nielsen move: a second generating set of <gens1>
+            k = data.draw(st.integers(0, len(gens1) - 1))
+            gens2 = [x * gens1[k] if i != k else x for i, x in enumerate(gens1)]
+        g1, g2 = build_and_fold(AB, gens1), build_and_fold(AB, gens2)
+        assert same_subgroup(g1, g2) == (g1.canonical_form() == g2.canonical_form())
+
+    def test_same_subgroup_needs_the_same_alphabet(self):
+        a = alphabet("a")
+        assert not same_subgroup(fold("a"), build_and_fold(a, [word(a, "a")]))
+
+
 class TestFibreAnalysisDifferential:
     """The seeded component search against a brute-force pair graph, on
     products below and above a size split."""
@@ -442,9 +494,6 @@ class TestFibreAnalysisDifferential:
             assert fa.failing_nondiag_component.edges == comps[off_diag[0]][1]
         else:
             assert fa.failing_nondiag_component is None
-        view, view_diag = fa.components()
-        assert [(c.vertices, c.edges) for c in view] == comps
-        assert view_diag == diag
         # every component with a cycle is explored, and nothing outside the product
         assert sum(len(comps[i][0]) for i in failing) <= fa.explored <= sum(len(v) for v, _es in comps)
         return fa
@@ -515,6 +564,33 @@ class TestFibreAnalysisDifferential:
         fa = _fibre_analysis(t_graph, s_graph)
         assert fa.all_forests and fa.component_count == 178595
         assert fa.explored <= 20
+
+
+class TestFibreProduct:
+    """Small products, each checked against the brute-force pair graph."""
+
+    compare = staticmethod(TestFibreAnalysisDifferential._compare)
+
+    def test_disjoint_letters_forest(self):
+        assert self.compare(fold("a"), fold("b")).all_forests
+
+    def test_nondiagonal_cycle_for_a2_b(self):
+        g = fold("a^2", "b")
+        fa = self.compare(g, g)
+        assert not fa.diagonal_ok and fa.failing_nondiag_component.core_edges
+
+    def test_same_graph_diagonal_only(self):
+        g = fold("a")
+        fa = self.compare(g, g)
+        assert fa.diagonal_ok and not fa.all_forests
+
+    def test_diagonal_rank_matches(self):
+        # the diagonal holds the basepoint pair, so it is the least failing component
+        g = fold("a b a^-1 b^-1", "a^2 b")
+        comps, diag, _failing = _reference_fibre(g, g)
+        diagonal = self.compare(g, g).failing_component
+        assert (diagonal.vertices, diagonal.edges) == comps[diag]
+        assert len(diagonal.edges) - len(diagonal.vertices) + 1 == g.rank()
 
 
 class TestFibreAnalysisAdversarial:
