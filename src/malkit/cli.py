@@ -453,11 +453,10 @@ def build_parser():
     c.set_defaults(func=cmd_certify)
 
     mc = sub.add_parser("malchar", help="malcharacteristic decisions")
-    group = mc.add_mutually_exclusive_group()
-    group.add_argument("--free", action="store_true")
+    group = mc.add_mutually_exclusive_group()  # --gens is for the free-group decision only
     group.add_argument("--triangle")
+    group.add_argument("--gens")
     mc.add_argument("--rho", type=int, default=8)
-    mc.add_argument("--gens")
     mc.add_argument("--bound", type=int, default=3)
     mc.set_defaults(func=cmd_malchar)
 

@@ -10,7 +10,7 @@ letter conjugating the kernel subgroup by the chosen base automorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -27,6 +27,7 @@ from .words import (
     Alphabet,
     EndomorphismSpec,
     Word,
+    alphabet,
     apply_endo,
     code_product,
     endo,
@@ -53,9 +54,7 @@ class InputPresentation:
 
 
 def presentation(gens: str, rels: Sequence[str] = ()) -> InputPresentation:
-    from .words import alphabet as _alphabet
-
-    alpha = _alphabet(gens)
+    alpha = alphabet(gens)
     return InputPresentation(alpha, tuple(word(alpha, t) for t in rels))
 
 
@@ -64,7 +63,6 @@ class HatPresentation:
     presentation: InputPresentation
     padding: tuple[str, ...]       # freshly adjoined killed generators
     slots: dict                    # generator name -> family index (padding first)
-    mode: str
 
 
 def _fresh_names(wanted: Sequence[str], taken: set[str]) -> list[str]:
@@ -102,21 +100,21 @@ def hat_presentation(P: InputPresentation, mode: str = "pq") -> HatPresentation:
         raise HnnError(f"unknown padding mode {mode!r}")
     alpha = Alphabet(tuple(new_names))
     pad_relators = tuple(word(alpha, p) for p in padding)
-    old_relators = tuple(Word(alpha, _respell(P.alphabet, alpha, r.letters), reduced=True)
-                         for r in P.relators)
+    old_relators = tuple(_respell(r, alpha) for r in P.relators)
     relators = (pad_relators + old_relators) if mode == "minimal" else (old_relators + pad_relators)
     slots = {name: idx for idx, name in enumerate(order)}
-    return HatPresentation(
-        InputPresentation(alpha, relators), tuple(padding), slots, mode
-    )
+    return HatPresentation(InputPresentation(alpha, relators), tuple(padding), slots)
 
 
-def _respell(src: Alphabet, dst: Alphabet, letters: tuple[int, ...]) -> tuple[int, ...]:
-    trans = [dst.index(n) + 1 for n in src.names]
-    return tuple(trans[x - 1] if x > 0 else -trans[-x - 1] for x in letters)
+def _respell(w: Word, dst: Alphabet) -> Word:
+    """The word spelled over ``dst``, an alphabet that holds every
+    generator name of its own: generator k goes to the unit pair of its
+    name's index in ``dst``."""
+    table = {2 * k + s: 2 * dst.index(name) + s for k, name in enumerate(w.alphabet.names) for s in (0, 1)}
+    return Word.from_code(dst, w.code.translate(table))
 
 
-@dataclass
+@dataclass(frozen=True)
 class HnnPresentation:
     base_alphabet: Alphabet
     base_relators: tuple[Word, ...]
@@ -126,10 +124,8 @@ class HnnPresentation:
     hat: HatPresentation
     m_gens: tuple[Word, ...]            # concrete family words, slot order
     assoc_abstract: tuple[Word, ...]    # kernel generators over the hat alphabet
-    assoc_concrete: tuple[Word, ...]    # the same, substituted into the family
     table: Optional[CosetTable]         # hat quotient, when finite
     truncated: Optional[int] = None     # truncation depth of a parametric family
-    _membership: Optional["_KMembership"] = field(default=None, repr=False)
 
     @property
     def hat_alphabet(self) -> Alphabet:
@@ -147,17 +143,24 @@ class HnnPresentation:
         images = self._m_images
         return Word.from_code(self.base_alphabet, code_product(map(images.__getitem__, abstract.code)))
 
+    @cached_property
+    def assoc_concrete(self) -> tuple[Word, ...]:
+        """The kernel generators substituted into the family."""
+        return tuple(map(self.substitute, self.assoc_abstract))
+
     def hnn_relator_texts(self) -> list[str]:
         t = self.stable
-        return [f"{t} ({u}) {t}^-1 ({apply_endo(self.phi, self.substitute(u))})^-1"
-                for u in self.assoc_abstract]
+        return [f"{t} ({u}) {t}^-1 ({apply_endo(self.phi, c)})^-1"
+                for u, c in zip(self.assoc_abstract, self.assoc_concrete)]
 
     def membership(self) -> "_KMembership":
-        if self._membership is None:
-            if self.truncated is not None:
-                raise HnnError("finite quotient required")
-            self._membership = _KMembership(self)
+        if self.truncated is not None:
+            raise HnnError("finite quotient required")
         return self._membership
+
+    @cached_property
+    def _membership(self) -> "_KMembership":
+        return _KMembership(self)
 
     def base_relator_set(self) -> RelatorSet:
         return symmetrise(self.base_alphabet, self.base_relators)
@@ -223,16 +226,13 @@ def build_tp(
         hat=hat,
         m_gens=m_by_slot,
         assoc_abstract=abstract,
-        assoc_concrete=tuple(),
         table=table,
         truncated=truncated,
     )
-    concrete = tuple(hnn.substitute(u) for u in abstract)
-    hnn.assoc_concrete = concrete
     # every kernel generator must lie in the family subgroup, and the base
     # automorphism must preserve the base relators
     m_graph = build_and_fold(alpha, list(m_by_slot))
-    for u in concrete:
+    for u in hnn.assoc_concrete:
         if not m_graph.contains(u):
             raise HnnError(f"internal: kernel generator {u} is not in the family subgroup")
     for r in rels:
@@ -324,24 +324,13 @@ def quotient_morphism(
     else:
         caveats.append("target quotient infinite: inclusion taken on caller's assertion")
 
-    g1 = build_and_fold(hat_alpha, list(h1.assoc_abstract))
-    g2 = build_and_fold(hat_alpha, list(h2.assoc_abstract))
-    if h1.truncated is None and h2.truncated is None:
-        if same_subgroup(g1, g2):
-            raise HnnError("not a proper quotient")
-    else:
-        caveats.append("kernel comparison on truncated parametric families")
-
-    extra = [u for u in h2.assoc_abstract if not g1.contains(u)]
-    if h1.truncated is None and h2.truncated is None and not extra:
+    # With both quotients finite, the relator check above shows K1 <= K2,
+    # so K1 = K2 exactly when every generator of K2 lies in K1: an empty
+    # extra list is the whole kernel comparison.
+    data = _morphism(build_and_fold(hat_alpha, list(h1.assoc_abstract)), h1, h2, caveats)
+    if not (data.source_truncated or data.target_truncated or data.extra_abstract):
         raise HnnError("not a proper quotient")
-    return MorphismData(
-        extra_abstract=extra,
-        extra_concrete=[h2.substitute(u) for u in extra],
-        caveats=caveats,
-        source_truncated=h1.truncated is not None,
-        target_truncated=h2.truncated is not None,
-    )
+    return data
 
 
 def free_product_morphism(
@@ -362,14 +351,7 @@ def free_product_morphism(
     if shared:
         raise HnnError(f"free product factors share generators: {sorted(shared)}")
     pq_alpha = Alphabet(P.alphabet.names + Q.alphabet.names)
-    relators = tuple(
-        Word(pq_alpha, _respell(P.alphabet, pq_alpha, r.letters), reduced=True)
-        for r in P.relators
-    ) + tuple(
-        Word(pq_alpha, _respell(Q.alphabet, pq_alpha, r.letters), reduced=True)
-        for r in Q.relators
-    )
-    PQ = InputPresentation(pq_alpha, relators)
+    PQ = InputPresentation(pq_alpha, tuple(_respell(r, pq_alpha) for r in P.relators + Q.relators))
 
     hp = build_tp(alpha, i, j, k, P, rho=rho, mode="pq", max_cosets=max_cosets, truncate=truncate)
     hpq = build_tp(alpha, i, j, k, PQ, rho=rho, mode="pq", max_cosets=max_cosets, truncate=truncate)
@@ -380,27 +362,28 @@ def free_product_morphism(
         if hp.m_word(name) != hpq.m_word(name):
             raise HnnError("incompatible family convention (non-nested cuts)")
 
-    caveats = []
     big_alpha = hpq.hat_alphabet
-    k1 = [
-        Word(big_alpha, _respell(hp.hat_alphabet, big_alpha, u.letters), reduced=True)
-        for u in hp.assoc_abstract
-    ]
-    g1 = build_and_fold(big_alpha, k1)
-    if hp.truncated is not None or hpq.truncated is not None:
-        caveats.append("kernel comparison on truncated parametric families")
-    extra = [u for u in hpq.assoc_abstract if not g1.contains(u)]
+    g1 = build_and_fold(big_alpha, [_respell(u, big_alpha) for u in hp.assoc_abstract])
     if not Q.alphabet.names and not Q.relators:
         # trivial free factor: the kernels must agree
         g2 = build_and_fold(big_alpha, list(hpq.assoc_abstract))
         if not same_subgroup(g1, g2):
             raise HnnError("internal: a trivial free factor changed the kernel")
+    return _morphism(g1, hp, hpq, [])
+
+
+def _morphism(g1, source: HnnPresentation, target: HnnPresentation, caveats: list[str]) -> MorphismData:
+    """The target's kernel generators outside the source kernel, whose
+    folded graph over the target's hat alphabet is ``g1``."""
+    if source.truncated is not None or target.truncated is not None:
+        caveats.append("kernel comparison on truncated parametric families")
+    extra = [u for u in target.assoc_abstract if not g1.contains(u)]
     return MorphismData(
         extra_abstract=extra,
-        extra_concrete=[hpq.substitute(u) for u in extra],
+        extra_concrete=[target.substitute(u) for u in extra],
         caveats=caveats,
-        source_truncated=hp.truncated is not None,
-        target_truncated=hpq.truncated is not None,
+        source_truncated=source.truncated is not None,
+        target_truncated=target.truncated is not None,
     )
 
 
@@ -453,14 +436,11 @@ class _KMembership:
         self._k_memo: dict = {}
         self._phi_k_memo: dict = {}
 
-    def normalise(self, h: Word) -> Word:
-        return dehn_reduce(self.rs, h)
-
     def in_k(self, h: Word) -> bool:
         cached = self._k_memo.get(h.code)
         if cached is not None:
             return cached
-        hn = self.normalise(h)
+        hn = dehn_reduce(self.rs, h)
         abstract = self.abstract_image(hn)
         verdict = abstract is not None and self.H.table.image_in_quotient(abstract) == 1
         if verdict != self.k_graph.contains(hn):
@@ -498,30 +478,29 @@ def britton_reduce(H: HnnPresentation, bw: BrittonWord) -> tuple[BrittonWord, li
     The result is Britton-reduced: with any stable letters left it is
     nontrivial in the extension.  Requires a finite padded quotient."""
     member = H.membership()
+    # (e1, e2) -> the kind of the pinch t^e1 h t^e2, the membership test of
+    # h, and the map that removes the two stable letters
+    rules = {(1, -1): ("t k t^-1", member.in_k, H.phi),
+             (-1, 1): ("t^-1 phi(k) t", member.in_phi_k, member.phi_inv)}
     segs = [bw.head] + [w for _, w in bw.tail]
     eps = [e for e, _ in bw.tail]
     log: list[PinchStep] = []
-    changed = True
-    while changed:
-        changed = False
+    while True:
         for idx in range(len(eps) - 1):
+            rule = rules.get((eps[idx], eps[idx + 1]))
+            if rule is None:
+                continue
+            kind, inside, endo_map = rule
             mid = segs[idx + 1]
-            if eps[idx] == 1 and eps[idx + 1] == -1 and member.in_k(mid):
-                image = apply_endo(H.phi, mid)
-                log.append(PinchStep(idx, "t k t^-1", mid, image))
+            if inside(mid):
+                image = apply_endo(endo_map, mid)
+                log.append(PinchStep(idx, kind, mid, image))
                 segs[idx] = segs[idx] * image * segs[idx + 2]
                 del segs[idx + 1:idx + 3]
                 del eps[idx:idx + 2]
-                changed = True
                 break
-            if eps[idx] == -1 and eps[idx + 1] == 1 and member.in_phi_k(mid):
-                image = apply_endo(member.phi_inv, mid)
-                log.append(PinchStep(idx, "t^-1 phi(k) t", mid, image))
-                segs[idx] = segs[idx] * image * segs[idx + 2]
-                del segs[idx + 1:idx + 3]
-                del eps[idx:idx + 2]
-                changed = True
-                break
+        else:
+            break
     return BrittonWord(segs[0], tuple(zip(eps, segs[1:]))), log
 
 
@@ -582,7 +561,7 @@ def residual_witness(H: HnnPresentation, bw: BrittonWord) -> ResidualWitness:
             kind, h, group = "t^-1 h t", apply_endo(member.phi_inv, mid), "phi(K)"
         else:
             continue
-        abstract = member.abstract_image(member.normalise(h))
+        abstract = member.abstract_image(dehn_reduce(member.rs, h))
         if abstract is None:
             entries.append(WitnessEntry(idx, kind, mid, False))
             continue

@@ -106,14 +106,7 @@ def parse_presentation(text: str) -> ParsedPresentation:
                 raise PresentationSyntaxError(str(e), no) from None
         mgen_names, mgen_words = tuple(names), tuple(values)
 
-    assoc: tuple[Word, ...] = ()
-    if "assoc" in sections:
-        content, no = sections.pop("assoc")
-        over = Alphabet(mgen_names) if mgen_names else alpha
-        try:
-            assoc = tuple(parse_word_list(over, content))
-        except WordError as e:
-            raise PresentationSyntaxError(str(e), no) from None
+    assoc = words_of("assoc", Alphabet(mgen_names) if mgen_names else alpha)
 
     endo_images: tuple[Word, ...] = ()
     if "endo" in sections:
@@ -182,9 +175,7 @@ def hnn_to_parsed(hnn) -> ParsedPresentation:
         stable=hnn.stable,
         mgen_names=hat_names,
         mgen_words=tuple(hnn.m_word(n) for n in hat_names),
-        assoc=tuple(
-            Word(Alphabet(hat_names), u.letters, reduced=True) for u in hnn.assoc_abstract
-        ),
+        assoc=hnn.assoc_abstract,
         endo_images=tuple(hnn.phi.images),
     )
 
@@ -215,9 +206,8 @@ def parsed_to_hnn(parsed: ParsedPresentation):
         InputPresentation(hat_alpha, tuple(parsed.assoc)),
         padding=(),
         slots={n: i for i, n in enumerate(hat_alpha.names)},
-        mode="file",
     )
-    hnn = HnnPresentation(
+    return HnnPresentation(
         base_alphabet=base_alpha,
         base_relators=tuple(parsed.relators),
         stable=parsed.stable,
@@ -226,9 +216,6 @@ def parsed_to_hnn(parsed: ParsedPresentation):
         hat=hat,
         m_gens=tuple(parsed.mgen_words),
         assoc_abstract=tuple(parsed.assoc),
-        assoc_concrete=(),
         table=table,
         truncated=None if table is not None else 0,
     )
-    hnn.assoc_concrete = tuple(hnn.substitute(u) for u in parsed.assoc)
-    return hnn

@@ -717,7 +717,12 @@ class _FibreAnalysis:
 
 
 def _fibre_analysis(g1: SubgroupGraph, g2: SubgroupGraph) -> _FibreAnalysis:
-    """The fibre product of two folded graphs, split into components."""
+    """The fibre product of two folded graphs, split into components.
+
+    Every product is built here, never by calling :class:`_FibreAnalysis`
+    directly: this is the one entry point that ``perfbench/tracer.py``
+    wraps as the ``stallings.fibre`` span, and a traced benchmark run
+    fails when that span reads zero."""
     return _FibreAnalysis(g1, g2)
 
 

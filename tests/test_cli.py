@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from malkit import cli, presfile
+from malkit import cli, malchar, presfile
 from malkit.cli import main
 from malkit.presfile import PresentationSyntaxError, format_presentation, parse_presentation
 from malkit.words import Word, alphabet
@@ -170,12 +170,22 @@ class TestCli:
         assert calls == []
 
     def test_malchar_free_reject(self, capsys):
-        code, out = run_cli(capsys, "malchar", "--free", "--gens", "a^3 b^3")
+        code, out = run_cli(capsys, "malchar", "--gens", "a^3 b^3")
         assert code == 0 and out["verdict"] == "not-malcharacteristic"
 
     def test_malchar_hypothesis_refusal(self, capsys):
-        code, _ = run_cli(capsys, "malchar", "--free", "--gens", "a^2 b^2")
+        code, _ = run_cli(capsys, "malchar", "--gens", "a^2 b^2")
         assert code == 2
+
+    def test_malchar_gens_with_triangle_is_a_usage_error(self, capsys, monkeypatch):
+        # the triangle certificate has no use for --gens, so it is refused
+        # before any decision runs
+        calls = []
+        monkeypatch.setattr(malchar, "decide_malcharacteristic_triangle", lambda *a: calls.append(a))
+        code = main(["malchar", "--triangle", "6,6,6", "--rho", "8", "--gens", "a b"])
+        assert code == 1 and calls == []
+        assert "not allowed with argument --triangle" in capsys.readouterr().err
+        assert main(["malchar", "--free"]) == 1
 
     def test_build_tp_and_britton(self, capsys, tmp_path):
         pres = tmp_path / "p2.pres"

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import malkit
 from malkit import hnnforge
@@ -22,7 +23,7 @@ from malkit.hnnforge import (
     residual_witness,
 )
 from malkit.stallings import SubgroupGraph, build_and_fold, same_subgroup
-from malkit.words import Word, alphabet, apply_endo, word
+from malkit.words import Alphabet, Word, alphabet, apply_endo, signed_letters, word
 
 AB = alphabet("a b")
 Z = alphabet("z")
@@ -64,6 +65,34 @@ class TestHatPresentation:
     def test_name_collisions_are_avoided(self):
         hat = hat_presentation(pres("p q", ["p^2"]), "pq")
         assert len(set(hat.presentation.alphabet.names)) == 4
+
+
+def _respell_by_letters(src, dst, letters):
+    """The letter-tuple respelling that the translation of the code replaced."""
+    trans = [dst.index(n) + 1 for n in src.names]
+    return tuple(trans[x - 1] if x > 0 else -trans[-x - 1] for x in letters)
+
+
+@st.composite
+def _respell_cases(draw):
+    # a shuffled wider alphabet, up to 80 generators so that code points
+    # pass 127, a sub-alphabet of it in its own random order, and a random
+    # reduced word over the sub-alphabet
+    wide = draw(st.permutations([f"g{i}" for i in range(draw(st.integers(1, 80)))]))
+    names = draw(st.permutations(wide))[:draw(st.integers(0, len(wide)))]
+    src = Alphabet(tuple(names))
+    letters = draw(st.lists(st.sampled_from(list(signed_letters(len(src)))), max_size=40)) if names else []
+    return Word(src, letters), Alphabet(tuple(wide))
+
+
+class TestRespell:
+    @given(_respell_cases())
+    def test_code_translation_matches_the_letter_mapping(self, case):
+        w, dst = case
+        got = hnnforge._respell(w, dst)
+        assert got.alphabet is dst
+        assert got.letters == _respell_by_letters(w.alphabet, dst, w.letters)
+        assert got.code == Word(dst, got.letters).code  # still freely reduced
 
 
 class TestBuildTp:
