@@ -202,15 +202,19 @@ def cmd_certify(args):
 def cmd_malchar(args):
     started = time.monotonic()
     ab = alphabet("a b")
+    if args.gens and args.rho is not None:
+        raise UsageError("--rho names the seed pair, which --gens replaces")
+    if not args.triangle and args.bound is not None:
+        raise UsageError("--bound applies to the triangle route (--triangle) only")
+    if not args.gens:
+        args.rho = 8 if args.rho is None else args.rho
     if args.triangle:
+        args.bound = 3 if args.bound is None else args.bound
         i, j, k = (int(x) for x in args.triangle.split(","))
         cert = malchar.decide_malcharacteristic_triangle(ab, i, j, k, args.rho, args.bound)
         payload = {"certificate": cert.to_dict()}
         return _emit(args, payload, started, caveats=cert.caveats)
-    if args.gens:
-        gens = parse_word_list(ab, args.gens)
-    else:
-        gens = list(malchar.seed_words_free(ab, args.rho).pair)
+    gens = parse_word_list(ab, args.gens) if args.gens else list(malchar.seed_words_free(ab, args.rho).pair)
     verdict = malchar.decide_malcharacteristic_free(ab, gens)
     payload = {
         "verdict": "malcharacteristic" if verdict.malcharacteristic else "not-malcharacteristic",
@@ -456,8 +460,8 @@ def build_parser():
     group = mc.add_mutually_exclusive_group()  # --gens is for the free-group decision only
     group.add_argument("--triangle")
     group.add_argument("--gens")
-    mc.add_argument("--rho", type=int, default=8)
-    mc.add_argument("--bound", type=int, default=3)
+    mc.add_argument("--rho", type=int, help="seed-pair parameter (default 8); not with --gens")
+    mc.add_argument("--bound", type=int, help="family check bound (default 3); with --triangle only")
     mc.set_defaults(func=cmd_malchar)
 
     ce = sub.add_parser("coset-enum", help="Todd-Coxeter enumeration")

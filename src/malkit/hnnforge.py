@@ -202,6 +202,9 @@ def build_tp(
         raise HnnError("internal: base automorphism has unexpected order")
     hat = hat_presentation(P, mode)
     hat_alpha = hat.presentation.alphabet
+    clash = [name for name in hat_alpha.names if name in alpha or name == "t"]
+    if clash:
+        raise HnnError(f"padded generator names {clash} collide with the base generators or the stable letter t")
     n = len(hat_alpha)
     family = rank_n_family(seed_words_triangle(alpha, rho), n, r=rels)
     m_by_slot = tuple(family.words[s] for s in range(n))

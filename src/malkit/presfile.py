@@ -92,6 +92,7 @@ def parse_presentation(text: str) -> ParsedPresentation:
 
     mgen_names: tuple[str, ...] = ()
     mgen_words: tuple[Word, ...] = ()
+    mgens_alpha = alpha
     if "mgens" in sections:
         content, no = sections.pop("mgens")
         names, values = [], []
@@ -99,14 +100,21 @@ def parse_presentation(text: str) -> ParsedPresentation:
             if "=" not in chunk:
                 raise PresentationSyntaxError("mgens entries look like 'name = word'", no)
             name, value = chunk.split("=", 1)
-            names.append(name.strip())
+            name = name.strip()
+            if name in alpha or name == stable:
+                raise PresentationSyntaxError(f"mgens name {name!r} collides with a generator or the stable letter", no)
+            names.append(name)
             try:
                 values.append(word(alpha, value))
             except WordError as e:
                 raise PresentationSyntaxError(str(e), no) from None
-        mgen_names, mgen_words = tuple(names), tuple(values)
+        try:
+            mgens_alpha = Alphabet(tuple(names))
+        except WordError as e:
+            raise PresentationSyntaxError(str(e), no) from None
+        mgen_names, mgen_words = mgens_alpha.names, tuple(values)
 
-    assoc = words_of("assoc", Alphabet(mgen_names) if mgen_names else alpha)
+    assoc = words_of("assoc", mgens_alpha)
 
     endo_images: tuple[Word, ...] = ()
     if "endo" in sections:

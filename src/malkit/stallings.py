@@ -15,14 +15,14 @@ A fibre product is never built whole.  A cycle in it projects to a closed
 non-backtracking walk in each folded factor, and every such walk crosses a
 non-tree edge of the factor.  So only the components of the pairs where a
 cycle can cross one are searched; the rest are trees, counted by the Euler
-characteristic of the whole product.
+characteristic of the whole product.  A witness is read off the same
+implicit product: one failing component is searched again, trimmed to its
+core by pair degrees, and a BFS over the core closes a cycle.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .words import (
@@ -582,38 +582,6 @@ class BasisRewriter:
 # whole product.
 
 
-@dataclass
-class FibreComponent:
-    """A component of a fibre product; its core is empty exactly when it is a tree."""
-
-    vertices: list[tuple[int, int]]
-    edges: list[tuple[tuple[int, int], int, tuple[int, int]]]
-    core_vertices: list[tuple[int, int]] = field(default_factory=list)
-    core_edges: list[tuple[tuple[int, int], int, tuple[int, int]]] = field(default_factory=list)
-
-
-def _trim_core(verts, edges):
-    """Iteratively delete degree-1 vertices; what survives carries the cycles."""
-    inc: dict[tuple[int, int], list[int]] = {v: [] for v in verts}
-    for idx, (a, _lab, b) in enumerate(edges):
-        inc[a].append(idx)
-        inc[b].append(idx)
-    deg = {v: len(es) for v, es in inc.items()}
-    alive_e = [True] * len(edges)
-    stack = [v for v in verts if deg[v] <= 1]
-    while stack:
-        v = stack.pop()
-        for idx in inc[v]:
-            if alive_e[idx]:
-                alive_e[idx] = False
-                a, _lab, b = edges[idx]
-                w = b if a == v else a
-                deg[w] -= 1
-                if deg[w] == 1:
-                    stack.append(w)
-    return [v for v in verts if deg[v] > 1], [e for e, alive in zip(edges, alive_e) if alive]
-
-
 def _seeds(masks: list[int], sources: dict[int, int], other: dict[int, list[int]]):
     """The seed pairs seen from one factor: each vertex ``u`` where it
     records non-tree edges, with each group of the other factor's vertices
@@ -633,9 +601,10 @@ class _FibreAnalysis:
     encoded as ``u1 * n2 + u2``; components are compared by their least
     vertex.  A component is a forest exactly when its edge count is one
     less than its vertex count.  ``explored`` is the number of pairs the
-    search visited.  Only the least failing component, and the least
-    failing one off the diagonal, are built as ``FibreComponent``s, and
-    each only when it is read.
+    search visited.  ``failing_root`` is the least pair of the least
+    component that is not a forest, and ``failing_nondiag_root`` that of
+    the least one off the diagonal; each is None when there is none.
+    :meth:`witness` reads a witness off either.
     """
 
     def __init__(self, g1: SubgroupGraph, g2: SubgroupGraph):
@@ -668,22 +637,13 @@ class _FibreAnalysis:
                 count += ne - len(comp) + 1
                 if ne >= len(comp):
                     bad.append(min(comp))
-        bad.sort()
         # the diagonal component holds the basepoint pair, the least of all
-        self._bad = bad
-        self._off_diag = bad[1:] if bad and bad[0] == 0 and same_subgroup(g1, g2) else bad
+        self.failing_root = min(bad, default=None)
+        if self.failing_root == 0 and same_subgroup(g1, g2):
+            bad.remove(0)
+        self.failing_nondiag_root = min(bad, default=None)
         self.component_count = count
         self.explored = len(seen)
-        self.all_forests = not bad
-        self.diagonal_ok = not self._off_diag
-
-    @cached_property
-    def failing_component(self) -> Optional[FibreComponent]:
-        return self._component(self._bad[0]) if self._bad else None
-
-    @cached_property
-    def failing_nondiag_component(self) -> Optional[FibreComponent]:
-        return self._component(self._off_diag[0]) if self._off_diag else None
 
     def _explore(self, root: int, seen: set[int]) -> tuple[list[int], int]:
         """The pairs of root's component, added to ``seen``, and its edge count."""
@@ -703,17 +663,62 @@ class _FibreAnalysis:
                         comp.append(t)
         return comp, half_edges // 2
 
-    def _component(self, root: int) -> FibreComponent:
-        out1, out2, n2 = self._g1.out, self._g2.out, self._n2
-        comp, _ne = self._explore(root, set())
-        verts = sorted(divmod(c, n2) for c in comp)
-        es = sorted(
-            ((a, b), s, (t1, out2[b][s]))
-            for a, b in verts
-            for s, t1 in out1[a].items()
-            if s > 0 and s in out2[b]
-        )
-        return FibreComponent(verts, es, *_trim_core(verts, es))
+    def witness(self, root: int) -> IntersectionWitness:
+        """Witness (g, u) with u in <g1> and g u g^-1 in <g2>, read off a
+        cycle c in root's component: u = P c P^-1 with P the basepoint path
+        of g1 to the cycle's base pair, and g = Q P^-1 with Q that of g2.
+
+        The component's core is what survives deleting pairs of degree one
+        (a pair's degree is the number of labels its masks share).  A BFS
+        over the core from its least pair, trying labels in increasing
+        order, closes c at the first edge off its tree: the tree path to
+        the edge, the edge, and the tree path back, freely reduced only
+        (cyclic reduction would move the base pair).  c is never empty: the
+        walk crosses an edge off the tree once, and in a folded product free
+        reduction of its label only removes the walk's backtracks."""
+        g1, g2, n2 = self._g1, self._g2, self._n2
+        m1, m2 = g1.fibre_facts()[0], g2.fibre_facts()[0]
+
+        def edges(c):
+            """(label, target pair) of each product edge at c, by label."""
+            d2 = g2.out[c % n2]
+            return [(s, t1 * n2 + d2[s]) for s, t1 in sorted(g1.out[c // n2].items()) if s in d2]
+
+        degree = {c: (m1[c // n2] & m2[c % n2]).bit_count() for c in self._explore(root, set())[0]}
+        leaves = [c for c, k in degree.items() if k == 1]
+        while leaves:
+            c = leaves.pop()
+            degree[c] = 0
+            for _s, t in edges(c):
+                if degree[t]:
+                    degree[t] -= 1
+                    if degree[t] == 1:
+                        leaves.append(t)
+        base = min(c for c, k in degree.items() if k)
+        parent = {base: (base, 0)}  # (parent, label into the pair) on the BFS tree
+        order = [base]
+
+        def path(c):
+            rev = []
+            while c != base:
+                c, s = parent[c]
+                rev.append(s)
+            return tuple(reversed(rev))
+
+        for c in order:
+            back = -parent[c][1]  # the tree edge to the parent, read from c
+            for s, t in edges(c):
+                if not degree[t]:
+                    continue
+                if t not in parent:
+                    parent[t] = (c, s)
+                    order.append(t)
+                elif s != back:
+                    cycle = free_reduce_letters(path(c) + (s,) + inverse_letters(path(t)))
+                    p, q = g1.path_from_basepoint(base // n2), g2.path_from_basepoint(base % n2)
+                    u = Word(g1.alphabet, p + cycle + inverse_letters(p))
+                    return IntersectionWitness(conjugator=Word(g1.alphabet, q + inverse_letters(p)), element=u)
+        raise StallingsError("no cycle found in a non-forest component")
 
 
 def _fibre_analysis(g1: SubgroupGraph, g2: SubgroupGraph) -> _FibreAnalysis:
@@ -752,58 +757,6 @@ class TrivialIntersectionVerdict:
     component_count: int
 
 
-def _component_cycle(core_vertices, core_edges):
-    """A nonempty reduced cycle label based at the component's BFS root.
-
-    BFS from the least core vertex; the first non-tree edge closes a cycle
-    through the tree paths.  The label is freely reduced only (free
-    reduction keeps path endpoints in a folded graph; cyclic reduction
-    would move the base vertex)."""
-    adj: dict[tuple[int, int], list[tuple[int, tuple[int, int], int]]] = {}
-    for idx, (a, lab, b) in enumerate(core_edges):
-        adj.setdefault(a, []).append((lab, b, idx))
-        adj.setdefault(b, []).append((-lab, a, idx))
-    root = min(core_vertices)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], int, int]] = {root: (root, 0, -1)}
-    orderq = deque([root])
-    while orderq:
-        v = orderq.popleft()
-        for lab, w, idx in sorted(adj[v]):
-            if w not in parent:
-                parent[w] = (v, lab, idx)
-                orderq.append(w)
-            elif idx != parent[v][2]:
-                # non-tree edge v --lab--> w closes a cycle through root paths
-                def path(x):
-                    rev = []
-                    while x != root:
-                        p, s, _ = parent[x]
-                        rev.append(s)
-                        x = p
-                    return tuple(reversed(rev))
-
-                letters = free_reduce_letters(path(v) + (lab,) + inverse_letters(path(w)))
-                if letters:
-                    return root, letters
-    raise StallingsError("no cycle found in a non-forest component")
-
-
-def _witness_from_component(
-    comp: FibreComponent, g_left: SubgroupGraph, g_right: SubgroupGraph
-) -> IntersectionWitness:
-    """Witness (g, u) with u in <left> and g u g^-1 in <right>, read off a
-    core cycle: u = P c P^-1 along the left projection, g = Q P^-1 with Q
-    the right-projection basepoint path."""
-    base, cyc = _component_cycle(comp.core_vertices, comp.core_edges)
-    left_v, right_v = base
-    alpha = g_left.alphabet
-    p = g_left.path_from_basepoint(left_v)
-    q = g_right.path_from_basepoint(right_v)
-    u = Word(alpha, p + cyc + inverse_letters(p))
-    g = Word(alpha, q + inverse_letters(p))
-    return IntersectionWitness(conjugator=g, element=u)
-
-
 def _verify_witness(wit: IntersectionWitness, g_left: SubgroupGraph, g_right: SubgroupGraph) -> None:
     """Re-check a witness against the graphs it was read from: u != 1 lies
     in <left> and g u g^-1 lies in <right>."""
@@ -825,8 +778,8 @@ def is_malnormal(alpha: Alphabet, gens: Sequence[Word]) -> MalnormalVerdict:
     """
     graph = build_and_fold(alpha, gens)
     fa = _fibre_analysis(graph, graph)
-    if not fa.diagonal_ok:
-        wit = _witness_from_component(fa.failing_nondiag_component, graph, graph)
+    if fa.failing_nondiag_root is not None:
+        wit = fa.witness(fa.failing_nondiag_root)
         _verify_witness(wit, graph, graph)
         if graph.contains(wit.conjugator):
             raise WitnessError("malnormality witness: the conjugator lies in the subgroup")
@@ -849,8 +802,8 @@ def trivial_intersection_graphs(gs: SubgroupGraph, gt: SubgroupGraph) -> Trivial
     Yes exactly when the fibre product of the folded graphs of t and s is
     a forest (every component, the diagonal included when t = s)."""
     fa = _fibre_analysis(gt, gs)
-    if not fa.all_forests:
-        wit = _witness_from_component(fa.failing_component, gt, gs)
+    if fa.failing_root is not None:
+        wit = fa.witness(fa.failing_root)
         _verify_witness(wit, gt, gs)
         return TrivialIntersectionVerdict(False, wit, fa.component_count)
     return TrivialIntersectionVerdict(True, None, fa.component_count)

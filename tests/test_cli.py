@@ -69,6 +69,20 @@ class TestPresentationParsing:
         with pytest.raises(PresentationSyntaxError):
             parse_presentation("gens: a b\nrels: a^2\nstable: t\n")
 
+    @pytest.mark.parametrize("mgens, message", [
+        ("x = a; x = b", "pairwise distinct"),       # repeated
+        ("x = a; 2y = b", "bad generator name"),     # malformed
+        ("x = a; a = b", "collides"),                # a base generator
+        ("x = a; t = b", "collides"),                # the stable letter
+    ])
+    def test_bad_mgens_names(self, mgens, message):
+        # each is refused on the mgens line, not later by a command that
+        # spells words over the base, stable and mgens names together
+        text = f"gens: a b\nrels: a^6\nstable: t\nmgens: {mgens}\nassoc: x\n"
+        with pytest.raises(PresentationSyntaxError) as e:
+            parse_presentation(text)
+        assert e.value.line_no == 4 and message in str(e.value)
+
 
 @pytest.fixture()
 def t666_file(tmp_path):
@@ -186,6 +200,35 @@ class TestCli:
         assert code == 1 and calls == []
         assert "not allowed with argument --triangle" in capsys.readouterr().err
         assert main(["malchar", "--free"]) == 1
+
+    def test_malchar_options_the_route_ignores_are_usage_errors(self, capsys, monkeypatch):
+        # the free-group route reads no --bound, and no --rho when --gens
+        # replaces the seed pair
+        calls = []
+        monkeypatch.setattr(malchar, "decide_malcharacteristic_free", lambda *a: calls.append(a))
+        for argv in (["--bound", "3"], ["--rho", "8", "--bound", "4"], ["--gens", "a^3 b^3", "--rho", "8"],
+                     ["--gens", "a^3 b^3", "--bound", "9"]):
+            assert main(["malchar", *argv]) == 1, argv
+        assert calls == []
+        assert "--bound applies to the triangle route" in capsys.readouterr().err
+
+    def test_malchar_triangle_defaults(self, capsys):
+        # the triangle route resolves rho = 8 and bound = 3 itself, so its
+        # digest is the same with the defaults spelled out or left out
+        digests = {run_cli(capsys, "malchar", "--triangle", "6,6,6", *extra)[1]["inputs_digest"]
+                   for extra in ((), ("--rho", "8"), ("--rho", "8", "--bound", "3"))}
+        assert digests == {"1e2ae9abf633c26e"}
+
+    def test_build_tp_refuses_colliding_generator_names(self, capsys, tmp_path):
+        # padding <a | a^2> gives the hat generators a, p and q, and a is a
+        # base generator: a file naming it twice could not be read back
+        pres = tmp_path / "a2.pres"
+        pres.write_text("gens: a\nrels: a^2\n")
+        out_path = tmp_path / "tp.hnn"
+        code, out = run_cli(capsys, "build-tp", "--triangle", "6,6,6", "--rho", "2",
+                            "--pres", str(pres), "-o", str(out_path))
+        assert code == 2 and "collide" in out["refusal"]
+        assert not out_path.exists()
 
     def test_build_tp_and_britton(self, capsys, tmp_path):
         pres = tmp_path / "p2.pres"

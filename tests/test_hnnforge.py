@@ -187,6 +187,14 @@ class TestBuildTp:
         with pytest.raises(HnnError):
             build_tp(AB, 5, 6, 6, pres("z", ["z^2"]), rho=2)
 
+    @pytest.mark.parametrize("gens, rels, mode", [("a", ["a^2"], "pq"), ("b z", ["z^2"], "minimal"),
+                                                  ("t", ["t^3"], "minimal")])
+    def test_hat_names_must_not_collide(self, gens, rels, mode):
+        # a hat generator named like a base generator or the stable letter
+        # would make an HNN file that no parser reads back
+        with pytest.raises(HnnError, match="collide"):
+            build_tp(AB, 6, 6, 6, pres(gens, rels), rho=2, mode=mode)
+
     def test_reproduces_intro_relator_count(self):
         for k in (2, 3, 4):
             hnn = build_tp(AB, 6, 6, 6, pres("z", [f"z^{k}"]), rho=2, mode="minimal")

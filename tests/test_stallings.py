@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -31,6 +32,8 @@ from malkit.words import (
     code_product,
     conjugate,
     encode_letters,
+    free_reduce_letters,
+    inverse_letters,
     invert_code,
     signed_letters,
     word,
@@ -345,6 +348,50 @@ def _reference_fibre(g1, g2):
     return comps, diag, failing
 
 
+def _reference_witness(g1, g2, edges):
+    """The witness of an explicit component, given by its edge list: trim
+    edges at pairs of degree one until none is left, run a BFS from the
+    least core pair taking each pair's edges by label, and close the cycle
+    at the first edge that is not the tree edge back to the parent."""
+    while True:
+        degree = {}
+        for a, _s, b in edges:
+            degree[a] = degree.get(a, 0) + 1
+            degree[b] = degree.get(b, 0) + 1
+        core = [e for e in edges if degree[e[0]] > 1 and degree[e[2]] > 1]
+        if core == edges:
+            break
+        edges = core
+    adj = {}
+    for idx, (a, s, b) in enumerate(edges):
+        adj.setdefault(a, []).append((s, b, idx))
+        adj.setdefault(b, []).append((-s, a, idx))
+    root = min(adj)
+    parent = {root: (root, 0, -1)}
+    queue = deque([root])
+
+    def path(x):
+        rev = []
+        while x != root:
+            x, s, _idx = parent[x]
+            rev.append(s)
+        return tuple(reversed(rev))
+
+    while queue:
+        v = queue.popleft()
+        for s, x, idx in sorted(adj[v]):
+            if x not in parent:
+                parent[x] = (v, s, idx)
+                queue.append(x)
+            elif idx != parent[v][2]:
+                cycle = free_reduce_letters(path(v) + (s,) + inverse_letters(path(x)))
+                if cycle:
+                    p, q = g1.path_from_basepoint(root[0]), g2.path_from_basepoint(root[1])
+                    g, u = Word(g1.alphabet, q + inverse_letters(p)), Word(g1.alphabet, p + cycle + inverse_letters(p))
+                    return str(g), str(u)
+    raise AssertionError("no cycle in a component that is not a forest")
+
+
 @st.composite
 def _reduced_word(draw, min_len, max_len):
     """A freely reduced word: each letter is one of the three that do not
@@ -481,19 +528,18 @@ class TestFibreAnalysisDifferential:
         fa = _fibre_analysis(g1, g2)
         comps, diag, failing = _reference_fibre(g1, g2)
         assert fa.component_count == len(comps)
-        assert fa.all_forests == (not failing)
         off_diag = [i for i in failing if i != diag]
-        assert fa.diagonal_ok == (not off_diag)
-        if failing:
-            assert fa.failing_component.vertices == comps[failing[0]][0]
-            assert fa.failing_component.edges == comps[failing[0]][1]
-        else:
-            assert fa.failing_component is None
-        if off_diag:
-            assert fa.failing_nondiag_component.vertices == comps[off_diag[0]][0]
-            assert fa.failing_nondiag_component.edges == comps[off_diag[0]][1]
-        else:
-            assert fa.failing_nondiag_component is None
+        # each root is the least pair of the least such component, and its
+        # witness is the one the explicit component gives, and it checks
+        for root, which in ((fa.failing_root, failing), (fa.failing_nondiag_root, off_diag)):
+            if not which:
+                assert root is None
+                continue
+            verts, edges = comps[which[0]]
+            assert divmod(root, g2.num_vertices) == verts[0]
+            wit = fa.witness(root)
+            stallings._verify_witness(wit, g1, g2)
+            assert (str(wit.conjugator), str(wit.element)) == _reference_witness(g1, g2, edges)
         # every component with a cycle is explored, and nothing outside the product
         assert sum(len(comps[i][0]) for i in failing) <= fa.explored <= sum(len(v) for v, _es in comps)
         return fa
@@ -562,7 +608,7 @@ class TestFibreAnalysisDifferential:
         s_graph = build_and_fold(AB, pair)
         assert (t_graph.num_vertices, s_graph.num_vertices) == (749, 551)
         fa = _fibre_analysis(t_graph, s_graph)
-        assert fa.all_forests and fa.component_count == 178595
+        assert fa.failing_root is None and fa.component_count == 178595
         assert fa.explored <= 20
 
 
@@ -572,25 +618,25 @@ class TestFibreProduct:
     compare = staticmethod(TestFibreAnalysisDifferential._compare)
 
     def test_disjoint_letters_forest(self):
-        assert self.compare(fold("a"), fold("b")).all_forests
+        assert self.compare(fold("a"), fold("b")).failing_root is None
 
     def test_nondiagonal_cycle_for_a2_b(self):
         g = fold("a^2", "b")
         fa = self.compare(g, g)
-        assert not fa.diagonal_ok and fa.failing_nondiag_component.core_edges
+        assert fa.witness(fa.failing_nondiag_root).element
 
     def test_same_graph_diagonal_only(self):
         g = fold("a")
         fa = self.compare(g, g)
-        assert fa.diagonal_ok and not fa.all_forests
+        assert fa.failing_nondiag_root is None and fa.failing_root == 0
 
     def test_diagonal_rank_matches(self):
         # the diagonal holds the basepoint pair, so it is the least failing component
         g = fold("a b a^-1 b^-1", "a^2 b")
         comps, diag, _failing = _reference_fibre(g, g)
-        diagonal = self.compare(g, g).failing_component
-        assert (diagonal.vertices, diagonal.edges) == comps[diag]
-        assert len(diagonal.edges) - len(diagonal.vertices) + 1 == g.rank()
+        assert self.compare(g, g).failing_root == 0
+        verts, edges = comps[diag]
+        assert verts[0] == (0, 0) and len(edges) - len(verts) + 1 == g.rank()
 
 
 class TestFibreAnalysisAdversarial:
@@ -625,23 +671,22 @@ class TestFibreAnalysisAdversarial:
         # loop's side gives no seed, and the product, a forest, is not
         # searched at all
         fa = self.compare(fold("a^-1 b^-1"), fold("a^-1 b^-1 a"))
-        assert fa.all_forests and fa.explored == 0
+        assert fa.failing_root is None and fa.explored == 0
 
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (2, 3), (4, 6), (6, 9), (12, 18), (7, 7)])
     def test_power_cycles(self, m, n):
         # a^m x a^n is gcd(m, n) cycles of length lcm(m, n), none of them a tree
         fa = self.compare(fold(f"a^{m}"), fold(f"a^{n}"))
         assert fa.component_count == math.gcd(m, n)
-        assert not fa.all_forests
+        assert fa.failing_root is not None
 
     @pytest.mark.parametrize("gens", [("a^2", "b"), ("a^3",), ("a b a b",), ("a b a^-1", "b^2"),
                                       ("a^2 b^-1 a^2 b^-1",), ("a b^2 a^-1", "b a^2 b^-1")])
     def test_self_products_failing_off_diagonal(self, gens):
         g = fold(*gens)
         fa = self.compare(g, g)
-        assert not fa.diagonal_ok
-        assert fa.failing_component.vertices[0] == (0, 0)
-        assert fa.failing_nondiag_component.vertices[0] != (0, 0)
+        assert fa.failing_root == 0
+        assert fa.failing_nondiag_root not in (None, 0)
 
 
 class TestWitnessChecks:
@@ -658,7 +703,7 @@ class TestWitnessChecks:
     @pytest.mark.parametrize("g, u", BAD_MALNORMAL)
     def test_bad_malnormality_witness(self, monkeypatch, g, u):
         bad = IntersectionWitness(conjugator=w(g), element=w(u))
-        monkeypatch.setattr(stallings, "_witness_from_component", lambda *args: bad)
+        monkeypatch.setattr(stallings._FibreAnalysis, "witness", lambda *args: bad)
         with pytest.raises(WitnessError):
             is_malnormal(AB, ws("a^2", "b"))
 
@@ -667,7 +712,7 @@ class TestWitnessChecks:
         # <a^2> meets <a^3> in every conjugate; u = b is not in <a^2>, and
         # b a^2 b^-1 is not in <a^3>
         bad = IntersectionWitness(conjugator=w(g), element=w(u))
-        monkeypatch.setattr(stallings, "_witness_from_component", lambda *args: bad)
+        monkeypatch.setattr(stallings._FibreAnalysis, "witness", lambda *args: bad)
         with pytest.raises(WitnessError):
             trivial_intersection_all_conjugates(AB, ws("a^3"), ws("a^2"))
 
@@ -677,7 +722,7 @@ class TestWitnessChecks:
             "from malkit.words import alphabet, word\n"
             "AB = alphabet('a b')\n"
             "bad = stallings.IntersectionWitness(conjugator=word(AB, 'a'), element=word(AB, 'b'))\n"
-            "stallings._witness_from_component = lambda *args: bad\n"
+            "stallings._FibreAnalysis.witness = lambda *args: bad\n"
             "raised = []\n"
             "for call in (lambda: stallings.is_malnormal(AB, [word(AB, 'a^2'), word(AB, 'b')]),\n"
             "             lambda: stallings.trivial_intersection_all_conjugates(\n"
@@ -693,6 +738,37 @@ class TestWitnessChecks:
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["False", "2"], out.stderr
+
+
+class TestWitnessCorpus:
+    """The verdicts, component counts and witnesses of a seeded corpus of
+    small malnormality and conjugate-intersection questions over two and
+    three letters, about a third of them answered with a witness, pinned
+    by one digest."""
+
+    DIGEST = "5ff8cb20daaf62012ec680afaaf2af936ddb2d8c4c2c771fa58739d28197f202"
+
+    @staticmethod
+    def _corpus():
+        rng = random.Random(16)
+        for names in ("a b", "a b c"):
+            alpha = alphabet(names)
+            letters = list(signed_letters(len(alpha)))
+
+            def gens():
+                return [Word(alpha, [rng.choice(letters) for _ in range(rng.randrange(1, 8))])
+                        for _ in range(rng.randrange(1, 4))]
+
+            for _ in range(750):
+                v = is_malnormal(alpha, gens())
+                yield v.malnormal, v.component_count, v.witness and v.witness.as_dict()
+                v = trivial_intersection_all_conjugates(alpha, gens(), gens())
+                yield v.trivial, v.component_count, v.witness and v.witness.as_dict()
+
+    def test_digest(self):
+        rows = list(self._corpus())
+        assert len(rows) == 3000 and sum(1 for r in rows if r[2]) == 1035
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
 
 
 class TestMalnormality:

@@ -1,17 +1,20 @@
 """The benchmark's span tracer still sees the layers it counts.
 
 A traced benchmark run is marked incorrect when a counted layer reads zero,
-so this loads ``perfbench/tracer.py`` as it is and checks that the stallings
-and HNN spans and the ``Word`` counter fire on the calls the workloads make.
+so this loads ``perfbench/tracer.py`` as it is and checks that the stallings,
+certificate, coset and HNN spans and the ``Word`` counter fire on the calls
+the workloads make.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
-from malkit import hnnforge, stallings
+from malkit import cosetenum, hnnforge, malchar, stallings
 from malkit.words import Word, alphabet, apply_endo, word
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -65,3 +68,33 @@ def test_tracer_counts_the_hnn_layers():
     assert calls["hnnforge.membership.in_k"] >= 1
     assert tr.counts["hnnforge.britton_reduce.pinches"] == 1
     assert "traced" not in hnnforge.britton_reduce.__code__.co_name
+
+
+def test_tracer_counts_the_certificate_and_coset_layers():
+    # the triangle-cert and kernel-enum workloads' calls, at a small scale:
+    # every layers.json group that names either workload under "moves" must
+    # read nonzero in its first metric, as the traced run requires
+    tr = _load_tracer().Tracer()
+    ab = alphabet("a b")
+    relators = [word(ab, t) for t in ("a^2", "b^3", "(a b)^5")]  # the icosahedral group, order 60
+    tr.install()
+    try:
+        assert malchar.decide_malcharacteristic_triangle(ab, 6, 6, 6, 8) is not None
+        table = cosetenum.todd_coxeter(ab, relators)
+        gens, _ = cosetenum.schreier_kernel_generators(ab, relators)
+        kernel = stallings.build_and_fold(ab, gens)
+        assert table.index == kernel.num_vertices == 60
+        assert table.image_in_quotient(relators[2]) == 1 and kernel.contains(relators[2])
+    finally:
+        tr.uninstall()
+    layers = tr.summary()
+    # measured by the benchmark's child process, not by a span
+    outside = {"cli.import_s"}
+    checked = []
+    for group in json.loads((PERFBENCH / "layers.json").read_text())["groups"]:
+        first = group["metrics"][0]
+        if first not in outside and {w for _, w in group["moves"]} & {"triangle-cert", "kernel-enum"}:
+            checked.append(first)
+            assert layers[first] > 0, first
+    assert "malchar.decide_malcharacteristic_triangle.self_s" in checked
+    assert "cosetenum.todd_coxeter.calls" in checked
