@@ -71,6 +71,15 @@ def _inputs_digest(args) -> str:
     return h.hexdigest()[:16]
 
 
+def _triangle(text: str) -> tuple[int, int, int]:
+    """The exponents of a ``--triangle i,j,k`` option."""
+    try:
+        i, j, k = map(int, text.split(","))
+    except ValueError:
+        raise UsageError("--triangle takes three integers i,j,k") from None
+    return i, j, k
+
+
 def _emit(args, payload, started, caveats=None, witnesses=None):
     out = {
         "command": args.command,
@@ -210,7 +219,7 @@ def cmd_malchar(args):
         args.rho = 8 if args.rho is None else args.rho
     if args.triangle:
         args.bound = 3 if args.bound is None else args.bound
-        i, j, k = (int(x) for x in args.triangle.split(","))
+        i, j, k = _triangle(args.triangle)
         cert = malchar.decide_malcharacteristic_triangle(ab, i, j, k, args.rho, args.bound)
         payload = {"certificate": cert.to_dict()}
         return _emit(args, payload, started, caveats=cert.caveats)
@@ -246,7 +255,7 @@ def cmd_coset_enum(args):
 def cmd_build_tp(args):
     started = time.monotonic()
     ab = alphabet("a b")
-    i, j, k = (int(x) for x in args.triangle.split(","))
+    i, j, k = _triangle(args.triangle)
     parsed = presfile.parse_presentation(args.pres)
     P = hnnforge.InputPresentation(parsed.alphabet, parsed.relators)
     hnn = hnnforge.build_tp(

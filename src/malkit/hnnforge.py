@@ -24,6 +24,7 @@ from .malchar import rank_n_family, seed_words_triangle, triangle_relators
 from .smallcancel import RelatorSet, dehn_reduce, endo_order_in_quotient, symmetrise, word_problem
 from .stallings import BasisRewriter, build_and_fold, same_subgroup
 from .words import (
+    LETTER_UNIT,
     Alphabet,
     EndomorphismSpec,
     Word,
@@ -433,9 +434,9 @@ class _KMembership:
         self.rewriter = BasisRewriter(H.base_alphabet, list(H.m_gens))
         self.k_graph = build_and_fold(H.base_alphabet, list(H.assoc_concrete))
         self.phi_inv = endo_power(H.phi, H.phi_order - 1)
-        hat_names = H.hat_alphabet.names
-        by_slot = sorted(hat_names, key=lambda nm: H.hat.slots[nm])
-        self._slot_to_hat_letter = [H.hat_alphabet.index(nm) + 1 for nm in by_slot]
+        # (slot, sign) of a family basis letter -> the code unit of its hat letter
+        self._hat_unit = {(slot, sign): LETTER_UNIT[sign * (H.hat_alphabet.index(nm) + 1)]
+                          for nm, slot in H.hat.slots.items() for sign in (1, -1)}
         self._k_memo: dict = {}
         self._phi_k_memo: dict = {}
 
@@ -463,8 +464,8 @@ class _KMembership:
         pairs = self.rewriter.rewrite(hn)
         if pairs is None:
             return None
-        letters = tuple(self._slot_to_hat_letter[idx] * sign for idx, sign in pairs)
-        return Word(self.H.hat_alphabet, letters)
+        # the pairs spell a reduced word, and letters map to letters
+        return Word.from_code(self.H.hat_alphabet, "".join(map(self._hat_unit.__getitem__, pairs)))
 
 
 @dataclass

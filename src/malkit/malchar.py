@@ -25,7 +25,7 @@ from .quotientcert import (
     certify_trivial_intersection_in_quotient,
     check_family_cyclically_reduced,
 )
-from .smallcancel import symmetrise, word_problem
+from .smallcancel import is_cyclically_dehn_reduced, symmetrise, word_problem
 from .stallings import (
     IntersectionWitness,
     build_and_fold,
@@ -44,7 +44,6 @@ from .words import (
     images_by_unit,
     positive_subsemigroup_member,
     proper_power,
-    signed_letters,
     word,
 )
 
@@ -93,64 +92,45 @@ def _run_restricted_acyclic(graph: stallings.SubgroupGraph, gen: int) -> bool:
     """Is the product of the graph with the run-length automaton acyclic
     once runs of the tracked generator are capped below 3?
 
-    States are (vertex, last signed letter, capped run length); a directed
-    cycle is exactly a cyclically reduced circuit avoiding gen^{+-3}."""
-    n = len(graph.alphabet)
-    # build transitions
-    states: dict[tuple[int, int, int], int] = {}
-    adj: list[list[int]] = []
+    States are (vertex, last signed letter, capped run length), made as the
+    search reaches them; a directed cycle is exactly a cyclically reduced
+    circuit avoiding gen^{+-3}.  Every state on a cycle is entered by an
+    edge, and a run-2 state only from a run-1 state, so the search starts
+    from the run-1 states at edge targets alone."""
+    out = graph.out
+    tracked = gen + 1
 
-    def state_id(v, last, run):
-        key = (v, last, run)
-        if key not in states:
-            states[key] = len(adj)
-            adj.append([])
-        return states[key]
+    def successors(state):
+        v, last, run = state
+        for m, w in out[v].items():
+            if m == -last:
+                continue
+            if m != last or abs(m) != tracked:
+                yield w, m, 1
+            elif run == 1:  # from run 2, a third letter would make the forbidden run
+                yield w, m, 2
 
-    signed = tuple(signed_letters(n))
-    for v in range(graph.num_vertices):
-        for last in signed:
-            # only states whose incoming letter exists matter, but building
-            # all is harmless at this scale
-            for run in (1, 2):
-                if abs(last) - 1 != gen and run == 2:
-                    continue  # run length only tracked for the gen
-                src = state_id(v, last, run)
-                for m in signed:
-                    if m == -last:
-                        continue
-                    tgt_v = graph.out[v].get(m)
-                    if tgt_v is None:
-                        continue
-                    if abs(m) - 1 == gen:
-                        new_run = run + 1 if m == last else 1
-                        if new_run >= 3:
-                            continue  # the forbidden-run transition
-                    else:
-                        new_run = 1
-                    adj[src].append(state_id(tgt_v, m, new_run))
-
-    # cycle detection: iterative three-colour DFS
-    colour = [0] * len(adj)
-    for start in range(len(adj)):
-        if colour[start]:
-            continue
-        stack = [(start, iter(adj[start]))]
-        colour[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if colour[nxt] == 1:
-                    return False  # back edge: directed cycle
-                if colour[nxt] == 0:
-                    colour[nxt] = 1
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[node] = 2
-                stack.pop()
+    colour: dict[tuple[int, int, int], int] = {}  # 1 on the search path, 2 done
+    for v, d in enumerate(out):
+        for s in d:
+            start = (v, -s, 1)
+            if start in colour:
+                continue
+            colour[start] = 1
+            stack = [(start, successors(start))]
+            while stack:
+                state, it = stack[-1]
+                for nxt in it:
+                    seen = colour.get(nxt)
+                    if seen == 1:
+                        return False  # back edge: directed cycle
+                    if seen is None:
+                        colour[nxt] = 1
+                        stack.append((nxt, successors(nxt)))
+                        break
+                else:
+                    colour[state] = 2
+                    stack.pop()
     return True
 
 
@@ -215,25 +195,28 @@ def decide_malcharacteristic_free(alpha: Alphabet, s: Sequence[Word]) -> Malchar
 
 @dataclass(frozen=True)
 class SeedWords:
-    rho: int
     pair: tuple[Word, Word]
-    flavor: str  # "free" or "triangle"
 
     @property
     def alphabet(self):
         return self.pair[0].alphabet
 
 
-def seed_words_free(alpha: Alphabet, rho: int) -> SeedWords:
-    """The pair (prod_{k=3}^{rho+2} a^3 b^k, prod_{k=rho+3}^{2rho+2} a^3 b^k)."""
+def _seed_pair(alpha: Alphabet, rho: int, A: tuple[int, ...], B: tuple[int, ...]) -> SeedWords:
+    """(prod_{k=3}^{rho+2} A^3 B^k, prod_{k=rho+3}^{2rho+2} A^3 B^k) for the
+    blocks A and B, given as letters; no free reduction occurs."""
     if rho < 2:
         raise MalcharError("rho must be at least 2")
-    a, b = 1, 2
-    def block(k):
-        return (a,) * 3 + (b,) * k
-    wx = Word(alpha, sum((block(k) for k in range(3, rho + 3)), ()), reduced=True)
-    wy = Word(alpha, sum((block(k) for k in range(rho + 3, 2 * rho + 3)), ()), reduced=True)
-    return SeedWords(rho, (wx, wy), "free")
+
+    def factor(lo, hi):
+        return Word(alpha, sum((A * 3 + B * k for k in range(lo, hi)), ()), reduced=True)
+
+    return SeedWords((factor(3, rho + 3), factor(rho + 3, 2 * rho + 3)))
+
+
+def seed_words_free(alpha: Alphabet, rho: int) -> SeedWords:
+    """The pair (prod_{k=3}^{rho+2} a^3 b^k, prod_{k=rho+3}^{2rho+2} a^3 b^k)."""
+    return _seed_pair(alpha, rho, (1,), (2,))
 
 
 def seed_block_substitution(alpha: Alphabet) -> EndomorphismSpec:
@@ -244,16 +227,8 @@ def seed_block_substitution(alpha: Alphabet) -> EndomorphismSpec:
 
 def seed_words_triangle(alpha: Alphabet, rho: int) -> SeedWords:
     """The free-flavor words rewritten over the blocks A = a b^-1 and
-    B = a^2 b^-1 (no free reduction occurs)."""
-    if rho < 2:
-        raise MalcharError("rho must be at least 2")
-    A = (1, -2)
-    B = (1, 1, -2)
-    def block(k):
-        return A * 3 + B * k
-    x = Word(alpha, sum((block(k) for k in range(3, rho + 3)), ()), reduced=True)
-    y = Word(alpha, sum((block(k) for k in range(rho + 3, 2 * rho + 3)), ()), reduced=True)
-    return SeedWords(rho, (x, y), "triangle")
+    B = a^2 b^-1."""
+    return _seed_pair(alpha, rho, (1, -2), (1, 1, -2))
 
 
 # -- nested small-cancellation families ------------------------------------------
@@ -265,33 +240,17 @@ _FAMILY_ALPHABET = alphabet("u v")
 class FamilyResult:
     words: list[Word]              # concrete, over the seed alphabet
     abstract: list[Word]           # over the block alphabet (u, v)
-    block_ranges: list[tuple[int, int]]
     checks: dict
 
 
-def _family_abstract(n: int, stretch: int = 1) -> tuple[list[Word], list[tuple[int, int]]]:
+def _family_abstract(n: int, stretch: int = 1) -> list[Word]:
     """Factors of the infinite word u v (u v^2) u v (u v^2)^2 ... cut at
     block boundaries: factor 1 is block 1, factor j >= 2 takes blocks
     [2j-2, 2j-1], scaled by the stretch parameter on retries.  Prefix
     property: the first n factors never depend on n."""
-    U, V = 1, 2
-
-    def blocks(lo, hi):
-        out = ()
-        for m in range(lo, hi + 1):
-            out += (U, V) + (U, V, V) * m
-        return out
-
-    ranges = []
-    for j in range(1, n + 1):
-        if j == 1:
-            ranges.append((1, stretch))
-        else:
-            lo = stretch * (2 * j - 3) + 1
-            hi = stretch * (2 * j - 1)
-            ranges.append((lo, hi))
-    words = [Word(_FAMILY_ALPHABET, blocks(lo, hi), reduced=True) for lo, hi in ranges]
-    return words, ranges
+    cuts = [(1, stretch)] + [(stretch * (2 * j - 3) + 1, stretch * (2 * j - 1)) for j in range(2, n + 1)]
+    return [Word(_FAMILY_ALPHABET, sum(((1, 2) + (1, 2, 2) * m for m in range(lo, hi + 1)), ()), reduced=True)
+            for lo, hi in cuts]
 
 
 def rank_n_family(
@@ -306,7 +265,7 @@ def rank_n_family(
         raise MalcharError("n must be at least 1")
     last_reason = ""
     for stretch in range(1, max_stretch + 1):
-        abstract, ranges = _family_abstract(n, stretch)
+        abstract = _family_abstract(n, stretch)
         if any(proper_power(w) is not None for w in abstract):
             last_reason = "a factor is a proper power"
             continue
@@ -327,13 +286,11 @@ def rank_n_family(
             "stretch": stretch,
         }
         if r:
-            from .smallcancel import is_cyclically_dehn_reduced
-
             base = symmetrise(seed.alphabet, r)
             checks["cyclically_reduced_in_quotient"] = all(
                 is_cyclically_dehn_reduced(base, cw) for cw in concrete
             )
-        return FamilyResult(concrete, abstract, ranges, checks)
+        return FamilyResult(concrete, abstract, checks)
     raise MalcharError(f"no verified family of rank {n} found: {last_reason}")
 
 
@@ -374,6 +331,9 @@ def psi_maps(alpha: Alphabet) -> list[PsiMap]:
 
 
 def triangle_relators(alpha: Alphabet, i: int, j: int, k: int) -> list[Word]:
+    """The relators a^i, b^j, (a b)^k; exponents below 6 are refused."""
+    if min(i, j, k) < 6:
+        raise HypothesesViolated("exponents below 6 are outside the supported range")
     return [word(alpha, f"a^{i}"), word(alpha, f"b^{j}"), word(alpha, f"(a b)^{k}")]
 
 
@@ -381,8 +341,7 @@ def psi_transversal(alpha: Alphabet, i: int, j: int, k: int) -> list[PsiMap]:
     """Representatives of the outer automorphism classes of the (i, j, k)
     triangle group: 2 maps when i, j, k are pairwise distinct, 4 when
     exactly two agree, all 12 in the equilateral case."""
-    if min(i, j, k) < 6:
-        raise MalcharError("exponents below 6 are outside the supported range")
+    rs = symmetrise(alpha, triangle_relators(alpha, i, j, k))
     maps = {(m.index, m.epsilon): m for m in psi_maps(alpha)}
     if i == j == k:
         selected = list(maps.values())
@@ -395,7 +354,6 @@ def psi_transversal(alpha: Alphabet, i: int, j: int, k: int) -> list[PsiMap]:
     else:
         selected = [maps[(1, 1)], maps[(1, -1)]]
     # every emitted map must preserve the relator set
-    rs = symmetrise(alpha, triangle_relators(alpha, i, j, k))
     for m in selected:
         for rel in rs.relators:
             if not word_problem(rs, apply_endo(m.spec, rel)):
@@ -418,18 +376,6 @@ class PsiImageReport:
     images: list[Word]
     family: FamilyVerdict
     forbidden_hits: list[tuple[str, str]]  # (factor, containing word prefix)
-
-    @property
-    def family_ok(self) -> bool:
-        return self.family.ok
-
-    @property
-    def unconditional(self) -> bool:
-        return self.family.unconditional
-
-    @property
-    def ok(self):
-        return self.family_ok and not self.forbidden_hits
 
 
 def _scan_forbidden(alpha: Alphabet, words: Sequence[Word]) -> list[tuple[str, str]]:
@@ -456,10 +402,8 @@ def verify_psi_images(
     the bounded cyclically-Dehn-reduced family check against the triangle
     relators, and scan for the forbidden factors (a^{+-4}, b^{+-4}, and the
     (ab)-alternation patterns).  None are expected."""
-    if min(i, j, k) < 6:
-        raise MalcharError("exponents below 6 are outside the supported range")
-    seeds = seed_words_triangle(alpha, rho)
     rels = triangle_relators(alpha, i, j, k)
+    seeds = seed_words_triangle(alpha, rho)
     base = symmetrise(alpha, rels)
     reports = []
     for psi in psi_maps(alpha):
@@ -492,10 +436,8 @@ def decide_malcharacteristic_triangle(
     pair is folded once for stage 2 and every transfer, and each transfer
     reuses the family verdict of its map's image check.
     """
-    if min(i, j, k) < 6:
-        raise MalcharError("exponents below 6 are outside the supported range")
-    cert = Certificate(kind="malcharacteristic-triangle")
     rels = triangle_relators(alpha, i, j, k)
+    cert = Certificate(kind="malcharacteristic-triangle")
     seeds = seed_words_triangle(alpha, rho)
     x, y = seeds.pair
     joint = _joint_metric_route(alpha, rels, [x, y])
@@ -532,13 +474,13 @@ def decide_malcharacteristic_triangle(
     for report in psi_reports:
         entry = {
             "psi": report.psi.name,
-            "family_ok": report.family_ok,
-            "unconditional": report.unconditional,
+            "family_ok": report.family.ok,
+            "unconditional": report.family.unconditional,
             "forbidden_hits": report.forbidden_hits,
         }
+        ok = report.family.ok and not report.forbidden_hits
         if report.psi.is_identity():
             entry["intersection"] = "identity map: covered by stage 1 malnormality"
-            ok = report.ok
         else:
             inter = certify_trivial_intersection_in_quotient(
                 alpha, rels, [x, y], report.images, syllable_bound,
@@ -546,7 +488,7 @@ def decide_malcharacteristic_triangle(
             )
             entry["transfer_certified"] = inter.certified
             entry["free_verdict"] = inter.data["free_verdict"]
-            ok = report.ok and inter.certified and inter.data["free_verdict"] == "trivial"
+            ok = ok and inter.certified and inter.data["free_verdict"] == "trivial"
         cert.add(f"stage 3: {report.psi.name}", ok, "" if ok else str(entry))
         stage3.append(entry)
     cert.data["stage3"] = stage3

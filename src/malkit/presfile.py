@@ -5,7 +5,7 @@ Base presentations:
     gens: a b
     rels: a^6, b^6, (a b)^6
 
-HNN files add optional sections (order fixed, comments with '#'):
+HNN files add four sections, all required (order fixed, comments with '#'):
 
     stable: t
     mgens: x = <word over the base gens>; z = <word>
@@ -21,7 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .words import Alphabet, Word, WordError, word, format_word, parse_word_list
+from .cosetenum import Overflow, todd_coxeter
+from .hnnforge import HatPresentation, HnnError, HnnPresentation, InputPresentation
+from .smallcancel import endo_order_in_quotient, symmetrise
+from .words import Alphabet, EndomorphismSpec, Word, WordError, format_word, parse_word_list, word
 
 
 class PresentationSyntaxError(ValueError):
@@ -35,7 +38,7 @@ class ParsedPresentation:
     alphabet: Alphabet
     relators: tuple[Word, ...]
     stable: Optional[str] = None
-    mgen_names: tuple[str, ...] = ()
+    mgens_alphabet: Optional[Alphabet] = None
     mgen_words: tuple[Word, ...] = ()
     assoc: tuple[Word, ...] = ()          # over the mgens alphabet
     endo_images: tuple[Word, ...] = ()    # over the base alphabet
@@ -43,9 +46,6 @@ class ParsedPresentation:
     @property
     def is_hnn(self) -> bool:
         return self.stable is not None
-
-    def mgens_alphabet(self) -> Alphabet:
-        return Alphabet(self.mgen_names)
 
 
 def parse_presentation(text: str) -> ParsedPresentation:
@@ -90,9 +90,8 @@ def parse_presentation(text: str) -> ParsedPresentation:
         if stable in alpha:
             raise PresentationSyntaxError("stable letter collides with a generator", no)
 
-    mgen_names: tuple[str, ...] = ()
+    mgens_alpha = None
     mgen_words: tuple[Word, ...] = ()
-    mgens_alpha = alpha
     if "mgens" in sections:
         content, no = sections.pop("mgens")
         names, values = [], []
@@ -112,9 +111,9 @@ def parse_presentation(text: str) -> ParsedPresentation:
             mgens_alpha = Alphabet(tuple(names))
         except WordError as e:
             raise PresentationSyntaxError(str(e), no) from None
-        mgen_names, mgen_words = mgens_alpha.names, tuple(values)
+        mgen_words = tuple(values)
 
-    assoc = words_of("assoc", mgens_alpha)
+    assoc = words_of("assoc", mgens_alpha or alpha)
 
     endo_images: tuple[Word, ...] = ()
     if "endo" in sections:
@@ -139,10 +138,12 @@ def parse_presentation(text: str) -> ParsedPresentation:
     if sections:
         key, (_, no) = next(iter(sections.items()))
         raise PresentationSyntaxError(f"unknown section {key!r}", no)
-    if stable is not None and not assoc:
-        raise PresentationSyntaxError("HNN file needs an 'assoc:' section", 1)
+    if stable is not None:
+        for key, given in (("mgens", mgen_words), ("assoc", assoc), ("endo", endo_images)):
+            if not given:
+                raise PresentationSyntaxError(f"HNN file needs an '{key}:' section", 1)
     return ParsedPresentation(
-        alpha, relators, stable, mgen_names, mgen_words, assoc, endo_images
+        alpha, relators, stable, mgens_alpha, mgen_words, assoc, endo_images
     )
 
 
@@ -153,12 +154,12 @@ def format_presentation(parsed: ParsedPresentation) -> str:
     ]
     if parsed.stable is not None:
         lines.append(f"stable: {parsed.stable}")
-        if parsed.mgen_names:
+        if parsed.mgens_alphabet is not None:
             lines.append(
                 "mgens: "
                 + "; ".join(
                     f"{n} = {format_word(w)}"
-                    for n, w in zip(parsed.mgen_names, parsed.mgen_words)
+                    for n, w in zip(parsed.mgens_alphabet.names, parsed.mgen_words)
                 )
             )
         lines.append("assoc: " + ", ".join(format_word(u) for u in parsed.assoc))
@@ -176,13 +177,12 @@ def format_presentation(parsed: ParsedPresentation) -> str:
 def hnn_to_parsed(hnn) -> ParsedPresentation:
     """Flatten a built HNN presentation into the file form: mgens carry the
     hat generator names with their concrete words, assoc stays abstract."""
-    hat_names = hnn.hat_alphabet.names
     return ParsedPresentation(
         alphabet=hnn.base_alphabet,
         relators=tuple(hnn.base_relators),
         stable=hnn.stable,
-        mgen_names=hat_names,
-        mgen_words=tuple(hnn.m_word(n) for n in hat_names),
+        mgens_alphabet=hnn.hat_alphabet,
+        mgen_words=tuple(hnn.m_word(n) for n in hnn.hat_alphabet.names),
         assoc=hnn.assoc_abstract,
         endo_images=tuple(hnn.phi.images),
     )
@@ -194,15 +194,10 @@ def parsed_to_hnn(parsed: ParsedPresentation):
     The padded quotient is recovered by enumerating the presentation whose
     relators are the abstract associated-subgroup generators (they generate
     the kernel, whose normal closure they already are)."""
-    from .cosetenum import Overflow, todd_coxeter
-    from .hnnforge import HatPresentation, HnnError, HnnPresentation, InputPresentation
-    from .smallcancel import endo_order_in_quotient, symmetrise
-    from .words import EndomorphismSpec
-
     if not parsed.is_hnn:
         raise HnnError("not an HNN file")
     base_alpha = parsed.alphabet
-    hat_alpha = parsed.mgens_alphabet()
+    hat_alpha = parsed.mgens_alphabet
     phi = EndomorphismSpec(base_alpha, list(parsed.endo_images))
     rs = symmetrise(base_alpha, parsed.relators)
     order = endo_order_in_quotient(rs, phi, 6)

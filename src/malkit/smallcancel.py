@@ -24,6 +24,7 @@ from .words import (
     apply_endo,
     code_product,
     common_prefix,
+    compose_endos,
     core_bounds,
     cyclic_reduce,
     decode_letters,
@@ -461,8 +462,6 @@ def endo_order_in_quotient(
     for r in rs.relators:
         if not word_problem(rs, apply_endo(e, r)):
             raise SmallCancelError("does not preserve relators")
-    from .words import compose_endos
-
     alpha = rs.alphabet
     gens = [Word(alpha, (i + 1,), reduced=True) for i in range(len(alpha))]
     current = e

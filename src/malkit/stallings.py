@@ -23,7 +23,7 @@ core by pair degrees, and a BFS over the core closes a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .words import (
     LETTER_UNIT,
@@ -55,6 +55,15 @@ class StallingsError(ValueError):
 
 class WitnessError(StallingsError):
     """A witness read off a fibre product failed its re-verification."""
+
+
+class FibreFacts(NamedTuple):
+    """See :meth:`SubgroupGraph.fibre_facts`."""
+    masks: list[int]
+    groups: dict[int, list[int]]
+    sources: dict[int, int]
+    parent: list[Optional[tuple[int, int]]]
+    nontree: list[tuple[int, int, int]]
 
 
 class SubgroupGraph:
@@ -100,15 +109,15 @@ class SubgroupGraph:
             self._table = tbl
         return self._table
 
-    def fibre_facts(self) -> tuple[list[int], dict[int, list[int]], dict[int, int],
-                                   list[Optional[tuple[int, int]]], list[tuple[int, int, int]]]:
+    def fibre_facts(self) -> FibreFacts:
         """The graph's one spanning tree, and what a fibre product reads off
-        it, built once in one pass over ``out``: the mask of each vertex (bit
-        c for each label leaving it whose code unit has ordinal c); the
-        vertices grouped by mask, in increasing order; at each vertex where
-        non-tree edges are recorded, the bits of their labels read from it;
-        the tree, as (parent, signed letter into v) at each vertex v and
-        None at the basepoint; and the non-tree edges (u, s, v), s > 0, sorted.
+        it, built once in one pass over ``out``: ``masks``, the mask of each
+        vertex (bit c for each label leaving it whose code unit has ordinal
+        c); ``groups``, the vertices grouped by mask, in increasing order;
+        ``sources``, at each vertex where non-tree edges are recorded, the
+        bits of their labels read from it; ``parent``, the tree, as (parent,
+        signed letter into v) at each vertex v and None at the basepoint; and
+        ``nontree``, the non-tree edges (u, s, v), s > 0, sorted.
 
         Vertices are numbered in BFS order and each row is in signed-letter
         order (``_canonicalize``), so the BFS parent of a vertex is the source
@@ -141,7 +150,7 @@ class SubgroupGraph:
                 groups.setdefault(m, []).append(v)
                 if nontree:
                     sources[v] = nontree
-            self._fibre = masks, groups, sources, parent, edges
+            self._fibre = FibreFacts(masks, groups, sources, parent, edges)
         return self._fibre
 
     def chains(self) -> Optional[list[Optional[dict[str, tuple[str, int]]]]]:
@@ -228,14 +237,9 @@ class SubgroupGraph:
         return self.read(w.code) == 0
 
     # -- spanning tree -------------------------------------------------------
-    def tree_parent(self) -> list[Optional[tuple[int, int]]]:
-        """The BFS tree from the basepoint, read from :meth:`fibre_facts`:
-        (parent, signed letter into v) at each vertex v, None at the basepoint."""
-        return self.fibre_facts()[3]
-
     def path_from_basepoint(self, v: int) -> tuple[int, ...]:
         """Letters of the BFS tree path basepoint -> v."""
-        parent = self.tree_parent()
+        parent = self.fibre_facts().parent
         rev = []
         while v != 0:
             p, s = parent[v]
@@ -410,12 +414,8 @@ def basis(g: SubgroupGraph) -> list[Word]:
     """A free basis of the subgroup: one word per non-tree edge, spelled
     from the graph's labels."""
     path = g.path_from_basepoint
-    return [Word(g.alphabet, path(u) + (s,) + inverse_letters(path(v))) for u, s, v in _nontree_edges(g)]
-
-
-def _nontree_edges(g: SubgroupGraph) -> list[tuple[int, int, int]]:
-    """Non-tree edges (u, s, v), s > 0 canonical orientation, sorted."""
-    return g.fibre_facts()[4]
+    return [Word(g.alphabet, path(u) + (s,) + inverse_letters(path(v)))
+            for u, s, v in g.fibre_facts().nontree]
 
 
 def same_subgroup(g1: SubgroupGraph, g2: SubgroupGraph) -> bool:
@@ -445,7 +445,7 @@ class BasisRewriter:
         # (vertex, code unit) of each non-tree edge, both ways -> the unit
         # of the tree-basis symbol it crosses
         self._symbol_at: dict[tuple[int, str], str] = {}
-        for idx, (u, s, v) in enumerate(_nontree_edges(graph)):
+        for idx, (u, s, v) in enumerate(graph.fibre_facts().nontree):
             self._symbol_at[u, LETTER_UNIT[s]] = chr(2 * idx)
             self._symbol_at[v, LETTER_UNIT[-s]] = chr(2 * idx + 1)
         # the graph's reading steps - its chains, or else its single edges -
@@ -677,7 +677,7 @@ class _FibreAnalysis:
         walk crosses an edge off the tree once, and in a folded product free
         reduction of its label only removes the walk's backtracks."""
         g1, g2, n2 = self._g1, self._g2, self._n2
-        m1, m2 = g1.fibre_facts()[0], g2.fibre_facts()[0]
+        m1, m2 = g1.fibre_facts().masks, g2.fibre_facts().masks
 
         def edges(c):
             """(label, target pair) of each product edge at c, by label."""

@@ -54,7 +54,7 @@ class TestPresentationParsing:
         )
         parsed = parse_presentation(text)
         assert parsed.is_hnn
-        assert parsed.mgen_names == ("x", "z")
+        assert parsed.mgens_alphabet.names == ("x", "z")
         assert format_presentation(parsed) == text
 
     def test_comments_and_blanks(self):
@@ -68,6 +68,16 @@ class TestPresentationParsing:
     def test_missing_assoc_for_hnn(self):
         with pytest.raises(PresentationSyntaxError):
             parse_presentation("gens: a b\nrels: a^2\nstable: t\n")
+
+    @pytest.mark.parametrize("missing, sections", [
+        ("mgens", "assoc: a\nendo: a -> b; b -> a\n"),  # assoc would be read over the base generators
+        ("assoc", "mgens: x = a b\nendo: a -> b; b -> a\n"),
+        ("endo", "mgens: x = a b\nassoc: x\n"),
+    ])
+    def test_hnn_sections_required(self, missing, sections):
+        with pytest.raises(PresentationSyntaxError) as e:
+            parse_presentation("gens: a b\nrels: a^6\nstable: t\n" + sections)
+        assert e.value.line_no == 1 and f"needs an '{missing}:' section" in str(e.value)
 
     @pytest.mark.parametrize("mgens, message", [
         ("x = a; x = b", "pairwise distinct"),       # repeated
@@ -218,6 +228,25 @@ class TestCli:
         digests = {run_cli(capsys, "malchar", "--triangle", "6,6,6", *extra)[1]["inputs_digest"]
                    for extra in ((), ("--rho", "8"), ("--rho", "8", "--bound", "3"))}
         assert digests == {"1e2ae9abf633c26e"}
+
+    @pytest.mark.parametrize("command", ["malchar", "build-tp"])
+    def test_triangle_exponents(self, capsys, tmp_path, command):
+        # exponents below 6 are a refusal on both commands; a malformed
+        # option is a usage error
+        pres = tmp_path / "p2.pres"
+        pres.write_text("gens: z\nrels: z^2\n")
+        extra = ["--pres", str(pres)] if command == "build-tp" else []
+        code, out = run_cli(capsys, command, "--triangle", "5,6,6", *extra)
+        assert code == 2 and "below 6" in out["refusal"]
+        for bad in ("6,6", "6,6,6,6", "6,6,x"):
+            assert main([command, "--triangle", bad, *extra]) == 1
+            assert "--triangle takes three integers i,j,k" in capsys.readouterr().err
+
+    def test_britton_refuses_hnn_file_without_mgens(self, capsys, tmp_path):
+        path = tmp_path / "no_mgens.hnn"
+        path.write_text("gens: a b\nrels: a^6, b^6, (a b)^6\nstable: t\nassoc: a\nendo: a -> b; b -> a\n")
+        assert main(["britton", "--hnn", str(path), "--word", "t a t^-1"]) == 1
+        assert "needs an 'mgens:' section" in capsys.readouterr().err
 
     def test_build_tp_refuses_colliding_generator_names(self, capsys, tmp_path):
         # padding <a | a^2> gives the hat generators a, p and q, and a is a

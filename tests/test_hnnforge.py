@@ -381,6 +381,22 @@ class TestMembershipOracle:
         assert not member.in_k(word(AB, "a"))
         assert not member.in_k(word(AB, "1") * z_w * word(AB, "a"))
 
+    @given(factors=st.lists(st.tuples(st.integers(0, 5), st.sampled_from((1, -1))), max_size=8))
+    def test_abstract_image_spells_the_element(self, tp2, factors):
+        # M is free on the family words, so an element of M has one reduced
+        # spelling over the hat letters, and it substitutes back to the element
+        names = tp2.hat_alphabet.names
+        h = Word(AB, ())
+        letters = []
+        for i, s in factors:
+            name = names[i % len(names)]
+            h = h * tp2.m_word(name) ** s
+            letters.append(s * (tp2.hat_alphabet.index(name) + 1))
+        abstract = tp2.membership().abstract_image(h)
+        assert abstract == Word(tp2.hat_alphabet, letters)
+        assert tp2.substitute(abstract) == h
+        assert tp2.membership().abstract_image(h * word(AB, "a")) is None
+
     def test_rewriter_round_trips_across_ranks(self):
         import random
 

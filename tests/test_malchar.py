@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import malkit
 from malkit import malchar
@@ -29,7 +29,7 @@ from malkit.malchar import (
 )
 from malkit.smallcancel import symmetrise, word_problem
 from malkit.stallings import build_and_fold
-from malkit.words import alphabet, apply_endo, compose_endos, conjugate, identity_endo, word
+from malkit.words import Word, alphabet, apply_endo, compose_endos, conjugate, identity_endo, signed_letters, word
 
 AB = alphabet("a b")
 
@@ -63,6 +63,86 @@ class TestLengthPreservingAutos:
         ident = identity_endo(AB)
         for f in autos:
             assert any(compose_endos(f, g) == ident for g in autos)
+
+
+def _reference_run_restricted_acyclic(graph, gen):
+    """The run-length product built whole: every (vertex, last signed
+    letter, run) state with its adjacency list, then a three-colour DFS
+    from every state."""
+    n = len(graph.alphabet)
+    states, adj = {}, []
+
+    def state_id(v, last, run):
+        key = (v, last, run)
+        if key not in states:
+            states[key] = len(adj)
+            adj.append([])
+        return states[key]
+
+    signed = tuple(signed_letters(n))
+    for v in range(graph.num_vertices):
+        for last in signed:
+            for run in (1, 2):
+                if abs(last) - 1 != gen and run == 2:
+                    continue
+                src = state_id(v, last, run)
+                for m in signed:
+                    tgt_v = graph.out[v].get(m)
+                    if m == -last or tgt_v is None:
+                        continue
+                    if abs(m) - 1 == gen:
+                        new_run = run + 1 if m == last else 1
+                        if new_run >= 3:
+                            continue
+                    else:
+                        new_run = 1
+                    adj[src].append(state_id(tgt_v, m, new_run))
+
+    colour = [0] * len(adj)
+    for start in range(len(adj)):
+        if colour[start]:
+            continue
+        stack = [(start, iter(adj[start]))]
+        colour[start] = 1
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if colour[nxt] == 1:
+                    return False
+                if colour[nxt] == 0:
+                    colour[nxt] = 1
+                    stack.append((nxt, iter(adj[nxt])))
+                    break
+            else:
+                colour[node] = 2
+                stack.pop()
+    return True
+
+
+@st.composite
+def _run_graphs(draw):
+    """Folded graphs on 2 or 3 generators from words made of runs of one
+    letter, positive only or of both signs, so that circuits with and
+    without a run of 3 both occur."""
+    alpha = alphabet("a b c"[:2 * draw(st.integers(2, 3)) - 1])
+    n = len(alpha)
+    letters = st.integers(1, n) if draw(st.booleans()) else st.sampled_from(list(signed_letters(n)))
+    runs = st.lists(st.tuples(letters, st.integers(1, 4)), min_size=1, max_size=5)
+    words = draw(st.lists(runs, min_size=1, max_size=3))
+    return build_and_fold(alpha, [Word(alpha, [x for x, k in rs for _ in range(k)]) for rs in words])
+
+
+class TestRunRestrictedAcyclic:
+    @settings(max_examples=300, deadline=None)
+    @given(_run_graphs())
+    def test_matches_explicit_automaton(self, graph):
+        for gen in range(len(graph.alphabet)):
+            assert malchar._run_restricted_acyclic(graph, gen) == _reference_run_restricted_acyclic(graph, gen)
+
+    def test_seed_pair(self):
+        graph = build_and_fold(AB, list(seed_words_free(AB, 8).pair))
+        assert malchar._run_restricted_acyclic(graph, 0) and malchar._run_restricted_acyclic(graph, 1)
+        assert not malchar._run_restricted_acyclic(build_and_fold(AB, [w("a^2 b^3")]), 0)
 
 
 class TestHypotheses:
@@ -255,8 +335,8 @@ class TestVerifyPsiImages:
     def test_equilateral_rho8_all_ok(self):
         reports = verify_psi_images(AB, 6, 6, 6, 8, 3)
         assert len(reports) == 12
-        assert all(r.ok for r in reports)
-        assert all(r.unconditional for r in reports)
+        assert all(r.family.ok for r in reports)
+        assert all(r.family.unconditional for r in reports)
         assert all(not r.forbidden_hits for r in reports)
 
     def test_identity_map_reduces_to_seed_check(self):
@@ -268,7 +348,7 @@ class TestVerifyPsiImages:
         reports = verify_psi_images(AB, 6, 6, 6, 3, 3)
         assert len(reports) == 12  # outcome recorded, whatever it is
         for r in reports:
-            assert isinstance(r.ok, bool)
+            assert isinstance(r.family.ok, bool)
 
 
 def _scan_windows(alpha, words):

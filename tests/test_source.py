@@ -52,3 +52,12 @@ def test_letters_encoded_only_in_words():
             continue
         found += [f"{path.name}:{node.lineno}" for name in names if name == "encode_letters"]
     assert found == []
+
+
+def test_no_function_local_imports():
+    # every module names what it depends on at its top, where an import
+    # cycle shows at once
+    found = [f"{path.name}:{inner.lineno}" for path, node in _nodes()
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert found == []

@@ -448,7 +448,7 @@ def _shared_source_graphs(draw):
     p = draw(_reduced_word(1, 4)) if draw(st.booleans()) else Word(AB, ())
     cycles = draw(st.lists(_reduced_word(1, 3), min_size=2, max_size=3))
     g = build_and_fold(AB, [p * x * p.inverse() for x in cycles])
-    assume(any(bits & (bits - 1) for bits in g.fibre_facts()[2].values()))
+    assume(any(bits & (bits - 1) for bits in g.fibre_facts().sources.values()))
     return g
 
 
@@ -482,8 +482,8 @@ class TestSpanningTree:
     @given(st.one_of(_folded_graphs(1, 8), _chain_graphs(), _looped_graphs(), _shared_source_graphs()))
     def test_matches_bfs(self, g):
         masks, groups, sources, parent, nontree = g.fibre_facts()
-        assert parent == g.tree_parent() == _bfs_tree_parent(g)
-        assert nontree == stallings._nontree_edges(g) == _reference_nontree_edges(g, parent)
+        assert parent == _bfs_tree_parent(g)
+        assert nontree == _reference_nontree_edges(g, parent)
         assert len(nontree) == g.rank()
         assert masks == [sum(1 << ord(LETTER_UNIT[s]) for s in d) for d in g.out]
         assert groups == {m: [v for v, x in enumerate(masks) if x == m] for m in masks}
@@ -500,8 +500,8 @@ class TestSpanningTree:
 
         g = build_and_fold(AB, list(seed_words_triangle(AB, 8).pair))
         parent = _bfs_tree_parent(g)
-        assert g.tree_parent() == parent
-        assert stallings._nontree_edges(g) == _reference_nontree_edges(g, parent)
+        assert g.fibre_facts().parent == parent
+        assert g.fibre_facts().nontree == _reference_nontree_edges(g, parent)
         assert same_subgroup(build_and_fold(AB, basis(g)), g)
 
     @settings(max_examples=100, deadline=None)
@@ -888,7 +888,7 @@ def _crossing_by_letters(rw, code):
     and the positions of the crossing steps."""
     g = rw.graph
     symbol = {}
-    for idx, (u, s, v) in enumerate(stallings._nontree_edges(g)):
+    for idx, (u, s, v) in enumerate(g.fibre_facts().nontree):
         symbol[u, encode_letters(AB, [s])] = chr(2 * idx)
         symbol[v, encode_letters(AB, [-s])] = chr(2 * idx + 1)
     tbl = g.table()
