@@ -11,16 +11,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 import time
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple, Sequence
 
 from . import hnnforge, malchar, presfile, quotientcert, smallcancel, stallings
 from .cosetenum import DEFAULT_MAX_COSETS, CosetEnumError, Overflow, todd_coxeter
-from .words import Alphabet, Word, WordError, alphabet, inverse_letters, parse_word_list, word
+from .words import Alphabet, Word, WordError, alphabet, code_product, images_by_unit, parse_word_list, word
 
 
 class UsageError(ValueError):
@@ -29,6 +29,8 @@ class UsageError(ValueError):
 
 # options that name a file the command reads
 _INPUT_FILES = ("presentation", "rels", "pres", "hnn")
+# the generators of the triangle groups and of the free group F(a, b)
+AB = alphabet("a b")
 
 
 def _infer_alphabet(texts) -> Alphabet:
@@ -49,20 +51,18 @@ def _alphabet_and_words(args, *lists):
 
 
 def _resolve_inputs(args) -> None:
-    """Replace each input file's path by its text, and the coset cap by the
-    one in force (``--max``, else ``MALCHAR_MAX_COSETS``, else the default),
-    so that the parsed options alone decide the answer."""
+    """Replace each input file's path by its text, so that the parsed
+    options alone decide the answer."""
     for key in _INPUT_FILES:
         if key in vars(args):
             with open(vars(args)[key]) as fh:
                 setattr(args, key, fh.read())
-    if "max" in vars(args):
-        args.max = args.max or int(os.environ.get("MALCHAR_MAX_COSETS") or DEFAULT_MAX_COSETS)
 
 
 def _inputs_digest(args) -> str:
     """Digest of every parsed option but the output path, after
-    :func:`_resolve_inputs`."""
+    :func:`_resolve_inputs` and after the command has resolved the defaults
+    it owns."""
     h = hashlib.sha256()
     for key, value in sorted(vars(args).items()):
         if key not in ("func", "out"):
@@ -80,38 +80,28 @@ def _triangle(text: str) -> tuple[int, int, int]:
     return i, j, k
 
 
-def _emit(args, payload, started, caveats=None, witnesses=None):
-    out = {
-        "command": args.command,
-        "inputs_digest": _inputs_digest(args),
-        **payload,
-        "witnesses": witnesses or [],
-        "caveats": caveats or [],
-        "elapsed_ms": round(1000 * (time.monotonic() - started), 1),
-    }
-    json.dump(out, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
-    return 0
+class Outcome(NamedTuple):
+    """What a command found; :func:`main` wraps it in the envelope."""
+    payload: dict
+    witnesses: Sequence = ()
+    caveats: Sequence = ()
 
 
 # -- subcommands --------------------------------------------------------------------
 
 def cmd_fold(args):
-    started = time.monotonic()
     alpha, (gens,) = _alphabet_and_words(args, args.words)
     g = stallings.build_and_fold(alpha, gens)
-    payload = {
+    return Outcome({
         "verdict": "folded",
         "rank": g.rank(),
         "vertices": g.num_vertices,
         "edges": g.num_edges,
         "basis": [str(b) for b in stallings.basis(g)],
-    }
-    return _emit(args, payload, started)
+    })
 
 
 def cmd_malnormal(args):
-    started = time.monotonic()
     alpha, (gens,) = _alphabet_and_words(args, args.words)
     v = stallings.is_malnormal(alpha, gens)
     payload = {
@@ -119,24 +109,20 @@ def cmd_malnormal(args):
         "rank": v.graph.rank(),
         "component_count": v.component_count,
     }
-    wit = [v.witness.as_dict()] if v.witness else []
-    return _emit(args, payload, started, witnesses=wit)
+    return Outcome(payload, [v.witness.as_dict()] if v.witness else [])
 
 
 def cmd_intersect(args):
-    started = time.monotonic()
     alpha, (s, t) = _alphabet_and_words(args, args.s, args.t)
     v = stallings.trivial_intersection_all_conjugates(alpha, s, t)
     payload = {
         "verdict": "trivial" if v.trivial else "intersects",
         "component_count": v.component_count,
     }
-    wit = [v.witness.as_dict()] if v.witness else []
-    return _emit(args, payload, started, witnesses=wit)
+    return Outcome(payload, [v.witness.as_dict()] if v.witness else [])
 
 
 def cmd_sc_check(args):
-    started = time.monotonic()
     parsed = presfile.parse_presentation(args.presentation)
     rs = smallcancel.symmetrise(parsed.alphabet, parsed.relators)
     checks = {}
@@ -162,11 +148,10 @@ def cmd_sc_check(args):
         "verdict": checks,
         "max_piece_per_relator": dict(zip((str(r) for r in rs.relators), pt.max_piece_per_relator)),
     }
-    return _emit(args, payload, started, witnesses=witnesses)
+    return Outcome(payload, witnesses)
 
 
 def cmd_dehn(args):
-    started = time.monotonic()
     parsed = presfile.parse_presentation(args.presentation)
     rs = smallcancel.symmetrise(parsed.alphabet, parsed.relators)
     w = word(parsed.alphabet, args.word)
@@ -182,35 +167,32 @@ def cmd_dehn(args):
         trivial = None
         caveats.append("presentation is not C'(1/6) or C'(1/4)-T(4): "
                        "a non-empty Dehn-reduced word may still be trivial")
-    payload = {"verdict": {"reduced": str(reduced), "trivial": trivial}}
-    return _emit(args, payload, started, caveats=caveats)
+    return Outcome({"verdict": {"reduced": str(reduced), "trivial": trivial}}, caveats=caveats)
+
+
+def _certify_intersection(alpha, relators, s, args):
+    if not args.t:
+        raise UsageError("--t is required for intersection certificates")
+    t = parse_word_list(alpha, args.t)
+    return quotientcert.certify_trivial_intersection_in_quotient(alpha, relators, s, t, args.bound)
+
+
+# certificate kind -> its builder, called with (alphabet, relators, s, args)
+CERTIFICATES = {
+    "malnormal": lambda alpha, r, s, args: quotientcert.certify_malnormal_in_quotient(alpha, r, s),
+    "free-basis": lambda alpha, r, s, args: quotientcert.certify_free_basis(alpha, r, s),
+    "intersection": _certify_intersection,
+}
 
 
 def cmd_certify(args):
-    started = time.monotonic()
     parsed = presfile.parse_presentation(args.rels)
-    alpha = parsed.alphabet
-    s = parse_word_list(alpha, args.s)
-    if args.kind == "malnormal":
-        cert = quotientcert.certify_malnormal_in_quotient(alpha, parsed.relators, s)
-    elif args.kind == "free-basis":
-        cert = quotientcert.certify_free_basis(alpha, parsed.relators, s)
-    elif args.kind == "intersection":
-        if not args.t:
-            raise UsageError("--t is required for intersection certificates")
-        t = parse_word_list(alpha, args.t)
-        cert = quotientcert.certify_trivial_intersection_in_quotient(
-            alpha, parsed.relators, s, t, args.bound
-        )
-    else:
-        raise UsageError(f"unknown certificate kind {args.kind!r}")
-    payload = {"certificate": cert.to_dict()}
-    return _emit(args, payload, started, caveats=cert.caveats)
+    s = parse_word_list(parsed.alphabet, args.s)
+    cert = CERTIFICATES[args.kind](parsed.alphabet, parsed.relators, s, args)
+    return Outcome({"certificate": cert.to_dict()}, caveats=cert.caveats)
 
 
 def cmd_malchar(args):
-    started = time.monotonic()
-    ab = alphabet("a b")
     if args.gens and args.rho is not None:
         raise UsageError("--rho names the seed pair, which --gens replaces")
     if not args.triangle and args.bound is not None:
@@ -220,48 +202,42 @@ def cmd_malchar(args):
     if args.triangle:
         args.bound = 3 if args.bound is None else args.bound
         i, j, k = _triangle(args.triangle)
-        cert = malchar.decide_malcharacteristic_triangle(ab, i, j, k, args.rho, args.bound)
-        payload = {"certificate": cert.to_dict()}
-        return _emit(args, payload, started, caveats=cert.caveats)
-    gens = parse_word_list(ab, args.gens) if args.gens else list(malchar.seed_words_free(ab, args.rho).pair)
-    verdict = malchar.decide_malcharacteristic_free(ab, gens)
-    payload = {
-        "verdict": "malcharacteristic" if verdict.malcharacteristic else "not-malcharacteristic",
-    }
+        cert = malchar.decide_malcharacteristic_triangle(AB, i, j, k, args.rho, args.bound)
+        return Outcome({"certificate": cert.to_dict()}, caveats=cert.caveats)
+    gens = parse_word_list(AB, args.gens) if args.gens else list(malchar.seed_words_free(AB, args.rho).pair)
+    verdict = malchar.decide_malcharacteristic_free(AB, gens)
     witnesses = []
     if verdict.failing_auto is not None:
         witnesses.append({"automorphism": repr(verdict.failing_auto), **verdict.witness.as_dict()})
     if verdict.malnormal_witness is not None:
         witnesses.append(verdict.malnormal_witness.as_dict())
-    return _emit(args, payload, started, witnesses=witnesses)
+    verdict_text = "malcharacteristic" if verdict.malcharacteristic else "not-malcharacteristic"
+    return Outcome({"verdict": verdict_text}, witnesses)
 
 
 def cmd_coset_enum(args):
-    started = time.monotonic()
     parsed = presfile.parse_presentation(args.presentation)
     subgroup = parse_word_list(parsed.alphabet, args.subgroup) if args.subgroup else []
     if args.kernel and subgroup:
         raise UsageError("--kernel applies to the trivial-subgroup enumeration")
     outcome = todd_coxeter(parsed.alphabet, parsed.relators, subgroup, args.max)
     if isinstance(outcome, Overflow):
-        payload = {"verdict": "overflow", "cap": outcome.max_cosets}
-        return _emit(args, payload, started)
+        return Outcome({"verdict": "overflow", "cap": outcome.max_cosets})
     payload = {"verdict": "complete", "index": outcome.index}
     if args.kernel:
         payload["kernel_generators"] = [str(g) for g in outcome.kernel_generators()]
-    return _emit(args, payload, started)
+    return Outcome(payload)
 
 
 def cmd_build_tp(args):
-    started = time.monotonic()
-    ab = alphabet("a b")
     i, j, k = _triangle(args.triangle)
     parsed = presfile.parse_presentation(args.pres)
     P = hnnforge.InputPresentation(parsed.alphabet, parsed.relators)
     hnn = hnnforge.build_tp(
-        ab, i, j, k, P, rho=args.rho, mode=args.mode,
+        AB, i, j, k, P, rho=args.rho, mode=args.mode,
         max_cosets=args.max, truncate=args.truncate,
     )
+    # the built presentation is the command's artefact, not its envelope
     text = presfile.format_presentation(presfile.hnn_to_parsed(hnn))
     if args.out:
         with open(args.out, "w") as fh:
@@ -277,18 +253,14 @@ def cmd_build_tp(args):
         "output": args.out,
     }
     caveats = [f"kernel truncated at conjugator depth {hnn.truncated}"] if hnn.truncated is not None else []
-    return _emit(args, payload, started, caveats=caveats)
+    return Outcome(payload, caveats=caveats)
 
 
 def cmd_britton(args):
-    started = time.monotonic()
     hnn = presfile.parsed_to_hnn(presfile.parse_presentation(args.hnn))
-    bw = parse_britton_text(hnn, args.word)
-    reduced, log = hnnforge.britton_reduce(hnn, bw)
-    trivial = (not reduced.stable_count) and smallcancel.word_problem(
-        hnn.base_relator_set(), reduced.head
-    )
-    payload = {
+    reduced, log = hnnforge.britton_reduce(hnn, parse_britton_text(hnn, args.word))
+    trivial = (not reduced.stable_count) and smallcancel.word_problem(hnn.membership().rs, reduced.head)
+    return Outcome({
         "verdict": {
             "reduced": reduced.text(hnn.stable),
             "stable_letters": reduced.stable_count,
@@ -297,34 +269,22 @@ def cmd_britton(args):
         "pinches": [
             {"position": p.position, "kind": p.kind, "pinched": str(p.pinched)} for p in log
         ],
-    }
-    return _emit(args, payload, started)
+    })
 
 
 def parse_britton_text(hnn, text: str):
-    """Words over the base letters, the stable letter, and the mgens names."""
-    combined = Alphabet(
-        hnn.base_alphabet.names + (hnn.stable,) + hnn.hat_alphabet.names
-    )
-    w = word(combined, text)
-    nbase = len(hnn.base_alphabet)
-    t_idx = nbase + 1
-    segments = [[]]
-    exponents = []
-    for x in w.letters:
-        if abs(x) == t_idx:
-            exponents.append(1 if x > 0 else -1)
-            segments.append([])
-        elif abs(x) <= nbase:
-            segments[-1].append(x)
-        else:
-            hat_name = combined.names[abs(x) - 1]
-            img = hnn.m_word(hat_name).letters
-            if x < 0:
-                img = inverse_letters(img)
-            segments[-1].extend(img)
-    words = [Word(hnn.base_alphabet, tuple(seg)) for seg in segments]
-    return hnnforge.britton_word(hnn, words, exponents)
+    """Words over the base letters, the stable letter, and the mgens names.
+
+    The code is split at the stable letter's two units, and each segment
+    substituted on the code: a base letter spells itself and an mgens name
+    its base word."""
+    base, n = hnn.base_alphabet, len(hnn.base_alphabet)
+    code = word(Alphabet(base.names + (hnn.stable,) + hnn.hat_alphabet.names), text).code
+    images = images_by_unit([chr(2 * g) for g in range(n)] + [""]
+                            + [hnn.m_word(name).code for name in hnn.hat_alphabet.names])
+    parts = re.split(f"([{re.escape(chr(2 * n) + chr(2 * n + 1))}])", code)
+    words = [Word.from_code(base, code_product(map(images.__getitem__, seg))) for seg in parts[::2]]
+    return hnnforge.britton_word(hnn, words, [1 if t == chr(2 * n) else -1 for t in parts[1::2]])
 
 
 # -- reproduction fixtures -------------------------------------------------------------
@@ -333,55 +293,65 @@ def _fixture_text(name: str) -> str:
     return resources.files("malkit.fixtures").joinpath(name).read_text()
 
 
-def cmd_reproduce(args):
-    started = time.monotonic()
-    ab = alphabet("a b")
-    lines = []
-    ok = True
-    if args.what == "intro-examples":
-        for k in range(2, 6):
-            z = alphabet("z")
-            P = hnnforge.InputPresentation(z, (word(z, f"z^{k}"),))
-            hnn = hnnforge.build_tp(ab, 6, 6, 6, P, rho=8, mode="minimal")
-            text = presfile.format_presentation(presfile.hnn_to_parsed(hnn))
-            golden = _fixture_text(f"tp_p{k}.pres")
-            match = text == golden
-            ok &= match
-            lines.append(f"T at P_{k}: {'match' if match else 'DIFFERS from golden'}")
-            # kernel subgroup equality with the explicit conjugate family
-            hat = hnn.hat_alphabet
-            pad = hnn.hat.padding[0]
-            orig = [n for n in hat.names if n != pad][0]
-            expected = [word(hat, f"{orig}^{k}")] + [
-                word(hat, f"{orig}^-{m} {pad} {orig}^{m}") if m else word(hat, pad)
-                for m in range(k)
-            ]
-            same = stallings.same_subgroup(
-                stallings.build_and_fold(hat, list(hnn.assoc_abstract)),
-                stallings.build_and_fold(hat, expected),
-            )
-            ok &= same
-            lines.append(f"T at P_{k} kernel subgroup: {'equal' if same else 'DIFFERS'}")
-    elif args.what == "lemma-malcharfree":
-        verdict = malchar.decide_malcharacteristic_free(
-            ab, list(malchar.seed_words_free(ab, args.rho).pair)
+def _intro_examples(rho):
+    lines, ok = [], True
+    for k in range(2, 6):
+        z = alphabet("z")
+        P = hnnforge.InputPresentation(z, (word(z, f"z^{k}"),))
+        hnn = hnnforge.build_tp(AB, 6, 6, 6, P, rho=8, mode="minimal")
+        text = presfile.format_presentation(presfile.hnn_to_parsed(hnn))
+        golden = _fixture_text(f"tp_p{k}.pres")
+        match = text == golden
+        ok &= match
+        lines.append(f"T at P_{k}: {'match' if match else 'DIFFERS from golden'}")
+        # kernel subgroup equality with the explicit conjugate family
+        hat = hnn.hat_alphabet
+        pad = hnn.hat.padding[0]
+        orig = [n for n in hat.names if n != pad][0]
+        expected = [word(hat, f"{orig}^{k}")] + [
+            word(hat, f"{orig}^-{m} {pad} {orig}^{m}") if m else word(hat, pad)
+            for m in range(k)
+        ]
+        same = stallings.same_subgroup(
+            stallings.build_and_fold(hat, list(hnn.assoc_abstract)),
+            stallings.build_and_fold(hat, expected),
         )
-        ok = verdict.malcharacteristic
-        lines.append(f"rank-two positive pair at rho={args.rho}: "
-                     f"{'malcharacteristic' if ok else 'NOT malcharacteristic'}")
-    elif args.what == "lemma-malchartriangle":
-        cert = malchar.decide_malcharacteristic_triangle(ab, 6, 6, 6, args.rho)
-        for h in cert.hypotheses:
-            lines.append(f"[{'ok' if h.ok else 'no'}] {h.name}")
-        ok = True  # the verdict itself is the reproduction output
-        lines.append(f"certified: {cert.certified}")
-    elif args.what == "counterexample-cmt4":
-        lines, ok = _counterexample_cmt4()
-    else:
-        raise UsageError(f"unknown reproduction target {args.what!r}")
-    payload = {"verdict": "pass" if ok else "fail", "report": lines}
-    code = _emit(args, payload, started)
-    return code if ok else 3
+        ok &= same
+        lines.append(f"T at P_{k} kernel subgroup: {'equal' if same else 'DIFFERS'}")
+    return lines, ok
+
+
+def _lemma_malcharfree(rho):
+    verdict = malchar.decide_malcharacteristic_free(AB, list(malchar.seed_words_free(AB, rho).pair))
+    ok = verdict.malcharacteristic
+    return [f"rank-two positive pair at rho={rho}: "
+            f"{'malcharacteristic' if ok else 'NOT malcharacteristic'}"], ok
+
+
+def _lemma_malchartriangle(rho):
+    cert = malchar.decide_malcharacteristic_triangle(AB, 6, 6, 6, rho)
+    lines = [f"[{'ok' if h.ok else 'no'}] {h.name}" for h in cert.hypotheses]
+    # the verdict itself is the reproduction output
+    return lines + [f"certified: {cert.certified}"], True
+
+
+# reproduction target -> (its replay, called with rho, and whether it
+# reads --rho)
+REPRODUCTIONS = {
+    "intro-examples": (_intro_examples, False),
+    "lemma-malcharfree": (_lemma_malcharfree, True),
+    "lemma-malchartriangle": (_lemma_malchartriangle, True),
+    "counterexample-cmt4": (lambda rho: _counterexample_cmt4(), False),
+}
+
+
+def cmd_reproduce(args):
+    replay, reads_rho = REPRODUCTIONS[args.what]
+    if args.rho is not None and not reads_rho:
+        raise UsageError(f"reproduce {args.what} does not read --rho")
+    args.rho = 8 if args.rho is None else args.rho
+    lines, ok = replay(args.rho)
+    return Outcome({"verdict": "pass" if ok else "fail", "report": lines})
 
 
 def counterexample_words(p: int = 2, q: int = 7):
@@ -458,7 +428,7 @@ def build_parser():
     d.set_defaults(func=cmd_dehn)
 
     c = sub.add_parser("certify", help="quotient-lifting certificates")
-    c.add_argument("--kind", required=True, choices=["malnormal", "free-basis", "intersection"])
+    c.add_argument("--kind", required=True, choices=list(CERTIFICATES))
     c.add_argument("--rels", required=True)
     c.add_argument("--s", required=True)
     c.add_argument("--t")
@@ -476,7 +446,7 @@ def build_parser():
     ce = sub.add_parser("coset-enum", help="Todd-Coxeter enumeration")
     ce.add_argument("presentation")
     ce.add_argument("--subgroup")
-    ce.add_argument("--max", type=int)
+    ce.add_argument("--max", type=int, default=DEFAULT_MAX_COSETS)
     ce.add_argument("--kernel", action="store_true")
     ce.set_defaults(func=cmd_coset_enum)
 
@@ -486,7 +456,7 @@ def build_parser():
     bt.add_argument("--pres", required=True)
     bt.add_argument("--mode", default="pq", choices=["pq", "minimal"])
     bt.add_argument("--truncate", type=int, default=3)
-    bt.add_argument("--max", type=int)
+    bt.add_argument("--max", type=int, default=DEFAULT_MAX_COSETS)
     bt.add_argument("-o", "--out", help="write the HNN presentation file here (stderr otherwise)")
     bt.set_defaults(func=cmd_build_tp)
 
@@ -496,16 +466,8 @@ def build_parser():
     br.set_defaults(func=cmd_britton)
 
     r = sub.add_parser("reproduce", help="pinned reproduction fixtures")
-    r.add_argument(
-        "what",
-        choices=[
-            "intro-examples",
-            "lemma-malcharfree",
-            "lemma-malchartriangle",
-            "counterexample-cmt4",
-        ],
-    )
-    r.add_argument("--rho", type=int, default=8)
+    r.add_argument("what", choices=list(REPRODUCTIONS))
+    r.add_argument("--rho", type=int, help="seed-pair parameter (default 8); lemma-malchar* targets only")
     r.set_defaults(func=cmd_reproduce)
     return p
 
@@ -526,14 +488,26 @@ def main(argv=None) -> int:
         return 1 if e.code else 0
     try:
         _resolve_inputs(args)
-        return args.func(args)
+        started = time.monotonic()
+        outcome = args.func(args)
     except REFUSALS as e:
-        json.dump({"command": args.command, "refusal": str(e)}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 2
+        out, code = {"command": args.command, "refusal": str(e)}, 2
     except (WordError, UsageError, presfile.PresentationSyntaxError, OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
+    else:
+        out = {
+            "command": args.command,
+            "inputs_digest": _inputs_digest(args),
+            **outcome.payload,
+            "witnesses": outcome.witnesses,
+            "caveats": outcome.caveats,
+            "elapsed_ms": round(1000 * (time.monotonic() - started), 1),
+        }
+        code = 3 if out.get("verdict") == "fail" else 0
+    json.dump(out, sys.stdout, indent=2, default=str)
+    sys.stdout.write("\n")
+    return code
 
 
 if __name__ == "__main__":

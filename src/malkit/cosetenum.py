@@ -53,11 +53,8 @@ class CosetTable:
     ``table[v][c]`` is the coset reached from v by the letter of code c, and
     ``rep_codes[v]`` the code of coset v's representative."""
 
-    def __init__(self, alpha: Alphabet, relators: Sequence[Word], subgroup: Sequence[Word],
-                 table: list[list[int]], rep_codes: list[str]):
+    def __init__(self, alpha: Alphabet, table: list[list[int]], rep_codes: list[str]):
         self.alphabet = alpha
-        self.relators = tuple(relators)
-        self.subgroup = tuple(subgroup)
         self.table = table
         self.rep_codes = rep_codes
 
@@ -249,10 +246,10 @@ def todd_coxeter(
         if len(p) - dead > max_cosets:
             return Overflow(max_cosets, len(p) - dead)
         a += 1
-    return _standardize(alpha, relators, subgroup_gens, cols, p)
+    return _standardize(alpha, cols, p)
 
 
-def _standardize(alpha, relators, subgroup_gens, cols, p) -> CosetTable:
+def _standardize(alpha, cols, p) -> CosetTable:
     """Number the live cosets in BFS order from coset 0, columns in code
     order, and record the code of each coset's BFS-tree word as its
     representative."""
@@ -275,7 +272,7 @@ def _standardize(alpha, relators, subgroup_gens, cols, p) -> CosetTable:
     # renumbered column is held whole
     renumbered = (map(number.__getitem__, map(col.__getitem__, order)) for col in cols)
     table = [list(row) for row in zip(*renumbered)]
-    return CosetTable(alpha, relators, subgroup_gens, table, reps)
+    return CosetTable(alpha, table, reps)
 
 
 def schreier_kernel_generators(

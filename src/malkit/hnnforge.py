@@ -233,15 +233,12 @@ def build_tp(
         table=table,
         truncated=truncated,
     )
-    # every kernel generator must lie in the family subgroup, and the base
-    # automorphism must preserve the base relators
+    # every kernel generator must lie in the family subgroup;
+    # endo_order_in_quotient has checked that phi preserves the base relators
     m_graph = build_and_fold(alpha, list(m_by_slot))
     for u in hnn.assoc_concrete:
         if not m_graph.contains(u):
             raise HnnError(f"internal: kernel generator {u} is not in the family subgroup")
-    for r in rels:
-        if not word_problem(rs, apply_endo(phi, r)):
-            raise HnnError(f"internal: the base automorphism does not preserve the relator {r}")
     return hnn
 
 
@@ -473,7 +470,6 @@ class PinchStep:
     position: int
     kind: str          # "t k t^-1" or "t^-1 phi(k) t"
     pinched: Word
-    replaced_by: Word
 
 
 def britton_reduce(H: HnnPresentation, bw: BrittonWord) -> tuple[BrittonWord, list[PinchStep]]:
@@ -497,9 +493,8 @@ def britton_reduce(H: HnnPresentation, bw: BrittonWord) -> tuple[BrittonWord, li
             kind, inside, endo_map = rule
             mid = segs[idx + 1]
             if inside(mid):
-                image = apply_endo(endo_map, mid)
-                log.append(PinchStep(idx, kind, mid, image))
-                segs[idx] = segs[idx] * image * segs[idx + 2]
+                log.append(PinchStep(idx, kind, mid))
+                segs[idx] = segs[idx] * apply_endo(endo_map, mid) * segs[idx + 2]
                 del segs[idx + 1:idx + 3]
                 del eps[idx:idx + 2]
                 break

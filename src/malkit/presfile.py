@@ -5,7 +5,8 @@ Base presentations:
     gens: a b
     rels: a^6, b^6, (a b)^6
 
-HNN files add four sections, all required (order fixed, comments with '#'):
+HNN files add four sections, all required, and only HNN files may carry
+them (order fixed, comments with '#'):
 
     stable: t
     mgens: x = <word over the base gens>; z = <word>
@@ -89,6 +90,11 @@ def parse_presentation(text: str) -> ParsedPresentation:
         stable = stable_text
         if stable in alpha:
             raise PresentationSyntaxError("stable letter collides with a generator", no)
+    else:
+        hnn_only = sorted((no, key) for key, (_, no) in sections.items() if key in ("mgens", "assoc", "endo"))
+        if hnn_only:
+            no, key = hnn_only[0]
+            raise PresentationSyntaxError(f"'{key}:' section without a 'stable:' line", no)
 
     mgens_alpha = None
     mgen_words: tuple[Word, ...] = ()

@@ -164,7 +164,7 @@ def certify_free_basis(alpha: Alphabet, r: Sequence[Word], s: Sequence[Word]) ->
     the joint symmetrised set passes C'(1/4).
 
     Refuses when the base presentation itself is not Dehn-admissible."""
-    base = symmetrise(alpha, r) if r else RelatorSet(alpha, [])
+    base = symmetrise(alpha, r)
     ok, route = base.dehn_admissible()
     if not ok:
         raise CertificateError("base presentation not Dehn-admissible")
@@ -215,7 +215,6 @@ def certify_malnormal_in_quotient(
 class FamilyVerdict:
     ok: bool
     unconditional: bool
-    bound: int
     caveat: Optional[str] = None
     witness: Optional[Word] = None
     checked_words: int = 0
@@ -250,25 +249,21 @@ def check_family_cyclically_reduced(
     for expr in reduced_words(len(t), syllable_bound):
         code = code_product([codes[x] for x in expr])
         checked += 1
-        if not code or not is_cyclically_dehn_reduced(base, code):
-            return FamilyVerdict(
-                False, False, syllable_bound,
-                caveat=None, witness=Word.from_code(alpha, code), checked_words=checked,
-            )
+        v = Word.from_code(alpha, code)
+        if not is_cyclically_dehn_reduced(base, v):
+            return FamilyVerdict(False, False, witness=v, checked_words=checked)
 
     unconditional = _block_criterion(base, t) if r else True
     caveat = None if unconditional else f"t-family check bounded at syllable length {syllable_bound}"
-    return FamilyVerdict(True, unconditional, syllable_bound, caveat=caveat,
-                         checked_words=checked)
+    return FamilyVerdict(True, unconditional, caveat=caveat, checked_words=checked)
 
 
 def _block_criterion(base: RelatorSet, t: Sequence[Word]) -> bool:
     """Worst-case cancellation between adjacent t-letters plus the longest
     minimal relator violation must stay strictly below the residual middle
     of every t-letter; then any violating subword spans at most three
-    consecutive blocks and the window-3 scan is exhaustive."""
-    if not base.relators:
-        return True
+    consecutive blocks and the window-3 scan is exhaustive.  ``base`` must
+    have at least one relator."""
     letters = []
     for w in t:
         letters.append(w.code)

@@ -10,7 +10,6 @@ arithmetic.  Dehn's algorithm works on the letter code of words
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -83,8 +82,6 @@ class RelatorSet:
         letters = list(signed_letters(n))
         self._rank = {c: r for r, c in enumerate(sorted(range(2 * n), key=letters.__getitem__))}
         self._codes: tuple[str, ...] = tuple(sorted(first, key=self._letter_order))
-        # a code point outside the alphabet's codes 0 .. 2n-1
-        self._foreign = re.compile(f"[^{re.escape(chr(0))}-{re.escape(chr(2 * n - 1))}]" if n else "(?s:.)")
         self._pieces: Optional[PieceTable] = None
         self._dehn_patterns = None
         self._admissible = None
@@ -146,7 +143,6 @@ class PieceTable:
     max_piece_per_relator: list[int]
     max_piece_words: list[Optional[Word]]
     maximal_pieces: list[Word]
-    prefix_piece_len: dict[str, int]  # by the code of a symmetrised element
     # per relator, the piece-prefix length of every rotation of the relator
     # and of its inverse
     rotation_jumps: list[list[list[int]]]
@@ -205,7 +201,6 @@ def compute_pieces(rs: RelatorSet) -> PieceTable:
         max_piece_per_relator=max_per_rel,
         max_piece_words=max_word,
         maximal_pieces=[Word.from_code(rs.alphabet, code) for code in maximal],
-        prefix_piece_len=prefix_len,
         rotation_jumps=jumps,
     )
 
@@ -410,17 +405,9 @@ def is_dehn_reduced(rs: RelatorSet, w: Word) -> bool:
     return w.is_reduced() and _find_violation(rs, w.code) is None
 
 
-def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word | str) -> bool:
+def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word) -> bool:
     """Every free reduction of every cyclic shift of w is nonempty and
     Dehn reduced over the symmetrised set.
-
-    ``w`` is a :class:`Word`, alphabet-checked here, or the code of a
-    freely reduced word over ``rs.alphabet``.  The code form is a trusted
-    entry point for internal callers such as the family check, whose words
-    are spelled from the codes of images: a code has no alphabet, so only
-    its range is checked (a code point at or above ``2 * len(rs.alphabet)``
-    raises :class:`SmallCancelError`), and free reduction is the caller's
-    to keep.
 
     For w = A^-1 M A with M the cyclic core, the shift reductions are
     exactly the rotations of M together with the nested conjugates
@@ -428,19 +415,16 @@ def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word | str) -> bool:
     scan of w plus one scan of the doubled core decide the question; the
     core is found by index on the code, where a letter's inverse is its
     code ``^ 1``."""
-    if isinstance(w, Word):
-        _check_alphabet(rs, w)
-        w = w.code
-    elif rs._foreign.search(w):
-        raise SmallCancelError("code outside the relator set's alphabet")
-    i, j = core_bounds(w)
+    _check_alphabet(rs, w)
+    code = w.code
+    i, j = core_bounds(code)
     m = j - i
     if not m:
         return False
-    doubled = w[i:j] * 2
+    doubled = code[i:j] * 2
     pattern_list = rs._patterns()[0]
     for pb in pattern_list:
-        if pb in w or (len(pb) <= m and pb in doubled):
+        if pb in code or (len(pb) <= m and pb in doubled):
             return False
     return True
 

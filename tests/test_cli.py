@@ -1,5 +1,7 @@
+import argparse
 import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -78,6 +80,14 @@ class TestPresentationParsing:
         with pytest.raises(PresentationSyntaxError) as e:
             parse_presentation("gens: a b\nrels: a^6\nstable: t\n" + sections)
         assert e.value.line_no == 1 and f"needs an '{missing}:' section" in str(e.value)
+
+    @pytest.mark.parametrize("section", ["mgens: x = a b", "assoc: a", "endo: a -> b; b -> a"])
+    def test_hnn_section_without_stable(self, section):
+        # without stable: the file is a base presentation, which would drop
+        # the section; it is refused on the section's line
+        with pytest.raises(PresentationSyntaxError) as e:
+            parse_presentation(f"gens: a b\nrels: a^2\n{section}\n")
+        assert e.value.line_no == 3 and "without a 'stable:' line" in str(e.value)
 
     @pytest.mark.parametrize("mgens, message", [
         ("x = a; x = b", "pairwise distinct"),       # repeated
@@ -173,19 +183,17 @@ class TestCli:
         code, out = run_cli(capsys, "coset-enum", str(path))
         assert code == 0 and out["index"] == 5
 
-    def test_coset_enum_env_cap(self, capsys, tmp_path, monkeypatch):
+    def test_coset_enum_env_cap(self, capsys, tmp_path):
         path = tmp_path / "free.pres"
         path.write_text("gens: z\nrels:\n")
-        monkeypatch.setenv("MALCHAR_MAX_COSETS", "50")
-        code, out = run_cli(capsys, "coset-enum", str(path))
+        code, out = run_cli(capsys, "coset-enum", str(path), "--max", "50")
         assert code == 0 and out["verdict"] == "overflow" and out["cap"] == 50
 
     def test_coset_enum_kernel_with_subgroup_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
         # the free group on a, b: the subgroup's enumeration would overflow
         path = tmp_path / "free2.pres"
         path.write_text("gens: a b\nrels:\n")
-        monkeypatch.setenv("MALCHAR_MAX_COSETS", "50")
-        code = main(["coset-enum", str(path), "--subgroup", "a", "--kernel"])
+        code = main(["coset-enum", str(path), "--subgroup", "a", "--kernel", "--max", "50"])
         assert code == 1
         assert "--kernel applies to the trivial-subgroup enumeration" in capsys.readouterr().err
         calls = []
@@ -289,6 +297,17 @@ class TestCli:
         assert code == 0
         assert any(line.startswith("certified:") for line in out["report"])
 
+    @pytest.mark.parametrize("what", ["intro-examples", "counterexample-cmt4"])
+    def test_reproduce_rho_where_ignored_is_a_usage_error(self, capsys, what):
+        assert main(["reproduce", what, "--rho", "8"]) == 1
+        assert "does not read --rho" in capsys.readouterr().err
+
+    def test_failed_reproduction_exits_3(self, capsys, monkeypatch):
+        # main reads the exit code off the envelope's verdict
+        monkeypatch.setitem(cli.REPRODUCTIONS, "counterexample-cmt4", (lambda rho: (["differs"], False), False))
+        code, out = run_cli(capsys, "reproduce", "counterexample-cmt4")
+        assert code == 3 and out["verdict"] == "fail" and out["report"] == ["differs"]
+
     def test_britton_multiexponent_stable_letters(self, capsys, tmp_path):
         pres = tmp_path / "p2.pres"
         pres.write_text("gens: z\nrels: z^2\n")
@@ -339,3 +358,36 @@ class TestCli:
             for key in ("command", "inputs_digest", "witnesses", "caveats", "elapsed_ms"):
                 assert key in out, (argv, key)
             assert "verdict" in out or "certificate" in out
+
+
+def _subcommands():
+    action = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+# one quick run of every subcommand; {d} is a directory holding the files
+_ENVELOPE_RUNS = {
+    "fold": ["a b a^-1"],
+    "malnormal": ["a^2, b"],
+    "intersect": ["--s", "a", "--t", "b"],
+    "sc-check": ["{d}/t666.pres", "--lambda", "1/6"],
+    "dehn": ["{d}/t666.pres", "--word", "a b"],
+    "certify": ["--kind", "malnormal", "--rels", "{d}/t666.pres", "--s", "a b a^2 b^2"],
+    "malchar": ["--gens", "a^3 b^3"],
+    "coset-enum": ["{d}/c5.pres", "--kernel"],
+    "build-tp": ["--triangle", "6,6,6", "--rho", "2", "--pres", "{d}/p2.pres", "--mode", "minimal",
+                 "-o", "{d}/tp.hnn"],
+    "britton": ["--hnn", str(resources.files("malkit.fixtures").joinpath("tp_p2.pres")), "--word", "t z t^-1"],
+    "reproduce": ["counterexample-cmt4"],
+}
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_envelope_key_order(capsys, tmp_path, command):
+    for name, text in (("t666.pres", T666), ("c5.pres", "gens: z\nrels: z^5\n"), ("p2.pres", "gens: z\nrels: z^2\n")):
+        (tmp_path / name).write_text(text)
+    code, out = run_cli(capsys, command, *(arg.format(d=tmp_path) for arg in _ENVELOPE_RUNS[command]))
+    keys = list(out)
+    assert code == 0
+    assert keys[:2] == ["command", "inputs_digest"] and keys[-3:] == ["witnesses", "caveats", "elapsed_ms"]
+    assert out["command"] == command

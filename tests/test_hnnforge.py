@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import malkit
-from malkit import hnnforge
+from malkit import hnnforge, smallcancel
 from malkit.hnnforge import (
     HnnError,
     InputPresentation,
@@ -205,8 +205,9 @@ class TestBuildTp:
 
 class TestBuildTpChecks:
     """build_tp re-checks that every kernel generator lies in the family
-    subgroup and that the base automorphism preserves the relators; a
-    failure is a typed error, also under python -O."""
+    subgroup, and endo_order_in_quotient that the base automorphism
+    preserves the relators; a failure is a typed error, also under
+    python -O."""
 
     def test_kernel_outside_family(self, monkeypatch):
         monkeypatch.setattr(SubgroupGraph, "contains", lambda graph, u: False)
@@ -214,25 +215,25 @@ class TestBuildTpChecks:
             build_tp(AB, 6, 6, 6, pres("z", ["z^2"]), rho=2, mode="minimal")
 
     def test_relator_not_preserved(self, monkeypatch):
-        monkeypatch.setattr(hnnforge, "word_problem", lambda rs, w: False)
-        with pytest.raises(HnnError, match="does not preserve"):
+        monkeypatch.setattr(smallcancel, "word_problem", lambda rs, w: False)
+        with pytest.raises(smallcancel.SmallCancelError, match="does not preserve"):
             build_tp(AB, 6, 6, 6, pres("z", ["z^2"]), rho=2, mode="minimal")
 
     def test_checks_survive_optimised_python(self):
         code = (
-            "from malkit import hnnforge\n"
+            "from malkit import hnnforge, smallcancel\n"
             "from malkit.stallings import SubgroupGraph\n"
             "from malkit.words import alphabet\n"
             "AB = alphabet('a b')\n"
             "P = hnnforge.presentation('z', ['z^2'])\n"
             "raised = []\n"
             "for owner, name, bad in ((SubgroupGraph, 'contains', lambda graph, u: False),\n"
-            "                         (hnnforge, 'word_problem', lambda rs, w: False)):\n"
+            "                         (smallcancel, 'word_problem', lambda rs, w: False)):\n"
             "    good = getattr(owner, name)\n"
             "    setattr(owner, name, bad)\n"
             "    try:\n"
             "        hnnforge.build_tp(AB, 6, 6, 6, P, rho=2, mode='minimal')\n"
-            "    except hnnforge.HnnError:\n"
+            "    except (hnnforge.HnnError, smallcancel.SmallCancelError):\n"
             "        raised.append(name)\n"
             "    setattr(owner, name, good)\n"
             "print(__debug__, len(raised))\n"

@@ -428,10 +428,9 @@ class TestCyclicallyDehnReducedBruteForce:
 
     @given(st.sampled_from(_SCAN_SETS), st.lists(st.sampled_from([1, -1, 2, -2]), max_size=16))
     def test_code_matches_word(self, rs, raw):
-        # the code of a reduced word gets the Word's verdict
+        # the two scans agree with the literal definition on drawn words
         v = Word(AB, raw)
         verdict = is_cyclically_dehn_reduced(rs, v)
-        assert is_cyclically_dehn_reduced(rs, v.code) == verdict
         assert verdict == _brute_cyclically_dehn_reduced(rs, v)
 
 
@@ -527,14 +526,6 @@ class TestForeignAlphabet:
     def test_refused(self, decide, text):
         with pytest.raises(SmallCancelError, match="different alphabet"):
             decide(T6, word(self.XY, text))
-
-    @pytest.mark.parametrize("text", ["c^4", "c", "a c^-1 b"])
-    def test_foreign_code_refused(self, text):
-        # the code form has no alphabet: a code of a third generator (4 or 5)
-        # lies outside <a, b>'s codes 0..3 and is refused by range
-        code = word(alphabet("a b c"), text).code
-        with pytest.raises(SmallCancelError, match="outside the relator set's alphabet"):
-            is_cyclically_dehn_reduced(T6, code)
 
     def test_equal_alphabet_accepted(self):
         assert dehn_reduce(T6, word(alphabet("a b"), "a^5")) == w("a^-1")

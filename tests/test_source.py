@@ -61,3 +61,19 @@ def test_no_function_local_imports():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_no_environment_reads():
+    # every input is an option or a file, so inputs_digest covers it
+    env = ("environ", "environb", "getenv", "getenvb")
+    found = []
+    for path, node in _nodes():
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            hit = node.value.id == "os" and node.attr in env
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "os" and any(alias.name in env for alias in node.names)
+        else:
+            continue
+        if hit:
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
