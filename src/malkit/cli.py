@@ -124,7 +124,7 @@ def cmd_intersect(args):
 
 def cmd_sc_check(args):
     parsed = presfile.parse_presentation(args.presentation)
-    rs = smallcancel.symmetrise(parsed.alphabet, parsed.relators)
+    rs = smallcancel.RelatorSet(parsed.alphabet, parsed.relators)
     checks = {}
     witnesses = []
     if args.lam:
@@ -153,7 +153,7 @@ def cmd_sc_check(args):
 
 def cmd_dehn(args):
     parsed = presfile.parse_presentation(args.presentation)
-    rs = smallcancel.symmetrise(parsed.alphabet, parsed.relators)
+    rs = smallcancel.RelatorSet(parsed.alphabet, parsed.relators)
     w = word(parsed.alphabet, args.word)
     reduced = smallcancel.dehn_reduce(rs, w)
     # an empty result proves triviality over any presentation; a non-empty
@@ -186,6 +186,9 @@ CERTIFICATES = {
 
 
 def cmd_certify(args):
+    if args.kind != "intersection" and (args.t is not None or args.bound is not None):
+        raise UsageError("--t and --bound apply to intersection certificates (--kind intersection) only")
+    args.bound = 3 if args.bound is None else args.bound
     parsed = presfile.parse_presentation(args.rels)
     s = parse_word_list(parsed.alphabet, args.s)
     cert = CERTIFICATES[args.kind](parsed.alphabet, parsed.relators, s, args)
@@ -375,7 +378,7 @@ def counterexample_words(p: int = 2, q: int = 7):
 def _counterexample_cmt4():
     lines = []
     X, R, S, T = counterexample_words()
-    rs = smallcancel.symmetrise(X, [R, S])
+    rs = smallcancel.RelatorSet(X, [R, S])
     c5 = smallcancel.check_C(rs, 5).ok
     t4 = smallcancel.check_T(rs, 4).ok
     lines.append(f"C(5): {'pass' if c5 else 'FAIL'}; T(4): {'pass' if t4 else 'FAIL'}")
@@ -431,8 +434,8 @@ def build_parser():
     c.add_argument("--kind", required=True, choices=list(CERTIFICATES))
     c.add_argument("--rels", required=True)
     c.add_argument("--s", required=True)
-    c.add_argument("--t")
-    c.add_argument("--bound", type=int, default=3)
+    c.add_argument("--t", help="the second subgroup; with --kind intersection only")
+    c.add_argument("--bound", type=int, help="family check bound (default 3); with --kind intersection only")
     c.set_defaults(func=cmd_certify)
 
     mc = sub.add_parser("malchar", help="malcharacteristic decisions")

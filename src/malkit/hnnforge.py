@@ -21,7 +21,7 @@ from .cosetenum import (
     todd_coxeter,
 )
 from .malchar import rank_n_family, seed_words_triangle, triangle_relators
-from .smallcancel import RelatorSet, dehn_reduce, endo_order_in_quotient, symmetrise, word_problem
+from .smallcancel import RelatorSet, dehn_reduce, endo_order_in_quotient, word_problem
 from .stallings import BasisRewriter, build_and_fold, same_subgroup
 from .words import (
     LETTER_UNIT,
@@ -164,7 +164,7 @@ class HnnPresentation:
         return _KMembership(self)
 
     def base_relator_set(self) -> RelatorSet:
-        return symmetrise(self.base_alphabet, self.base_relators)
+        return RelatorSet(self.base_alphabet, self.base_relators)
 
 
 def _triangle_phi(alpha: Alphabet, i: int, j: int, k: int) -> EndomorphismSpec:
@@ -196,7 +196,7 @@ def build_tp(
     if min(i, j, k) < 6:
         raise HnnError("exponents below 6 are outside the supported range")
     rels = triangle_relators(alpha, i, j, k)
-    rs = symmetrise(alpha, rels)
+    rs = RelatorSet(alpha, rels)
     phi = _triangle_phi(alpha, i, j, k)
     order = endo_order_in_quotient(rs, phi, 6)
     if order is None:
@@ -441,9 +441,8 @@ class _KMembership:
         cached = self._k_memo.get(h.code)
         if cached is not None:
             return cached
-        hn = dehn_reduce(self.rs, h)
-        abstract = self.abstract_image(hn)
-        verdict = abstract is not None and self.H.table.image_in_quotient(abstract) == 1
+        hn, coset = self.k_coset(h)
+        verdict = coset == 1
         if verdict != self.k_graph.contains(hn):
             raise HnnError(f"internal: the two membership checks disagree on {h}")
         self._k_memo[h.code] = verdict
@@ -455,6 +454,13 @@ class _KMembership:
             cached = self.in_k(apply_endo(self.phi_inv, h))
             self._phi_k_memo[h.code] = cached
         return cached
+
+    def k_coset(self, h: Word) -> tuple[Word, Optional[int]]:
+        """h Dehn-reduced, and the coset of K that its image reaches in the
+        padded quotient: 1 for K itself, None when h lies outside M."""
+        hn = dehn_reduce(self.rs, h)
+        abstract = self.abstract_image(hn)
+        return hn, None if abstract is None else self.H.table.image_in_quotient(abstract)
 
     def abstract_image(self, hn: Word) -> Optional[Word]:
         """The hat-alphabet spelling of a normalised element of M, or None."""
@@ -537,8 +543,6 @@ def residual_witness(H: HnnPresentation, bw: BrittonWord) -> ResidualWitness:
     quotient itself separates; subwords whose h lies outside the family
     impose no constraint, and a word with no stable letters is separated by
     the base group alone."""
-    if H.truncated is not None:
-        raise HnnError("finite quotient required")
     member = H.membership()
     reduced, log = britton_reduce(H, bw)
     if log or reduced.tail != bw.tail or reduced.head != bw.head:
@@ -560,11 +564,10 @@ def residual_witness(H: HnnPresentation, bw: BrittonWord) -> ResidualWitness:
             kind, h, group = "t^-1 h t", apply_endo(member.phi_inv, mid), "phi(K)"
         else:
             continue
-        abstract = member.abstract_image(dehn_reduce(member.rs, h))
-        if abstract is None:
+        _, coset = member.k_coset(h)
+        if coset is None:
             entries.append(WitnessEntry(idx, kind, mid, False))
             continue
-        coset = H.table.image_in_quotient(abstract)
         if coset == 1:  # Britton-reducedness keeps h out of K
             raise HnnError(f"internal: the reduced subword {mid} lies in {group}")
         entries.append(WitnessEntry(idx, kind, mid, True, coset))

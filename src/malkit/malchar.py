@@ -25,7 +25,7 @@ from .quotientcert import (
     certify_trivial_intersection_in_quotient,
     check_family_cyclically_reduced,
 )
-from .smallcancel import is_cyclically_dehn_reduced, symmetrise, word_problem
+from .smallcancel import RelatorSet, is_cyclically_dehn_reduced, word_problem
 from .stallings import (
     IntersectionWitness,
     build_and_fold,
@@ -286,7 +286,7 @@ def rank_n_family(
             "stretch": stretch,
         }
         if r:
-            base = symmetrise(seed.alphabet, r)
+            base = RelatorSet(seed.alphabet, r)
             checks["cyclically_reduced_in_quotient"] = all(
                 is_cyclically_dehn_reduced(base, cw) for cw in concrete
             )
@@ -341,7 +341,7 @@ def psi_transversal(alpha: Alphabet, i: int, j: int, k: int) -> list[PsiMap]:
     """Representatives of the outer automorphism classes of the (i, j, k)
     triangle group: 2 maps when i, j, k are pairwise distinct, 4 when
     exactly two agree, all 12 in the equilateral case."""
-    rs = symmetrise(alpha, triangle_relators(alpha, i, j, k))
+    rs = RelatorSet(alpha, triangle_relators(alpha, i, j, k))
     maps = {(m.index, m.epsilon): m for m in psi_maps(alpha)}
     if i == j == k:
         selected = list(maps.values())
@@ -404,7 +404,7 @@ def verify_psi_images(
     (ab)-alternation patterns).  None are expected."""
     rels = triangle_relators(alpha, i, j, k)
     seeds = seed_words_triangle(alpha, rho)
-    base = symmetrise(alpha, rels)
+    base = RelatorSet(alpha, rels)
     reports = []
     for psi in psi_maps(alpha):
         images = [apply_endo(psi.spec, w) for w in seeds.pair]

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .cosetenum import Overflow, todd_coxeter
 from .hnnforge import HatPresentation, HnnError, HnnPresentation, InputPresentation
-from .smallcancel import endo_order_in_quotient, symmetrise
+from .smallcancel import RelatorSet, endo_order_in_quotient
 from .words import Alphabet, EndomorphismSpec, Word, WordError, format_word, parse_word_list, word
 
 
@@ -205,7 +205,7 @@ def parsed_to_hnn(parsed: ParsedPresentation):
     base_alpha = parsed.alphabet
     hat_alpha = parsed.mgens_alphabet
     phi = EndomorphismSpec(base_alpha, list(parsed.endo_images))
-    rs = symmetrise(base_alpha, parsed.relators)
+    rs = RelatorSet(base_alpha, parsed.relators)
     order = endo_order_in_quotient(rs, phi, 6)
     if order is None:
         raise HnnError("endo section does not define a finite-order automorphism")

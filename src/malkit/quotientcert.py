@@ -17,7 +17,6 @@ from .smallcancel import (
     check_T,
     check_metric,
     is_cyclically_dehn_reduced,
-    symmetrise,
 )
 from .words import (
     Alphabet,
@@ -104,7 +103,7 @@ class JointRoute:
 def _joint_metric_route(alpha: Alphabet, r: Sequence[Word], s: Sequence[Word]) -> JointRoute:
     """The small cancellation hypothesis on the symmetrised r ∪ s, trying
     C'(1/4)-T(4) first and falling back to C'(1/6)."""
-    joint = symmetrise(alpha, list(r) + list(s))
+    joint = RelatorSet(alpha, list(r) + list(s))
     shared = joint.shift_class_pair
     quarter = check_metric(joint, Fraction(1, 4))
     t4 = check_T(joint, 4)
@@ -164,13 +163,13 @@ def certify_free_basis(alpha: Alphabet, r: Sequence[Word], s: Sequence[Word]) ->
     the joint symmetrised set passes C'(1/4).
 
     Refuses when the base presentation itself is not Dehn-admissible."""
-    base = symmetrise(alpha, r)
+    base = RelatorSet(alpha, r)
     ok, route = base.dehn_admissible()
     if not ok:
         raise CertificateError("base presentation not Dehn-admissible")
     cert = Certificate(kind="free-basis", route=route)
     words = list(r) + list(s)
-    joint = symmetrise(alpha, words)
+    joint = RelatorSet(alpha, words)
     _distinct_rotation_classes(cert, words, joint.shift_class_pair)
     quarter = check_metric(joint, Fraction(1, 4))
     cert.add(
@@ -235,7 +234,7 @@ def check_family_cyclically_reduced(
     if syllable_bound < 3:
         raise CertificateError("syllable bound below 3: the criterion needs window 3")
     if base is None:
-        base = symmetrise(alpha, r)
+        base = RelatorSet(alpha, r)
     if base.alphabet != alpha or any(w.alphabet != alpha for w in t):
         raise CertificateError("relator set or t-word over a different alphabet")
 

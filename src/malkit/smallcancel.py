@@ -40,10 +40,6 @@ class SmallCancelError(ValueError):
     pass
 
 
-def _rotations(code: str) -> list[str]:
-    return [code[i:] + code[:i] for i in range(len(code))]
-
-
 class RelatorSet:
     """A finite relator list with its symmetrised closure and piece table.
 
@@ -71,10 +67,15 @@ class RelatorSet:
         self.relators = tuple(cores)
         # each symmetrised element's code -> the first relator index producing it
         first: dict[str, int] = {}
+        # per relator, every rotation of its core and of its inverse: the
+        # strings the closure is built from, which the piece table reads
+        self._rotations: list[tuple[list[str], list[str]]] = []
         self.shift_class_pair: Optional[tuple[int, int]] = None
         for j, r in enumerate(self.relators):
-            for base in (r.code, invert_code(r.code)):
-                for rot in _rotations(base):
+            pair = tuple([base[k:] + base[:k] for k in range(len(base))] for base in (r.code, invert_code(r.code)))
+            self._rotations.append(pair)
+            for rots in pair:
+                for rot in rots:
                     i = first.setdefault(rot, j)
                     if i != j and self.shift_class_pair is None:
                         self.shift_class_pair = (i, j)
@@ -83,7 +84,6 @@ class RelatorSet:
         self._rank = {c: r for r, c in enumerate(sorted(range(2 * n), key=letters.__getitem__))}
         self._codes: tuple[str, ...] = tuple(sorted(first, key=self._letter_order))
         self._pieces: Optional[PieceTable] = None
-        self._dehn_patterns = None
         self._admissible = None
 
     def __len__(self):
@@ -103,22 +103,21 @@ class RelatorSet:
         return self._pieces
 
     # -- Dehn machinery ------------------------------------------------------
+    @cached_property
     def _patterns(self):
         """Minimal Dehn violations: for each symmetrised element of length L,
         its cyclic subwords of length L//2+1, as codes, so that scanning is
         a ``str`` search.  Each pattern keeps its occurrences (element
         index, offset) for the replacement step; an element is read from
         its doubled code, also returned."""
-        if self._dehn_patterns is None:
-            occ: dict[str, list[tuple[int, int]]] = {}
-            doubled = [code * 2 for code in self._codes]
-            for e, code in enumerate(self._codes):
-                L = len(code)
-                h = L // 2 + 1
-                for p in range(L):
-                    occ.setdefault(doubled[e][p:p + h], []).append((e, p))
-            self._dehn_patterns = (sorted(occ), occ, doubled)
-        return self._dehn_patterns
+        occ: dict[str, list[tuple[int, int]]] = {}
+        doubled = [code * 2 for code in self._codes]
+        for e, code in enumerate(self._codes):
+            L = len(code)
+            h = L // 2 + 1
+            for p in range(L):
+                occ.setdefault(doubled[e][p:p + h], []).append((e, p))
+        return sorted(occ), occ, doubled
 
     def dehn_admissible(self) -> tuple[bool, Optional[str]]:
         """Dehn's algorithm applies under C'(1/6), or C'(1/4) plus T(4)."""
@@ -132,22 +131,19 @@ class RelatorSet:
         return self._admissible
 
 
-def symmetrise(alpha: Alphabet, relators: Sequence[Word]) -> RelatorSet:
-    return RelatorSet(alpha, relators)
-
-
 # -- piece tables ----------------------------------------------------------------
 
 @dataclass
 class PieceTable:
-    max_piece_per_relator: list[int]
-    max_piece_words: list[Optional[Word]]
-    maximal_pieces: list[Word]
     # per relator, the piece-prefix length of every rotation of the relator
     # and of its inverse
-    rotation_jumps: list[list[list[int]]]
+    rotation_jumps: list[tuple[list[int], list[int]]]
 
     NO_COVER = 10 ** 9
+
+    @cached_property
+    def max_piece_per_relator(self) -> list[int]:
+        return [max(map(max, jumps)) for jumps in self.rotation_jumps]
 
     @cached_property
     def min_factorization_per_relator(self) -> list[int]:
@@ -160,49 +156,18 @@ class PieceTable:
 
 
 def compute_pieces(rs: RelatorSet) -> PieceTable:
-    """Maximal piece per position via sorted-neighbour common prefixes.
+    """The piece-prefix length of every rotation, via sorted-neighbour
+    common prefixes.
 
     In sorted order the longest common prefix of an element with any other
     distinct element is attained at an adjacent element, so one pass gives,
     for every symmetrised element, the longest piece that is a prefix of it.
-    """
+    The rotations are the ones the closure was built from."""
     elems = rs._codes
-    n = len(elems)
-    prefix_len: dict[str, int] = {}
-    lcp_next = [0] * n
-    for i in range(n - 1):
-        lcp_next[i] = common_prefix(elems[i], elems[i + 1])
-    for i, w in enumerate(elems):
-        left = lcp_next[i - 1] if i > 0 else 0
-        right = lcp_next[i] if i < n - 1 else 0
-        prefix_len[w] = max(left, right)
-
-    max_per_rel = []
-    max_word: list[Optional[Word]] = []
-    jumps = []
-    for r in rs.relators:
-        best = 0
-        best_w: Optional[Word] = None
-        rel_jumps = []
-        for base in (r.code, invert_code(r.code)):
-            rots = _rotations(base)
-            jump = [prefix_len[rot] for rot in rots]
-            rel_jumps.append(jump)
-            for pl, rot in zip(jump, rots):
-                if pl > best:
-                    best = pl
-                    best_w = Word.from_code(rs.alphabet, rot[:pl])
-        max_per_rel.append(best)
-        max_word.append(best_w)
-        jumps.append(rel_jumps)
-
-    maximal = sorted({e[:prefix_len[e]] for e in elems if prefix_len[e] > 0}, key=rs._letter_order)
-    return PieceTable(
-        max_piece_per_relator=max_per_rel,
-        max_piece_words=max_word,
-        maximal_pieces=[Word.from_code(rs.alphabet, code) for code in maximal],
-        rotation_jumps=jumps,
-    )
+    # bounds[i], bounds[i + 1]: the common prefixes of element i with its neighbours
+    bounds = [0, *(common_prefix(a, b) for a, b in zip(elems, elems[1:])), 0]
+    prefix_len = {w: max(bounds[i], bounds[i + 1]) for i, w in enumerate(elems)}
+    return PieceTable([tuple([prefix_len[rot] for rot in rots] for rots in pair) for pair in rs._rotations])
 
 
 def _min_cover_at(jump: list[int], start: int) -> int:
@@ -272,9 +237,11 @@ def check_metric(rs: RelatorSet, lam: Fraction) -> MetricVerdict:
     if not (0 < lam < 1):
         raise SmallCancelError("lambda must lie in (0, 1)")
     pt = rs.pieces()
-    for r, plen, pw in zip(rs.relators, pt.max_piece_per_relator, pt.max_piece_words):
+    for r, plen, jumps, pair in zip(rs.relators, pt.max_piece_per_relator, pt.rotation_jumps, rs._rotations):
         if plen * lam.denominator >= lam.numerator * len(r):
-            return MetricVerdict(False, lam, failing_relator=r, failing_piece=pw)
+            # the first rotation, r's before r^-1's, with the longest piece prefix
+            piece = next(rot[:plen] for jump, rots in zip(jumps, pair) for pl, rot in zip(jump, rots) if pl == plen)
+            return MetricVerdict(False, lam, failing_relator=r, failing_piece=Word.from_code(rs.alphabet, piece))
     return MetricVerdict(True, lam)
 
 
@@ -344,7 +311,7 @@ def _find_violation(rs: RelatorSet, code: str, start: int = 0):
     element index, offset).  At the leftmost position the match is
     extended maximally; ties go to the least (element, offset), elements
     in letter order."""
-    pattern_list, occ, doubled = rs._patterns()
+    pattern_list, occ, doubled = rs._patterns
     n = len(code)
     # leftmost hit over all patterns (C substring search per pattern)
     leftmost = None
@@ -384,7 +351,7 @@ def dehn_reduce(rs: RelatorSet, w: Word) -> Word:
     the untouched part would have been found, so the next scan starts the
     longest pattern's length before it."""
     _check_alphabet(rs, w)
-    pattern_list, _, doubled = rs._patterns()
+    pattern_list, _, doubled = rs._patterns
     longest = max(map(len, pattern_list), default=0)
     code, start = w.code, 0
     while True:
@@ -398,11 +365,6 @@ def dehn_reduce(rs: RelatorSet, w: Word) -> Word:
         cancelled = (len(code) - ln + len(complement) - len(spliced)) // 2
         start = max(0, i - cancelled - longest + 1)
         code = spliced
-
-
-def is_dehn_reduced(rs: RelatorSet, w: Word) -> bool:
-    _check_alphabet(rs, w)
-    return w.is_reduced() and _find_violation(rs, w.code) is None
 
 
 def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word) -> bool:
@@ -422,7 +384,7 @@ def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word) -> bool:
     if not m:
         return False
     doubled = code[i:j] * 2
-    pattern_list = rs._patterns()[0]
+    pattern_list = rs._patterns[0]
     for pb in pattern_list:
         if pb in code or (len(pb) <= m and pb in doubled):
             return False

@@ -305,10 +305,6 @@ class Word:
         i, j = core_bounds(code)
         return Word.from_code(self.alphabet, code[:i] + code[i:j] * n + code[j:] if n else "")
 
-    def is_reduced(self) -> bool:
-        codes = list(map(ord, self.code))
-        return all(a ^ 1 != b for a, b in zip(codes, codes[1:]))
-
     def is_cyclically_reduced(self) -> bool:
         """A word is freely reduced by construction, so only its end letters
         can cancel."""
@@ -317,15 +313,6 @@ class Word:
 
     def is_positive(self) -> bool:
         return all(c & 1 == 0 for c in map(ord, self.code))
-
-    def shift(self, k: int) -> "Word":
-        """Cyclic rotation by k positions (left)."""
-        code = self.code
-        if not code:
-            return self
-        k %= len(code)
-        return Word.from_code(self.alphabet, code[k:] + code[:k])
-
 
 
 def word(alpha: Alphabet, text: str) -> Word:

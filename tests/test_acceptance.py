@@ -32,13 +32,13 @@ from malkit.malchar import (
 )
 from malkit.quotientcert import certify_malnormal_in_quotient, free_conjugator
 from malkit.smallcancel import (
+    RelatorSet,
     check_C,
     check_metric,
     check_T,
     dehn_reduce,
     endo_order_in_quotient,
     is_cyclically_dehn_reduced,
-    symmetrise,
     word_problem,
 )
 from malkit.stallings import build_and_fold, is_malnormal, same_subgroup
@@ -129,7 +129,7 @@ def _assert_t4_witness(closure, triple):
 
 def test_criterion_01_small_cancellation_verdicts():
     with Budget(1, 5):
-        t6 = symmetrise(AB, T6_RELATORS)
+        t6 = RelatorSet(AB, T6_RELATORS)
         assert check_metric(t6, Fraction(1, 4)).ok
         assert check_T(t6, 4).ok
         sixth = check_metric(t6, Fraction(1, 6))
@@ -140,7 +140,7 @@ def test_criterion_01_small_cancellation_verdicts():
         # C'(1/4)-T(4) under the strict free-group definitions
         x, y = seed_words_triangle(AB, 8).pair
         joint_relators = T6_RELATORS + [x, y]
-        joint = symmetrise(AB, joint_relators)
+        joint = RelatorSet(AB, joint_relators)
         closure = _symmetrised_closure(joint_relators)
         assert set(joint.symmetrised) == closure
         for lam in (Fraction(1, 4), Fraction(1, 6)):
@@ -317,7 +317,7 @@ def test_criterion_05_intro_reproduction(tmp_path):
 def test_criterion_06_phi_sanity():
     with Budget(6, 1):
         assert endo_power(PHI, 3) == identity_endo(AB)
-        t6 = symmetrise(AB, T6_RELATORS)
+        t6 = RelatorSet(AB, T6_RELATORS)
         assert endo_order_in_quotient(t6, PHI, 6) == 3
         for r in T6_RELATORS:
             assert word_problem(t6, apply_endo(PHI, r))
@@ -325,7 +325,7 @@ def test_criterion_06_phi_sanity():
 
 def test_criterion_07_word_problem_oracle():
     with Budget(7, 30):
-        t6 = symmetrise(AB, T6_RELATORS)
+        t6 = RelatorSet(AB, T6_RELATORS)
         rng = random.Random(777)
         for _ in range(500):
             w = Word(AB, ())
@@ -345,7 +345,7 @@ def test_criterion_07_word_problem_oracle():
 def test_criterion_08_counterexample_fixture():
     with Budget(8, 5):
         X, R, S, T = counterexample_words(p=2, q=7)
-        rs = symmetrise(X, [R, S])
+        rs = RelatorSet(X, [R, S])
         assert check_C(rs, 5).ok
         assert check_T(rs, 4).ok
         metric = check_metric(rs, Fraction(1, 4))
@@ -359,7 +359,7 @@ def test_criterion_08_counterexample_fixture():
         # ...while they are conjugate in the quotient: modulo R the leading
         # commutator block flips to the trailing one, and Dehn's algorithm
         # (the single-relator base is even C'(1/6)) confirms the conjugacy
-        base = symmetrise(X, [R])
+        base = RelatorSet(X, [R])
         g = word(X, "( x3^-1 y3^-1 x3 y3 x4^-1 y4^-1 x4 y4 )^-1")
         assert word_problem(base, conjugate(S, g) * T.inverse())
 

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from malkit import cli, malchar, presfile
+from malkit import cli, malchar, presfile, quotientcert
 from malkit.cli import main
 from malkit.presfile import PresentationSyntaxError, format_presentation, parse_presentation
 from malkit.words import Word, alphabet
@@ -236,6 +236,28 @@ class TestCli:
         digests = {run_cli(capsys, "malchar", "--triangle", "6,6,6", *extra)[1]["inputs_digest"]
                    for extra in ((), ("--rho", "8"), ("--rho", "8", "--bound", "3"))}
         assert digests == {"1e2ae9abf633c26e"}
+
+    @pytest.mark.parametrize("kind, extra, digest", [
+        ("malnormal", (), "df99a248bde70a93"),
+        ("free-basis", (), "0a43d17150cbbe8d"),
+        ("intersection", ("--t", "b a b"), "5b4672c7503a71b6"),
+        ("intersection", ("--t", "b a b", "--bound", "3"), "5b4672c7503a71b6"),
+    ])
+    def test_certify_digests(self, capsys, t666_file, kind, extra, digest):
+        # every kind resolves the bound to 3 when none is given
+        code, out = run_cli(capsys, "certify", "--kind", kind, "--rels", t666_file, "--s", "a b a^2 b^2", *extra)
+        assert code == 0 and out["inputs_digest"] == digest
+
+    def test_certify_options_the_kind_ignores_are_usage_errors(self, capsys, t666_file, monkeypatch):
+        # only intersection certificates read --t and --bound
+        calls = []
+        monkeypatch.setattr(quotientcert, "certify_malnormal_in_quotient", lambda *a: calls.append(a))
+        monkeypatch.setattr(quotientcert, "certify_free_basis", lambda *a: calls.append(a))
+        for argv in (["free-basis", "--t", "b"], ["malnormal", "--t", "b", "--bound", "4"],
+                     ["malnormal", "--bound", "3"]):
+            assert main(["certify", "--rels", t666_file, "--s", "a b a^2 b^2", "--kind", *argv]) == 1, argv
+        assert calls == []
+        assert "apply to intersection certificates" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["malchar", "build-tp"])
     def test_triangle_exponents(self, capsys, tmp_path, command):

@@ -488,6 +488,18 @@ class TestResidualWitness:
         report = residual_witness(tp2, bw)
         assert report.nontrivial and report.separating_quotient == "trivial"
 
+    def test_phi_k_entry_reads_the_coset_of_its_preimage(self, tp2):
+        z = tp2.m_word("z")
+        e = Word(AB, ())
+        down = residual_witness(tp2, britton_word(tp2, [e, z, e], [1, -1])).entries[0]
+        up = residual_witness(tp2, britton_word(tp2, [e, apply_endo(tp2.phi, z), e], [-1, 1])).entries[0]
+        assert (up.kind, up.constrained, up.image_coset) == ("t^-1 h t", True, down.image_coset)
+
+    def test_truncated_family_refused(self):
+        hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal", truncate=2)
+        with pytest.raises(HnnError, match="finite quotient required"):
+            residual_witness(hnn, britton_word(hnn, [word(AB, "a")], []))
+
     def test_rejects_unreduced(self, tp2):
         z = tp2.m_word("z")
         bw = britton_word(tp2, [Word(AB, ()), z * z, Word(AB, ())], [1, -1])

@@ -27,7 +27,7 @@ from malkit.malchar import (
     triangle_relators,
     verify_psi_images,
 )
-from malkit.smallcancel import symmetrise, word_problem
+from malkit.smallcancel import RelatorSet, word_problem
 from malkit.stallings import build_and_fold
 from malkit.words import Word, alphabet, apply_endo, compose_endos, conjugate, identity_endo, signed_letters, word
 
@@ -281,7 +281,7 @@ class TestPsiMaps:
     def test_transversal_maps_preserve_relators(self):
         # re-assert outside the internal check: image of each relator trivial
         for (i, j, k) in [(6, 6, 6), (6, 6, 7), (6, 7, 8)]:
-            rs = symmetrise(AB, triangle_relators(AB, i, j, k))
+            rs = RelatorSet(AB, triangle_relators(AB, i, j, k))
             for m in psi_transversal(AB, i, j, k):
                 for rel in rs.relators:
                     assert word_problem(rs, apply_endo(m.spec, rel))
@@ -289,7 +289,7 @@ class TestPsiMaps:
     def test_selection_matches_exhaustive_relator_scan(self):
         # the transversal is exactly the set of maps preserving the relators
         for (i, j, k) in [(6, 7, 8), (6, 6, 7), (6, 7, 6), (7, 6, 6), (6, 6, 6)]:
-            rs = symmetrise(AB, triangle_relators(AB, i, j, k))
+            rs = RelatorSet(AB, triangle_relators(AB, i, j, k))
             surviving = {
                 m.name
                 for m in psi_maps(AB)

@@ -18,7 +18,7 @@ from malkit.quotientcert import (
     check_family_cyclically_reduced,
     free_conjugator,
 )
-from malkit.smallcancel import check_metric, is_cyclically_dehn_reduced, symmetrise
+from malkit.smallcancel import RelatorSet, check_metric, is_cyclically_dehn_reduced
 from malkit.stallings import build_and_fold, is_malnormal
 from malkit.words import Word, alphabet, cyclic_reduce, inverse_letters, reduced_words, word
 
@@ -49,7 +49,7 @@ class TestCertifyFreeBasis:
     def test_refuses_non_admissible_base(self):
         # a single relator with a huge self-overlap is not Dehn-admissible
         bad = ws("a b a b a b^2 a b a b a b^3")
-        rs = symmetrise(AB, bad)
+        rs = RelatorSet(AB, bad)
         if not rs.dehn_admissible()[0]:
             with pytest.raises(CertificateError):
                 certify_free_basis(AB, bad, ws("b"))
@@ -108,7 +108,7 @@ class TestCertifyMalnormal:
             if not gens:
                 continue
             try:
-                rs = symmetrise(AB, gens)
+                rs = RelatorSet(AB, gens)
             except Exception:
                 continue
             if not check_metric(rs, Fraction(1, 6)).ok:
@@ -160,7 +160,7 @@ class TestFamilyCheck:
     def test_other_alphabet_refused(self):
         # t-words are spelled on the byte code, which carries no alphabet
         xy = alphabet("x y")
-        base = symmetrise(xy, [word(xy, "x^6")])
+        base = RelatorSet(xy, [word(xy, "x^6")])
         with pytest.raises(CertificateError, match="different alphabet"):
             check_family_cyclically_reduced(AB, [], ws("a^5 b"), 3, base=base)
         with pytest.raises(CertificateError, match="different alphabet"):
@@ -179,7 +179,7 @@ def _family_by_tuples(alpha, r, t, bound):
     """The family check spelled on letter tuples, every t-word a Word
     freely reduced from its spelling: (ok, witness, checked_words,
     unconditional)."""
-    base = symmetrise(alpha, r)
+    base = RelatorSet(alpha, r)
     images = {k: v.letters for k, v in enumerate(t, 1)}
     images.update({-k: inverse_letters(v) for k, v in list(images.items())})
     checked = 0

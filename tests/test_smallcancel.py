@@ -1,10 +1,13 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from malkit.malchar import seed_words_triangle, triangle_relators
 from malkit.smallcancel import (
+    PieceTable,
     RelatorSet,
     SmallCancelError,
     check_C,
@@ -13,8 +16,6 @@ from malkit.smallcancel import (
     dehn_reduce,
     endo_order_in_quotient,
     is_cyclically_dehn_reduced,
-    is_dehn_reduced,
-    symmetrise,
     word_problem,
 )
 from malkit.words import (
@@ -28,6 +29,7 @@ from malkit.words import (
     identity_endo,
     inverse_letters,
     invert_code,
+    signed_letters,
     word,
 )
 
@@ -39,7 +41,7 @@ def w(text):
 
 
 def rels(*texts):
-    return symmetrise(AB, [w(t) for t in texts])
+    return RelatorSet(AB, [w(t) for t in texts])
 
 
 T6 = rels("a^6", "b^6", "(a b)^6")
@@ -71,11 +73,11 @@ class TestSymmetrise:
     def test_alphabet_limit(self):
         # Dehn scanning spends one byte per signed letter: 128 generators fit
         at_limit = alphabet([f"g{i}" for i in range(128)])
-        rs = symmetrise(at_limit, [Word(at_limit, (128,) * 6)])
+        rs = RelatorSet(at_limit, [Word(at_limit, (128,) * 6)])
         assert word_problem(rs, Word(at_limit, (1, 128) + (128,) * 5 + (-1,)))
         over = alphabet([f"g{i}" for i in range(130)])
         with pytest.raises(SmallCancelError, match="at most 128"):
-            symmetrise(over, [Word(over, (130, 1, -130, -1))])
+            RelatorSet(over, [Word(over, (130, 1, -130, -1))])
 
     def test_relators_replaced_by_cores(self):
         rs = rels("b a^3 b^-1")
@@ -117,6 +119,11 @@ def _first_shared_pair(words):
     return None
 
 
+def _rotate(v, k):
+    """The word v rotated left by k letters."""
+    return Word(v.alphabet, v.letters[k:] + v.letters[:k])
+
+
 _letters = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=9)
 
 
@@ -131,11 +138,11 @@ class TestShiftClasses:
             v = data.draw(st.sampled_from(words))
             core = cyclic_reduce(v)[0]
             if op == "rotate":
-                new = core.shift(data.draw(st.integers(0, len(core) - 1)))
+                new = _rotate(core, data.draw(st.integers(0, len(core) - 1)))
             elif op == "invert":
                 new = v.inverse()
             elif op == "power":
-                new = core.shift(data.draw(st.integers(0, len(core) - 1))) ** data.draw(st.integers(2, 3))
+                new = _rotate(core, data.draw(st.integers(0, len(core) - 1))) ** data.draw(st.integers(2, 3))
             elif op == "conjugate":
                 new = conjugate(v, Word(AB, data.draw(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4))))
             else:
@@ -160,7 +167,7 @@ class TestShiftClasses:
 
     def test_same_object_twice(self):
         v = w("a b^2")
-        assert symmetrise(AB, [v, v]).shift_class_pair == (0, 1)
+        assert RelatorSet(AB, [v, v]).shift_class_pair == (0, 1)
 
 
 class TestPieces:
@@ -178,14 +185,11 @@ class TestPieces:
 
     def test_piece_set_inverse_closed(self):
         rs = rels("a^2 b^3", "a b a b^2")
-        pieces = {p.letters for p in rs.pieces().maximal_pieces}
-        closure = set()
-        for p in pieces:
-            closure.add(p)
-            closure.add(tuple(-x for x in reversed(p)))
-        # every inverse of a piece is a prefix of some piece
-        for q in closure:
-            assert any(p[: len(q)] == q for p in pieces if len(p) >= len(q))
+        pieces = _reference_pieces(rs)
+        assert pieces and {inverse_letters(p) for p in pieces} == pieces
+        # the longest piece inside each relator is the table's
+        assert rs.pieces().max_piece_per_relator == [
+            max(len(p) for p in pieces if any(x[:len(p)] == p for x in _relator_rotations(r))) for r in rs.relators]
 
 
 class TestMetric:
@@ -307,18 +311,24 @@ class TestDehnReduce:
         assert dehn_reduce(T6, w("(a b)^6")) == w("1")
 
     def test_output_has_no_violation(self):
+        # no subword of the output is more than half of a symmetrised
+        # element, by comparing every window of every length
         rng = random.Random(29)
         for _ in range(50):
             v = Word(AB, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(20))])
-            out = dehn_reduce(T6, v)
-            assert is_dehn_reduced(T6, out)
+            out = dehn_reduce(T6, v).letters
+            windows = {out[i:j] for i in range(len(out)) for j in range(i + 1, len(out) + 1)}
+            for elem in T6.symmetrised:
+                size = len(elem)
+                for off in range(size):
+                    assert (elem + elem)[off:off + size // 2 + 1] not in windows
 
 
 def _dehn_from_zero(rs, w):
     """Dehn reduction that scans from position 0 after every splice."""
     from malkit.smallcancel import _find_violation
 
-    _, _, doubled = rs._patterns()
+    _, _, doubled = rs._patterns
     code = w.code
     while (hit := _find_violation(rs, code)) is not None:
         i, ln, e, off = hit
@@ -468,7 +478,7 @@ class TestSeedWordInteraction:
 
         for rho in (6, 8, 10):
             x, y = seed_words_triangle(AB, rho).pair
-            joint = symmetrise(AB, [w("a^6"), w("b^6"), w("(a b)^6"), x, y])
+            joint = RelatorSet(AB, [w("a^6"), w("b^6"), w("(a b)^6"), x, y])
             verdict = check_metric(joint, Fraction(1, 4))
             assert not verdict.ok
             assert not check_T(joint, 4).ok
@@ -520,8 +530,7 @@ class TestForeignAlphabet:
 
     XY = alphabet("x y")
 
-    @pytest.mark.parametrize("decide", [dehn_reduce, word_problem, is_dehn_reduced,
-                                        is_cyclically_dehn_reduced])
+    @pytest.mark.parametrize("decide", [dehn_reduce, word_problem, is_cyclically_dehn_reduced])
     @pytest.mark.parametrize("text", ["x^4", "x^6", "1"])
     def test_refused(self, decide, text):
         with pytest.raises(SmallCancelError, match="different alphabet"):
@@ -547,3 +556,165 @@ class TestEndoOrder:
         bad = endo(AB, {"a": "a b", "b": "b"})
         with pytest.raises(SmallCancelError):
             endo_order_in_quotient(T6, bad, 5)
+
+
+# -- the piece table against a brute-force pairwise search ------------------------
+
+def _common_prefix_letters(x, y):
+    k = 0
+    while k < min(len(x), len(y)) and x[k] == y[k]:
+        k += 1
+    return k
+
+
+def _relator_rotations(r):
+    """Every rotation of the relator and of its inverse, as letter tuples."""
+    return {b[k:] + b[:k] for b in (r.letters, inverse_letters(r.letters)) for k in range(len(b))}
+
+
+def _reference_pieces(rs):
+    """Every piece: each nonempty common prefix of two distinct elements of
+    the symmetrised closure, found by comparing every pair."""
+    elems = rs.symmetrised
+    return {x[:k] for x in elems for y in elems if x != y
+            for k in range(1, _common_prefix_letters(x, y) + 1)}
+
+
+def _reference_max_piece(rs, r):
+    return max((_common_prefix_letters(x, y) for x in _relator_rotations(r) for y in rs.symmetrised if x != y),
+               default=0)
+
+
+def _reference_min_factorization(rs, r, pieces):
+    """Fewest pieces concatenating to some rotation of r or of r^-1, by
+    dynamic programming over the prefixes of each rotation."""
+    best = None
+    for s in _relator_rotations(r):
+        fewest = [0] + [None] * len(s)
+        for end in range(1, len(s) + 1):
+            options = [fewest[start] + 1 for start in range(end)
+                       if fewest[start] is not None and s[start:end] in pieces]
+            fewest[end] = min(options, default=None)
+        if fewest[-1] is not None and (best is None or fewest[-1] < best):
+            best = fewest[-1]
+    return PieceTable.NO_COVER if best is None else best
+
+
+@st.composite
+def _relator_sets(draw):
+    """A relator set over two or three generators, some relators proper
+    powers or rotations of an earlier one, so that pieces of every length
+    and merged shift classes occur."""
+    alpha = draw(st.sampled_from([AB, alphabet("a b c")]))
+    letters = list(signed_letters(len(alpha)))
+    relators = []
+    for _ in range(draw(st.integers(1, 3))):
+        v = cyclic_reduce(Word(alpha, draw(st.lists(st.sampled_from(letters), min_size=1, max_size=8))))[0]
+        if not v:
+            continue
+        if draw(st.integers(0, 4)) == 0:
+            v = v ** draw(st.integers(2, 3))
+        if relators and draw(st.integers(0, 4)) == 0:
+            relators.append(_rotate(v, draw(st.integers(0, len(v) - 1))))
+        relators.append(v)
+    assume(relators)
+    return RelatorSet(alpha, relators)
+
+
+class TestPieceTableDifferential:
+    @given(_relator_sets())
+    @example(T6)
+    @example(rels("a^2 b^3", "a b a b^2"))
+    def test_max_piece_per_relator(self, rs):
+        assert rs.pieces().max_piece_per_relator == [_reference_max_piece(rs, r) for r in rs.relators]
+
+    @given(_relator_sets(), st.sampled_from([Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
+    @example(T6, Fraction(1, 6))
+    def test_failing_piece(self, rs, lam):
+        verdict = check_metric(rs, lam)
+        lengths = [_reference_max_piece(rs, r) for r in rs.relators]
+        failing = [r for r, p in zip(rs.relators, lengths) if p >= lam * len(r)]
+        assert verdict.ok == (not failing)
+        if failing:
+            r, piece = verdict.failing_relator, verdict.failing_piece.letters
+            assert r == failing[0]
+            assert len(piece) == lengths[rs.relators.index(r)]
+            assert piece in _reference_pieces(rs)
+            assert any(x[:len(piece)] == piece for x in _relator_rotations(r))
+
+    @given(_relator_sets())
+    @example(T6)
+    @example(rels("(a b)^2"))
+    def test_min_factorization_per_relator(self, rs):
+        pieces = _reference_pieces(rs)
+        assert rs.pieces().min_factorization_per_relator == [
+            _reference_min_factorization(rs, r, pieces) for r in rs.relators]
+
+
+# -- a golden corpus ---------------------------------------------------------------
+
+class TestCorpus:
+    """Shift-class pairs, piece lengths, the C'(1/4), C'(1/6), C(6) and T(4)
+    verdicts with their witnesses, and Dehn reductions, over a seeded
+    corpus of relator sets on two and three letters and the triangle sets
+    with and without seed words, pinned by one digest."""
+
+    DIGEST = "71e12182e1b2765ef77411269e8e7cf17c8520133435954035e42424b46f5f06"
+
+    @staticmethod
+    def _relator_sets():
+        rng = random.Random(19)
+        for names in ("a b", "a b c"):
+            alpha = alphabet(names)
+            letters = list(signed_letters(len(alpha)))
+            for _ in range(300):
+                relators = []
+                for _ in range(rng.randrange(1, 5)):
+                    v = Word(alpha, [rng.choice(letters) for _ in range(rng.randrange(2, 13))])
+                    if cyclic_reduce(v)[0]:
+                        relators.append(v ** rng.choice([1, 1, 1, 2, 3]))
+                if relators and rng.random() < 0.2:
+                    # a rotation of an earlier relator's core, or its inverse
+                    core = cyclic_reduce(rng.choice(relators))[0].letters
+                    k = rng.randrange(len(core))
+                    rotated = Word(alpha, core[k:] + core[:k])
+                    relators.insert(rng.randrange(len(relators) + 1), rotated ** rng.choice([1, -1]))
+                if relators:
+                    yield RelatorSet(alpha, relators), rng
+        for i, j, k in ((6, 6, 6), (7, 8, 9), (13, 13, 13)):
+            triangle = triangle_relators(AB, i, j, k)
+            yield RelatorSet(AB, triangle), rng
+            for rho in (6, 8):
+                yield RelatorSet(AB, triangle + list(seed_words_triangle(AB, rho).pair)), rng
+
+    @classmethod
+    def _corpus(cls):
+        def letters(v):
+            return v and v.letters
+
+        for rs, rng in cls._relator_sets():
+            pt = rs.pieces()
+            row = [rs.shift_class_pair, pt.max_piece_per_relator]
+            for lam in (Fraction(1, 4), Fraction(1, 6)):
+                v = check_metric(rs, lam)
+                row.append((v.ok, letters(v.failing_relator), letters(v.failing_piece)))
+            v = check_C(rs, 6)
+            row.append((v.ok, letters(v.failing_relator), v.pieces_needed))
+            v = check_T(rs, 4)
+            row.append((v.ok, v.triple and tuple(map(letters, v.triple))))
+            for _ in range(3):
+                spliced = []
+                for _ in range(rng.randrange(1, 5)):
+                    elem = rng.choice(rs.symmetrised)
+                    off = rng.randrange(len(elem))
+                    spliced += (elem + elem)[off:off + rng.randrange(1, len(elem) + 1)]
+                    spliced += [rng.choice(list(signed_letters(len(rs.alphabet)))) for _ in range(rng.randrange(3))]
+                row.append(dehn_reduce(rs, Word(rs.alphabet, spliced)).letters)
+            yield row
+
+    def test_digest(self):
+        rows = list(self._corpus())
+        failing = [sum(1 for r in rows if not r[k][0]) for k in (2, 3, 4, 5)]
+        assert len(rows) == 603 and failing == [463, 501, 432, 384]
+        assert sum(1 for r in rows if r[0]) == 135
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST

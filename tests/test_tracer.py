@@ -28,6 +28,15 @@ def _span_calls(tr) -> dict:
     return {name: list(tr.span_name).count(i) for i, name in enumerate(tr.names)}
 
 
+def _first_metrics_moved_by(workloads: set) -> list:
+    """The first metric of every ``perfbench/layers.json`` group whose
+    "moves" names one of the workloads; ``cli.import_s`` is measured by the
+    benchmark's child process, not by a span, so it is left out."""
+    groups = json.loads((PERFBENCH / "layers.json").read_text())["groups"]
+    return [g["metrics"][0] for g in groups
+            if g["metrics"][0] != "cli.import_s" and {w for _, w in g["moves"]} & workloads]
+
+
 def test_tracer_counts_the_stallings_layers():
     tr = _load_tracer().Tracer()
     ab = alphabet("a b")
@@ -88,13 +97,36 @@ def test_tracer_counts_the_certificate_and_coset_layers():
     finally:
         tr.uninstall()
     layers = tr.summary()
-    # measured by the benchmark's child process, not by a span
-    outside = {"cli.import_s"}
-    checked = []
-    for group in json.loads((PERFBENCH / "layers.json").read_text())["groups"]:
-        first = group["metrics"][0]
-        if first not in outside and {w for _, w in group["moves"]} & {"triangle-cert", "kernel-enum"}:
-            checked.append(first)
-            assert layers[first] > 0, first
+    checked = _first_metrics_moved_by({"triangle-cert", "kernel-enum"})
+    for first in checked:
+        assert layers[first] > 0, first
     assert "malchar.decide_malcharacteristic_triangle.self_s" in checked
     assert "cosetenum.todd_coxeter.calls" in checked
+
+
+def test_tracer_counts_the_britton_and_free_decider_layers():
+    # the britton-batch and free-deciders workloads' calls, at a small
+    # scale: every layers.json group that names either workload under
+    # "moves" must read nonzero in its first metric, so a call routed
+    # around a wrapped name fails here
+    tr = _load_tracer().Tracer()
+    ab, z = alphabet("a b"), alphabet("z")
+    tr.install()
+    try:
+        P = hnnforge.InputPresentation(z, (word(z, "z^2"),))
+        H = hnnforge.build_tp(ab, 6, 6, 6, P, rho=2, mode="minimal")
+        x, e = H.m_word("x"), Word(ab, ())
+        assert hnnforge.britton_trivial(H, hnnforge.britton_word(H, [e, x, apply_endo(H.phi, x).inverse()], [1, -1]))
+        assert not hnnforge.britton_trivial(H, hnnforge.britton_word(H, [e, H.m_word("z"), e], [1, -1]))
+        assert not stallings.is_malnormal(ab, [word(ab, "a^2"), word(ab, "b")]).malnormal
+        assert stallings.trivial_intersection_all_conjugates(ab, [word(ab, "a")], [word(ab, "b")]).trivial
+        g = stallings.build_and_fold(ab, [word(ab, "a b a^-1"), word(ab, "a b^2 a")])
+        assert all(g.contains(b) for b in stallings.basis(g))
+    finally:
+        tr.uninstall()
+    layers = tr.summary()
+    checked = _first_metrics_moved_by({"britton-batch", "free-deciders"})
+    for first in checked:
+        assert layers[first] > 0, first
+    assert {"smallcancel.symmetrise.calls", "smallcancel.dehn_reduce.calls", "hnnforge.britton_reduce.calls",
+            "stallings.fibre.calls", "stallings.build_and_fold.calls"} <= set(checked)
