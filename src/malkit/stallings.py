@@ -776,7 +776,12 @@ def is_malnormal(alpha: Alphabet, gens: Sequence[Word]) -> MalnormalVerdict:
     witness (g, u): u != 1 lies in <gens> and in <gens>^g while g does not
     lie in <gens>.
     """
-    graph = build_and_fold(alpha, gens)
+    return is_malnormal_graph(build_and_fold(alpha, gens))
+
+
+def is_malnormal_graph(graph: SubgroupGraph) -> MalnormalVerdict:
+    """:func:`is_malnormal` on a folded graph, for callers that read other
+    facts off the same graph."""
     fa = _fibre_analysis(graph, graph)
     if fa.failing_nondiag_root is not None:
         wit = fa.witness(fa.failing_nondiag_root)

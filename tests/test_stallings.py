@@ -21,6 +21,7 @@ from malkit.stallings import (
     build_and_fold,
     basis,
     is_malnormal,
+    is_malnormal_graph,
     same_subgroup,
     trivial_intersection_all_conjugates,
 )
@@ -786,6 +787,16 @@ class TestMalnormality:
 
     def test_whole_group_malnormal(self):
         assert is_malnormal(AB, ws("a", "b")).malnormal
+
+    @pytest.mark.parametrize("gens", [("a",), ("a^2", "b"), ("a^3 b^3",), ("a b a^-1", "a b^2 a")])
+    def test_graph_level_verdict_equals_word_level(self, gens):
+        # is_malnormal folds and asks is_malnormal_graph, which reads the
+        # caller's graph without folding again
+        graph = build_and_fold(AB, ws(*gens))
+        on_graph, on_words = is_malnormal_graph(graph), is_malnormal(AB, ws(*gens))
+        assert on_graph.graph is graph
+        assert (on_graph.malnormal, on_graph.witness, on_graph.component_count) == (
+            on_words.malnormal, on_words.witness, on_words.component_count)
 
     def test_single_generator_characterisation(self):
         # <w> is malnormal exactly when w is not a proper power
