@@ -13,7 +13,6 @@ automorphisms.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,12 +20,10 @@ from . import stallings
 from .quotientcert import (
     Certificate,
     FamilyVerdict,
-    FreeTransfer,
     _joint_metric_route,
     certify_malnormal_in_quotient,
     certify_trivial_intersection_in_quotient,
     check_family_cyclically_reduced,
-    free_transfer,
 )
 from .smallcancel import RelatorSet, is_cyclically_dehn_reduced, word_problem
 from .stallings import (
@@ -384,12 +381,17 @@ class PsiImageReport:
     forbidden_hits: list[tuple[str, str]]  # (factor, containing word prefix)
 
 
-def _scan_forbidden(alpha: Alphabet, words: Sequence[Word]) -> list[tuple[str, str]]:
+def _forbidden_codes(alpha: Alphabet) -> list[tuple[str, str]]:
+    """(factor, code) for each forbidden factor."""
+    return [(t, word(alpha, t).code) for t in FORBIDDEN_FACTOR_TEXTS]
+
+
+def _scan_forbidden(patterns: list[tuple[str, str]], words: Sequence[Word]) -> list[tuple[str, str]]:
     """(factor, word prefix) for each forbidden factor of each word, read
-    cyclically when the word is cyclically reduced.  A cyclic factor is no
+    cyclically when the word is cyclically reduced; ``patterns`` is
+    ``_forbidden_codes`` of the words' alphabet.  A cyclic factor is no
     longer than the word, so it lies in the code followed by at most the
     pattern's length minus one of its first letters."""
-    patterns = [(t, word(alpha, t).code) for t in FORBIDDEN_FACTOR_TEXTS]
     wrap = max(len(pat) for _, pat in patterns) - 1
     hits = []
     for v in words:
@@ -407,76 +409,23 @@ def verify_psi_images(
     """For each of the twelve maps: reduce the images of the seed pair, run
     the bounded cyclically-Dehn-reduced family check against the triangle
     relators, and scan for the forbidden factors (a^{+-4}, b^{+-4}, and the
-    (ab)-alternation patterns).  None are expected.  The images and the
-    scan depend on rho alone and are read from :func:`_seed_facts`; the
-    family check runs on every call."""
+    (ab)-alternation patterns).  None are expected."""
     rels = triangle_relators(alpha, i, j, k)
+    seeds = seed_words_triangle(alpha, rho)
     base = RelatorSet(alpha, rels)
-    return [
-        PsiImageReport(
-            psi=m.psi,
-            images=list(m.images),
-            family=check_family_cyclically_reduced(alpha, rels, m.images, syllable_bound, base=base),
-            forbidden_hits=list(m.forbidden_hits),
-        )
-        for m in _seed_facts(alpha, rho).maps
-    ]
+    patterns = _forbidden_codes(alpha)
+    reports = []
+    for psi in psi_maps(alpha):
+        images = [apply_endo(psi.spec, w) for w in seeds.pair]
+        fam = check_family_cyclically_reduced(alpha, rels, images, syllable_bound, base=base)
+        # scan the same word family for forbidden factors
+        scan_words = list(images) + [u * v for u in images for v in images if u != v]
+        hits = _scan_forbidden(patterns, scan_words)
+        reports.append(PsiImageReport(psi=psi, images=images, family=fam, forbidden_hits=hits))
+    return reports
 
 
 # -- the composite triangle certificate ----------------------------------------------
-
-@dataclass(frozen=True)
-class _MapFacts:
-    """One psi map applied to the seed pair in F(a, b): the images, their
-    forbidden factors, and for a non-identity map the free half of its
-    stage-3 transfer certificate."""
-
-    psi: PsiMap
-    images: tuple[Word, ...]
-    forbidden_hits: tuple[tuple[str, str], ...]
-    transfer: Optional[FreeTransfer]
-
-
-@dataclass(frozen=True)
-class _SeedFacts:
-    """Every fact of the triangle certificate that is a statement about
-    the seed pair in F(a, b), and so depends on rho but not on (i, j, k)."""
-
-    pair: tuple[Word, Word]
-    stage2_ok: bool
-    stage2_detail: str
-    stage2_route: str
-    maps: tuple[_MapFacts, ...]
-
-
-@functools.lru_cache(maxsize=8)
-def _seed_facts(alpha: Alphabet, rho: int) -> _SeedFacts:
-    """Stage 2 and the free half of stage 3, built on the first certificate
-    at (alpha, rho) in a process and read by every later one.  The seed
-    pair is folded here once, for stage 2 and all eleven transfers; the
-    record keeps words, verdicts and strings but no folded graph."""
-    pair = seed_words_triangle(alpha, rho).pair
-    free_seeds = seed_words_free(alpha, rho)
-    sub = seed_block_substitution(alpha)
-    seed_graph = build_and_fold(alpha, pair)
-    orbit_ok = same_subgroup(
-        build_and_fold(alpha, [apply_endo(sub, w) for w in free_seeds.pair]), seed_graph)
-    try:
-        shadow_ok = decide_malcharacteristic_free(alpha, list(free_seeds.pair)).malcharacteristic
-        detail = "" if shadow_ok else "free-group shadow fails the orbit checks"
-    except HypothesesViolated as e:
-        shadow_ok = False
-        detail = str(e)
-    maps = []
-    for psi in psi_maps(alpha):
-        images = tuple(apply_endo(psi.spec, w) for w in pair)
-        hits = _scan_forbidden(alpha, list(images) + [u * v for u in images for v in images if u != v])
-        transfer = None if psi.is_identity() else free_transfer(alpha, pair, images, seed_graph)
-        maps.append(_MapFacts(psi, images, tuple(hits), transfer))
-    return _SeedFacts(
-        pair, orbit_ok and shadow_ok, detail,
-        "block-substitution orbit" if orbit_ok else "direct", tuple(maps))
-
 
 def decide_malcharacteristic_triangle(
     alpha: Alphabet, i: int, j: int, k: int, rho: int = 8, syllable_bound: int = 3
@@ -491,23 +440,19 @@ def decide_malcharacteristic_triangle(
     certified-transfer intersection check between the image pair and the
     seed pair; the identity map is covered by stage 1.
 
-    Stage 2 and every stage-3 free verdict are facts about the seed pair in
-    F(a, b): :func:`_seed_facts` computes them, with every fold and fibre
-    product of the certificate, once per (alpha, rho) in a process.  A
-    sweep over triples at one rho pays for them once; a single certificate,
-    as the CLI makes, pays the full cost.  Each call runs the per-triple
-    part: the relators, the joint small cancellation hypothesis on the
-    relators and the seed pair (decided once and shared by stage 1 and
-    every transfer), stage 1, and the twelve family checks, each reused by
-    its map's transfer.
+    The joint small cancellation hypothesis on the relators and the seed
+    pair is decided once and shared by stage 1 and every transfer, the seed
+    pair is folded once for stage 2 and every transfer, and each transfer
+    reuses the family verdict of its map's image check.
     """
     rels = triangle_relators(alpha, i, j, k)
-    facts = _seed_facts(alpha, rho)
     cert = Certificate(kind="malcharacteristic-triangle")
-    joint = _joint_metric_route(alpha, rels, facts.pair)
+    seeds = seed_words_triangle(alpha, rho)
+    x, y = seeds.pair
+    joint = _joint_metric_route(alpha, rels, [x, y])
 
     # stage 1: malnormal and free in the quotient
-    stage1 = certify_malnormal_in_quotient(alpha, rels, facts.pair, joint=joint)
+    stage1 = certify_malnormal_in_quotient(alpha, rels, [x, y], joint=joint)
     cert.add(
         "stage 1: M malnormal in the quotient",
         stage1.certified,
@@ -516,13 +461,26 @@ def decide_malcharacteristic_triangle(
     cert.data["stage1"] = stage1.to_dict()
 
     # stage 2: free-group shadow
-    cert.add("stage 2: free-group shadow malcharacteristic", facts.stage2_ok, facts.stage2_detail)
-    cert.data["stage2_route"] = facts.stage2_route
+    free_seeds = seed_words_free(alpha, rho)
+    sub = seed_block_substitution(alpha)
+    seed_graph = build_and_fold(alpha, [x, y])
+    orbit_ok = same_subgroup(
+        build_and_fold(alpha, [apply_endo(sub, w) for w in free_seeds.pair]), seed_graph)
+    route = "block-substitution orbit" if orbit_ok else "direct"
+    try:
+        shadow = decide_malcharacteristic_free(alpha, list(free_seeds.pair))
+        shadow_ok = shadow.malcharacteristic
+        detail = "" if shadow_ok else "free-group shadow fails the orbit checks"
+    except HypothesesViolated as e:
+        shadow_ok = False
+        detail = str(e)
+    cert.add("stage 2: free-group shadow malcharacteristic", orbit_ok and shadow_ok, detail)
+    cert.data["stage2_route"] = route
 
     # stage 3: the twelve maps
     psi_reports = verify_psi_images(alpha, i, j, k, rho, syllable_bound)
     stage3 = []
-    for report, mapped in zip(psi_reports, facts.maps):
+    for report in psi_reports:
         entry = {
             "psi": report.psi.name,
             "family_ok": report.family.ok,
@@ -534,8 +492,8 @@ def decide_malcharacteristic_triangle(
             entry["intersection"] = "identity map: covered by stage 1 malnormality"
         else:
             inter = certify_trivial_intersection_in_quotient(
-                alpha, rels, facts.pair, report.images, syllable_bound,
-                joint=joint, family=report.family, free=mapped.transfer,
+                alpha, rels, [x, y], report.images, syllable_bound,
+                joint=joint, family=report.family, s_graph=seed_graph,
             )
             entry["transfer_certified"] = inter.certified
             entry["free_verdict"] = inter.data["free_verdict"]

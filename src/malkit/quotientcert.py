@@ -289,35 +289,6 @@ def _block_criterion(base: RelatorSet, t: Sequence[Word]) -> bool:
     return max_cancel + viol < res_min
 
 
-@dataclass(frozen=True)
-class FreeTransfer:
-    """The free-group half of a transfer certificate, which depends on s
-    and t alone, never on the relators: whether t folds to a free basis,
-    the fibre-product verdict on <s> against <t>, and both lists spelled
-    as the certificate prints them.  It holds no folded graph."""
-
-    basis_ok: bool
-    verdict: stallings.TrivialIntersectionVerdict
-    s: tuple[str, ...]
-    t: tuple[str, ...]
-
-
-def free_transfer(
-    alpha: Alphabet,
-    s: Sequence[Word],
-    t: Sequence[Word],
-    s_graph: Optional[stallings.SubgroupGraph] = None,
-) -> FreeTransfer:
-    """Fold t once and read both the free-basis hypothesis (rank equals
-    |t|) and the intersection with <s> off that graph.  ``s_graph``, when
-    given, is ``stallings.build_and_fold(alpha, s)``, for callers that
-    check one s against several t."""
-    t_graph = stallings.build_and_fold(alpha, t)
-    verdict = stallings.trivial_intersection_graphs(
-        s_graph or stallings.build_and_fold(alpha, s), t_graph)
-    return FreeTransfer(t_graph.rank() == len(t), verdict, tuple(map(str, s)), tuple(map(str, t)))
-
-
 def certify_trivial_intersection_in_quotient(
     alpha: Alphabet,
     r: Sequence[Word],
@@ -326,29 +297,26 @@ def certify_trivial_intersection_in_quotient(
     syllable_bound: int = 3,
     joint: Optional[JointRoute] = None,
     family: Optional[FamilyVerdict] = None,
-    free: Optional[FreeTransfer] = None,
+    s_graph: Optional[stallings.SubgroupGraph] = None,
 ) -> Certificate:
     """Transfer certificate: when the joint (r, s) presentation is small
     cancellation and every t-word is cyclically Dehn-reduced, the quotient
     question "some conjugate of <s> meets <t>" equals the free-group
     question, which is answered by the fibre product.
 
-    ``joint``, ``family`` and ``free``, when given, are the results of
+    ``joint``, ``family`` and ``s_graph``, when given, are the results of
     ``_joint_metric_route(alpha, r, s)``, of
     ``check_family_cyclically_reduced(alpha, r, t, syllable_bound)`` and of
-    ``free_transfer(alpha, s, t)``; without ``free``, this call builds
-    one, so ``malkit certify`` folds and takes the fibre product on every
-    run.  The triangle certificate passes the records it computes once per
-    (alphabet, rho) in a process: only the first certificate at a rho, and
-    so every one-certificate CLI run, pays for them."""
+    ``stallings.build_and_fold(alpha, s)``."""
     cert = Certificate(kind="trivial-intersection")
     (joint or _joint_metric_route(alpha, r, s)).record(cert)
     fam = family or check_family_cyclically_reduced(alpha, r, t, syllable_bound)
-    free = free or free_transfer(alpha, s, t)
+    t_graph = stallings.build_and_fold(alpha, t)
+    basis_ok = t_graph.rank() == len(t)
     cert.add(
         "t-words form a free basis",
-        free.basis_ok,
-        "" if free.basis_ok else "folded rank differs from |t|",
+        basis_ok,
+        "" if basis_ok else "folded rank differs from |t|",
     )
     cert.add(
         "every t-word cyclically Dehn-reduced",
@@ -356,20 +324,21 @@ def certify_trivial_intersection_in_quotient(
         "" if fam.ok else f"witness: {_clip(fam.witness)}",
         caveat=fam.caveat,
     )
-    trivial = free.verdict.trivial
-    cert.data["free_verdict"] = "trivial" if trivial else "intersects"
-    if free.verdict.witness is not None:
-        cert.data["free_witness"] = free.verdict.witness.as_dict()
+    free = stallings.trivial_intersection_graphs(
+        s_graph or stallings.build_and_fold(alpha, s), t_graph)
+    cert.data["free_verdict"] = "trivial" if free.trivial else "intersects"
+    if free.witness is not None:
+        cert.data["free_witness"] = free.witness.as_dict()
     if cert.certified:
         cert.conclusion = (
             "in the quotient, some conjugate of <s> meets <t> nontrivially"
-            if not trivial
+            if not free.trivial
             else "in the quotient, every conjugate of <s> meets <t> trivially"
         )
     else:
         cert.caveats.append("transfer hypotheses failed - free verdict does not lift")
-    cert.data["s"] = list(free.s)
-    cert.data["t"] = list(free.t)
+    cert.data["s"] = [str(w) for w in s]
+    cert.data["t"] = [str(w) for w in t]
     return cert
 
 

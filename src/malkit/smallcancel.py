@@ -376,17 +376,20 @@ def is_cyclically_dehn_reduced(rs: RelatorSet, w: Word) -> bool:
     (A[:p])^-1 M A[:p] - and the latter are subwords of w itself.  So one
     scan of w plus one scan of the doubled core decide the question; the
     core is found by index on the code, where a letter's inverse is its
-    code ``^ 1``."""
+    code ``^ 1``.  M lies in w, so of the doubled core only the part across
+    its seam is scanned: the last and first ``longest - 1`` letters of M,
+    with ``longest`` the longest pattern."""
     _check_alphabet(rs, w)
     code = w.code
     i, j = core_bounds(code)
     m = j - i
     if not m:
         return False
-    doubled = code[i:j] * 2
     pattern_list = rs._patterns[0]
+    reach = max(map(len, pattern_list), default=1) - 1
+    seam = code[max(i, j - reach):j] + code[i:min(j, i + reach)]
     for pb in pattern_list:
-        if pb in code or (len(pb) <= m and pb in doubled):
+        if pb in code or (len(pb) <= m and pb in seam):
             return False
     return True
 

@@ -265,14 +265,9 @@ class _Folder:
     labeled by code units."""
 
     def __init__(self):
-        self.parent: list[int] = []
-        self.adj: list[Optional[dict[str, int]]] = []
-
-    def new_vertex(self) -> int:
-        v = len(self.parent)
-        self.parent.append(v)
-        self.adj.append({})
-        return v
+        # vertex 0, the basepoint; a vertex merged into another keeps None
+        self.parent: list[int] = [0]
+        self.adj: list[Optional[dict[str, int]]] = [{}]
 
     def find(self, x: int) -> int:
         p = self.parent
@@ -326,21 +321,23 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
     union-find.  A loop is first read forward from the basepoint, then
     backward along inverse letters, over edges already present; only the
     unread middle gets fresh vertices, and two reads that meet merge their
-    endpoints.  The folded graph is unique, so this gives the same graph as
-    folding the whole bouquet.  Then trims non-basepoint vertices of
-    degree <= 1 and renumbers canonically.
+    endpoints.  The middle is a freely reduced path between fresh vertices
+    that leaves the forward read by a letter it lacks, so it is laid down
+    without a fold; only its closing edge can fold.  The folded graph is
+    unique, so this gives the same graph as folding the whole bouquet.
+    Then trims non-basepoint vertices of degree <= 1 and renumbers
+    canonically.
     """
     for g in gens:
         if g.alphabet != alpha:
             raise StallingsError("generator over a different alphabet")
     f = _Folder()
-    bp = f.new_vertex()
     adj, parent, find = f.adj, f.parent, f.find
     inverse = UNIT_INVERSE
     for g in gens:
         code = g.code
         i, j = 0, len(code) - 1
-        v = u = find(bp)
+        v = u = find(0)
         while i <= j:
             t = adj[v].get(code[i])
             if t is None:
@@ -357,55 +354,62 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
             if v != u:
                 f._merge(v, u)
             continue
+        w = len(parent)
         for s in code[i:j]:
-            w = f.new_vertex()
-            f.add_edge(v, s, w)
-            v = find(w)
+            parent.append(w)
+            adj.append({inverse[s]: v})
+            adj[v][s] = w
+            v = w
+            w += 1
         f.add_edge(v, code[j], u)
-    # collect representative adjacency, with resolved targets
-    reps = [v for v in range(len(f.parent)) if f.find(v) == v]
-    out = {v: {s: f.find(t) for s, t in f.adj[v].items()} for v in reps}
-    bp = f.find(bp)
+    # resolve targets at the surviving vertices
+    for d in adj:
+        if d is not None:
+            for s, t in d.items():
+                if parent[t] != t:
+                    d[s] = find(t)
+    bp = find(0)
     # core-trim: drop degree<=1 vertices other than the basepoint
-    degree = {v: len(d) for v, d in out.items()}
-    stack = [v for v in reps if v != bp and degree[v] <= 1]
-    dead = set()
+    stack = [v for v, d in enumerate(adj) if d is not None and len(d) <= 1 and v != bp]
     while stack:
         v = stack.pop()
-        if v in dead:
+        d = adj[v]
+        if not d:
             continue
-        dead.add(v)
-        for s, w in out[v].items():
-            if w in dead:
-                continue
-            del out[w][inverse[s]]
-            degree[w] -= 1
-            if w != bp and degree[w] <= 1:
+        for s, w in d.items():
+            dw = adj[w]
+            del dw[inverse[s]]
+            if w != bp and len(dw) <= 1:
                 stack.append(w)
-        out[v] = {}
-    return _canonicalize(alpha, out, bp)
+        d.clear()
+    return _canonicalize(alpha, adj, bp)
 
 
-def _canonicalize(alpha: Alphabet, out: dict[int, dict[str, int]], bp: int) -> SubgroupGraph:
+def _canonicalize(alpha: Alphabet, out: list[Optional[dict[str, int]]], bp: int) -> SubgroupGraph:
     """BFS renumbering from the basepoint with fixed signed-label order; the
-    labels go from code units to signed letters on the way."""
+    labels go from code units to signed letters on the way.  Each row of
+    ``out`` is dropped once read, so the graph's rows reuse its memory."""
     n = len(alpha)
     labels = tuple(zip(map(chr, range(2 * n)), signed_letters(n)))  # (code unit, letter)
-    number = {bp: 0}
+    number = [-1] * len(out)
+    number[bp] = 0
     order = [bp]
     new_out = []
+    connected = sum(1 for v, d in enumerate(out) if d or v == bp)
     for v in order:
         d = out[v]
+        out[v] = None
         row = {}
         for s, x in labels:
             w = d.get(s)
             if w is not None:
-                if w not in number:
-                    number[w] = len(order)
+                k = number[w]
+                if k < 0:
+                    k = number[w] = len(order)
                     order.append(w)
-                row[x] = number[w]
+                row[x] = k
         new_out.append(row)
-    if len(number) != sum(1 for v, d in out.items() if d or v == bp):
+    if len(order) != connected:
         raise StallingsError("subgroup graph is not connected")
     return SubgroupGraph(alpha, new_out)
 
@@ -562,17 +566,20 @@ class BasisRewriter:
 # (u, v), and the product edge it crosses leaves (u, v) with label s, so
 # mask2[v] holds s's bit.  The cycle enters and leaves (u, v) by two
 # edges, so the pair's product degree, the number of labels the two masks
-# share, is at least 2; a loop gives both bits s and -s.  So every
-# component that is not a tree contains a seed pair
+# share, is at least 2; a loop gives both bits s and -s.  The same holds at
+# the far end of the crossed edge, (w, x) with w = u.s and x = v.s.  So
+# every component that is not a tree contains a seed pair
 #
 #     (u, v):  a non-tree edge of g1 has label s read from u,
 #              s in mask2[v], and (mask1[u] & mask2[v]).bit_count() > 1,
+#              and (mask1[u.s] & mask2[v.s]).bit_count() > 1,
 #
 # where each non-tree edge is taken at one end only, and the same holds
 # from g2's side.  The search explores the components of the smaller of
 # the two seed sets only.  Each graph keeps its masks, its vertices grouped
-# by mask and its non-tree labels (SubgroupGraph.fibre_facts), so seeding
-# costs one step per distinct mask of the other factor.  A seed can still
+# by mask and its non-tree labels (SubgroupGraph.fibre_facts), so the first
+# two conditions cost one step per distinct mask of the other factor; the
+# last is checked pair by pair on the smaller side only.  A seed can still
 # lie in a tree, which costs its search and nothing else.  Every component
 # never seeded is a tree, so the component count follows from the Euler
 # characteristic: components = V - E + sum(E_c - V_c + 1) over the
@@ -583,12 +590,31 @@ class BasisRewriter:
 
 
 def _seeds(masks: list[int], sources: dict[int, int], other: dict[int, list[int]]):
-    """The seed pairs seen from one factor: each vertex ``u`` where it
-    records non-tree edges, with each group of the other factor's vertices
-    whose mask holds one of those labels and meets u's mask in at least
-    two labels."""
+    """The candidate seed pairs seen from one factor: each vertex ``u``
+    where it records non-tree edges, with each group of the other factor's
+    vertices whose mask holds one of those labels and meets u's mask in at
+    least two labels."""
     return [(u, vs) for u, bits in sources.items() for b, vs in other.items()
             if b & bits and (masks[u] & b).bit_count() > 1]
+
+
+def _far_ends_meet(g: SubgroupGraph, h: SubgroupGraph, seeds):
+    """The pairs (u, v) of g's candidate seeds where the product edge over
+    one of u's non-tree edges ends at a pair whose masks also meet in at
+    least two labels."""
+    mg, _groups, sources = g.fibre_facts()[:3]
+    mh = h.fibre_facts().masks
+    for u, vs in seeds:
+        bits = sources[u]
+        ends = [(s, mg[w]) for s, w in g.out[u].items()
+                if bits >> (2 * s - 2 if s > 0 else -2 * s - 1) & 1]
+        for v in vs:
+            dv = h.out[v]
+            for s, m in ends:
+                x = dv.get(s)
+                if x is not None and (m & mh[x]).bit_count() > 1:
+                    yield u, v
+                    break
 
 
 class _FibreAnalysis:
@@ -625,9 +651,9 @@ class _FibreAnalysis:
         seeds1 = _seeds(m1, sources1, groups2)
         seeds2 = _seeds(m2, sources2, groups1)
         if sum(len(vs) for _u, vs in seeds1) <= sum(len(us) for _v, us in seeds2):
-            roots = (u * n2 + v for u, vs in seeds1 for v in vs)
+            roots = (u * n2 + v for u, v in _far_ends_meet(g1, g2, seeds1))
         else:
-            roots = (u * n2 + v for v, us in seeds2 for u in us)
+            roots = (u * n2 + v for v, u in _far_ends_meet(g2, g1, seeds2))
         count = touched - doubled_edges // 2
         seen: set[int] = set()
         bad = []

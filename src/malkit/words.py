@@ -327,12 +327,11 @@ def conjugate(w: Word, g: Word) -> Word:
 
 def core_bounds(code: str) -> tuple[int, int]:
     """(i, j) with ``code[i:j]`` the cyclic core of a freely reduced code
-    and ``code[:i]`` the inverse of ``code[j:]``."""
-    i, j = 0, len(code)
-    while j - i >= 2 and code[i] == UNIT_INVERSE[code[j - 1]]:
-        i += 1
-        j -= 1
-    return i, j
+    and ``code[:i]`` the inverse of ``code[j:]``: i is the length of the
+    common prefix of the code and its inverse, which a freely reduced code
+    ends before its middle."""
+    i = common_prefix(code, invert_code(code))
+    return i, len(code) - i
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:

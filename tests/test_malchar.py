@@ -27,9 +27,8 @@ from malkit.malchar import (
     triangle_relators,
     verify_psi_images,
 )
-from malkit.quotientcert import FreeTransfer, certify_trivial_intersection_in_quotient
 from malkit.smallcancel import RelatorSet, word_problem
-from malkit.stallings import SubgroupGraph, TrivialIntersectionVerdict, build_and_fold, is_malnormal
+from malkit.stallings import build_and_fold
 from malkit.words import Word, alphabet, apply_endo, compose_endos, conjugate, identity_endo, signed_letters, word
 
 AB = alphabet("a b")
@@ -393,11 +392,11 @@ class TestScanForbidden:
     @given(st.lists(st.lists(st.sampled_from(_CHUNKS), max_size=8), min_size=1, max_size=4))
     def test_matches_window_scan(self, chunks):
         words = [w(" ".join(c) or "1") for c in chunks]
-        assert malchar._scan_forbidden(AB, words) == _scan_windows(AB, words)
+        assert malchar._scan_forbidden(malchar._forbidden_codes(AB), words) == _scan_windows(AB, words)
 
     def test_hits_found(self):
         words = [w("a^4 b"), w("a^2 b a^2"), w("a^2 b a^-2"), w("b (a b)^3 b"), w("a^2"), w("1")]
-        hits = malchar._scan_forbidden(AB, words)
+        hits = malchar._scan_forbidden(malchar._forbidden_codes(AB), words)
         assert hits == _scan_windows(AB, words)
         assert hits == [
             ("a^4", "a^4 b"),
@@ -409,15 +408,8 @@ class TestScanForbidden:
 
 
 def _certificate_text(i, j, k, rho):
-    return _text(decide_malcharacteristic_triangle(AB, i, j, k, rho))
-
-
-def _text(cert):
+    cert = decide_malcharacteristic_triangle(AB, i, j, k, rho)
     return json.dumps(cert.to_dict(), sort_keys=True, default=str)
-
-
-def _golden_text():
-    return (Path(__file__).parent / "fixtures" / "triangle_cert_6_6_6_rho8.json").read_text().rstrip("\n")
 
 
 class TestTriangleCertificate:
@@ -439,7 +431,8 @@ class TestTriangleCertificate:
     def test_golden_certificate(self):
         # the whole certificate JSON at (6,6,6) rho=8, pinned byte for byte
         text = _certificate_text(6, 6, 6, 8)
-        assert text == _golden_text()
+        golden = (Path(__file__).parent / "fixtures" / "triangle_cert_6_6_6_rho8.json").read_text()
+        assert text == golden.rstrip("\n")
         assert hashlib.sha256(text.encode()).hexdigest().startswith("4f75dcd954e9d88a")
 
     def test_golden_scalene_certificate(self):
@@ -460,90 +453,3 @@ class TestTriangleCertificate:
         assert cert.data["stage1"]["route"] == "C'(1/6)"
         text = json.dumps(cert.to_dict(), sort_keys=True, default=str)
         assert hashlib.sha256(text.encode()).hexdigest().startswith("dbf1b07d97a9ba44")
-
-
-def _reachable(root):
-    """Every object reachable from root through containers, instance
-    dictionaries and slots."""
-    seen, stack = set(), [root]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, (str, int, float, type(None))):
-            continue
-        seen.add(id(obj))
-        yield obj
-        if isinstance(obj, dict):
-            stack += [*obj.keys(), *obj.values()]
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            stack += list(obj)
-        else:
-            stack += list(getattr(obj, "__dict__", {}).values())
-            for cls in type(obj).__mro__:
-                slots = getattr(cls, "__slots__", ())
-                for slot in (slots,) if isinstance(slots, str) else slots:
-                    if hasattr(obj, slot):
-                        stack.append(getattr(obj, slot))
-
-
-class TestSeedFactsCache:
-    """The triangle certificate's free-group half is built once per
-    (alphabet, rho) in a process; a warm certificate must equal a cold one
-    and share nothing mutable with it."""
-
-    def test_warm_certificate_equals_cold(self):
-        malchar._seed_facts.cache_clear()
-        order = [(7, 7, 7, 8), (6, 7, 8, 8), (6, 6, 6, 8), (9, 8, 7, 10), (7, 8, 9, 10)]
-        warm = {args: _certificate_text(*args) for args in order}
-        assert malchar._seed_facts.cache_info().misses == 2  # one build per rho
-        assert warm[(6, 6, 6, 8)] == _golden_text()
-        assert hashlib.sha256(warm[(7, 8, 9, 10)].encode()).hexdigest().startswith("858937e97535775d")
-        for args in order:
-            malchar._seed_facts.cache_clear()
-            assert _certificate_text(*args) == warm[args], args
-
-    def test_certificates_share_no_mutable_state(self):
-        first = decide_malcharacteristic_triangle(AB, 6, 6, 6, 8)
-        for entry in first.data["stage3"]:
-            entry["forbidden_hits"].append(("a^4", "edited"))
-        first.data["stage1"]["data"]["s"][0] = "edited"
-        assert _certificate_text(6, 6, 6, 8) == _golden_text()
-
-        reports = verify_psi_images(AB, 6, 6, 6, 8)
-        reports[1].images.append(w("a"))
-        reports[1].forbidden_hits.append(("a^4", "edited"))
-        again = verify_psi_images(AB, 6, 6, 6, 8)
-        assert len(again[1].images) == 2 and again[1].forbidden_hits == []
-
-        # the transfer record spells s and t once; each certificate gets its own lists
-        facts = malchar._seed_facts(AB, 8)
-        mapped = facts.maps[1]
-        rels = triangle_relators(AB, 6, 6, 6)
-
-        def transfer():
-            return certify_trivial_intersection_in_quotient(
-                AB, rels, facts.pair, mapped.images, free=mapped.transfer)
-
-        edited = transfer()
-        edited.data["s"][0] = "edited"
-        edited.data["t"].append("edited")
-        fresh = transfer()
-        assert fresh.data["s"] == [str(x) for x in facts.pair]
-        assert fresh.data["t"] == [str(x) for x in mapped.images]
-        assert _text(fresh) == _text(certify_trivial_intersection_in_quotient(AB, rels, facts.pair, mapped.images))
-
-    def test_refusals_populate_nothing(self):
-        malchar._seed_facts.cache_clear()
-        for args in ((5, 5, 5, 8), (5, 5, 5, 1), (6, 6, 6, 1)):
-            with pytest.raises(MalcharError):
-                decide_malcharacteristic_triangle(AB, *args)
-        assert malchar._seed_facts.cache_info().currsize == 0
-
-    def test_cached_record_holds_no_graph(self):
-        # twelve folded graphs kept alive per rho would raise the peak RSS
-        # of every sweep; the record keeps words, verdicts and strings only
-        assert malchar._seed_facts.cache_parameters()["maxsize"] is not None
-        kinds = {type(obj) for obj in _reachable(malchar._seed_facts(AB, 8))}
-        assert SubgroupGraph not in kinds
-        assert {Word, FreeTransfer, TrivialIntersectionVerdict} <= kinds  # the walk reaches the verdicts
-        # and it does find a graph where one is kept
-        assert SubgroupGraph in {type(obj) for obj in _reachable(is_malnormal(AB, [w("a")]))}

@@ -86,11 +86,6 @@ def test_tracer_counts_the_certificate_and_coset_layers():
     tr = _load_tracer().Tracer()
     ab = alphabet("a b")
     relators = [word(ab, t) for t in ("a^2", "b^3", "(a b)^5")]  # the icosahedral group, order 60
-    # precondition, not a loosened check: the certificate's free-group half
-    # is cached per (alphabet, rho), so an earlier test may have built it;
-    # clearing the cache makes this certificate take the cold path, whose
-    # folds and fibre products are the layers checked below
-    malchar._seed_facts.cache_clear()
     tr.install()
     try:
         assert malchar.decide_malcharacteristic_triangle(ab, 6, 6, 6, 8) is not None
