@@ -163,6 +163,11 @@ class HnnPresentation:
     def _membership(self) -> "_KMembership":
         return _KMembership(self)
 
+    @cached_property
+    def rewriter(self) -> BasisRewriter:
+        """The family subgroup M folded once, with its basis rewriting."""
+        return BasisRewriter(self.base_alphabet, list(self.m_gens))
+
     def base_relator_set(self) -> RelatorSet:
         return RelatorSet(self.base_alphabet, self.base_relators)
 
@@ -235,9 +240,8 @@ def build_tp(
     )
     # every kernel generator must lie in the family subgroup;
     # endo_order_in_quotient has checked that phi preserves the base relators
-    m_graph = build_and_fold(alpha, list(m_by_slot))
     for u in hnn.assoc_concrete:
-        if not m_graph.contains(u):
+        if not hnn.rewriter.graph.contains(u):
             raise HnnError(f"internal: kernel generator {u} is not in the family subgroup")
     return hnn
 
@@ -417,19 +421,35 @@ def britton_word(H: HnnPresentation, segments: Sequence[Word], exponents: Sequen
 
 
 class _KMembership:
-    """Membership oracle for the associated subgroup.
+    """Membership oracle for the associated subgroup K.
 
-    An element lies in K when it lies in the family subgroup M, its
-    rewriting over the family basis maps into the hat alphabet, and the
-    image traces to the trivial coset of the padded quotient.  The direct
-    reading through the folded graph of the kernel generators cross-checks
-    every answer."""
+    A word h is read in K when its Dehn-reduced form hn lies in the family
+    subgroup M, its rewriting w over the family basis is spelled over the
+    hat alphabet, and w traces to coset 1 of the padded quotient.  In the
+    free group this decides whether hn lies in the subgroup generated by
+    the concrete kernel generators, exactly:
+
+    - M is free on the family words (the rewriter's rank check), so the map
+      sending each hat letter to its family word is an isomorphism from the
+      free group on the hat alphabet onto M, and takes the abstract kernel
+      generators to the concrete ones;
+    - w is verified by substitution before it is returned, so it is the one
+      preimage of hn; hn outside M has none;
+    - the guard in the constructor folds the abstract kernel generators,
+      once per extension, and requires the folded graph to be the coset
+      table itself; so they generate exactly the stabiliser of coset 1, the
+      words that trace to coset 1.  A file whose assoc words generate a
+      subgroup that is not normal fails the guard.
+
+    That reading hn in the free group decides whether h lies in the image
+    of K in the triangle group is not argued here."""
 
     def __init__(self, H: HnnPresentation):
+        if build_and_fold(H.hat_alphabet, list(H.assoc_abstract)).table() != H.table.table:
+            raise HnnError(f"the associated generators {', '.join(map(str, H.assoc_abstract))} do not "
+                           "generate the kernel of the padded quotient; the subgroup they generate must be normal")
         self.H = H
         self.rs = H.base_relator_set()
-        self.rewriter = BasisRewriter(H.base_alphabet, list(H.m_gens))
-        self.k_graph = build_and_fold(H.base_alphabet, list(H.assoc_concrete))
         self.phi_inv = endo_power(H.phi, H.phi_order - 1)
         # (slot, sign) of a family basis letter -> the code unit of its hat letter
         self._hat_unit = {(slot, sign): LETTER_UNIT[sign * (H.hat_alphabet.index(nm) + 1)]
@@ -439,14 +459,9 @@ class _KMembership:
 
     def in_k(self, h: Word) -> bool:
         cached = self._k_memo.get(h.code)
-        if cached is not None:
-            return cached
-        hn, coset = self.k_coset(h)
-        verdict = coset == 1
-        if verdict != self.k_graph.contains(hn):
-            raise HnnError(f"internal: the two membership checks disagree on {h}")
-        self._k_memo[h.code] = verdict
-        return verdict
+        if cached is None:
+            cached = self._k_memo[h.code] = self.k_coset(h)[1] == 1
+        return cached
 
     def in_phi_k(self, h: Word) -> bool:
         cached = self._phi_k_memo.get(h.code)
@@ -464,7 +479,7 @@ class _KMembership:
 
     def abstract_image(self, hn: Word) -> Optional[Word]:
         """The hat-alphabet spelling of a normalised element of M, or None."""
-        pairs = self.rewriter.rewrite(hn)
+        pairs = self.H.rewriter.rewrite(hn)
         if pairs is None:
             return None
         # the pairs spell a reduced word, and letters map to letters

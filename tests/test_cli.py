@@ -306,6 +306,18 @@ class TestCli:
         assert out["verdict"]["stable_letters"] == 2
         assert out["verdict"]["trivial"] is False
 
+    @pytest.mark.parametrize("text", ["t x t^-1", "t z x z^-1 t^-1", "a"])
+    def test_britton_refuses_assoc_that_is_not_normal(self, capsys, tmp_path, text):
+        # <x, z^2> is not normal in F(x, z): z x z^-1 lies in its normal
+        # closure but not in it.  The fault is the file's, so every word is
+        # refused and the refusal names the generators
+        lines = resources.files("malkit.fixtures").joinpath("tp_p2.pres").read_text().splitlines()
+        path = tmp_path / "bad_assoc.hnn"
+        path.write_text("\n".join("assoc: x, z^2" if ln.startswith("assoc:") else ln for ln in lines) + "\n")
+        code, out = run_cli(capsys, "britton", "--hnn", str(path), "--word", text)
+        assert code == 2
+        assert "x, z^2" in out["refusal"] and "internal" not in out["refusal"]
+
     def test_reproduce_counterexample(self, capsys):
         code, out = run_cli(capsys, "reproduce", "counterexample-cmt4")
         assert code == 0 and out["verdict"] == "pass"

@@ -234,6 +234,9 @@ class TestCompleteTables:
             assert t.trace(rep) == v
         for g in t.kernel_generators():
             assert t.trace(g.code) == 0
+        # the kernel generators fold to the table itself: they generate
+        # exactly the stabiliser of coset 1 (hnnforge's membership guard)
+        assert build_and_fold(alpha, t.kernel_generators()).table() == t.table
 
 
 class TestKernelCheck:

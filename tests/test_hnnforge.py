@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -416,57 +417,74 @@ class TestMembershipOracle:
                 assert rw.rewrite(target) is not None
 
 
-class _FlippedGraph:
-    """A folded graph whose membership answers are negated."""
+class TestConcreteFoldOracle:
+    """The concrete kernel fold, which the library no longer builds, is the
+    reference: in_k(h) must say whether the Dehn-reduced h reads as a loop
+    of the folded graph of the concrete kernel generators."""
 
-    def __init__(self, graph):
-        self.graph = graph
+    CASES = [(k, 2, "minimal") for k in (2, 3, 4, 5)] + [(5, 2, "pq"), (2, 8, "minimal")]
 
-    def contains(self, h):
-        return not self.graph.contains(h)
+    @pytest.mark.parametrize("k, rho, mode", CASES)
+    def test_in_k_matches_the_concrete_fold(self, k, rho, mode):
+        import random
+
+        hnn = build_tp(AB, 6, 6, 6, pres("z", [f"z^{k}"]), rho=rho, mode=mode)
+        fold = build_and_fold(AB, list(hnn.assoc_concrete))
+        member = hnn.membership()
+        rng = random.Random(100 * k + rho)
+        verdicts = set()
+        for _ in range(300):
+            # a product of 1-5 signed family words, ending in a one time in five
+            h = Word(AB, ())
+            for _ in range(rng.randint(1, 5)):
+                h = h * rng.choice(hnn.m_gens) ** rng.choice((1, -1))
+            if rng.randrange(5) == 0:
+                h = h * word(AB, "a")
+            verdict = member.in_k(h)
+            assert verdict == fold.contains(smallcancel.dehn_reduce(member.rs, h)), h
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
-class TestMembershipAgreement:
-    """in_k answers only when the rewriting through the padded quotient and
-    the direct reading through the kernel graph agree; a disagreement is a
-    typed error, also under python -O."""
+class TestKernelGuard:
+    """The kernel generators must generate the stabiliser of coset 1: their
+    folded graph over the hat alphabet is the coset table itself.  This is
+    checked once, when membership is first asked, and a failure is a typed
+    refusal that names the generators, also under python -O."""
 
-    @pytest.mark.parametrize("which", ["kernel generator", "outside the family"])
-    def test_disagreement_raises(self, tp2, which):
-        h = tp2.assoc_concrete[0] if which == "kernel generator" else word(AB, "a")
-        member = hnnforge._KMembership(tp2)
-        assert member.in_k(h) == (which == "kernel generator")
-        member = hnnforge._KMembership(tp2)
-        member.k_graph = _FlippedGraph(member.k_graph)
-        with pytest.raises(HnnError, match="disagree"):
-            member.in_k(h)
+    MALFORMED = {
+        "dropped generator": lambda H: H.assoc_abstract[1:],
+        "not normal": lambda H: (word(H.hat_alphabet, "x"), word(H.hat_alphabet, "z^2")),
+    }
 
-    def test_check_survives_optimised_python(self):
+    @pytest.mark.parametrize("how", sorted(MALFORMED))
+    def test_malformed_assoc_raises(self, tp2, how):
+        bad = dataclasses.replace(tp2, assoc_abstract=self.MALFORMED[how](tp2))
+        with pytest.raises(HnnError) as e:
+            bad.membership()
+        assert "do not generate the kernel" in str(e.value) and "internal" not in str(e.value)
+        assert ", ".join(map(str, bad.assoc_abstract)) in str(e.value)
+        assert tp2.membership().in_k(tp2.assoc_concrete[0])
+
+    def test_guard_survives_optimised_python(self):
         code = (
+            "import dataclasses\n"
             "from malkit import hnnforge\n"
-            "from malkit.words import alphabet, word\n"
+            "from malkit.words import alphabet\n"
             "AB = alphabet('a b')\n"
             "H = hnnforge.build_tp(AB, 6, 6, 6, hnnforge.presentation('z', ['z^2']), rho=2, mode='minimal')\n"
-            "class Flipped:\n"
-            "    def __init__(self, graph):\n"
-            "        self.graph = graph\n"
-            "    def contains(self, h):\n"
-            "        return not self.graph.contains(h)\n"
             "raised = []\n"
-            "for h in (H.assoc_concrete[0], word(AB, 'a')):\n"
-            "    member = hnnforge._KMembership(H)\n"
-            "    member.k_graph = Flipped(member.k_graph)\n"
-            "    try:\n"
-            "        member.in_k(h)\n"
-            "    except hnnforge.HnnError:\n"
-            "        raised.append(True)\n"
+            "try:\n"
+            "    dataclasses.replace(H, assoc_abstract=H.assoc_abstract[1:]).membership()\n"
+            "except hnnforge.HnnError:\n"
+            "    raised.append(True)\n"
             "print(__debug__, len(raised))\n"
         )
         src = str(Path(malkit.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["False", "2"], out.stderr
+        assert out.stdout.split() == ["False", "1"], out.stderr
 
 
 class TestResidualWitness:
