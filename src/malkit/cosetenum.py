@@ -4,7 +4,7 @@ HLT-style relator tracing with immediate deduction filling and standard
 coincidence merging (union-find on cosets; Holt-Eick-O'Brien, Handbook of
 Computational Group Theory, ch. 5).  Overflow - exceeding the coset cap,
 which counts live cosets - is a distinguished outcome, not an error:
-callers legitimately probe for finiteness.
+callers legitimately probe for finiteness.  A cap below one is refused.
 
 During enumeration the table is stored column-major: one list per signed
 letter code, ``cols[c][coset]``, with -1 for an undefined entry.  Each
@@ -116,7 +116,10 @@ def todd_coxeter(
     """Enumerate cosets of <subgroup_gens> in the presented group.
 
     Returns a complete, standardized CosetTable if the index is discovered
-    within ``max_cosets`` live cosets, else an Overflow marker."""
+    within ``max_cosets`` live cosets, else an Overflow marker.  A cap below
+    one, which not even the first coset fits, is refused."""
+    if max_cosets < 1:
+        raise CosetEnumError(f"the coset cap must be at least 1, not {max_cosets}")
     ncols = 2 * len(alpha)
     cols: list[list[int]] = [[-1] * _BLOCK for _ in range(ncols)]
     inv_cols = [cols[c ^ 1] for c in range(ncols)]

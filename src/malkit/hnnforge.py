@@ -6,6 +6,8 @@ The construction: pad the input presentation, choose a free malcharacteristic
 subgroup of matching rank inside the triangle group, pull the padded
 presentation's kernel through that identification, and attach a stable
 letter conjugating the kernel subgroup by the chosen base automorphism.
+The family subgroup is folded once per extension; the basis rewriter that
+membership reads is built over that fold when membership is first asked.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .cosetenum import (
 )
 from .malchar import rank_n_family, seed_words_triangle, triangle_relators
 from .smallcancel import RelatorSet, dehn_reduce, endo_order_in_quotient, word_problem
-from .stallings import BasisRewriter, build_and_fold, same_subgroup
+from .stallings import BasisRewriter, SubgroupGraph, build_and_fold, same_subgroup
 from .words import (
     LETTER_UNIT,
     Alphabet,
@@ -164,9 +166,15 @@ class HnnPresentation:
         return _KMembership(self)
 
     @cached_property
+    def m_graph(self) -> SubgroupGraph:
+        """The family subgroup M, folded once per extension."""
+        return build_and_fold(self.base_alphabet, list(self.m_gens))
+
+    @cached_property
     def rewriter(self) -> BasisRewriter:
-        """The family subgroup M folded once, with its basis rewriting."""
-        return BasisRewriter(self.base_alphabet, list(self.m_gens))
+        """M's basis rewriting over ``m_graph``; membership builds it, and
+        callers that only read kernel generators never pay for it."""
+        return BasisRewriter(self.base_alphabet, list(self.m_gens), self.m_graph)
 
     def base_relator_set(self) -> RelatorSet:
         return RelatorSet(self.base_alphabet, self.base_relators)
@@ -197,9 +205,12 @@ def build_tp(
     enumeration when the quotient is finite within the cap; when it is
     visibly infinite (it maps onto Z) or overflows the cap, a
     parametric conjugate family truncated at the given depth is emitted and
-    marked as such."""
+    marked as such.  A coset cap below one is refused here, since a visibly
+    infinite quotient skips enumeration."""
     if min(i, j, k) < 6:
         raise HnnError("exponents below 6 are outside the supported range")
+    if max_cosets < 1:
+        raise HnnError(f"the coset cap must be at least 1, not {max_cosets}")
     rels = triangle_relators(alpha, i, j, k)
     rs = RelatorSet(alpha, rels)
     phi = _triangle_phi(alpha, i, j, k)
@@ -241,7 +252,7 @@ def build_tp(
     # every kernel generator must lie in the family subgroup;
     # endo_order_in_quotient has checked that phi preserves the base relators
     for u in hnn.assoc_concrete:
-        if not hnn.rewriter.graph.contains(u):
+        if not hnn.m_graph.contains(u):
             raise HnnError(f"internal: kernel generator {u} is not in the family subgroup")
     return hnn
 
@@ -449,6 +460,7 @@ class _KMembership:
             raise HnnError(f"the associated generators {', '.join(map(str, H.assoc_abstract))} do not "
                            "generate the kernel of the padded quotient; the subgroup they generate must be normal")
         self.H = H
+        self.rewriter = H.rewriter
         self.rs = H.base_relator_set()
         self.phi_inv = endo_power(H.phi, H.phi_order - 1)
         # (slot, sign) of a family basis letter -> the code unit of its hat letter
@@ -479,7 +491,7 @@ class _KMembership:
 
     def abstract_image(self, hn: Word) -> Optional[Word]:
         """The hat-alphabet spelling of a normalised element of M, or None."""
-        pairs = self.H.rewriter.rewrite(hn)
+        pairs = self.rewriter.rewrite(hn)
         if pairs is None:
             return None
         # the pairs spell a reduced word, and letters map to letters

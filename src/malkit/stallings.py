@@ -3,8 +3,10 @@
 A finitely generated subgroup of F(X) is represented by its folded core
 graph: a basepointed graph with edges labeled by generators, no vertex
 having two outgoing edges with the same signed label.  Folding is done by
-union-find over vertices.  Fibre products of folded graphs decide
-malnormality and conjugate-intersection questions.
+union-find over vertices, followed by at most one pass over the surviving
+vertices (resolve, count, collect leaves) and a BFS that numbers them.
+Fibre products of folded graphs decide malnormality and
+conjugate-intersection questions.
 
 Each folded graph has one spanning tree, its BFS tree from the basepoint,
 read off ``out`` in one pass together with what a fibre product needs
@@ -15,14 +17,17 @@ A fibre product is never built whole.  A cycle in it projects to a closed
 non-backtracking walk in each folded factor, and every such walk crosses a
 non-tree edge of the factor.  So only the components of the pairs where a
 cycle can cross one are searched; the rest are trees, counted by the Euler
-characteristic of the whole product.  A witness is read off the same
-implicit product: one failing component is searched again, trimmed to its
-core by pair degrees, and a BFS over the core closes a cycle.
+characteristic of the whole product.  The diagonal of a self-product is a
+copy of the graph and is counted without a search.  A witness is read off
+the same implicit product: one failing component is searched again,
+trimmed to its core by pair degrees, and a BFS over the core closes a
+cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Optional, Sequence
 
 from .words import (
@@ -62,7 +67,7 @@ class FibreFacts(NamedTuple):
     masks: list[int]
     groups: dict[int, list[int]]
     sources: dict[int, int]
-    parent: list[Optional[tuple[int, int]]]
+    tree: list[int]
     nontree: list[tuple[int, int, int]]
 
 
@@ -71,8 +76,10 @@ class SubgroupGraph:
 
     Vertices are 0..n-1 in canonical (BFS from basepoint, label-ordered)
     numbering; the basepoint is vertex 0.  ``out[v]`` maps signed letters
-    to target vertices.  Words are read through the :meth:`chains` view
-    when most vertices lie inside branch-free paths, and through the dense
+    to target vertices.  A graph of fewer than ``_STOP_EVERY`` vertices
+    reads words along these rows, which costs less than building a view for
+    them.  A larger one reads through the :meth:`chains` view when most
+    vertices lie inside branch-free paths, and through the dense
     :meth:`table` otherwise; each graph decides which once.
     """
 
@@ -115,9 +122,10 @@ class SubgroupGraph:
         vertex (bit c for each label leaving it whose code unit has ordinal
         c); ``groups``, the vertices grouped by mask, in increasing order;
         ``sources``, at each vertex where non-tree edges are recorded, the
-        bits of their labels read from it; ``parent``, the tree, as (parent,
-        signed letter into v) at each vertex v and None at the basepoint; and
-        ``nontree``, the non-tree edges (u, s, v), s > 0, sorted.
+        bits of their labels read from it; ``tree``, the signed letter of the
+        tree edge into each vertex, 0 at the basepoint (the parent of v is
+        ``out[v][-tree[v]]``); and ``nontree``, the non-tree edges (u, s, v),
+        s > 0, sorted.
 
         Vertices are numbered in BFS order and each row is in signed-letter
         order (``_canonicalize``), so the BFS parent of a vertex is the source
@@ -126,20 +134,21 @@ class SubgroupGraph:
         recorded for the fibre product once: at its higher end, or by its
         positive label for a loop."""
         if self._fibre is None:
+            bits = _bits(len(self.alphabet.names))
             masks = []
             groups: dict[int, list[int]] = {}
             sources: dict[int, int] = {}
-            parent: list[Optional[tuple[int, int]]] = [None]
+            tree = [0]
             edges = []
             reached = 1
             for v, d in enumerate(self.out):
-                back = -parent[v][1] if v else 0  # the label of v's tree edge, read from v
+                back = -tree[v]  # the label of v's tree edge, read from v
                 m = nontree = 0
                 for s, w in d.items():
-                    bit = 1 << (2 * s - 2 if s > 0 else -2 * s - 1)
+                    bit = bits[s]
                     m |= bit
                     if w == reached:
-                        parent.append((v, s))
+                        tree.append(s)
                         reached += 1
                     elif s != back:
                         if s > 0:
@@ -150,7 +159,7 @@ class SubgroupGraph:
                 groups.setdefault(m, []).append(v)
                 if nontree:
                     sources[v] = nontree
-            self._fibre = FibreFacts(masks, groups, sources, parent, edges)
+            self._fibre = FibreFacts(masks, groups, sources, tree, edges)
         return self._fibre
 
     def chains(self) -> Optional[list[Optional[dict[str, tuple[str, int]]]]]:
@@ -204,6 +213,9 @@ class SubgroupGraph:
         Where the code leaves a path or ends inside one, the rest is read
         letter by letter from the path's start, so every code, reduced or
         not, reads to the vertex the table gives."""
+        out = self.out
+        if len(out) < _STOP_EVERY:
+            return _read_rows(out, 0, code)
         chains = self.chains()
         v = 0
         if chains is None:
@@ -220,12 +232,7 @@ class SubgroupGraph:
                 return -1
             path, end = link
             if not code.startswith(path, i):
-                out = self.out
-                for u in code[i:]:
-                    v = out[v].get(UNIT_LETTER[u], -1)
-                    if v < 0:
-                        return -1
-                return v
+                return _read_rows(out, v, code[i:])
             i += len(path)
             v = end
         return v
@@ -237,15 +244,19 @@ class SubgroupGraph:
         return self.read(w.code) == 0
 
     # -- spanning tree -------------------------------------------------------
+    def path_code(self, v: int) -> str:
+        """The code of the BFS tree path basepoint -> v."""
+        tree, out, unit = self.fibre_facts().tree, self.out, LETTER_UNIT
+        rev = []
+        while v:
+            s = tree[v]
+            rev.append(unit[s])
+            v = out[v][-s]
+        return "".join(reversed(rev))
+
     def path_from_basepoint(self, v: int) -> tuple[int, ...]:
         """Letters of the BFS tree path basepoint -> v."""
-        parent = self.fibre_facts().parent
-        rev = []
-        while v != 0:
-            p, s = parent[v]
-            rev.append(s)
-            v = p
-        return tuple(reversed(rev))
+        return decode_letters(self.path_code(v))
 
     # -- canonical form -------------------------------------------------------
     def canonical_form(self):
@@ -256,6 +267,16 @@ class SubgroupGraph:
 
     def __repr__(self):
         return f"SubgroupGraph(V={self.num_vertices}, E={self.num_edges}, rank={self.rank()})"
+
+
+def _read_rows(out: list[dict[int, int]], v: int, code: str) -> int:
+    """Read ``code`` letter by letter along the rows ``out`` from ``v``: the
+    final vertex, or -1."""
+    for s in map(UNIT_LETTER.__getitem__, code):
+        v = out[v].get(s, -1)
+        if v < 0:
+            return -1
+    return v
 
 
 # -- folding -----------------------------------------------------------------
@@ -329,7 +350,7 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
     canonically.
     """
     for g in gens:
-        if g.alphabet != alpha:
+        if g.alphabet is not alpha and g.alphabet != alpha:
             raise StallingsError("generator over a different alphabet")
     f = _Folder()
     adj, parent, find = f.adj, f.parent, f.find
@@ -362,15 +383,27 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
             v = w
             w += 1
         f.add_edge(v, code[j], u)
-    # resolve targets at the surviving vertices
-    for d in adj:
-        if d is not None:
-            for s, t in d.items():
-                if parent[t] != t:
-                    d[s] = find(t)
     bp = find(0)
-    # core-trim: drop degree<=1 vertices other than the basepoint
-    stack = [v for v, d in enumerate(adj) if d is not None and len(d) <= 1 and v != bp]
+    alive = len(adj)
+    stack = []
+    # with no vertex merged away every target is its own representative and
+    # the basepoint is vertex 0; unless another vertex is a leaf, there is
+    # nothing to resolve or trim.  Otherwise one pass over the surviving
+    # vertices resolves each target, counts the vertices, and collects
+    # those of degree <= 1 other than the basepoint for the core trim
+    if None in adj or min(map(len, adj[1:]), default=2) <= 1:
+        alive = 0
+        for v, d in enumerate(adj):
+            if d is not None:
+                alive += 1
+                for s, t in d.items():
+                    if parent[t] != t:
+                        d[s] = find(t)
+                if len(d) <= 1 and v != bp:
+                    stack.append(v)
+    # core-trim: drop degree<=1 vertices other than the basepoint.  A vertex
+    # left without edges here lay apart from the basepoint, so it stays
+    # counted and the connectivity check refuses the graph
     while stack:
         v = stack.pop()
         d = adj[v]
@@ -382,20 +415,37 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
             if w != bp and len(dw) <= 1:
                 stack.append(w)
         d.clear()
-    return _canonicalize(alpha, adj, bp)
+        alive -= 1
+    return _canonicalize(alpha, adj, bp, alive)
 
 
-def _canonicalize(alpha: Alphabet, out: list[Optional[dict[str, int]]], bp: int) -> SubgroupGraph:
+@cache
+def _bits(n: int) -> tuple[int, ...]:
+    """The mask bit of each signed letter over n generators, indexed by the
+    letter: bit c for the letter whose code unit has ordinal c.  A negative
+    letter indexes from the end, past the positive ones."""
+    bits = [0] * (2 * n + 1)
+    for i in range(1, n + 1):
+        bits[i], bits[-i] = 1 << 2 * i - 2, 1 << 2 * i - 1
+    return tuple(bits)
+
+
+@cache
+def _labels(n: int) -> tuple[tuple[str, int], ...]:
+    """(code unit, signed letter) over n generators, in signed-letter order."""
+    return tuple(zip(map(chr, range(2 * n)), signed_letters(n)))
+
+
+def _canonicalize(alpha: Alphabet, out: list[Optional[dict[str, int]]], bp: int, alive: int) -> SubgroupGraph:
     """BFS renumbering from the basepoint with fixed signed-label order; the
-    labels go from code units to signed letters on the way.  Each row of
-    ``out`` is dropped once read, so the graph's rows reuse its memory."""
-    n = len(alpha)
-    labels = tuple(zip(map(chr, range(2 * n)), signed_letters(n)))  # (code unit, letter)
+    labels go from code units to signed letters on the way.  ``alive`` is
+    the number of vertices the BFS must reach.  Each row of ``out`` is
+    dropped once read, so the graph's rows reuse its memory."""
+    labels = _labels(len(alpha.names))
     number = [-1] * len(out)
     number[bp] = 0
     order = [bp]
     new_out = []
-    connected = sum(1 for v, d in enumerate(out) if d or v == bp)
     for v in order:
         d = out[v]
         out[v] = None
@@ -409,16 +459,24 @@ def _canonicalize(alpha: Alphabet, out: list[Optional[dict[str, int]]], bp: int)
                     order.append(w)
                 row[x] = k
         new_out.append(row)
-    if len(order) != connected:
+    if len(order) != alive:
         raise StallingsError("subgroup graph is not connected")
     return SubgroupGraph(alpha, new_out)
 
 
 def basis(g: SubgroupGraph) -> list[Word]:
-    """A free basis of the subgroup: one word per non-tree edge, spelled
-    from the graph's labels."""
-    path = g.path_from_basepoint
-    return [Word(g.alphabet, path(u) + (s,) + inverse_letters(path(v)))
+    """A free basis of the subgroup: one word per non-tree edge (u, s, v),
+    spelled P(u) s P(v)^-1 from the tree paths P.
+
+    Each word is freely reduced as spelled.  A tree path never turns back,
+    and the letter s cannot cancel against either path: the last letter of
+    P(u) enters u by the tree edge, so s cancelling it would be that edge's
+    label read back from u, and the first letter of P(v)^-1 leaves v by the
+    inverse of the letter of the tree edge into v, so cancelling it would
+    make s that letter.  Either way a second edge would carry the tree
+    edge's label at the same end, which a folded graph does not have."""
+    path, unit = g.path_code, LETTER_UNIT
+    return [Word.from_code(g.alphabet, path(u) + unit[s] + invert_code(path(v)))
             for u, s, v in g.fibre_facts().nontree]
 
 
@@ -438,12 +496,13 @@ class BasisRewriter:
     to the given basis through a tracked Nielsen reduction.  Every result
     is verified by substitution before being returned.  Words over either
     basis are codes whose symbol k is the k-th non-tree edge or generator.
+    A caller that has already folded the generators passes that ``graph``.
     """
 
-    def __init__(self, alpha: Alphabet, gens: Sequence[Word]):
+    def __init__(self, alpha: Alphabet, gens: Sequence[Word], graph: Optional[SubgroupGraph] = None):
         self.alphabet = alpha
         self.gens = list(gens)
-        self.graph = graph = build_and_fold(alpha, gens)
+        self.graph = graph = build_and_fold(alpha, gens) if graph is None else graph
         if graph.rank() != len(gens):
             raise StallingsError("not a free basis")
         # (vertex, code unit) of each non-tree edge, both ways -> the unit
@@ -604,10 +663,10 @@ def _far_ends_meet(g: SubgroupGraph, h: SubgroupGraph, seeds):
     least two labels."""
     mg, _groups, sources = g.fibre_facts()[:3]
     mh = h.fibre_facts().masks
+    bit = _bits(len(g.alphabet.names))
     for u, vs in seeds:
         bits = sources[u]
-        ends = [(s, mg[w]) for s, w in g.out[u].items()
-                if bits >> (2 * s - 2 if s > 0 else -2 * s - 1) & 1]
+        ends = [(s, mg[w]) for s, w in g.out[u].items() if bits & bit[s]]
         for v in vs:
             dv = h.out[v]
             for s, m in ends:
@@ -627,36 +686,49 @@ class _FibreAnalysis:
     encoded as ``u1 * n2 + u2``; components are compared by their least
     vertex.  A component is a forest exactly when its edge count is one
     less than its vertex count.  ``explored`` is the number of pairs the
-    search visited.  ``failing_root`` is the least pair of the least
+    search visited, a self-product's diagonal counted as visited.
+    ``failing_root`` is the least pair of the least
     component that is not a forest, and ``failing_nondiag_root`` that of
     the least one off the diagonal; each is None when there is none.
     :meth:`witness` reads a witness off either.
     """
 
     def __init__(self, g1: SubgroupGraph, g2: SubgroupGraph):
-        if g1.alphabet != g2.alphabet:
+        if g1.alphabet is not g2.alphabet and g1.alphabet != g2.alphabet:
             raise StallingsError("alphabet mismatch")
         self._g1, self._g2 = g1, g2
-        n2 = self._n2 = g2.num_vertices
-        m1, groups1, sources1 = g1.fibre_facts()[:3]
+        n2 = self._n2 = len(g2.out)
+        m1, groups1, sources1, _tree, nontree1 = g1.fibre_facts()
         m2, groups2, sources2 = g2.fibre_facts()[:3]
         # V counts the pairs whose masks meet, and E half their common labels
         touched = doubled_edges = 0
         for a, us in groups1.items():
+            k1 = len(us)
             for b, vs in groups2.items():
-                if a & b:
-                    k = len(us) * len(vs)
+                ab = a & b
+                if ab:
+                    k = k1 * len(vs)
                     touched += k
-                    doubled_edges += k * (a & b).bit_count()
-        seeds1 = _seeds(m1, sources1, groups2)
-        seeds2 = _seeds(m2, sources2, groups1)
-        if sum(len(vs) for _u, vs in seeds1) <= sum(len(us) for _v, us in seeds2):
-            roots = (u * n2 + v for u, v in _far_ends_meet(g1, g2, seeds1))
-        else:
-            roots = (u * n2 + v for v, u in _far_ends_meet(g2, g1, seeds2))
+                    doubled_edges += k * ab.bit_count()
         count = touched - doubled_edges // 2
         seen: set[int] = set()
         bad = []
+        seeds1 = _seeds(m1, sources1, groups2)
+        if g1 is g2:
+            # a self-product seeds alike from both sides.  Its diagonal is a
+            # copy of the graph; when that holds a cycle it is seeded, so it
+            # is taken as explored, with its rank as its Euler term
+            roots = (u * n2 + v for u, v in _far_ends_meet(g1, g1, seeds1))
+            if nontree1:
+                seen.update(range(0, n2 * n2, n2 + 1))
+                count += len(nontree1)
+                bad.append(0)
+        else:
+            seeds2 = _seeds(m2, sources2, groups1)
+            if sum(len(vs) for _u, vs in seeds1) <= sum(len(us) for _v, us in seeds2):
+                roots = (u * n2 + v for u, v in _far_ends_meet(g1, g2, seeds1))
+            else:
+                roots = (u * n2 + v for v, u in _far_ends_meet(g2, g1, seeds2))
         for root in roots:
             if root not in seen:
                 comp, ne = self._explore(root, seen)

@@ -189,6 +189,31 @@ class TestCli:
         code, out = run_cli(capsys, "coset-enum", str(path), "--max", "50")
         assert code == 0 and out["verdict"] == "overflow" and out["cap"] == 50
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_coset_enum_refuses_cap_below_one(self, capsys, tmp_path, cap):
+        path = tmp_path / "c5.pres"
+        path.write_text("gens: z\nrels: z^5\n")
+        code, out = run_cli(capsys, "coset-enum", str(path), "--max", cap)
+        assert code == 2 and "at least 1" in out["refusal"]
+
+    def test_coset_enum_cap_one(self, capsys, tmp_path):
+        path = tmp_path / "c1.pres"
+        path.write_text("gens: z\nrels: z\n")
+        code, out = run_cli(capsys, "coset-enum", str(path), "--max", "1")
+        assert code == 0 and out["index"] == 1
+
+    @pytest.mark.parametrize("cap, code", [("0", 2), ("-1", 2), ("1", 0)])
+    def test_build_tp_cap(self, capsys, tmp_path, cap, code):
+        pres = tmp_path / "z2.pres"
+        pres.write_text("gens: z\nrels: z^2\n")
+        got, out = run_cli(capsys, "build-tp", "--triangle", "6,6,6", "--rho", "2",
+                           "--pres", str(pres), "--max", cap, "-o", str(tmp_path / "tp.hnn"))
+        assert got == code
+        if code:
+            assert "at least 1" in out["refusal"]
+        else:
+            assert out["truncated"] == 3
+
     def test_coset_enum_kernel_with_subgroup_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
         # the free group on a, b: the subgroup's enumeration would overflow
         path = tmp_path / "free2.pres"

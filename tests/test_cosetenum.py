@@ -42,6 +42,17 @@ class TestToddCoxeter:
         out = todd_coxeter(Z, [], max_cosets=100)
         assert isinstance(out, Overflow)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_refused(self, cap):
+        with pytest.raises(CosetEnumError, match="at least 1"):
+            todd_coxeter(Z, [word(Z, "z")], max_cosets=cap)
+
+    def test_cap_one(self):
+        # the trivial group fits in one coset; Z/2 does not
+        assert todd_coxeter(Z, [word(Z, "z")], max_cosets=1).index == 1
+        out = todd_coxeter(Z, [word(Z, "z^2")], max_cosets=1)
+        assert isinstance(out, Overflow) and out.max_cosets == 1 and out.live_cosets > 1
+
     def test_subgroup_index(self):
         # <z^2> in Z/6 has index 2
         t = todd_coxeter(Z, [word(Z, "z^6")], [word(Z, "z^2")])

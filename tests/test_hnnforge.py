@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import malkit
-from malkit import hnnforge, smallcancel
+from malkit import hnnforge, smallcancel, stallings
 from malkit.hnnforge import (
     HnnError,
     InputPresentation,
@@ -183,6 +183,46 @@ class TestBuildTp:
         hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal")
         with pytest.raises(HnnError):
             hnn.membership()
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize("rels", [["z^2"], []])
+    def test_cap_below_one_refused(self, cap, rels):
+        # <z | > maps onto Z and skips enumeration, so build_tp checks the
+        # cap itself
+        with pytest.raises(HnnError, match="at least 1"):
+            build_tp(AB, 6, 6, 6, pres("z", rels), rho=2, mode="minimal", max_cosets=cap)
+
+    def test_cap_one_truncates(self):
+        # the padded quotient of <z | z^2> has two cosets, so it overflows
+        # a cap of one and the kernel is truncated, as for any overflow
+        hnn = build_tp(AB, 6, 6, 6, pres("z", ["z^2"]), rho=2, mode="minimal", max_cosets=1)
+        assert hnn.truncated == 3 and hnn.table is None
+
+    def test_m_folded_once(self, monkeypatch):
+        # build_tp folds M for its containment check; membership builds the
+        # rewriter over that same fold, and nothing folds M again
+        folded = []
+
+        def counting(alpha, gens):
+            folded.append(list(gens))
+            return build_and_fold(alpha, gens)
+
+        monkeypatch.setattr(hnnforge, "build_and_fold", counting)
+        monkeypatch.setattr(stallings, "build_and_fold", counting)
+        hnn = build_tp(AB, 6, 6, 6, pres("z", ["z^2"]), rho=2, mode="minimal")
+        m = list(hnn.m_gens)
+        assert folded.count(m) == 1 and "rewriter" not in vars(hnn)
+        member = hnn.membership()
+        assert member.rewriter is hnn.rewriter and hnn.rewriter.graph is hnn.m_graph
+        assert member.in_k(hnn.assoc_concrete[0]) and not member.in_k(word(AB, "a"))
+        assert folded.count(m) == 1
+
+    def test_morphisms_build_no_rewriter(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(stallings.BasisRewriter, "__init__",
+                            lambda *args: built.append(args) or pytest.fail("rewriter built"))
+        data = quotient_morphism(AB, 6, 6, 6, pres("z", ["z^4"]), pres("z", ["z^2"]), rho=2)
+        assert data.extra_abstract and not built
 
     def test_low_exponent_rejected(self):
         with pytest.raises(HnnError):

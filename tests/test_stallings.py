@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import random
@@ -469,6 +470,12 @@ def _bfs_tree_parent(g):
     return parent
 
 
+def _tree_as_parents(g, tree):
+    """The tree of ``fibre_facts`` (the letter into each vertex) as
+    (parent, letter into v) at each vertex v, None at the basepoint."""
+    return [(g.out[v][-s], s) if v else None for v, s in enumerate(tree)]
+
+
 def _reference_nontree_edges(g, parent):
     """Every edge (u, s, v), s > 0, that is not an edge of the tree ``parent``, sorted."""
     return sorted((v, s, t) for v, d in enumerate(g.out) for s, t in d.items()
@@ -482,8 +489,9 @@ class TestSpanningTree:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(_folded_graphs(1, 8), _chain_graphs(), _looped_graphs(), _shared_source_graphs()))
     def test_matches_bfs(self, g):
-        masks, groups, sources, parent, nontree = g.fibre_facts()
-        assert parent == _bfs_tree_parent(g)
+        masks, groups, sources, tree, nontree = g.fibre_facts()
+        parent = _bfs_tree_parent(g)
+        assert _tree_as_parents(g, tree) == parent
         assert nontree == _reference_nontree_edges(g, parent)
         assert len(nontree) == g.rank()
         assert masks == [sum(1 << ord(LETTER_UNIT[s]) for s in d) for d in g.out]
@@ -501,7 +509,7 @@ class TestSpanningTree:
 
         g = build_and_fold(AB, list(seed_words_triangle(AB, 8).pair))
         parent = _bfs_tree_parent(g)
-        assert g.fibre_facts().parent == parent
+        assert _tree_as_parents(g, g.fibre_facts().tree) == parent
         assert g.fibre_facts().nontree == _reference_nontree_edges(g, parent)
         assert same_subgroup(build_and_fold(AB, basis(g)), g)
 
@@ -770,6 +778,69 @@ class TestWitnessCorpus:
         rows = list(self._corpus())
         assert len(rows) == 3000 and sum(1 for r in rows if r[2]) == 1035
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.DIGEST
+
+
+def _corpus_maker():
+    """tests/fixtures/make_stallings_corpus.py, imported by path."""
+    import importlib.util
+
+    path = Path(__file__).parent / "fixtures" / "make_stallings_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_stallings_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPinnedCorpus:
+    """Folds, bases, fibre-product facts and witnesses on the seeded corpus
+    of ``tests/fixtures/stallings_corpus.json``, recomputed from its words
+    and compared case by case."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads((Path(__file__).parent / "fixtures" / "stallings_corpus.json").read_text())
+
+    def test_small_cases(self, pinned):
+        maker = _corpus_maker()
+        cases = pinned["small"]
+        assert len(cases) == 300 and sum(1 for c in cases if c["self"][3]) == 62
+        assert sum(1 for c in cases if c["cross"][3]) == 78
+        for names, _count in maker.SMALL:
+            mine = [c for c in cases if c["alphabet"] == names]
+            rows = json.loads(json.dumps(maker.small_rows(names, [c["words"] for c in mine])))
+            for want, got in zip(mine, rows):
+                assert got == want, want["words"]
+
+    def test_paper_cases(self, pinned):
+        rows = json.loads(json.dumps(_corpus_maker().paper_rows()))
+        assert [r["name"] for r in rows] == [r["name"] for r in pinned["paper"]]
+        for want, got in zip(pinned["paper"], rows):
+            assert got == want, want["name"]
+
+
+class TestFoldGuards:
+    def test_disconnected_graph_refused(self):
+        # two vertices, each with a loop, and no edge between them
+        out = [{LETTER_UNIT[1]: 0, LETTER_UNIT[-1]: 0}, {LETTER_UNIT[2]: 1, LETTER_UNIT[-2]: 1}]
+        with pytest.raises(StallingsError, match="not connected"):
+            stallings._canonicalize(AB, out, 0, 2)
+
+    def test_connected_graph_renumbered(self):
+        out = [{LETTER_UNIT[1]: 1}, {LETTER_UNIT[-1]: 0, LETTER_UNIT[2]: 1, LETTER_UNIT[-2]: 1}]
+        g = stallings._canonicalize(AB, out, 0, 2)
+        assert g.out == [{1: 1}, {-1: 0, 2: 1, -2: 1}]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_overlapping_gens())
+    def test_basis_words_are_reduced_as_spelled(self, case):
+        # basis() builds its words without reducing them
+        alpha, gens = case
+        g = build_and_fold(alpha, gens)
+        words = basis(g)
+        assert len(words) == g.rank()
+        for b in words:
+            assert b.letters == free_reduce_letters(b.letters) and b
+            assert g.contains(b)
 
 
 class TestMalnormality:
