@@ -9,9 +9,9 @@ Fibre products of folded graphs decide malnormality and
 conjugate-intersection questions.
 
 Each folded graph has one spanning tree, its BFS tree from the basepoint,
-read off ``out`` in one pass together with what a fibre product needs
-(:meth:`SubgroupGraph.fibre_facts`).  Free bases, witnesses, basis
-rewriting and the fibre-product search all use that tree.
+recorded by the walk that numbers the vertices together with what a fibre
+product needs (:meth:`SubgroupGraph.fibre_facts`).  Free bases, witnesses,
+basis rewriting and the fibre-product search all use that tree.
 
 A fibre product is never built whole.  A cycle in it projects to a closed
 non-backtracking walk in each folded factor, and every such walk crosses a
@@ -63,7 +63,17 @@ class WitnessError(StallingsError):
 
 
 class FibreFacts(NamedTuple):
-    """See :meth:`SubgroupGraph.fibre_facts`."""
+    """A folded graph's one spanning tree, its BFS tree from the basepoint,
+    and what a fibre product reads off it: ``masks``, the mask of each
+    vertex (bit c for each label leaving it whose code unit has ordinal c);
+    ``groups``, the vertices grouped by mask, in increasing order;
+    ``sources``, at each vertex where non-tree edges are recorded, the bits
+    of their labels read from it; ``tree``, the signed letter of the tree
+    edge into each vertex, 0 at the basepoint (the parent of v is
+    ``out[v][-tree[v]]``); and ``nontree``, the non-tree edges (u, s, v),
+    s > 0, sorted.  A non-tree edge is recorded for the fibre product once:
+    at its higher end, or by its positive label for a loop.
+    :func:`_canonicalize` builds them while it numbers the vertices."""
     masks: list[int]
     groups: dict[int, list[int]]
     sources: dict[int, int]
@@ -85,12 +95,12 @@ class SubgroupGraph:
 
     __slots__ = ("alphabet", "out", "_table", "_chains", "_fibre")
 
-    def __init__(self, alpha: Alphabet, out: list[dict[int, int]]):
+    def __init__(self, alpha: Alphabet, out: list[dict[int, int]], fibre: FibreFacts):
         self.alphabet = alpha
         self.out = out
         self._table = None
         self._chains = None
-        self._fibre = None
+        self._fibre = fibre
 
     # -- size & invariants ---------------------------------------------------
     @property
@@ -117,49 +127,7 @@ class SubgroupGraph:
         return self._table
 
     def fibre_facts(self) -> FibreFacts:
-        """The graph's one spanning tree, and what a fibre product reads off
-        it, built once in one pass over ``out``: ``masks``, the mask of each
-        vertex (bit c for each label leaving it whose code unit has ordinal
-        c); ``groups``, the vertices grouped by mask, in increasing order;
-        ``sources``, at each vertex where non-tree edges are recorded, the
-        bits of their labels read from it; ``tree``, the signed letter of the
-        tree edge into each vertex, 0 at the basepoint (the parent of v is
-        ``out[v][-tree[v]]``); and ``nontree``, the non-tree edges (u, s, v),
-        s > 0, sorted.
-
-        Vertices are numbered in BFS order and each row is in signed-letter
-        order (``_canonicalize``), so the BFS parent of a vertex is the source
-        of the first edge into it in vertex-then-row order: the edge whose
-        target is the next vertex not yet reached.  A non-tree edge is
-        recorded for the fibre product once: at its higher end, or by its
-        positive label for a loop."""
-        if self._fibre is None:
-            bits = _bits(len(self.alphabet.names))
-            masks = []
-            groups: dict[int, list[int]] = {}
-            sources: dict[int, int] = {}
-            tree = [0]
-            edges = []
-            reached = 1
-            for v, d in enumerate(self.out):
-                back = -tree[v]  # the label of v's tree edge, read from v
-                m = nontree = 0
-                for s, w in d.items():
-                    bit = bits[s]
-                    m |= bit
-                    if w == reached:
-                        tree.append(s)
-                        reached += 1
-                    elif s != back:
-                        if s > 0:
-                            edges.append((v, s, w))
-                        if w < v or (w == v and s > 0):
-                            nontree |= bit
-                masks.append(m)
-                groups.setdefault(m, []).append(v)
-                if nontree:
-                    sources[v] = nontree
-            self._fibre = FibreFacts(masks, groups, sources, tree, edges)
+        """The spanning tree and fibre-product facts (:class:`FibreFacts`)."""
         return self._fibre
 
     def chains(self) -> Optional[list[Optional[dict[str, tuple[str, int]]]]]:
@@ -420,48 +388,60 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
 
 
 @cache
-def _bits(n: int) -> tuple[int, ...]:
-    """The mask bit of each signed letter over n generators, indexed by the
-    letter: bit c for the letter whose code unit has ordinal c.  A negative
-    letter indexes from the end, past the positive ones."""
-    bits = [0] * (2 * n + 1)
-    for i in range(1, n + 1):
-        bits[i], bits[-i] = 1 << 2 * i - 2, 1 << 2 * i - 1
-    return tuple(bits)
-
-
-@cache
-def _labels(n: int) -> tuple[tuple[str, int], ...]:
-    """(code unit, signed letter) over n generators, in signed-letter order."""
-    return tuple(zip(map(chr, range(2 * n)), signed_letters(n)))
+def _labels(n: int) -> tuple[tuple[str, int, int], ...]:
+    """(code unit, signed letter, mask bit) over n generators, in
+    signed-letter order."""
+    return tuple((chr(c), x, 1 << c) for c, x in enumerate(signed_letters(n)))
 
 
 def _canonicalize(alpha: Alphabet, out: list[Optional[dict[str, int]]], bp: int, alive: int) -> SubgroupGraph:
     """BFS renumbering from the basepoint with fixed signed-label order; the
     labels go from code units to signed letters on the way.  ``alive`` is
     the number of vertices the BFS must reach.  Each row of ``out`` is
-    dropped once read, so the graph's rows reuse its memory."""
+    dropped once read, so the graph's rows reuse its memory.
+
+    The same walk gives the graph's :class:`FibreFacts`: the edge by which
+    the BFS first reaches a vertex is its tree edge, and every other edge at
+    vertex i, save the reverse of i's own tree edge, is a non-tree edge."""
     labels = _labels(len(alpha.names))
     number = [-1] * len(out)
     number[bp] = 0
     order = [bp]
     new_out = []
-    for v in order:
+    masks = []
+    groups: dict[int, list[int]] = {}
+    sources: dict[int, int] = {}
+    tree = [0]
+    edges = []
+    for i, v in enumerate(order):
         d = out[v]
         out[v] = None
         row = {}
-        for s, x in labels:
+        back = -tree[i]  # the label of i's tree edge, read from i
+        m = nontree = 0
+        for s, x, bit in labels:
             w = d.get(s)
             if w is not None:
+                m |= bit
                 k = number[w]
                 if k < 0:
                     k = number[w] = len(order)
                     order.append(w)
+                    tree.append(x)
+                elif x != back:
+                    if x > 0:
+                        edges.append((i, x, k))
+                    if k < i or (k == i and x > 0):
+                        nontree |= bit
                 row[x] = k
         new_out.append(row)
+        masks.append(m)
+        groups.setdefault(m, []).append(i)
+        if nontree:
+            sources[i] = nontree
     if len(order) != alive:
         raise StallingsError("subgroup graph is not connected")
-    return SubgroupGraph(alpha, new_out)
+    return SubgroupGraph(alpha, new_out, FibreFacts(masks, groups, sources, tree, edges))
 
 
 def basis(g: SubgroupGraph) -> list[Word]:
@@ -663,10 +643,10 @@ def _far_ends_meet(g: SubgroupGraph, h: SubgroupGraph, seeds):
     least two labels."""
     mg, _groups, sources = g.fibre_facts()[:3]
     mh = h.fibre_facts().masks
-    bit = _bits(len(g.alphabet.names))
     for u, vs in seeds:
         bits = sources[u]
-        ends = [(s, mg[w]) for s, w in g.out[u].items() if bits & bit[s]]
+        ends = [(s, mg[w]) for s, w in g.out[u].items()
+                if bits >> (2 * s - 2 if s > 0 else -2 * s - 1) & 1]
         for v in vs:
             dv = h.out[v]
             for s, m in ends:
@@ -687,9 +667,9 @@ class _FibreAnalysis:
     vertex.  A component is a forest exactly when its edge count is one
     less than its vertex count.  ``explored`` is the number of pairs the
     search visited, a self-product's diagonal counted as visited.
-    ``failing_root`` is the least pair of the least
-    component that is not a forest, and ``failing_nondiag_root`` that of
-    the least one off the diagonal; each is None when there is none.
+    ``failing_root`` is the least pair of the least component that is not
+    a forest, and ``failing_nondiag_root`` that of the least one off the
+    diagonal; each is None when there is none.
     :meth:`witness` reads a witness off either.
     """
 
