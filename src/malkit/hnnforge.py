@@ -428,6 +428,10 @@ class BrittonWord:
 def britton_word(H: HnnPresentation, segments: Sequence[Word], exponents: Sequence[int]) -> BrittonWord:
     if len(segments) != len(exponents) + 1:
         raise HnnError("need one more base segment than stable letters")
+    if any(e not in (1, -1) for e in exponents):
+        raise HnnError(f"stable letter exponents must be 1 or -1, not {list(exponents)}")
+    if any(w.alphabet != H.base_alphabet for w in segments):
+        raise HnnError("a base segment is not over the base alphabet")
     return BrittonWord(segments[0], tuple(zip(exponents, segments[1:])))
 
 
@@ -453,7 +457,15 @@ class _KMembership:
       subgroup that is not normal fails the guard.
 
     That reading hn in the free group decides whether h lies in the image
-    of K in the triangle group is not argued here."""
+    of K in the triangle group is not argued here.
+
+    A pinch needs phi(h) for the h just found in K.  When h is Dehn-reduced
+    as written (hn and h have one code), h is the substitution of w in the
+    free group, and phi is a homomorphism of the free group, so phi(h) is
+    the product of the phi-images of w's family words; free reduction is
+    unique, so its code is the one letter-by-letter substitution gives.
+    :meth:`phi_k` reads it off w's memoised spelling; other words are
+    substituted letter by letter."""
 
     def __init__(self, H: HnnPresentation):
         if build_and_fold(H.hat_alphabet, list(H.assoc_abstract)).table() != H.table.table:
@@ -466,28 +478,47 @@ class _KMembership:
         # (slot, sign) of a family basis letter -> the code unit of its hat letter
         self._hat_unit = {(slot, sign): LETTER_UNIT[sign * (H.hat_alphabet.index(nm) + 1)]
                           for nm, slot in H.hat.slots.items() for sign in (1, -1)}
+        # hat code unit -> phi of its family word
+        self._phi_images = images_by_unit([apply_endo(H.phi, H.m_word(nm)).code for nm in H.hat_alphabet.names])
         self._k_memo: dict = {}
-        self._phi_k_memo: dict = {}
+        self._spelled: dict = {}   # code of a Dehn-reduced word in K -> its hat code
+        self._phi_k_memo: dict = {}  # code -> (in phi(K), its phi^-1 image when it is)
 
     def in_k(self, h: Word) -> bool:
         cached = self._k_memo.get(h.code)
         if cached is None:
-            cached = self._k_memo[h.code] = self.k_coset(h)[1] == 1
+            hn, abstract, coset = self.k_coset(h)
+            cached = self._k_memo[h.code] = coset == 1
+            if cached and hn.code == h.code:
+                self._spelled[h.code] = abstract.code
         return cached
+
+    def phi_k(self, k: Word) -> Word:
+        """phi(k) for a word that :meth:`in_k` has put in K."""
+        spelled = self._spelled.get(k.code)
+        if spelled is None:
+            return apply_endo(self.H.phi, k)
+        return Word.from_code(self.H.base_alphabet, code_product(map(self._phi_images.__getitem__, spelled)))
 
     def in_phi_k(self, h: Word) -> bool:
         cached = self._phi_k_memo.get(h.code)
         if cached is None:
-            cached = self.in_k(apply_endo(self.phi_inv, h))
-            self._phi_k_memo[h.code] = cached
-        return cached
+            image = apply_endo(self.phi_inv, h)
+            inside = self.in_k(image)
+            cached = self._phi_k_memo[h.code] = (inside, image if inside else None)
+        return cached[0]
 
-    def k_coset(self, h: Word) -> tuple[Word, Optional[int]]:
-        """h Dehn-reduced, and the coset of K that its image reaches in the
-        padded quotient: 1 for K itself, None when h lies outside M."""
+    def unphi_k(self, h: Word) -> Word:
+        """phi^-1(h) for a word that :meth:`in_phi_k` has put in phi(K)."""
+        return self._phi_k_memo[h.code][1]
+
+    def k_coset(self, h: Word) -> tuple[Word, Optional[Word], Optional[int]]:
+        """h Dehn-reduced, its hat spelling, and the coset of K that the
+        spelling reaches in the padded quotient: 1 for K itself; the last
+        two are None when h lies outside M."""
         hn = dehn_reduce(self.rs, h)
         abstract = self.abstract_image(hn)
-        return hn, None if abstract is None else self.H.table.image_in_quotient(abstract)
+        return hn, abstract, None if abstract is None else self.H.table.image_in_quotient(abstract)
 
     def abstract_image(self, hn: Word) -> Optional[Word]:
         """The hat-alphabet spelling of a normalised element of M, or None."""
@@ -512,9 +543,9 @@ def britton_reduce(H: HnnPresentation, bw: BrittonWord) -> tuple[BrittonWord, li
     nontrivial in the extension.  Requires a finite padded quotient."""
     member = H.membership()
     # (e1, e2) -> the kind of the pinch t^e1 h t^e2, the membership test of
-    # h, and the map that removes the two stable letters
-    rules = {(1, -1): ("t k t^-1", member.in_k, H.phi),
-             (-1, 1): ("t^-1 phi(k) t", member.in_phi_k, member.phi_inv)}
+    # h, and the map, read off that test, that removes the two stable letters
+    rules = {(1, -1): ("t k t^-1", member.in_k, member.phi_k),
+             (-1, 1): ("t^-1 phi(k) t", member.in_phi_k, member.unphi_k)}
     segs = [bw.head] + [w for _, w in bw.tail]
     eps = [e for e, _ in bw.tail]
     log: list[PinchStep] = []
@@ -523,11 +554,11 @@ def britton_reduce(H: HnnPresentation, bw: BrittonWord) -> tuple[BrittonWord, li
             rule = rules.get((eps[idx], eps[idx + 1]))
             if rule is None:
                 continue
-            kind, inside, endo_map = rule
+            kind, inside, unpinch = rule
             mid = segs[idx + 1]
             if inside(mid):
                 log.append(PinchStep(idx, kind, mid))
-                segs[idx] = segs[idx] * apply_endo(endo_map, mid) * segs[idx + 2]
+                segs[idx] = segs[idx] * unpinch(mid) * segs[idx + 2]
                 del segs[idx + 1:idx + 3]
                 del eps[idx:idx + 2]
                 break
@@ -591,7 +622,7 @@ def residual_witness(H: HnnPresentation, bw: BrittonWord) -> ResidualWitness:
             kind, h, group = "t^-1 h t", apply_endo(member.phi_inv, mid), "phi(K)"
         else:
             continue
-        _, coset = member.k_coset(h)
+        coset = member.k_coset(h)[2]
         if coset is None:
             entries.append(WitnessEntry(idx, kind, mid, False))
             continue

@@ -314,8 +314,7 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
     that leaves the forward read by a letter it lacks, so it is laid down
     without a fold; only its closing edge can fold.  The folded graph is
     unique, so this gives the same graph as folding the whole bouquet.
-    Then trims non-basepoint vertices of degree <= 1 and renumbers
-    canonically.
+    Then renumbers canonically.
     """
     for g in gens:
         if g.alphabet is not alpha and g.alphabet != alpha:
@@ -353,37 +352,20 @@ def build_and_fold(alpha: Alphabet, gens: Sequence[Word]) -> SubgroupGraph:
         f.add_edge(v, code[j], u)
     bp = find(0)
     alive = len(adj)
-    stack = []
-    # with no vertex merged away every target is its own representative and
-    # the basepoint is vertex 0; unless another vertex is a leaf, there is
-    # nothing to resolve or trim.  Otherwise one pass over the surviving
-    # vertices resolves each target, counts the vertices, and collects
-    # those of degree <= 1 other than the basepoint for the core trim
-    if None in adj or min(map(len, adj[1:]), default=2) <= 1:
+    # No vertex but the basepoint is a leaf, so there is no core to trim: a
+    # fresh vertex leaves its freely reduced generator by two distinct
+    # labels, the letters on either side of it, and folding only unites
+    # label sets.  With no vertex merged away every target is its own
+    # representative; otherwise one pass over the surviving vertices
+    # resolves each target and counts the vertices
+    if None in adj:
         alive = 0
-        for v, d in enumerate(adj):
+        for d in adj:
             if d is not None:
                 alive += 1
                 for s, t in d.items():
                     if parent[t] != t:
                         d[s] = find(t)
-                if len(d) <= 1 and v != bp:
-                    stack.append(v)
-    # core-trim: drop degree<=1 vertices other than the basepoint.  A vertex
-    # left without edges here lay apart from the basepoint, so it stays
-    # counted and the connectivity check refuses the graph
-    while stack:
-        v = stack.pop()
-        d = adj[v]
-        if not d:
-            continue
-        for s, w in d.items():
-            dw = adj[w]
-            del dw[inverse[s]]
-            if w != bp and len(dw) <= 1:
-                stack.append(w)
-        d.clear()
-        alive -= 1
     return _canonicalize(alpha, adj, bp, alive)
 
 

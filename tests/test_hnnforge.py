@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -409,6 +410,158 @@ class TestBritton:
         assert len(log) == 1 and reduced.stable_count == 2
         member = tp2.membership()
         assert not member.in_k(apply_endo(tp2.phi, z * z))
+
+    # t^2 t^-2 is trivial and t^0 is no stable letter at all: a word with
+    # such exponents was read with no pinch and called nontrivial
+    def test_exponent_two_refused(self, tp2):
+        e = Word(AB, ())
+        with pytest.raises(HnnError, match="1 or -1"):
+            britton_word(tp2, [e, e, e], [2, -2])
+
+    def test_exponent_zero_refused(self, tp2):
+        e = Word(AB, ())
+        with pytest.raises(HnnError, match="1 or -1"):
+            britton_word(tp2, [e, e], [0])
+
+    def test_foreign_segment_refused(self, tp2):
+        # a segment over another alphabet was called nontrivial
+        e = Word(AB, ())
+        with pytest.raises(HnnError, match="base alphabet"):
+            britton_word(tp2, [e, word(alphabet("x y"), "x y"), e], [1, -1])
+
+
+class TestPinchMaps:
+    """A t k t^-1 pinch reads phi(k) off the hat spelling that in_k made,
+    when k is Dehn-reduced as written; a t^-1 h t pinch reuses the phi^-1
+    image that in_phi_k made.  Both give the code of the substitution."""
+
+    @staticmethod
+    def fresh():
+        # membership memoises per extension, so each call-count test
+        # starts from its own
+        H = build_tp(AB, 6, 6, 6, pres("z", ["z^2"]), rho=2, mode="minimal")
+        return H, H.membership()
+
+    def test_corpus_digest(self):
+        # reduced text and pinch log of 180 seeded words over eight built
+        # extensions and one read from a file, pinned from letter-by-letter
+        # substitution at every pinch
+        assert _corpus_digest() == "286402e3f8669818"
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_spelled_phi_is_the_substitution(self, k):
+        H = build_tp(AB, 6, 6, 6, pres("z", [f"z^{k}"]), rho=2, mode="minimal")
+        member = H.membership()
+        spelled = 0
+        for bw in _pinch_corpus(H, k, 20):
+            for h in (w for _, w in bw.tail):
+                if member.in_k(h):
+                    spelled += h.code in member._spelled
+                    assert member.phi_k(h) == apply_endo(H.phi, h)
+        assert spelled >= 8
+
+    def test_unreduced_k_element_falls_back(self):
+        H, member = self.fresh()
+        h = H.assoc_concrete[0] * word(AB, "a^6")
+        assert smallcancel.dehn_reduce(member.rs, h) != h
+        assert member.in_k(h) and h.code not in member._spelled
+        assert member.phi_k(h) == apply_endo(H.phi, h)
+        e = Word(AB, ())
+        reduced, log = britton_reduce(H, britton_word(H, [e, h, e], [1, -1]))
+        assert len(log) == 1 and reduced.head == apply_endo(H.phi, h)
+
+    def counting(self, monkeypatch):
+        calls = []
+
+        def apply(e, w):
+            calls.append(e)
+            return apply_endo(e, w)
+
+        monkeypatch.setattr(hnnforge, "apply_endo", apply)
+        return calls
+
+    def test_reduced_k_pinch_substitutes_nothing(self, monkeypatch):
+        H, member = self.fresh()
+        z = H.m_word("z")
+        calls = self.counting(monkeypatch)
+        e = Word(AB, ())
+        reduced, log = britton_reduce(H, britton_word(H, [e, z * z, e], [1, -1]))
+        assert len(log) == 1 and reduced.head == apply_endo(H.phi, z * z)
+        assert not [c for c in calls if c is H.phi]
+
+    def test_phi_k_pinch_applies_phi_inverse_once(self, monkeypatch):
+        H, member = self.fresh()
+        phi_z2 = apply_endo(H.phi, H.m_word("z") ** 2)
+        calls = self.counting(monkeypatch)
+        e = Word(AB, ())
+        reduced, log = britton_reduce(H, britton_word(H, [e, phi_z2, e], [-1, 1]))
+        assert [p.kind for p in log] == ["t^-1 phi(k) t"] and reduced.head == H.m_word("z") ** 2
+        assert len(calls) == 1 and calls[0] is member.phi_inv
+
+
+def _pinch_corpus(H, seed, count):
+    """Seeded Britton words over ``H``: t K t^-1 and t^-1 phi(K) t pinches,
+    a chain in which the first pinch exposes the second, K elements times a
+    base relator (in K, but not Dehn-reduced as written), and words that do
+    not pinch.  K elements are products of conjugates c u c^-1 of signed
+    kernel generators u by signed family words c."""
+    rng = random.Random(seed)
+    base = H.base_alphabet
+    e = Word(base, ())
+    fam = [g ** s for g in H.m_gens for s in (1, -1)]
+    gens = [u ** s for u in H.assoc_concrete for s in (1, -1)]
+    relator = H.base_relators[0]
+
+    def k_element():
+        h = e
+        for _ in range(rng.randint(1, 2)):
+            c = rng.choice(fam + [e])
+            h = h * c * rng.choice(gens) * c.inverse()
+        return h
+
+    def short():
+        return Word(base, [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 4))])
+
+    out = []
+    for i in range(count):
+        h, phi_h = k_element(), None
+        case = i % 5
+        if case == 0:
+            segs, eps = [short(), h, short()], [1, -1]
+        elif case == 1:
+            segs, eps = [short(), apply_endo(H.phi, h), short()], [-1, 1]
+        elif case == 2:
+            phi_h = apply_endo(H.phi, k_element())
+            segs, eps = [short(), h, short(), phi_h, short()], [1, -1, -1, 1]
+        elif case == 3:
+            segs, eps = [short(), h * relator, short()], [1, -1]
+        else:
+            segs, eps = [short(), rng.choice(fam) * short(), short(), h, short()], [-1, 1, 1, -1]
+        out.append(britton_word(H, segs, eps))
+    return out
+
+
+def _corpus_extensions():
+    from importlib import resources
+
+    from malkit import presfile
+
+    for k in (2, 3, 4, 5):
+        for rho in (2, 8):
+            yield f"z^{k} rho={rho}", build_tp(AB, 6, 6, 6, pres("z", [f"z^{k}"]), rho=rho, mode="minimal")
+    text = resources.files("malkit.fixtures").joinpath("tp_p2.pres").read_text()
+    yield "tp_p2.pres", presfile.parsed_to_hnn(presfile.parse_presentation(text))
+
+
+def _corpus_digest():
+    """sha256 over every corpus word's reduced text and pinch log."""
+    digest = hashlib.sha256()
+    for seed, (name, H) in enumerate(_corpus_extensions()):
+        for bw in _pinch_corpus(H, seed, 20):
+            reduced, log = britton_reduce(H, bw)
+            digest.update(json.dumps([name, reduced.text(H.stable),
+                                      [[p.position, p.kind, list(p.pinched.letters)] for p in log]]).encode())
+    return digest.hexdigest()[:16]
 
 
 class TestMembershipOracle:
