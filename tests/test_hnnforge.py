@@ -5,13 +5,14 @@ import os
 import random
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import malkit
-from malkit import hnnforge, smallcancel, stallings
+from malkit import hnnforge, presfile, smallcancel, stallings
 from malkit.hnnforge import (
     HnnError,
     InputPresentation,
@@ -542,10 +543,6 @@ def _pinch_corpus(H, seed, count):
 
 
 def _corpus_extensions():
-    from importlib import resources
-
-    from malkit import presfile
-
     for k in (2, 3, 4, 5):
         for rho in (2, 8):
             yield f"z^{k} rho={rho}", build_tp(AB, 6, 6, 6, pres("z", [f"z^{k}"]), rho=rho, mode="minimal")
