@@ -262,12 +262,11 @@ def cmd_build_tp(args):
 def cmd_britton(args):
     hnn = presfile.parsed_to_hnn(presfile.parse_presentation(args.hnn))
     reduced, log = hnnforge.britton_reduce(hnn, parse_britton_text(hnn, args.word))
-    trivial = (not reduced.stable_count) and smallcancel.word_problem(hnn.membership().rs, reduced.head)
     return Outcome({
         "verdict": {
             "reduced": reduced.text(hnn.stable),
             "stable_letters": reduced.stable_count,
-            "trivial": trivial,
+            "trivial": hnnforge.britton_trivial(hnn, reduced),
         },
         "pinches": [
             {"position": p.position, "kind": p.kind, "pinched": str(p.pinched)} for p in log
@@ -284,7 +283,7 @@ def parse_britton_text(hnn, text: str):
     base, n = hnn.base_alphabet, len(hnn.base_alphabet)
     code = word(Alphabet(base.names + (hnn.stable,) + hnn.hat_alphabet.names), text).code
     images = images_by_unit([chr(2 * g) for g in range(n)] + [""]
-                            + [hnn.m_word(name).code for name in hnn.hat_alphabet.names])
+                            + [g.code for g in hnn.m_gens])
     parts = re.split(f"([{re.escape(chr(2 * n) + chr(2 * n + 1))}])", code)
     words = [Word.from_code(base, code_product(map(images.__getitem__, seg))) for seg in parts[::2]]
     return hnnforge.britton_word(hnn, words, [1 if t == chr(2 * n) else -1 for t in parts[1::2]])

@@ -26,7 +26,6 @@ from .malchar import rank_n_family, seed_words_triangle, triangle_relators
 from .smallcancel import RelatorSet, dehn_reduce, endo_order_in_quotient, word_problem
 from .stallings import BasisRewriter, SubgroupGraph, build_and_fold, same_subgroup
 from .words import (
-    LETTER_UNIT,
     Alphabet,
     EndomorphismSpec,
     Word,
@@ -65,7 +64,6 @@ def presentation(gens: str, rels: Sequence[str] = ()) -> InputPresentation:
 class HatPresentation:
     presentation: InputPresentation
     padding: tuple[str, ...]       # freshly adjoined killed generators
-    slots: dict                    # generator name -> family index (padding first)
 
 
 def _fresh_names(wanted: Sequence[str], taken: set[str]) -> list[str]:
@@ -91,22 +89,19 @@ def hat_presentation(P: InputPresentation, mode: str = "pq") -> HatPresentation:
     if mode == "pq":
         padding = _fresh_names(["p", "q"], taken)
         new_names = names + padding
-        order = padding + names  # family slots: p, q, then the originals
     elif mode == "minimal":
         padding = []
         pool = iter(["x", "y", "z", "w", "v", "u"])
         while len(names) + len(padding) < 2 or (not P.relators and not padding):
             padding = padding + _fresh_names([next(pool)], taken | set(padding))
         new_names = padding + names
-        order = new_names
     else:
         raise HnnError(f"unknown padding mode {mode!r}")
     alpha = Alphabet(tuple(new_names))
     pad_relators = tuple(word(alpha, p) for p in padding)
     old_relators = tuple(_respell(r, alpha) for r in P.relators)
     relators = (pad_relators + old_relators) if mode == "minimal" else (old_relators + pad_relators)
-    slots = {name: idx for idx, name in enumerate(order)}
-    return HatPresentation(InputPresentation(alpha, relators), tuple(padding), slots)
+    return HatPresentation(InputPresentation(alpha, relators), tuple(padding))
 
 
 def _respell(w: Word, dst: Alphabet) -> Word:
@@ -125,7 +120,7 @@ class HnnPresentation:
     phi: EndomorphismSpec
     phi_order: int
     hat: HatPresentation
-    m_gens: tuple[Word, ...]            # concrete family words, slot order
+    m_gens: tuple[Word, ...]            # concrete family words, hat-alphabet order
     assoc_abstract: tuple[Word, ...]    # kernel generators over the hat alphabet
     table: Optional[CosetTable]         # hat quotient, when finite
     truncated: Optional[int] = None     # truncation depth of a parametric family
@@ -135,11 +130,11 @@ class HnnPresentation:
         return self.hat.presentation.alphabet
 
     def m_word(self, name: str) -> Word:
-        return self.m_gens[self.hat.slots[name]]
+        return self.m_gens[self.hat_alphabet.index(name)]
 
     @cached_property
     def _m_images(self) -> dict[str, str]:
-        return images_by_unit([self.m_word(name).code for name in self.hat_alphabet.names])
+        return images_by_unit([g.code for g in self.m_gens])
 
     def substitute(self, abstract: Word) -> Word:
         """Spell a hat-alphabet word through the concrete family words."""
@@ -224,7 +219,8 @@ def build_tp(
         raise HnnError(f"padded generator names {clash} collide with the base generators or the stable letter t")
     n = len(hat_alpha)
     family = rank_n_family(seed_words_triangle(alpha, rho), n, r=rels)
-    m_by_slot = tuple(family.words[s] for s in range(n))
+    # the padding takes the first family words, then the original generators
+    by_name = dict(zip(hat.padding + P.alphabet.names, family.words))
 
     outcome = (None if _maps_onto_z(hat.presentation)
                else todd_coxeter(hat_alpha, hat.presentation.relators, (), max_cosets))
@@ -244,7 +240,7 @@ def build_tp(
         phi=phi,
         phi_order=order,
         hat=hat,
-        m_gens=m_by_slot,
+        m_gens=tuple(map(by_name.__getitem__, hat_alpha.names)),
         assoc_abstract=abstract,
         table=table,
         truncated=truncated,
@@ -465,7 +461,8 @@ class _KMembership:
     the product of the phi-images of w's family words; free reduction is
     unique, so its code is the one letter-by-letter substitution gives.
     :meth:`phi_k` reads it off w's memoised spelling; other words are
-    substituted letter by letter."""
+    substituted letter by letter.  A pinch t^-1 h t tests phi^-1(h), which
+    :meth:`unphi` memoises."""
 
     def __init__(self, H: HnnPresentation):
         if build_and_fold(H.hat_alphabet, list(H.assoc_abstract)).table() != H.table.table:
@@ -475,23 +472,28 @@ class _KMembership:
         self.rewriter = H.rewriter
         self.rs = H.base_relator_set()
         self.phi_inv = endo_power(H.phi, H.phi_order - 1)
-        # (slot, sign) of a family basis letter -> the code unit of its hat letter
-        self._hat_unit = {(slot, sign): LETTER_UNIT[sign * (H.hat_alphabet.index(nm) + 1)]
-                          for nm, slot in H.hat.slots.items() for sign in (1, -1)}
         # hat code unit -> phi of its family word
-        self._phi_images = images_by_unit([apply_endo(H.phi, H.m_word(nm)).code for nm in H.hat_alphabet.names])
-        self._k_memo: dict = {}
+        self._phi_images = images_by_unit([apply_endo(H.phi, g).code for g in H.m_gens])
+        self._cosets: dict = {}    # code -> its coset of K, None outside M
         self._spelled: dict = {}   # code of a Dehn-reduced word in K -> its hat code
-        self._phi_k_memo: dict = {}  # code -> (in phi(K), its phi^-1 image when it is)
+        self._unphi: dict = {}     # code -> its phi^-1 image
 
     def in_k(self, h: Word) -> bool:
-        cached = self._k_memo.get(h.code)
-        if cached is None:
-            hn, abstract, coset = self.k_coset(h)
-            cached = self._k_memo[h.code] = coset == 1
-            if cached and hn.code == h.code:
-                self._spelled[h.code] = abstract.code
-        return cached
+        return self.k_coset(h) == 1
+
+    def k_coset(self, h: Word) -> Optional[int]:
+        """The coset of K that h's hat spelling reaches in the padded
+        quotient, 1 for K itself; None when h lies outside M.  Memoised by
+        code, with the spelling that :meth:`phi_k` reads when h is in K and
+        Dehn-reduced as written."""
+        if h.code in self._cosets:
+            return self._cosets[h.code]
+        hn = dehn_reduce(self.rs, h)
+        abstract = self.abstract_image(hn)
+        coset = self._cosets[h.code] = None if abstract is None else self.H.table.image_in_quotient(abstract)
+        if coset == 1 and hn.code == h.code:
+            self._spelled[h.code] = abstract.code
+        return coset
 
     def phi_k(self, k: Word) -> Word:
         """phi(k) for a word that :meth:`in_k` has put in K."""
@@ -500,33 +502,26 @@ class _KMembership:
             return apply_endo(self.H.phi, k)
         return Word.from_code(self.H.base_alphabet, code_product(map(self._phi_images.__getitem__, spelled)))
 
-    def in_phi_k(self, h: Word) -> bool:
-        cached = self._phi_k_memo.get(h.code)
-        if cached is None:
-            image = apply_endo(self.phi_inv, h)
-            inside = self.in_k(image)
-            cached = self._phi_k_memo[h.code] = (inside, image if inside else None)
-        return cached[0]
-
-    def unphi_k(self, h: Word) -> Word:
-        """phi^-1(h) for a word that :meth:`in_phi_k` has put in phi(K)."""
-        return self._phi_k_memo[h.code][1]
-
-    def k_coset(self, h: Word) -> tuple[Word, Optional[Word], Optional[int]]:
-        """h Dehn-reduced, its hat spelling, and the coset of K that the
-        spelling reaches in the padded quotient: 1 for K itself; the last
-        two are None when h lies outside M."""
-        hn = dehn_reduce(self.rs, h)
-        abstract = self.abstract_image(hn)
-        return hn, abstract, None if abstract is None else self.H.table.image_in_quotient(abstract)
+    def unphi(self, h: Word) -> Word:
+        """phi^-1(h), memoised by code."""
+        image = self._unphi.get(h.code)
+        if image is None:
+            image = self._unphi[h.code] = apply_endo(self.phi_inv, h)
+        return image
 
     def abstract_image(self, hn: Word) -> Optional[Word]:
-        """The hat-alphabet spelling of a normalised element of M, or None."""
-        pairs = self.rewriter.rewrite(hn)
-        if pairs is None:
-            return None
-        # the pairs spell a reduced word, and letters map to letters
-        return Word.from_code(self.H.hat_alphabet, "".join(map(self._hat_unit.__getitem__, pairs)))
+        """The hat-alphabet spelling of a normalised element of M, or None:
+        symbol k of its rewriting is family word k, the image of hat letter k."""
+        code = self.rewriter.rewrite(hn)
+        return None if code is None else Word.from_code(self.H.hat_alphabet, code)
+
+
+# (e1, e2) -> for a subword t^e1 h t^e2: the kind of its Britton pinch, the
+# kind of its residual witness entry, and the subgroup h lies in when it
+# pinches.  Either way the pinch asks whether k is in K, with k = h for
+# t h t^-1 and k = phi^-1(h) for t^-1 h t; it then leaves phi(k) or k.
+_PINCHES = {(1, -1): ("t k t^-1", "t h t^-1", "K"),
+            (-1, 1): ("t^-1 phi(k) t", "t^-1 h t", "phi(K)")}
 
 
 @dataclass
@@ -542,23 +537,20 @@ def britton_reduce(H: HnnPresentation, bw: BrittonWord) -> tuple[BrittonWord, li
     The result is Britton-reduced: with any stable letters left it is
     nontrivial in the extension.  Requires a finite padded quotient."""
     member = H.membership()
-    # (e1, e2) -> the kind of the pinch t^e1 h t^e2, the membership test of
-    # h, and the map, read off that test, that removes the two stable letters
-    rules = {(1, -1): ("t k t^-1", member.in_k, member.phi_k),
-             (-1, 1): ("t^-1 phi(k) t", member.in_phi_k, member.unphi_k)}
     segs = [bw.head] + [w for _, w in bw.tail]
     eps = [e for e, _ in bw.tail]
     log: list[PinchStep] = []
     while True:
         for idx in range(len(eps) - 1):
-            rule = rules.get((eps[idx], eps[idx + 1]))
-            if rule is None:
+            pinch = _PINCHES.get((eps[idx], eps[idx + 1]))
+            if pinch is None:
                 continue
-            kind, inside, unpinch = rule
             mid = segs[idx + 1]
-            if inside(mid):
-                log.append(PinchStep(idx, kind, mid))
-                segs[idx] = segs[idx] * unpinch(mid) * segs[idx + 2]
+            down = eps[idx] == 1
+            k = mid if down else member.unphi(mid)
+            if member.in_k(k):
+                log.append(PinchStep(idx, pinch[0], mid))
+                segs[idx] = segs[idx] * (member.phi_k(k) if down else k) * segs[idx + 2]
                 del segs[idx + 1:idx + 3]
                 del eps[idx:idx + 2]
                 break
@@ -615,14 +607,13 @@ def residual_witness(H: HnnPresentation, bw: BrittonWord) -> ResidualWitness:
     eps = [e for e, _ in bw.tail]
     segs = [w for _, w in bw.tail]
     for idx in range(len(eps) - 1):
-        mid = segs[idx]
-        if eps[idx] == 1 and eps[idx + 1] == -1:
-            kind, h, group = "t h t^-1", mid, "K"
-        elif eps[idx] == -1 and eps[idx + 1] == 1:
-            kind, h, group = "t^-1 h t", apply_endo(member.phi_inv, mid), "phi(K)"
-        else:
+        pinch = _PINCHES.get((eps[idx], eps[idx + 1]))
+        if pinch is None:
             continue
-        coset = member.k_coset(h)[2]
+        _, kind, group = pinch
+        mid = segs[idx]
+        # britton_reduce has just asked this, so both reads are memoised
+        coset = member.k_coset(mid if eps[idx] == 1 else member.unphi(mid))
         if coset is None:
             entries.append(WitnessEntry(idx, kind, mid, False))
             continue

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .cosetenum import Overflow, todd_coxeter
 from .hnnforge import HatPresentation, HnnError, HnnPresentation, InputPresentation
-from .smallcancel import RelatorSet, endo_order_in_quotient
+from .smallcancel import RelatorSet, SmallCancelError, endo_order_in_quotient
 from .words import Alphabet, EndomorphismSpec, Word, WordError, format_word, parse_word_list, word
 
 
@@ -188,7 +188,7 @@ def hnn_to_parsed(hnn) -> ParsedPresentation:
         relators=tuple(hnn.base_relators),
         stable=hnn.stable,
         mgens_alphabet=hnn.hat_alphabet,
-        mgen_words=tuple(hnn.m_word(n) for n in hnn.hat_alphabet.names),
+        mgen_words=hnn.m_gens,
         assoc=hnn.assoc_abstract,
         endo_images=tuple(hnn.phi.images),
     )
@@ -206,16 +206,15 @@ def parsed_to_hnn(parsed: ParsedPresentation):
     hat_alpha = parsed.mgens_alphabet
     phi = EndomorphismSpec(base_alpha, list(parsed.endo_images))
     rs = RelatorSet(base_alpha, parsed.relators)
-    order = endo_order_in_quotient(rs, phi, 6)
+    try:
+        order = endo_order_in_quotient(rs, phi, 6)
+    except SmallCancelError as e:  # relators Dehn's algorithm cannot use, or an endo that breaks one
+        raise HnnError(f"base relators and endo section: {e}") from None
     if order is None:
         raise HnnError("endo section does not define a finite-order automorphism")
     outcome = todd_coxeter(hat_alpha, list(parsed.assoc), ())
     table = None if isinstance(outcome, Overflow) else outcome
-    hat = HatPresentation(
-        InputPresentation(hat_alpha, tuple(parsed.assoc)),
-        padding=(),
-        slots={n: i for i, n in enumerate(hat_alpha.names)},
-    )
+    hat = HatPresentation(InputPresentation(hat_alpha, tuple(parsed.assoc)), padding=())
     return HnnPresentation(
         base_alphabet=base_alpha,
         base_relators=tuple(parsed.relators),

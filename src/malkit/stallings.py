@@ -561,9 +561,9 @@ class BasisRewriter:
             expr[abs(sym) - 1] = e if sym > 0 else invert_code(e)
         return expr  # type: ignore[return-value]
 
-    def rewrite(self, w: Word) -> Optional[list[tuple[int, int]]]:
-        """``w`` as a reduced word over the generators: list of
-        (generator index, sign); None if w is not in the subgroup."""
+    def rewrite(self, w: Word) -> Optional[str]:
+        """``w`` as a reduced word over the generators, a code whose symbol
+        k is generator k; None if w is not in the subgroup."""
         cw = self._crossing(w)
         if cw is None:
             return None
@@ -571,7 +571,7 @@ class BasisRewriter:
         # verify by substitution
         if code_product(map(self._gen_codes.__getitem__, out)) != w.code:
             raise StallingsError("internal rewriting verification failed")
-        return [(abs(t) - 1, 1 if t > 0 else -1) for t in decode_letters(out)]
+        return out
 
 
 # -- fibre products ------------------------------------------------------------

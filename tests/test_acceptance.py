@@ -427,7 +427,7 @@ def test_criterion_10_britton_vs_brute_force():
                     pinch = None
                     if eps[idx] == 1 and eps[idx + 1] == -1 and member.in_k(mid):
                         pinch = apply_endo(hnn.phi, mid)
-                    elif eps[idx] == -1 and eps[idx + 1] == 1 and member.in_phi_k(mid):
+                    elif eps[idx] == -1 and eps[idx + 1] == 1 and member.in_k(member.unphi(mid)):
                         pinch = apply_endo(member.phi_inv, mid)
                     if pinch is not None:
                         new_segs = (

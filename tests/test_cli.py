@@ -343,6 +343,19 @@ class TestCli:
         assert code == 2
         assert "x, z^2" in out["refusal"] and "internal" not in out["refusal"]
 
+    @pytest.mark.parametrize("section, line, reason", [
+        ("rels:", "rels: a^2, b^3, (a b)^7", "not Dehn-admissible"),
+        ("endo:", "endo: a -> a; b -> a b", "does not preserve relators"),
+    ])
+    def test_britton_refuses_base_it_cannot_read(self, capsys, tmp_path, section, line, reason):
+        # relators Dehn's algorithm cannot use, or an endo that breaks a
+        # relator, are the file's fault: a refusal, as a non-normal assoc is
+        lines = resources.files("malkit.fixtures").joinpath("tp_p2.pres").read_text().splitlines()
+        path = tmp_path / "bad_base.hnn"
+        path.write_text("\n".join(line if ln.startswith(section) else ln for ln in lines) + "\n")
+        code, out = run_cli(capsys, "britton", "--hnn", str(path), "--word", "t a t^-1")
+        assert code == 2 and reason in out["refusal"]
+
     def test_reproduce_counterexample(self, capsys):
         code, out = run_cli(capsys, "reproduce", "counterexample-cmt4")
         assert code == 0 and out["verdict"] == "pass"

@@ -47,7 +47,15 @@ class TestHatPresentation:
         hat = hat_presentation(pres("z", ["z^3"]), "pq")
         assert hat.presentation.alphabet.names == ("z", "p", "q")
         assert [str(r) for r in hat.presentation.relators] == ["z^3", "p", "q"]
-        assert hat.slots == {"p": 0, "q": 1, "z": 2}
+
+    def test_pq_mode_padding_takes_the_first_family_words(self):
+        # pq is the one mode whose hat order (z, p, q) is not the family order
+        from malkit.malchar import rank_n_family, seed_words_triangle
+
+        hnn = build_tp(AB, 6, 6, 6, pres("z", ["z^3"]), rho=2, mode="pq")
+        family = rank_n_family(seed_words_triangle(AB, 2), 3, r=hnn.base_relators).words
+        assert [hnn.m_word(n) for n in ("p", "q", "z")] == list(family[:3])
+        assert hnn.m_gens == tuple(map(hnn.m_word, hnn.hat_alphabet.names))
 
     def test_minimal_mode_one_padding(self):
         hat = hat_presentation(pres("z", ["z^3"]), "minimal")
@@ -434,7 +442,7 @@ class TestBritton:
 class TestPinchMaps:
     """A t k t^-1 pinch reads phi(k) off the hat spelling that in_k made,
     when k is Dehn-reduced as written; a t^-1 h t pinch reuses the phi^-1
-    image that in_phi_k made.  Both give the code of the substitution."""
+    image that unphi memoised.  Both give the code of the substitution."""
 
     @staticmethod
     def fresh():
@@ -447,7 +455,13 @@ class TestPinchMaps:
         # reduced text and pinch log of 180 seeded words over eight built
         # extensions and one read from a file, pinned from letter-by-letter
         # substitution at every pinch
-        assert _corpus_digest() == "286402e3f8669818"
+        assert _corpus_digest(_corpus_extensions()) == "286402e3f8669818"
+
+    def test_pq_corpus_digest(self):
+        # the same corpus over the pq extensions, where the hat order
+        # (z, p, q) is not the family order (p, q, z); pinned when m_gens
+        # were still kept in family order
+        assert _corpus_digest(_pq_extensions()) == "1ab5e61d5cea0c9d"
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_spelled_phi_is_the_substitution(self, k):
@@ -550,10 +564,15 @@ def _corpus_extensions():
     yield "tp_p2.pres", presfile.parsed_to_hnn(presfile.parse_presentation(text))
 
 
-def _corpus_digest():
+def _pq_extensions():
+    for k in (2, 3, 4, 5):
+        yield f"pq z^{k} rho=2", build_tp(AB, 6, 6, 6, pres("z", [f"z^{k}"]), rho=2, mode="pq")
+
+
+def _corpus_digest(extensions):
     """sha256 over every corpus word's reduced text and pinch log."""
     digest = hashlib.sha256()
-    for seed, (name, H) in enumerate(_corpus_extensions()):
+    for seed, (name, H) in enumerate(extensions):
         for bw in _pinch_corpus(H, seed, 20):
             reduced, log = britton_reduce(H, bw)
             digest.update(json.dumps([name, reduced.text(H.stable),
@@ -702,6 +721,19 @@ class TestResidualWitness:
         down = residual_witness(tp2, britton_word(tp2, [e, z, e], [1, -1])).entries[0]
         up = residual_witness(tp2, britton_word(tp2, [e, apply_endo(tp2.phi, z), e], [-1, 1])).entries[0]
         assert (up.kind, up.constrained, up.image_coset) == ("t^-1 h t", True, down.image_coset)
+
+    def test_phi_inverse_applied_once(self, monkeypatch):
+        # both t^-1 h t entries read the phi^-1 image that britton_reduce
+        # memoised while checking the word is reduced
+        H, member = TestPinchMaps.fresh()
+        phi_z = apply_endo(H.phi, H.m_word("z"))
+        calls = TestPinchMaps().counting(monkeypatch)
+        e = Word(AB, ())
+        report = residual_witness(H, britton_word(H, [e, phi_z, word(AB, "a"), phi_z, e], [-1, 1, -1, 1]))
+        assert calls == [member.phi_inv]
+        assert [(x.kind, x.image_coset) for x in report.entries] == [
+            ("t^-1 h t", 2), ("t h t^-1", None), ("t^-1 h t", 2)]
+        assert [x.constrained for x in report.entries] == [True, False, True]
 
     def test_truncated_family_refused(self):
         hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal", truncate=2)

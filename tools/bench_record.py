@@ -9,7 +9,7 @@ that checkout, once per workload and seed (``--trace 0``).  With several
 checkouts the runs alternate: for each seed and workload every checkout runs
 once, and the order flips from one seed to the next, so that a slow spell
 on the host falls on both sides.  Each checkout gets one file,
-``<out>/BENCH_<label>.json``, holding every run's final JSON line with its
+``<out>/BENCH_<label>.json``, which must not exist yet, holding every run's final JSON line with its
 workload and seed, the checkout's ``git rev-parse HEAD`` and whether its
 tree had uncommitted changes, the Python version and ``nproc``, and per
 workload and metric the median and quartiles over the seeds.
@@ -114,6 +114,10 @@ def main(argv=None) -> int:
         if not label or not (root / "perfbench" / "run.py").is_file():
             parser.error(f"--checkout {spec!r}: want LABEL=DIR with DIR a checkout holding perfbench/run.py")
         checkouts.append((label, root))
+    out = Path(args.out)
+    for label, _ in checkouts:
+        if (out / f"BENCH_{label}.json").exists():
+            parser.error(f"{out / f'BENCH_{label}.json'} exists; give another label or move it away")
     records = [{
         "label": label,
         "commit": git(root, "rev-parse", "HEAD"),
@@ -137,7 +141,6 @@ def main(argv=None) -> int:
                 print(f"{checkouts[i][0]} {workload} seed {seed}: "
                       f"{json.dumps(result.get('metrics', result))[:300]}", flush=True)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for record in records:
         record["summary"] = summary(record["runs"])
