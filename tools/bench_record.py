@@ -9,10 +9,11 @@ that checkout, once per workload and seed (``--trace 0``).  With several
 checkouts the runs alternate: for each seed and workload every checkout runs
 once, and the order flips from one seed to the next, so that a slow spell
 on the host falls on both sides.  Each checkout gets one file,
-``<out>/BENCH_<label>.json``, which must not exist yet, holding every run's final JSON line with its
+``<out>/BENCH_<label>.json``, holding every run's final JSON line with its
 workload and seed, the checkout's ``git rev-parse HEAD`` and whether its
 tree had uncommitted changes, the Python version and ``nproc``, and per
-workload and metric the median and quartiles over the seeds.
+workload and metric the median and quartiles over the seeds.  The script
+refuses, before any run, a label whose file already exists.
 
 With exactly two checkouts, the first is the baseline: for each workload
 and metric the script also prints both medians, the baseline's
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     for label, _ in checkouts:
         if (out / f"BENCH_{label}.json").exists():
-            parser.error(f"{out / f'BENCH_{label}.json'} exists; give another label or move it away")
+            parser.error(f"{out / f'BENCH_{label}.json'} exists; give another label or move the file")
     records = [{
         "label": label,
         "commit": git(root, "rev-parse", "HEAD"),
