@@ -25,6 +25,7 @@ from typing import Optional
 from .cosetenum import Overflow, todd_coxeter
 from .hnnforge import HatPresentation, HnnError, HnnPresentation, InputPresentation
 from .smallcancel import RelatorSet, SmallCancelError, endo_order_in_quotient
+from .stallings import StallingsError
 from .words import Alphabet, EndomorphismSpec, Word, WordError, format_word, parse_word_list, word
 
 
@@ -215,7 +216,7 @@ def parsed_to_hnn(parsed: ParsedPresentation):
     outcome = todd_coxeter(hat_alpha, list(parsed.assoc), ())
     table = None if isinstance(outcome, Overflow) else outcome
     hat = HatPresentation(InputPresentation(hat_alpha, tuple(parsed.assoc)), padding=())
-    return HnnPresentation(
+    hnn = HnnPresentation(
         base_alphabet=base_alpha,
         base_relators=tuple(parsed.relators),
         stable=parsed.stable,
@@ -227,3 +228,8 @@ def parsed_to_hnn(parsed: ParsedPresentation):
         table=table,
         truncated=None if table is not None else 0,
     )
+    try:  # membership rewrites over the mgens words, which must be a free basis
+        hnn.rewriter
+    except StallingsError as e:
+        raise HnnError(f"mgens: {e}") from None
+    return hnn

@@ -46,12 +46,10 @@ from .words import (
 )
 
 
-# a graph reads by chains when at most one vertex in this many is a stop:
-# when at least 95% of its vertices have degree 2, and its paths average
-# some twenty letters.  A chain step costs about as much as reading a
-# handful of letters through the table, and the view costs a little more
-# to build than the table, so graphs of short paths read by the table.
-_STOP_EVERY = 20
+# a graph of fewer vertices than this reads words along its rows, which
+# costs less than building its dense table; a larger one reads through the
+# table
+_ROWS_BELOW = 20
 
 
 class StallingsError(ValueError):
@@ -86,11 +84,10 @@ class SubgroupGraph:
 
     Vertices are 0..n-1 in canonical (BFS from basepoint, label-ordered)
     numbering; the basepoint is vertex 0.  ``out[v]`` maps signed letters
-    to target vertices.  A graph of fewer than ``_STOP_EVERY`` vertices
-    reads words along these rows, which costs less than building a view for
-    them.  A larger one reads through the :meth:`chains` view when most
-    vertices lie inside branch-free paths, and through the dense
-    :meth:`table` otherwise; each graph decides which once.
+    to target vertices.  Membership reads a word along these rows in a graph
+    of fewer than ``_ROWS_BELOW`` vertices, and through the dense
+    :meth:`table` in a larger one; basis rewriting reads it by the
+    :meth:`chains` view.
     """
 
     __slots__ = ("alphabet", "out", "_table", "_chains", "_fibre")
@@ -130,29 +127,22 @@ class SubgroupGraph:
         """The spanning tree and fibre-product facts (:class:`FibreFacts`)."""
         return self._fibre
 
-    def chains(self) -> Optional[list[Optional[dict[str, tuple[str, int]]]]]:
-        """The chain view, or None when the graph reads through the table.
+    def chains(self) -> list[Optional[dict[str, tuple[str, int]]]]:
+        """The chain view, which :class:`BasisRewriter` reads by.
 
         A stop vertex is the basepoint or a vertex whose degree is not 2;
         every other vertex lies inside one branch-free path between stops.
         ``chains()[v]`` maps each code unit leaving a stop ``v`` to the code
         of the path that starts with it and the stop where that path ends;
-        it is None at the other vertices.  A graph reads by chains when at
-        most one vertex in ``_STOP_EVERY`` is a stop.  The view is built
-        once, from ``out`` alone: each path is walked once, and its reverse
-        is the inverse code."""
+        it is None at the other vertices.  In a graph with no vertex of
+        degree 2 every path is a single edge.  The view is built once, from
+        ``out`` alone: each path is walked once, and its reverse is the
+        inverse code."""
         if self._chains is None:
             out = self.out
-            n = len(out)
-            # the basepoint is a stop, so a graph of fewer than _STOP_EVERY
-            # vertices reads by the table without counting
-            count = n if n < _STOP_EVERY else n - list(map(len, out)).count(2) + (len(out[0]) == 2)
-            if count * _STOP_EVERY > n:
-                self._chains = False
-                return None
             stops = [v for v, d in enumerate(out) if len(d) != 2 or not v]
             unit = LETTER_UNIT
-            view: list[Optional[dict[str, tuple[str, int]]]] = [None] * n
+            view: list[Optional[dict[str, tuple[str, int]]]] = [None] * len(out)
             for v in stops:
                 view[v] = {}
             for a in stops:
@@ -172,37 +162,21 @@ class SubgroupGraph:
                     row[first] = (code, w)
                     view[w][unit[-s]] = (invert_code(code), a)
             self._chains = view
-        return self._chains or None
+        return self._chains
 
     def read(self, code: str) -> int:
         """Trace a code from the basepoint; return the final vertex or -1.
-
-        By chains, each step takes a whole path with one ``startswith``.
-        Where the code leaves a path or ends inside one, the rest is read
-        letter by letter from the path's start, so every code, reduced or
-        not, reads to the vertex the table gives."""
+        A graph of fewer than ``_ROWS_BELOW`` vertices reads along its rows
+        (:func:`_read_rows`), a larger one through its dense table."""
         out = self.out
-        if len(out) < _STOP_EVERY:
-            return _read_rows(out, 0, code)
-        chains = self.chains()
+        if len(out) < _ROWS_BELOW:
+            return _read_rows(out, code)
+        tbl = self.table()
         v = 0
-        if chains is None:
-            tbl = self.table()
-            for c in map(ord, code):
-                v = tbl[v][c]
-                if v < 0:
-                    return -1
-            return v
-        i, n = 0, len(code)
-        while i < n:
-            link = chains[v].get(code[i])
-            if link is None:
+        for c in map(ord, code):
+            v = tbl[v][c]
+            if v < 0:
                 return -1
-            path, end = link
-            if not code.startswith(path, i):
-                return _read_rows(out, v, code[i:])
-            i += len(path)
-            v = end
         return v
 
     def contains(self, w: Word) -> bool:
@@ -237,9 +211,10 @@ class SubgroupGraph:
         return f"SubgroupGraph(V={self.num_vertices}, E={self.num_edges}, rank={self.rank()})"
 
 
-def _read_rows(out: list[dict[int, int]], v: int, code: str) -> int:
-    """Read ``code`` letter by letter along the rows ``out`` from ``v``: the
-    final vertex, or -1."""
+def _read_rows(out: list[dict[int, int]], code: str) -> int:
+    """Read ``code`` letter by letter along the rows ``out`` from the
+    basepoint, with no table built: the final vertex, or -1."""
+    v = 0
     for s in map(UNIT_LETTER.__getitem__, code):
         v = out[v].get(s, -1)
         if v < 0:
@@ -458,13 +433,12 @@ class BasisRewriter:
     to the given basis through a tracked Nielsen reduction.  Every result
     is verified by substitution before being returned.  Words over either
     basis are codes whose symbol k is the k-th non-tree edge or generator.
-    A caller that has already folded the generators passes that ``graph``.
     """
 
-    def __init__(self, alpha: Alphabet, gens: Sequence[Word], graph: Optional[SubgroupGraph] = None):
+    def __init__(self, alpha: Alphabet, gens: Sequence[Word]):
         self.alphabet = alpha
         self.gens = list(gens)
-        self.graph = graph = build_and_fold(alpha, gens) if graph is None else graph
+        self.graph = graph = build_and_fold(alpha, gens)
         if graph.rank() != len(gens):
             raise StallingsError("not a free basis")
         # (vertex, code unit) of each non-tree edge, both ways -> the unit
@@ -473,12 +447,10 @@ class BasisRewriter:
         for idx, (u, s, v) in enumerate(graph.fibre_facts().nontree):
             self._symbol_at[u, LETTER_UNIT[s]] = chr(2 * idx)
             self._symbol_at[v, LETTER_UNIT[-s]] = chr(2 * idx + 1)
-        # the graph's reading steps - its chains, or else its single edges -
-        # each with the symbols it crosses
-        steps = graph.chains() or [{LETTER_UNIT[s]: (LETTER_UNIT[s], w) for s, w in d.items()} for d in graph.out]
+        # the graph's chains, each with the symbols it crosses
         self._steps = [
             None if row is None else {u: (path, end, self._walk(v, path)[1]) for u, (path, end) in row.items()}
-            for v, row in enumerate(steps)
+            for v, row in enumerate(graph.chains())
         ]
         self._gen_codes = images_by_unit([g.code for g in self.gens])
         self._basis_over_gens = images_by_unit(self._invert_basis())
@@ -499,8 +471,10 @@ class BasisRewriter:
     def _crossing(self, w: Word) -> Optional[str]:
         """Express a subgroup element over the tree basis (non-tree edges
         crossed, in order); None if the word is not in the subgroup.  It
-        reads the way the graph does, finishing letter by letter where the
-        code leaves a chain."""
+        reads by the graph's chains, each step a whole path taken with one
+        ``startswith``, and finishes letter by letter where the code leaves
+        a path or ends inside one, so every code, reduced or not, reads as
+        the table reads it."""
         steps, code = self._steps, w.code
         v, i, n = 0, 0, len(code)
         crossed = []

@@ -356,6 +356,16 @@ class TestCli:
         code, out = run_cli(capsys, "britton", "--hnn", str(path), "--word", "t a t^-1")
         assert code == 2 and reason in out["refusal"]
 
+    def test_britton_refuses_mgens_that_are_not_a_free_basis(self, capsys, tmp_path):
+        # a^2 and a^3 generate <a>, of rank one: membership cannot rewrite
+        # over them, and the fault is the file's
+        lines = resources.files("malkit.fixtures").joinpath("tp_p2.pres").read_text().splitlines()
+        path = tmp_path / "bad_mgens.hnn"
+        path.write_text("\n".join("mgens: x = a^2; z = a^3" if ln.startswith("mgens:") else ln
+                                  for ln in lines) + "\n")
+        code, out = run_cli(capsys, "britton", "--hnn", str(path), "--word", "t a t^-1")
+        assert code == 2 and out["refusal"] == "mgens: not a free basis"
+
     def test_reproduce_counterexample(self, capsys):
         code, out = run_cli(capsys, "reproduce", "counterexample-cmt4")
         assert code == 0 and out["verdict"] == "pass"

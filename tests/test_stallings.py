@@ -414,9 +414,10 @@ _SIZE_SPLIT = 384
 
 @st.composite
 def _chain_graphs(draw):
-    """Folded graphs that read by chains: words p x_i q for long x_i, with
-    p and q short and possibly empty, so that the basepoint has degree 1
-    (a stem), 2 (inside a cycle) or more."""
+    """Folded graphs made mostly of chains: words p x_i q for long x_i,
+    with p and q short and possibly empty, so that the basepoint has
+    degree 1 (a stem), 2 (inside a cycle) or more.  At most one vertex in
+    twenty is a stop (the basepoint, or of degree other than 2)."""
     p, q = draw(_reduced_word(1, 4)), draw(_reduced_word(1, 4))
     if draw(st.booleans()):
         p = Word(AB, ())
@@ -424,7 +425,7 @@ def _chain_graphs(draw):
         q = Word(AB, ())
     middles = draw(st.lists(_reduced_word(40, 120), min_size=1, max_size=3))
     g = build_and_fold(AB, [p * x * q for x in middles if p * x * q])
-    assume(g.chains() is not None)
+    assume(20 * sum(len(d) != 2 or not v for v, d in enumerate(g.out)) <= g.num_vertices)
     return g
 
 
@@ -981,6 +982,14 @@ def _crossing_by_letters(rw, code):
     return (code_product(crossed) if v == 0 else None), at
 
 
+def _a5_kernel_generators():
+    """Schreier generators of the kernel of F(a, b) -> A5, a free basis of
+    a subgroup of index 60."""
+    from malkit.cosetenum import schreier_kernel_generators
+
+    return schreier_kernel_generators(AB, ws("a^2", "b^3", "(a b)^5"), (), 1000)[0]
+
+
 def _bend(data, letters):
     """``letters`` as they are, cut short, bent off at some position or
     padded with a cancelling pair, and encoded without reduction."""
@@ -1012,14 +1021,21 @@ def _walk(data, g):
 
 
 class TestChainReads:
-    """Reading by chains against the per-letter table reader."""
+    """Membership's reader, and basis rewriting's reading by chains,
+    against the per-letter table reader."""
 
     @settings(max_examples=150, deadline=None)
     @given(_chain_graphs(), st.data())
     def test_read_matches_letters(self, g, data):
-        code = _bend(data, _walk(data, g))
+        letters = _walk(data, g)
+        code = _bend(data, letters)
         assert g.read(code) == _read_by_letters(g, code)
         assert g.contains(Word.from_code(AB, code)) == (_read_by_letters(g, code) == 0)
+        # the walk closed by the tree path back is a loop, crossed by chains
+        back = g.path_from_basepoint(g.read(encode_letters(AB, letters)))
+        loop = _bend(data, letters + list(inverse_letters(back)))
+        rw = BasisRewriter(AB, basis(g))
+        assert rw._crossing(Word.from_code(AB, loop)) == _crossing_by_letters(rw, loop)[0]
 
     @settings(max_examples=40, deadline=None)
     @given(_chain_graphs(), st.data())
@@ -1039,24 +1055,27 @@ class TestChainReads:
                                       ("a^2 (b a^-1)^15 b a^2", "a^2 (b^-1 a^-1)^15 b a^2")])
     def test_basepoint_of_degree_two(self, gens):
         # the basepoint is a stop inside a cycle: chains start and end there
-        g = fold(*gens)
-        assert len(g.out[0]) == 2 and g.chains() is not None
+        rw = BasisRewriter(AB, ws(*gens))
+        g = rw.graph
+        assert len(g.out[0]) == 2
         for x in ws(*gens):
             for code in (x.code, (x * x).code, x.code[:-1], x.code[1:], x.code + x.inverse().code):
                 assert g.read(code) == _read_by_letters(g, code)
+                assert rw._crossing(Word.from_code(AB, code)) == _crossing_by_letters(rw, code)[0]
             assert g.contains(x) and g.contains(x.inverse())
 
     def test_stops_decide(self):
-        # a graph reads by chains when at most one vertex in twenty is a
-        # stop; the basepoint always is one
-        assert fold("a^19").chains() is None
+        # the stops are the basepoint, which always is one, and the
+        # vertices of degree other than 2
         view = fold("a^20").chains()
-        assert view is not None and view[0] == {"\x00": ("\x00" * 20, 0), "\x01": ("\x01" * 20, 0)}
+        assert view[0] == {"\x00": ("\x00" * 20, 0), "\x01": ("\x01" * 20, 0)}
         assert all(row is None for row in view[1:])
-        # a lollipop: the basepoint and the vertex where the stem meets the
-        # cycle are the stops
-        assert fold("b^10 a^29 b^-10").chains() is None
-        assert fold("b^10 a^30 b^-10").chains() is not None
+        # a lollipop: the basepoint and the vertex m where the stem meets
+        # the cycle are the stops
+        view = fold("b^10 a^30 b^-10").chains()
+        m = view[0]["\x02"][1]
+        assert [v for v, row in enumerate(view) if row is not None] == [0, m]
+        assert view[m] == {"\x00": ("\x00" * 30, m), "\x01": ("\x01" * 30, m), "\x03": ("\x03" * 10, 0)}
         # the triangle seed pair at rho=6: 335 vertices, its stops found by the view
         from malkit.malchar import seed_words_triangle
 
@@ -1067,18 +1086,33 @@ class TestChainReads:
 
     def test_no_degree_two_vertices_read_by_table(self):
         # the kernel of F(a, b) -> A5: a finite-index subgroup whose 60
-        # vertices all have degree 4, so there are no chains to read
-        from malkit.cosetenum import schreier_kernel_generators
-
-        gens, _ = schreier_kernel_generators(AB, ws("a^2", "b^3", "(a b)^5"), (), 1000)
-        g = build_and_fold(AB, gens)
+        # vertices all have degree 4.  Membership reads it through the
+        # table and never builds the chain view
+        g = build_and_fold(AB, _a5_kernel_generators())
         assert g.num_vertices == 60 and all(len(d) == 4 for d in g.out)
-        assert g.chains() is None and g._table is None
+        assert g._table is None and g._chains is None
         rng = random.Random(7)
         for _ in range(200):
             code = encode_letters(AB, [rng.choice(SIGNED) for _ in range(rng.randrange(30))])
             assert g.read(code) == _read_by_letters(g, code)
-        assert g._table is not None
+        assert g._table is not None and g._chains is None
+
+    def test_rewriter_with_no_degree_two_vertices(self):
+        # every vertex of the A5 kernel's graph is a stop, so each chain
+        # the rewriter reads is a single edge
+        gens = _a5_kernel_generators()
+        rw = BasisRewriter(AB, gens)
+        view = rw.graph.chains()
+        assert all(path == unit and len(path) == 1 for row in view for unit, (path, _end) in row.items())
+        rng, symbols = random.Random(11), tuple(signed_letters(len(gens)))
+        for _ in range(50):
+            letters = [rng.choice(symbols) for _ in range(rng.randrange(1, 6))]
+            element = Word(AB, ())
+            for t in letters:
+                element = element * gens[abs(t) - 1] ** (1 if t > 0 else -1)
+            assert rw.rewrite(element) == over_gens(len(gens), letters)
+            assert rw._crossing(element) == _crossing_by_letters(rw, element.code)[0]
+        assert rw.rewrite(w("a")) is None
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(st.lists(_reduced_word(1, 8), min_size=1, max_size=3),
