@@ -1,26 +1,27 @@
 """Todd-Coxeter coset enumeration and Schreier kernel generators.
 
-HLT-style relator tracing with immediate deduction filling and standard
-coincidence merging (union-find on cosets; Holt-Eick-O'Brien, Handbook of
-Computational Group Theory, ch. 5).  Overflow - exceeding the coset cap,
-which counts live cosets - is a distinguished outcome, not an error:
+Felsch's strategy with standard coincidence merging (union-find on cosets;
+Holt-Eick-O'Brien, Handbook of Computational Group Theory, 5.2; Havas,
+Coset enumeration strategies, ISSAC 1991).  Overflow - exceeding the coset
+cap, which counts live cosets - is a distinguished outcome, not an error:
 callers legitimately probe for finiteness.  A cap below one is refused.
 
-During enumeration the table is stored column-major: one list per signed
-letter code, ``cols[c][coset]``, with -1 for an undefined entry.  Each
-relator and subgroup generator is turned once into its lists of forward
-and inverse columns, so a scan indexes those lists directly.  Rows are
-allocated a block at a time, so defining a coset is one append to the
-union-find parents and two stores.  A coincidence finds roots inline,
-since the coset it dequeues is never a root.  Definitions, scans and
-merges happen in HLT order, which fixes every coset number and the live
-count of an overflow.  A dead coset's row is cleared when its
-coincidence is processed, but the row itself is not reclaimed.  At the end
-the live cosets are renumbered by BFS from the subgroup coset straight
-from the columns, which also gives the Schreier transversal, and the
-result is a list-of-rows :class:`CosetTable`.  The columns are in the
-order of the letter code (:mod:`malkit.words`), so a word is traced by
-indexing rows with its code.
+The subgroup generators are scanned and filled at the subgroup coset
+first.  Then the first undefined entry of the least live row is defined,
+and a stack of deductions is drained before the next definition.  Every
+entry set - defined, deduced by a scan or moved by a coincidence - is
+pushed as the int ``coset * ncols + column``.  A deduction (a, x) scans
+from a, without filling, every distinct cyclic conjugate of each relator
+and of its inverse that starts with x.  No scan from a.x is needed: a
+relator cycle that crosses the edge a -> a.x backwards is a conjugate of
+the inverse relator that starts with x at a.
+
+The table is stored column-major, ``cols[c][coset]`` per letter code with
+-1 for undefined, in blocks of rows; a coincidence clears a dead coset's
+row without reclaiming it.  The live cosets are renumbered by BFS from the
+subgroup coset into a :class:`CosetTable` and its Schreier transversal.  A
+standardized complete table is unique, so no complete output depends on
+the strategy; the order above fixes the live count of an overflow.
 """
 
 from __future__ import annotations
@@ -123,11 +124,13 @@ def todd_coxeter(
     ncols = 2 * len(alpha)
     cols: list[list[int]] = [[-1] * _BLOCK for _ in range(ncols)]
     inv_cols = [cols[c ^ 1] for c in range(ncols)]
-    pairs = list(zip(cols, inv_cols))
+    pairs = list(zip(range(ncols), cols, inv_cols))
     # union-find parent, appended per definition so that each coset id is
     # one int object shared with the columns; the smaller coset survives
     p = [0]
     dead = 0
+    stack: list[int] = []  # ints, which the garbage collector does not track
+    push = stack.append
 
     def grow():
         for col in cols:
@@ -135,11 +138,11 @@ def todd_coxeter(
 
     def coincidence(a: int, b: int):
         # a, b are distinct live cosets; every coset that dies is queued and
-        # its row moved onto the survivor, queueing the merges this forces.
-        # A queued coset is never a root, and mu tracks its root across the
-        # merges made while its row is processed.  Moving clears both ends
-        # of each edge: no row is read after it dies, and a cleared row
-        # keeps no coset id alive
+        # its row moved onto the survivor, queueing the merges this forces
+        # and pushing each entry moved.  A queued coset is never a root, and
+        # mu tracks its root across the merges made while its row is
+        # processed.  Moving clears both ends of each edge: no row is read
+        # after it dies, and a cleared row keeps no coset id alive
         nonlocal dead
         if a > b:
             a, b = b, a
@@ -149,7 +152,7 @@ def todd_coxeter(
             mu = g
             while p[mu] != mu:
                 p[mu] = mu = p[p[mu]]
-            for col, icol in pairs:
+            for c, col, icol in pairs:
                 d = col[g]
                 if d < 0:
                     continue
@@ -165,6 +168,7 @@ def todd_coxeter(
                     if t < 0:
                         col[mu] = nu
                         icol[nu] = mu
+                        push(mu * ncols + c)
                         continue
                     x = mu
                 while p[t] != t:
@@ -178,77 +182,103 @@ def todd_coxeter(
                         mu = x
         dead += len(q)
 
-    def scan_and_fill(a: int, fwd: list[list[int]], bwd: list[list[int]]):
-        # fwd[i] is the column of letter i of the word, bwd[i] its inverse's.
-        # Outside coincidence processing every entry of a live row names a
-        # live coset (processing a dead coset clears its partners' entries
-        # to it), so a scan reads entries without find; _standardize
-        # re-checks this on the final table
-        i, j = 0, len(fwd) - 1
-        f = b = a
+    def define(a: int, c: int):
+        col, n = cols[c], len(p)
+        if n == len(col):
+            grow()
+        p.append(n)
+        col[a] = n
+        inv_cols[c][n] = a
+        push(a * ncols + c)
+
+    # Outside coincidence processing every entry of a live row names a live
+    # coset (processing a dead coset clears its partners' entries to it), so
+    # a scan reads entries without find; _standardize re-checks this on the
+    # final table
+    def scan_and_fill(codes: list[int]):
+        # a subgroup generator from coset 0, defining cosets to close it
+        i, j = 0, len(codes) - 1
+        f = b = 0
         while True:
-            while i <= j:
-                t = fwd[i][f]
-                if t < 0:
-                    break
-                f = t
+            while i <= j and cols[codes[i]][f] >= 0:
+                f = cols[codes[i]][f]
                 i += 1
-            while j >= i:
-                t = bwd[j][b]
-                if t < 0:
-                    break
-                b = t
+            while j >= i and inv_cols[codes[j]][b] >= 0:
+                b = inv_cols[codes[j]][b]
                 j -= 1
             if j < i:
                 if f != b:
                     coincidence(f, b)
                 return
             if j == i:
-                fwd[i][f] = b
-                bwd[i][b] = f
+                cols[codes[i]][f] = b
+                inv_cols[codes[i]][b] = f
+                push(f * ncols + codes[i])
                 return
-            col, n = fwd[i], len(p)
-            if n == len(col):
-                grow()
-            p.append(n)
-            col[f] = n
-            bwd[i][n] = f
+            define(f, codes[i])
 
-    def columns(words: Sequence[Word]) -> list[tuple[list[list[int]], list[list[int]]]]:
-        out = []
-        for w in words:
-            if w.code:
-                codes = list(map(ord, w.code))
-                out.append(([cols[c] for c in codes], [inv_cols[c] for c in codes]))
-        return out
+    # the cyclic conjugates under their first letter: forward columns,
+    # inverse columns last letter first, codes and last position
+    cycles: list[list] = [[] for _ in range(ncols)]
+    for code in dict.fromkeys(s[k:] + s[:k] for w in relators for s in (w.code, invert_code(w.code))
+                              for k in range(len(s))):
+        codes = list(map(ord, code))
+        cycles[codes[0]].append(([cols[c] for c in codes], [inv_cols[c] for c in reversed(codes)],
+                                 codes, len(codes) - 1))
 
-    for fwd, bwd in columns(subgroup_gens):
-        scan_and_fill(0, fwd, bwd)
-        if len(p) - dead > max_cosets:
-            return Overflow(max_cosets, len(p) - dead)
-
-    rel_cols = columns(relators)
-    a = 0
-    while a < len(p):
-        if p[a] != a:
-            a += 1
-            continue
-        for fwd, bwd in rel_cols:
-            scan_and_fill(a, fwd, bwd)
+    def deduce():
+        # scan, without filling, every cycle that starts with the letter of
+        # a pushed entry from its coset: a gap of one letter is a deduction,
+        # two ends that meet at different cosets a coincidence
+        while stack:
+            a, x = divmod(stack.pop(), ncols)
             if p[a] != a:
+                continue
+            for fwd, rbwd, codes, j in cycles[x]:
+                f = a
+                for i, col in enumerate(fwd):
+                    t = col[f]
+                    if t < 0:
+                        break
+                    f = t
+                else:
+                    if f != a:
+                        coincidence(f, a)
+                        if p[a] != a:
+                            break
+                    continue
+                b = a
+                for col in rbwd:
+                    t = col[b]
+                    if j == i:
+                        if t < 0:
+                            fwd[i][f] = b
+                            col[b] = f
+                            push(f * ncols + codes[i])
+                        break
+                    if t < 0:
+                        break
+                    b = t
+                    j -= 1
+                if t >= 0:
+                    coincidence(f, t)
+                    if p[a] != a:
+                        break
+
+    for w in subgroup_gens:
+        scan_and_fill(list(map(ord, w.code)))
+    deduce()
+    a = 0
+    while a < len(p) and len(p) - dead <= max_cosets:
+        for c, col in enumerate(cols):
+            if p[a] != a or len(p) - dead > max_cosets:
                 break
-        else:
-            for col, icol in pairs:
-                if col[a] < 0:
-                    n = len(p)
-                    if n == len(col):
-                        grow()
-                    p.append(n)
-                    col[a] = n
-                    icol[n] = a
-        if len(p) - dead > max_cosets:
-            return Overflow(max_cosets, len(p) - dead)
+            if col[a] < 0:
+                define(a, c)
+                deduce()
         a += 1
+    if len(p) - dead > max_cosets:
+        return Overflow(max_cosets, len(p) - dead)
     return _standardize(alpha, cols, p)
 
 

@@ -1,4 +1,4 @@
-"""Write hlt_outcomes.json: HLT coset-enumeration outcomes of 300 seeded
+"""Write coset_outcomes.json: coset-enumeration outcomes of 300 seeded
 small presentations, each at caps 30 and 300.
 
 The first 200 presentations have 1-3 generators, a power z^e (1 <= e <= 6)
@@ -9,14 +9,17 @@ tables have index 1: z^1 kills a generator, and a random relator often
 collapses the rest.  So the last 100 are Coxeter-like: 2-3 generators, a
 power z^e (2 <= e <= 4) of each, (y z)^m (2 <= m <= 3) for each pair of
 generators and at most one subgroup generator of length at most 3.  Of
-their complete tables more than half have index above 6.  An outcome is the live count of
-the Overflow marker, or the sha256 of ``json.dumps([table, reps])`` of the
-complete table.  Both follow HLT's definition and coincidence order, so the
-fixture pins that order on many presentations, not only the golden one.
+their complete tables more than half have index above 6.  An outcome is the
+live count of the Overflow marker, or the sha256 of ``json.dumps([table,
+reps])`` of the complete table.  A standardized complete table is unique,
+so its digest does not depend on the enumeration strategy; the live count
+of an overflow, and whether a run completes under its cap, do.  So the
+fixture pins the strategy's definition and coincidence order through its
+overflows, on many presentations, not only the golden one.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/fixtures/make_hlt_outcomes.py
+    PYTHONPATH=src python tests/fixtures/make_coset_outcomes.py
 """
 
 import hashlib
@@ -30,7 +33,7 @@ from malkit.words import Word, alphabet
 CASES = 200
 COXETER_CASES = 100
 CAPS = (30, 300)
-OUT = Path(__file__).with_name("hlt_outcomes.json")
+OUT = Path(__file__).with_name("coset_outcomes.json")
 
 
 def draw(rng: random.Random) -> dict:

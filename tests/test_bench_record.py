@@ -52,3 +52,28 @@ def test_refuses_to_overwrite_a_record_before_any_run(stub, tmp_path, capsys):
     assert f"{out / 'BENCH_new.json'} exists" in capsys.readouterr().err
     assert (out / "BENCH_new.json").read_text() == "kept\n"
     assert not (stub / "perfbench" / "runs").exists()
+
+
+def _record(values):
+    """A recorded file of workload ``w`` with one run_s value per seed."""
+    tool = _load_tool()
+    runs = [{"workload": "w", "seed": seed, "position": 0,
+             "result": {"correct": True, "metrics": {"run_s": {"value": v}}}}
+            for seed, v in enumerate(values, 1)]
+    return {"runs": runs, "summary": tool.summary(runs)}
+
+
+def test_compares_two_recorded_files_without_running(tmp_path, capsys):
+    base, change = tmp_path / "BENCH_base.json", tmp_path / "BENCH_change.json"
+    base.write_text(json.dumps(_record([1.0, 2.0, 3.0, 4.0, 5.0])))
+    change.write_text(json.dumps(_record([0.5, 2.5, 2.0, 3.0, 4.0])))
+    assert _load_tool().main(["--compare", str(base), str(change)]) == 0
+    assert capsys.readouterr().out == (
+        "w run_s: 3 -> 2.5 (baseline IQR 2, medians 0.5 apart; better in 4/5 pairs)\n")
+
+
+def test_runs_need_checkouts_unless_comparing(capsys):
+    with pytest.raises(SystemExit) as e:
+        _load_tool().main(["--workload", "w", "--seeds", "1"])
+    assert e.value.code == 2
+    assert "required unless --compare" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -149,7 +150,7 @@ def _sha16(text: str) -> str:
 class TestGoldenIndex10752:
     """<a, b | a^2, b^3, (ab)^7, [a,b]^8> has order 10,752.  The table, the
     Schreier generators, their folded graph and the overflow counts at two
-    caps (which follow HLT's definition order) are pinned by digest."""
+    caps (which follow Felsch's definition order) are pinned by digest."""
 
     AB = alphabet("a b")
     RELS = ("a^2", "b^3", "(a b)^7", "(a^-1 b^-1 a b)^8")
@@ -175,21 +176,38 @@ class TestGoldenIndex10752:
         assert again.table == table.table and again.reps == table.reps
         assert gens == table.kernel_generators()
 
-    @pytest.mark.parametrize("cap, live", [(100_000, 100_022), (150_000, 150_003)])
+    @pytest.mark.parametrize("cap, live", [(12_000, 12_001), (20_000, 20_001)])
     def test_overflow_counts(self, cap, live):
         out = todd_coxeter(self.AB, [word(self.AB, r) for r in self.RELS], (), cap)
         assert out == Overflow(cap, live)
 
+    def test_completes_under_cap_100000(self):
+        # Felsch defines 39,745 rows here; HLT defined 272,596 and overflowed
+        out = todd_coxeter(self.AB, [word(self.AB, r) for r in self.RELS], (), 100_000)
+        assert _sha16(json.dumps([out.table, out.reps])) == "828cd0b3984421b6"
 
-class TestHltOutcomes:
+    def test_memory_peak(self):
+        # the columns and the deduction stack, not dead rows, bound the
+        # peak: HLT's 272,596 rows peaked at 17.3 MB
+        tracemalloc.start()
+        try:
+            todd_coxeter(self.AB, [word(self.AB, r) for r in self.RELS], (), 400_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+
+class TestEnumerationOutcomes:
     """Outcomes of 300 seeded small presentations at caps 30 and 300, pinned
-    by tests/fixtures/make_hlt_outcomes.py: the live count of each overflow
-    and the digest of each complete table follow HLT's definition and
-    coincidence order, which a change in bookkeeping must keep.  The last
-    100 are Coxeter-like, so that tables of index above 6 are pinned too."""
+    by tests/fixtures/make_coset_outcomes.py: the live count of each
+    overflow follows the definition and coincidence order, which a change in
+    bookkeeping must keep, and the digest of each complete table is the
+    strategy-free standardized table.  The last 100 are Coxeter-like, so
+    that tables of index above 6 are pinned too."""
 
     def test_fixture_outcomes(self):
-        cases = json.loads((Path(__file__).parent / "fixtures" / "hlt_outcomes.json").read_text())
+        cases = json.loads((Path(__file__).parent / "fixtures" / "coset_outcomes.json").read_text())
         assert len(cases) == 300
         mismatches = []
         for n, case in enumerate(cases):

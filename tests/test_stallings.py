@@ -33,6 +33,7 @@ from malkit.words import (
     apply_endo,
     code_product,
     conjugate,
+    decode_letters,
     encode_letters,
     free_reduce_letters,
     inverse_letters,
@@ -950,11 +951,12 @@ SIGNED = (1, -1, 2, -2)
 
 
 def _read_by_letters(g, code):
-    """The per-letter reader: one table step per code unit."""
-    tbl = g.table()
+    """The per-letter reader: one step along the rows ``g.out`` per letter,
+    so that it does not share the dense table that ``read`` walks on large
+    graphs."""
     v = 0
-    for c in map(ord, code):
-        v = tbl[v][c]
+    for s in decode_letters(code):
+        v = g.out[v].get(s, -1)
         if v < 0:
             return -1
     return v

@@ -3,6 +3,7 @@
     python tools/bench_record.py --checkout LABEL=DIR [--checkout LABEL=DIR ...]
         --workload NAME [--workload NAME ...] --seeds 101-110 [--seconds 25]
         [--out bench]
+    python tools/bench_record.py --compare BASE.json CHANGE.json
 
 Each checkout's own ``perfbench/run.py`` runs unchanged, from the root of
 that checkout, once per workload and seed (``--trace 0``).  With several
@@ -18,7 +19,9 @@ refuses, before any run, a label whose file already exists.
 With exactly two checkouts, the first is the baseline: for each workload
 and metric the script also prints both medians, the baseline's
 interquartile range and in how many seed pairs the second checkout was
-better.
+better.  ``--compare`` prints the same table from two files recorded
+earlier, with no run, the directions of the metrics taken from this
+checkout's ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -99,14 +102,29 @@ def compare(base: dict, other: dict, better: dict[str, str]) -> None:
                   f"better in {won}/{total} pairs)")
 
 
+def directions(root: Path) -> dict[str, str]:
+    """Whether lower or higher is better, per end-to-end metric of the
+    checkout's BENCHMARK.json."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--checkout", action="append", required=True, metavar="LABEL=DIR")
-    parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--seeds", required=True, type=seed_list)
+    parser.add_argument("--compare", nargs=2, metavar=("BASE", "CHANGE"),
+                        help="print the comparison of two recorded BENCH files and exit")
+    parser.add_argument("--checkout", action="append", metavar="LABEL=DIR")
+    parser.add_argument("--workload", action="append")
+    parser.add_argument("--seeds", type=seed_list)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", default=str(ROOT / "bench"))
     args = parser.parse_args(argv)
+    if args.compare:
+        base, change = (json.loads(Path(f).read_text()) for f in args.compare)
+        compare(base, change, directions(ROOT))
+        return 0
+    if not (args.checkout and args.workload and args.seeds):
+        parser.error("--checkout, --workload and --seeds are required unless --compare is given")
 
     checkouts = []
     for spec in args.checkout:
@@ -147,8 +165,7 @@ def main(argv=None) -> int:
         record["summary"] = summary(record["runs"])
         (out / f"BENCH_{record['label']}.json").write_text(json.dumps(record, indent=1) + "\n")
     if len(records) == 2:
-        spec = json.loads((checkouts[0][1] / "BENCHMARK.json").read_text())
-        compare(records[0], records[1], {m["name"]: m["better"] for m in spec["end_to_end"]})
+        compare(records[0], records[1], directions(checkouts[0][1]))
     return 1 if failed else 0
 
 
