@@ -182,13 +182,13 @@ class TestGoldenIndex10752:
         assert out == Overflow(cap, live)
 
     def test_completes_under_cap_100000(self):
-        # Felsch defines 39,745 rows here; HLT defined 272,596 and overflowed
+        # the cap counts live cosets, and this enumeration defines 39,745 rows
         out = todd_coxeter(self.AB, [word(self.AB, r) for r in self.RELS], (), 100_000)
         assert _sha16(json.dumps([out.table, out.reps])) == "828cd0b3984421b6"
 
     def test_memory_peak(self):
-        # the columns and the deduction stack, not dead rows, bound the
-        # peak: HLT's 272,596 rows peaked at 17.3 MB
+        # dead rows are cleared but not reclaimed, so the peak follows the
+        # rows defined; an HLT enumeration, defining 272,596, peaked at 18.1 MB
         tracemalloc.start()
         try:
             todd_coxeter(self.AB, [word(self.AB, r) for r in self.RELS], (), 400_000)
