@@ -16,12 +16,22 @@ and of its inverse that starts with x.  No scan from a.x is needed: a
 relator cycle that crosses the edge a -> a.x backwards is a conjugate of
 the inverse relator that starts with x at a.
 
+An involution - a generator x with a relator x^2 or x^-2 - gets one
+self-inverse column for x and x^-1: each entry is set with its partner,
+so col[col[a]] = a and the square needs no scan.  Every relator, relator
+inverse and subgroup generator is spelled with x for x^-1, and a
+deduction is pushed once per edge, under x.  One scan still suffices: a
+cycle that crosses a -> a.x from either end is a conjugate, starting
+with x at a, of a relator or (read backwards, x^-1 spelled x) of its
+inverse.
+
 The table is stored column-major, ``cols[c][coset]`` per letter code with
--1 for undefined, in blocks of rows; a coincidence clears a dead coset's
-row without reclaiming it.  The live cosets are renumbered by BFS from the
-subgroup coset into a :class:`CosetTable` and its Schreier transversal.  A
-standardized complete table is unique, so no complete output depends on
-the strategy; the order above fixes the live count of an overflow.
+-1 for undefined, in blocks of rows (an involution's two codes name one
+list); a coincidence clears a dead coset's row without reclaiming it.  The
+live cosets are renumbered by BFS from the subgroup coset into a
+:class:`CosetTable` and its Schreier transversal.  A standardized complete
+table is unique, so no complete output depends on the strategy or on the
+shared columns; the order above fixes the live count of an overflow.
 """
 
 from __future__ import annotations
@@ -123,8 +133,14 @@ def todd_coxeter(
         raise CosetEnumError(f"the coset cap must be at least 1, not {max_cosets}")
     ncols = 2 * len(alpha)
     cols: list[list[int]] = [[-1] * _BLOCK for _ in range(ncols)]
+    # an involution's x^-1 column is its x column, and x^-1 is spelled x
+    invs = {ord(w.code[0]) & ~1 for w in relators if len(w.code) == 2 and w.code[0] == w.code[1]}
+    rewrite = str.maketrans({chr(c + 1): chr(c) for c in invs})
+    for c in invs:
+        cols[c + 1] = cols[c]
     inv_cols = [cols[c ^ 1] for c in range(ncols)]
-    pairs = list(zip(range(ncols), cols, inv_cols))
+    # the distinct columns by their code, with their inverses
+    pairs = [(c, cols[c], inv_cols[c]) for c in range(ncols) if c - 1 not in invs]
     # union-find parent, appended per definition so that each coset id is
     # one int object shared with the columns; the smaller coset survives
     p = [0]
@@ -133,7 +149,7 @@ def todd_coxeter(
     push = stack.append
 
     def grow():
-        for col in cols:
+        for _, col, _ in pairs:
             col.extend(_PAD)
 
     def coincidence(a: int, b: int):
@@ -218,9 +234,11 @@ def todd_coxeter(
             define(f, codes[i])
 
     # the cyclic conjugates under their first letter: forward columns,
-    # inverse columns last letter first, codes and last position
+    # inverse columns last letter first, codes and last position; the
+    # shared column closes each involution's square
     cycles: list[list] = [[] for _ in range(ncols)]
-    for code in dict.fromkeys(s[k:] + s[:k] for w in relators for s in (w.code, invert_code(w.code))
+    spelled = (s.translate(rewrite) for w in relators for s in (w.code, invert_code(w.code)))
+    for code in dict.fromkeys(s[k:] + s[:k] for s in spelled if not (len(s) == 2 and s[0] == s[1])
                               for k in range(len(s))):
         codes = list(map(ord, code))
         cycles[codes[0]].append(([cols[c] for c in codes], [inv_cols[c] for c in reversed(codes)],
@@ -236,11 +254,13 @@ def todd_coxeter(
                 continue
             for fwd, rbwd, codes, j in cycles[x]:
                 f = a
-                for i, col in enumerate(fwd):
+                i = 0
+                for col in fwd:
                     t = col[f]
                     if t < 0:
                         break
                     f = t
+                    i += 1
                 else:
                     if f != a:
                         coincidence(f, a)
@@ -266,11 +286,11 @@ def todd_coxeter(
                         break
 
     for w in subgroup_gens:
-        scan_and_fill(list(map(ord, w.code)))
+        scan_and_fill(list(map(ord, w.code.translate(rewrite))))
     deduce()
     a = 0
     while a < len(p) and len(p) - dead <= max_cosets:
-        for c, col in enumerate(cols):
+        for c, col, _ in pairs:
             if p[a] != a or len(p) - dead > max_cosets:
                 break
             if col[a] < 0:

@@ -171,6 +171,10 @@ class TestGoldenIndex10752:
         assert (graph.num_vertices, graph.rank()) == (10_752, 10_753)
         assert _sha16(repr(graph.canonical_form())) == "8ae874e5a1289636"
 
+    def test_involution_column(self, table):
+        # a^2 gives a and a^-1 one column
+        assert all(row[0] == row[1] for row in table.table)
+
     def test_schreier_kernel_generators_agrees(self, table):
         gens, again = schreier_kernel_generators(self.AB, [word(self.AB, r) for r in self.RELS], (), 400_000)
         assert again.table == table.table and again.reps == table.reps
@@ -188,7 +192,8 @@ class TestGoldenIndex10752:
 
     def test_memory_peak(self):
         # dead rows are cleared but not reclaimed, so the peak follows the
-        # rows defined; an HLT enumeration, defining 272,596, peaked at 18.1 MB
+        # rows defined: 4.8 MB here, with a and a^-1 in one column (5.3 MB
+        # with two); an HLT enumeration, defining 272,596, peaked at 18.1 MB
         tracemalloc.start()
         try:
             todd_coxeter(self.AB, [word(self.AB, r) for r in self.RELS], (), 400_000)
@@ -266,6 +271,99 @@ class TestCompleteTables:
         # the kernel generators fold to the table itself: they generate
         # exactly the stabiliser of coset 1 (hnnforge's membership guard)
         assert build_and_fold(alpha, t.kernel_generators()).table() == t.table
+
+
+def _conjugated_squares(alpha, rels):
+    """The same presentation with each relator x^2 or x^-2 written as the
+    conjugate y x^2 y^-1 by the next generator, or, over one generator, as
+    the pair x^4, x^6; no relator is then a square of one letter."""
+    out = []
+    for r in rels:
+        lets = r.letters
+        if len(lets) == 2 and lets[0] == lets[1]:
+            if len(alpha) == 1:
+                out += [Word(alpha, lets * 2), Word(alpha, lets * 3)]
+            else:
+                y = abs(lets[0]) % len(alpha) + 1
+                out.append(Word(alpha, (y,) + lets + (-y,)))
+        else:
+            out.append(r)
+    return out
+
+
+def _assert_shared_column(alpha, rels, subgroup=(), cap=10_000):
+    """The enumeration that shares a column for each involution equals the
+    one over the spelling that hides the involutions, and its x and x^-1
+    columns are equal.  Only complete tables are compared: the two
+    spellings may overflow differently."""
+    t = todd_coxeter(alpha, rels, subgroup, cap)
+    u = todd_coxeter(alpha, _conjugated_squares(alpha, rels), subgroup, cap)
+    if isinstance(t, Overflow) or isinstance(u, Overflow):
+        return None
+    assert (t.table, t.rep_codes) == (u.table, u.rep_codes)
+    for r in rels:
+        if len(r.code) == 2 and r.code[0] == r.code[1]:
+            c = ord(r.code[0]) & ~1
+            assert all(row[c] == row[c + 1] for row in t.table)
+    return t
+
+
+@st.composite
+def _coxeter_like(draw):
+    """Coxeter-like presentations: the first generator an involution,
+    spelled x^2 or x^-2, the others of order 2 to 5, and (x y)^m for each
+    pair, with letters of either sign; and up to two short subgroup
+    generators."""
+    n = draw(st.integers(2, 3))
+    alpha = alphabet(" ".join("abc"[:n]))
+    sign = st.sampled_from([1, -1])
+    rels = [Word(alpha, (draw(sign) * i,) * (2 if i == 1 else draw(st.integers(2, 5))))
+            for i in range(1, n + 1)]
+    rels += [Word(alpha, (draw(sign) * i, draw(sign) * j) * draw(st.integers(2, 5)))
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    letters = [s for i in range(1, n + 1) for s in (i, -i)]
+    subgroup = [Word(alpha, lets) for lets in draw(st.lists(st.lists(st.sampled_from(letters), max_size=4),
+                                                            max_size=2))]
+    return alpha, rels, subgroup
+
+
+class TestInvolutionColumn:
+    """A relator x^2 or x^-2 gives x and x^-1 one shared column.  Each
+    table is checked against the same presentation with the square hidden
+    in a conjugate, which keeps two columns."""
+
+    AB = alphabet("a b")
+
+    def test_inverse_square(self):
+        # <a, b | a^-2, b^3, (a b)^5> is A5
+        t = _assert_shared_column(self.AB, [word(self.AB, r) for r in ("a^-2", "b^3", "(a b)^5")])
+        assert t.index == 60
+
+    def test_subgroup_generators_with_inverses(self):
+        rels = [word(self.AB, r) for r in ("a^2", "b^3", "(a b)^5")]
+        for gens in (["a^-1 b a^-1 b^-1"], ["b a^-1 b", "a^-1 b^-1 a^-1"], ["a^-1"]):
+            t = _assert_shared_column(self.AB, rels, [word(self.AB, g) for g in gens])
+            for g in gens:
+                assert t.trace(word(self.AB, g).code) == 0
+
+    def test_three_generators_one_involution(self):
+        # A4 x Z/4: a and b generate A4, c is central of order 4
+        abc = alphabet("a b c")
+        rels = [word(abc, r) for r in ("a^-2", "b^3", "c^4", "(a b)^3", "a c a^-1 c^-1", "b c b^-1 c^-1")]
+        assert _assert_shared_column(abc, rels).index == 48
+        assert _assert_shared_column(abc, rels, [word(abc, "a^-1 c^2")]).index == 24
+
+    def test_one_generator(self):
+        assert _assert_shared_column(Z, [word(Z, "z^2")]).index == 2
+        assert _assert_shared_column(Z, [word(Z, "z^-2")], [word(Z, "z^-1")]).index == 1
+        # the entry that z^-2 defines must be scanned against z
+        assert _assert_shared_column(Z, [word(Z, "z^2"), word(Z, "z")], [word(Z, "z^-2")]).index == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coxeter_like())
+    def test_coxeter_like(self, case):
+        alpha, rels, subgroup = case
+        _assert_shared_column(alpha, rels, subgroup, cap=500)
 
 
 class TestKernelCheck:

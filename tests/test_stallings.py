@@ -1048,8 +1048,21 @@ class TestChainReads:
             assert g.read(code[:k]) == _read_by_letters(g, code[:k])
 
     @settings(max_examples=60, deadline=None)
-    @given(_chain_graphs(), st.lists(st.sampled_from(SIGNED), max_size=40))
-    def test_unreduced_random_codes(self, g, letters):
+    @given(_chain_graphs(), st.data())
+    def test_unreduced_random_codes(self, g, data):
+        # a walk reaches vertices far from the basepoint; detours out and
+        # back along an edge, put in at random steps, and a random tail make
+        # the code unreduced
+        letters, v = [], 0
+        for s in _walk(data, g) + [0]:
+            if data.draw(st.booleans()):
+                t = data.draw(st.sampled_from(sorted(g.out[v])))
+                letters += [t, -t]
+            if not s:
+                break
+            letters.append(s)
+            v = g.out[v][s]
+        letters += data.draw(st.lists(st.sampled_from(SIGNED), max_size=10))
         code = encode_letters(AB, letters)
         assert g.read(code) == _read_by_letters(g, code)
 
