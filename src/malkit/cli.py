@@ -207,7 +207,7 @@ def cmd_malchar(args):
         i, j, k = _triangle(args.triangle)
         cert = malchar.decide_malcharacteristic_triangle(AB, i, j, k, args.rho, args.bound)
         return Outcome({"certificate": cert.to_dict()}, caveats=cert.caveats)
-    gens = parse_word_list(AB, args.gens) if args.gens else list(malchar.seed_words_free(AB, args.rho).pair)
+    gens = parse_word_list(AB, args.gens) if args.gens else list(malchar.seed_words_free(AB, args.rho))
     verdict = malchar.decide_malcharacteristic_free(AB, gens)
     witnesses = []
     if verdict.failing_auto is not None:
@@ -324,7 +324,7 @@ def _intro_examples(rho):
 
 
 def _lemma_malcharfree(rho):
-    verdict = malchar.decide_malcharacteristic_free(AB, list(malchar.seed_words_free(AB, rho).pair))
+    verdict = malchar.decide_malcharacteristic_free(AB, list(malchar.seed_words_free(AB, rho)))
     ok = verdict.malcharacteristic
     return [f"rank-two positive pair at rho={rho}: "
             f"{'malcharacteristic' if ok else 'NOT malcharacteristic'}"], ok

@@ -29,14 +29,16 @@ The table is stored column-major, ``cols[c][coset]`` per letter code with
 -1 for undefined, in blocks of rows (an involution's two codes name one
 list); a coincidence clears a dead coset's row without reclaiming it.  The
 live cosets are renumbered by BFS from the subgroup coset into a
-:class:`CosetTable` and its Schreier transversal.  A standardized complete
-table is unique, so no complete output depends on the strategy or on the
+:class:`CosetTable`, which keeps only the table: the Schreier transversal
+is read off it, as the tree of that BFS.  A standardized complete table
+is unique, so no complete output depends on the strategy or on the
 shared columns; the order above fixes the live count of an overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .words import Alphabet, Word, decode_letters, invert_code
@@ -57,21 +59,32 @@ class Overflow:
 
 
 class CosetTable:
-    """Complete coset table with a Schreier transversal.
+    """Complete, standardized coset table with its Schreier transversal.
 
     Cosets are numbered 0..n-1 internally with 0 the subgroup coset;
     public coset ids are 1-based (1 = trivial/subgroup coset).
-    ``table[v][c]`` is the coset reached from v by the letter of code c, and
-    ``rep_codes[v]`` the code of coset v's representative."""
+    ``table[v][c]`` is the coset reached from v by the letter of code c.
+    The table is the one stored form: the transversal is derived from it."""
 
-    def __init__(self, alpha: Alphabet, table: list[list[int]], rep_codes: list[str]):
+    def __init__(self, alpha: Alphabet, table: list[list[int]]):
         self.alphabet = alpha
         self.table = table
-        self.rep_codes = rep_codes
 
     @property
     def index(self) -> int:
         return len(self.table)
+
+    @cached_property
+    def rep_codes(self) -> list[str]:
+        """Each coset's representative code, its path in the numbering's BFS
+        tree: the BFS reached coset w > 0 first from its least neighbour v,
+        by the first code from v that leads to w, and v < w."""
+        tbl = self.table
+        reps = [""]
+        for w in range(1, len(tbl)):
+            v = min(tbl[w])
+            reps.append(reps[v] + chr(tbl[v].index(w)))
+        return reps
 
     @property
     def reps(self) -> list[tuple[int, ...]]:
@@ -304,28 +317,22 @@ def todd_coxeter(
 
 def _standardize(alpha, cols, p) -> CosetTable:
     """Number the live cosets in BFS order from coset 0, columns in code
-    order, and record the code of each coset's BFS-tree word as its
-    representative."""
-    units = [chr(c) for c in range(len(cols))]
+    order."""
     number = [-1] * len(p)
     number[0] = 0
     order = [0]
-    reps: list[str] = [""]
     for v in order:
-        rep_v = reps[number[v]]
-        for col, unit in zip(cols, units):
+        for col in cols:
             w = col[v]
             if w < 0 or p[w] != w:
                 raise CosetEnumError("internal: incomplete table after enumeration")
             if number[w] < 0:
                 number[w] = len(order)
                 order.append(w)
-                reps.append(rep_v + unit)
     # each column renumbered by its own iterator and zipped into rows, so no
     # renumbered column is held whole
     renumbered = (map(number.__getitem__, map(col.__getitem__, order)) for col in cols)
-    table = [list(row) for row in zip(*renumbered)]
-    return CosetTable(alpha, table, reps)
+    return CosetTable(alpha, [list(row) for row in zip(*renumbered)])
 
 
 def schreier_kernel_generators(

@@ -9,6 +9,8 @@ letter conjugating the kernel subgroup by the chosen base automorphism.
 The family subgroup M is folded once per extension, by the basis rewriter
 that membership reads, when membership is first asked; the kernel
 generators lie in M by construction, so the builder never folds it.
+An extension with no finite padded quotient has no coset table, and
+membership, which traces words in that table, refuses it.
 """
 
 from __future__ import annotations
@@ -123,8 +125,8 @@ class HnnPresentation:
     hat: HatPresentation
     m_gens: tuple[Word, ...]            # concrete family words, hat-alphabet order
     assoc_abstract: tuple[Word, ...]    # kernel generators over the hat alphabet
-    table: Optional[CosetTable]         # hat quotient, when finite
-    truncated: Optional[int] = None     # truncation depth of a parametric family
+    table: Optional[CosetTable]         # hat quotient, None when not finite
+    truncated: Optional[int] = None     # depth of build_tp's truncated kernel
 
     @property
     def hat_alphabet(self) -> Alphabet:
@@ -153,7 +155,7 @@ class HnnPresentation:
                 for u, c in zip(self.assoc_abstract, self.assoc_concrete)]
 
     def membership(self) -> "_KMembership":
-        if self.truncated is not None:
+        if self.table is None:
             raise HnnError("finite quotient required")
         return self._membership
 
@@ -203,6 +205,8 @@ def build_tp(
         raise HnnError("exponents below 6 are outside the supported range")
     if max_cosets < 1:
         raise HnnError(f"the coset cap must be at least 1, not {max_cosets}")
+    if truncate < 0:
+        raise HnnError(f"the truncation depth must be at least 0, not {truncate}")
     rels = triangle_relators(alpha, i, j, k)
     rs = RelatorSet(alpha, rels)
     phi = _triangle_phi(alpha, i, j, k)
@@ -396,18 +400,19 @@ def _morphism(g1, source: HnnPresentation, target: HnnPresentation, caveats: lis
 
 @dataclass
 class BrittonWord:
-    """Alternating form h0 t^e1 h1 ... t^em hm over the base group."""
+    """Alternating form h0 t^e1 h1 ... t^em hm over the base group: the
+    segments h0..hm and the exponents e1..em, one fewer."""
 
-    head: Word
-    tail: tuple[tuple[int, Word], ...]
+    segments: tuple[Word, ...]
+    exponents: tuple[int, ...]
 
     @property
     def stable_count(self) -> int:
-        return len(self.tail)
+        return len(self.exponents)
 
     def text(self, stable: str = "t") -> str:
-        parts = [str(self.head)] if self.head else []
-        for eps, w in self.tail:
+        parts = [str(self.segments[0])] if self.segments[0] else []
+        for eps, w in zip(self.exponents, self.segments[1:]):
             parts.append(stable if eps > 0 else f"{stable}^-1")
             if w:
                 parts.append(str(w))
@@ -421,7 +426,7 @@ def britton_word(H: HnnPresentation, segments: Sequence[Word], exponents: Sequen
         raise HnnError(f"stable letter exponents must be 1 or -1, not {list(exponents)}")
     if any(w.alphabet != H.base_alphabet for w in segments):
         raise HnnError("a base segment is not over the base alphabet")
-    return BrittonWord(segments[0], tuple(zip(exponents, segments[1:])))
+    return BrittonWord(tuple(segments), tuple(exponents))
 
 
 class _KMembership:
@@ -530,8 +535,7 @@ def britton_reduce(H: HnnPresentation, bw: BrittonWord) -> tuple[BrittonWord, li
     The result is Britton-reduced: with any stable letters left it is
     nontrivial in the extension.  Requires a finite padded quotient."""
     member = H.membership()
-    segs = [bw.head] + [w for _, w in bw.tail]
-    eps = [e for e, _ in bw.tail]
+    segs, eps = list(bw.segments), list(bw.exponents)
     log: list[PinchStep] = []
     while True:
         for idx in range(len(eps) - 1):
@@ -549,14 +553,14 @@ def britton_reduce(H: HnnPresentation, bw: BrittonWord) -> tuple[BrittonWord, li
                 break
         else:
             break
-    return BrittonWord(segs[0], tuple(zip(eps, segs[1:]))), log
+    return BrittonWord(tuple(segs), tuple(eps)), log
 
 
 def britton_trivial(H: HnnPresentation, bw: BrittonWord) -> bool:
     reduced, _ = britton_reduce(H, bw)
     if reduced.stable_count:
         return False
-    return word_problem(H.membership().rs, reduced.head)
+    return word_problem(H.membership().rs, reduced.segments[0])
 
 
 # -- residual witnesses ---------------------------------------------------------------
@@ -587,24 +591,23 @@ def residual_witness(H: HnnPresentation, bw: BrittonWord) -> ResidualWitness:
     impose no constraint, and a word with no stable letters is separated by
     the base group alone."""
     member = H.membership()
-    reduced, log = britton_reduce(H, bw)
-    if log or reduced.tail != bw.tail or reduced.head != bw.head:
+    _, log = britton_reduce(H, bw)
+    if log:
         raise HnnError("word is not Britton-reduced")
-    if not bw.tail:
-        nontrivial = not word_problem(member.rs, bw.head)
+    eps, segs = bw.exponents, bw.segments
+    if not eps:
+        nontrivial = not word_problem(member.rs, segs[0])
         return ResidualWitness(
             [], "trivial", nontrivial,
             "no stable letters: decided in the base group by Dehn's algorithm",
         )
     entries = []
-    eps = [e for e, _ in bw.tail]
-    segs = [w for _, w in bw.tail]
     for idx in range(len(eps) - 1):
         pinch = _PINCHES.get((eps[idx], eps[idx + 1]))
         if pinch is None:
             continue
         _, kind, group = pinch
-        mid = segs[idx]
+        mid = segs[idx + 1]
         # britton_reduce has just asked this, so both reads are memoised
         coset = member.k_coset(mid if eps[idx] == 1 else member.unphi(mid))
         if coset is None:

@@ -196,16 +196,7 @@ def decide_malcharacteristic_free(alpha: Alphabet, s: Sequence[Word]) -> Malchar
 
 # -- seed words -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeedWords:
-    pair: tuple[Word, Word]
-
-    @property
-    def alphabet(self):
-        return self.pair[0].alphabet
-
-
-def _seed_pair(alpha: Alphabet, rho: int, A: tuple[int, ...], B: tuple[int, ...]) -> SeedWords:
+def _seed_pair(alpha: Alphabet, rho: int, A: tuple[int, ...], B: tuple[int, ...]) -> tuple[Word, Word]:
     """(prod_{k=3}^{rho+2} A^3 B^k, prod_{k=rho+3}^{2rho+2} A^3 B^k) for the
     blocks A and B, given as letters; no free reduction occurs."""
     if rho < 2:
@@ -214,10 +205,10 @@ def _seed_pair(alpha: Alphabet, rho: int, A: tuple[int, ...], B: tuple[int, ...]
     def factor(lo, hi):
         return Word(alpha, sum((A * 3 + B * k for k in range(lo, hi)), ()), reduced=True)
 
-    return SeedWords((factor(3, rho + 3), factor(rho + 3, 2 * rho + 3)))
+    return factor(3, rho + 3), factor(rho + 3, 2 * rho + 3)
 
 
-def seed_words_free(alpha: Alphabet, rho: int) -> SeedWords:
+def seed_words_free(alpha: Alphabet, rho: int) -> tuple[Word, Word]:
     """The pair (prod_{k=3}^{rho+2} a^3 b^k, prod_{k=rho+3}^{2rho+2} a^3 b^k)."""
     return _seed_pair(alpha, rho, (1,), (2,))
 
@@ -228,7 +219,7 @@ def seed_block_substitution(alpha: Alphabet) -> EndomorphismSpec:
     return endo(alpha, {"a": "a b^-1", "b": "a^2 b^-1"})
 
 
-def seed_words_triangle(alpha: Alphabet, rho: int) -> SeedWords:
+def seed_words_triangle(alpha: Alphabet, rho: int) -> tuple[Word, Word]:
     """The free-flavor words rewritten over the blocks A = a b^-1 and
     B = a^2 b^-1."""
     return _seed_pair(alpha, rho, (1, -2), (1, 1, -2))
@@ -237,6 +228,7 @@ def seed_words_triangle(alpha: Alphabet, rho: int) -> SeedWords:
 # -- nested small-cancellation families ------------------------------------------
 
 _FAMILY_ALPHABET = alphabet("u v")
+_MAX_STRETCH = 4  # rank_n_family's retries with stretched cuts
 
 
 @dataclass
@@ -256,9 +248,7 @@ def _family_abstract(n: int, stretch: int = 1) -> list[Word]:
             for lo, hi in cuts]
 
 
-def rank_n_family(
-    seed: SeedWords, n: int, r: Optional[Sequence[Word]] = None, max_stretch: int = 4
-) -> FamilyResult:
+def rank_n_family(seed: tuple[Word, Word], n: int, r: Optional[Sequence[Word]] = None) -> FamilyResult:
     """n prefix-compatible factors of the infinite word over the seed pair,
     verified before returning: the factors form a free basis of rank n, the
     subgroup they generate is malnormal in the ambient rank-two free group
@@ -267,7 +257,8 @@ def rank_n_family(
     if n < 1:
         raise MalcharError("n must be at least 1")
     last_reason = ""
-    for stretch in range(1, max_stretch + 1):
+    alpha = seed[0].alphabet
+    for stretch in range(1, _MAX_STRETCH + 1):
         abstract = _family_abstract(n, stretch)
         if any(proper_power(w) is not None for w in abstract):
             last_reason = "a factor is a proper power"
@@ -280,8 +271,8 @@ def rank_n_family(
         if not verdict.malnormal:
             last_reason = "factors not malnormal in the block group"
             continue
-        images = images_by_unit([w.code for w in seed.pair])
-        concrete = [Word.from_code(seed.alphabet, code_product(map(images.__getitem__, aw.code)))
+        images = images_by_unit([w.code for w in seed])
+        concrete = [Word.from_code(alpha, code_product(map(images.__getitem__, aw.code)))
                     for aw in abstract]
         checks = {
             "rank": n,
@@ -289,7 +280,7 @@ def rank_n_family(
             "stretch": stretch,
         }
         if r:
-            base = RelatorSet(seed.alphabet, r)
+            base = RelatorSet(alpha, r)
             checks["cyclically_reduced_in_quotient"] = all(
                 is_cyclically_dehn_reduced(base, cw) for cw in concrete
             )
@@ -416,7 +407,7 @@ def verify_psi_images(
     patterns = _forbidden_codes(alpha)
     reports = []
     for psi in psi_maps(alpha):
-        images = [apply_endo(psi.spec, w) for w in seeds.pair]
+        images = [apply_endo(psi.spec, w) for w in seeds]
         fam = check_family_cyclically_reduced(alpha, rels, images, syllable_bound, base=base)
         # scan the same word family for forbidden factors
         scan_words = list(images) + [u * v for u in images for v in images if u != v]
@@ -447,8 +438,7 @@ def decide_malcharacteristic_triangle(
     """
     rels = triangle_relators(alpha, i, j, k)
     cert = Certificate(kind="malcharacteristic-triangle")
-    seeds = seed_words_triangle(alpha, rho)
-    x, y = seeds.pair
+    x, y = seed_words_triangle(alpha, rho)
     joint = _joint_metric_route(alpha, rels, [x, y])
 
     # stage 1: malnormal and free in the quotient
@@ -465,10 +455,10 @@ def decide_malcharacteristic_triangle(
     sub = seed_block_substitution(alpha)
     seed_graph = build_and_fold(alpha, [x, y])
     orbit_ok = same_subgroup(
-        build_and_fold(alpha, [apply_endo(sub, w) for w in free_seeds.pair]), seed_graph)
+        build_and_fold(alpha, [apply_endo(sub, w) for w in free_seeds]), seed_graph)
     route = "block-substitution orbit" if orbit_ok else "direct"
     try:
-        shadow = decide_malcharacteristic_free(alpha, list(free_seeds.pair))
+        shadow = decide_malcharacteristic_free(alpha, list(free_seeds))
         shadow_ok = shadow.malcharacteristic
         detail = "" if shadow_ok else "free-group shadow fails the orbit checks"
     except HypothesesViolated as e:

@@ -226,7 +226,6 @@ def parsed_to_hnn(parsed: ParsedPresentation):
         m_gens=tuple(parsed.mgen_words),
         assoc_abstract=tuple(parsed.assoc),
         table=table,
-        truncated=None if table is not None else 0,
     )
     try:  # membership rewrites over the mgens words, which must be a free basis
         hnn.rewriter

@@ -65,9 +65,6 @@ class Alphabet:
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
-    def extend(self, extra: Iterable[str]) -> "Alphabet":
-        return Alphabet(self.names + tuple(extra))
-
 
 def alphabet(spec: str | Sequence[str]) -> Alphabet:
     """Build an Alphabet from a space-separated string or a name sequence."""

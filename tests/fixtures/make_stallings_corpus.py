@@ -84,7 +84,7 @@ def small_rows(names: str, words: list[list[str]]) -> list[dict]:
 def paper_rows() -> list[dict]:
     """The rho=8 seed pair against itself and against each psi-image."""
     ab = alphabet("a b")
-    pair = list(seed_words_triangle(ab, 8).pair)
+    pair = list(seed_words_triangle(ab, 8))
     seed = build_and_fold(ab, pair)
     rows = []
     for name, g in [("seed", seed)] + [

@@ -138,7 +138,7 @@ def test_criterion_01_small_cancellation_verdicts():
 
         # the joint set with the rho=8 seed words is neither C'(1/6) nor
         # C'(1/4)-T(4) under the strict free-group definitions
-        x, y = seed_words_triangle(AB, 8).pair
+        x, y = seed_words_triangle(AB, 8)
         joint_relators = T6_RELATORS + [x, y]
         joint = RelatorSet(AB, joint_relators)
         closure = _symmetrised_closure(joint_relators)
@@ -238,7 +238,7 @@ def test_criterion_03_malcharlem_pipeline():
     with Budget(3, 30):
         for rho in (6, 8, 10):
             seeds = seed_words_free(AB, rho)
-            assert decide_malcharacteristic_free(AB, list(seeds.pair)).malcharacteristic, rho
+            assert decide_malcharacteristic_free(AB, list(seeds)).malcharacteristic, rho
         rejected = decide_malcharacteristic_free(AB, [word(AB, "a^3 b^3")])
         assert not rejected.malcharacteristic
         assert rejected.failing_auto is not None and rejected.witness is not None
@@ -276,7 +276,7 @@ def test_criterion_04_triangle_certificates():
             assert f"piece 'a^2' of length 2 inside relator of length {i}" in detail, detail
             assert "T(4) fails" in detail, detail
             # the violating piece, re-derived without the checkers
-            x, y = seed_words_triangle(AB, rho).pair
+            x, y = seed_words_triangle(AB, rho)
             closure = _symmetrised_closure(triangle_relators(AB, i, j, k) + [x, y])
             for lam in (Fraction(1, 4), Fraction(1, 6)):
                 _assert_piece_witness(closure, word(AB, "a^2"), word(AB, f"a^{i}"), lam)
@@ -410,7 +410,7 @@ def test_criterion_10_britton_vs_brute_force():
 
         def brute_trivial(bw):
             # exhaustive pinch-by-pinch rewriting over all pinch choices
-            frontier = [([bw.head] + [w for _, w in bw.tail], [e for e, _ in bw.tail])]
+            frontier = [(list(bw.segments), list(bw.exponents))]
             seen = set()
             while frontier:
                 segs, eps = frontier.pop()

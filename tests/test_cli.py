@@ -214,6 +214,19 @@ class TestCli:
         else:
             assert out["truncated"] == 3
 
+    @pytest.mark.parametrize("depth, code", [("-1", 2), ("0", 0)])
+    def test_build_tp_truncate(self, capsys, tmp_path, depth, code):
+        # <z | > maps onto Z, so its kernel is always truncated
+        pres = tmp_path / "z.pres"
+        pres.write_text("gens: z\nrels:\n")
+        got, out = run_cli(capsys, "build-tp", "--triangle", "6,6,6", "--rho", "2",
+                           "--pres", str(pres), "--truncate", depth, "-o", str(tmp_path / "tp.hnn"))
+        assert got == code
+        if code:
+            assert "at least 0" in out["refusal"]
+        else:
+            assert out["truncated"] == 0 and out["caveats"] == ["kernel truncated at conjugator depth 0"]
+
     def test_coset_enum_kernel_with_subgroup_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
         # the free group on a, b: the subgroup's enumeration would overflow
         path = tmp_path / "free2.pres"

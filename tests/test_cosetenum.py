@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -192,8 +193,10 @@ class TestGoldenIndex10752:
 
     def test_memory_peak(self):
         # dead rows are cleared but not reclaimed, so the peak follows the
-        # rows defined: 4.8 MB here, with a and a^-1 in one column (5.3 MB
-        # with two); an HLT enumeration, defining 272,596, peaked at 18.1 MB
+        # rows defined: 3.9 MB here, with a and a^-1 in one column and the
+        # transversal left to be derived (4.8 MB when the table also stored
+        # one representative per coset, 5.3 MB with two columns as well); an
+        # HLT enumeration, defining 272,596, peaked at 18.1 MB
         tracemalloc.start()
         try:
             todd_coxeter(self.AB, [word(self.AB, r) for r in self.RELS], (), 400_000)
@@ -364,6 +367,49 @@ class TestInvolutionColumn:
     def test_coxeter_like(self, case):
         alpha, rels, subgroup = case
         _assert_shared_column(alpha, rels, subgroup, cap=500)
+
+
+def _bfs_rep_codes(table):
+    """The transversal by a BFS of the table from coset 0, trying codes in
+    order: a coset's representative is that of the coset it is first
+    reached from, followed by the first code that reaches it.  A
+    standardized table numbers the cosets in the order this BFS meets them."""
+    reps = {0: ""}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for c, w in enumerate(table[v]):
+            if w not in reps:
+                reps[w] = reps[v] + chr(c)
+                queue.append(w)
+    assert list(reps) == list(range(len(table)))
+    return list(reps.values())
+
+
+class TestDerivedTransversal:
+    """``rep_codes``, read off the table, is the BFS tree's transversal."""
+
+    def test_fixture_tables(self):
+        cases = json.loads((Path(__file__).parent / "fixtures" / "coset_outcomes.json").read_text())
+        complete = 0
+        for case in cases:
+            caps = [o["cap"] for o in case["outcomes"] if "index" in o]
+            if not caps:
+                continue
+            alpha = alphabet(" ".join("abc"[:case["generators"]]))
+            t = todd_coxeter(alpha, [Word(alpha, r) for r in case["relators"]],
+                             [Word(alpha, s) for s in case["subgroup"]], min(caps))
+            assert t.rep_codes == _bfs_rep_codes(t.table)
+            complete += 1
+        assert complete > 100
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coxeter_like())
+    def test_coxeter_like(self, case):
+        alpha, rels, subgroup = case
+        t = todd_coxeter(alpha, rels, subgroup, 500)
+        if not isinstance(t, Overflow):
+            assert t.rep_codes == _bfs_rep_codes(t.table)
 
 
 class TestKernelCheck:

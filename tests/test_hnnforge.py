@@ -206,6 +206,12 @@ class TestBuildTp:
         with pytest.raises(HnnError, match="at least 1"):
             build_tp(AB, 6, 6, 6, pres("z", rels), rho=2, mode="minimal", max_cosets=cap)
 
+    @pytest.mark.parametrize("rels", [["z^2"], []])
+    def test_negative_truncation_refused(self, rels):
+        # refused whether or not the kernel would be truncated
+        with pytest.raises(HnnError, match="at least 0"):
+            build_tp(AB, 6, 6, 6, pres("z", rels), rho=2, mode="minimal", truncate=-1)
+
     def test_cap_one_truncates(self):
         # the padded quotient of <z | z^2> has two cosets, so it overflows
         # a cap of one and the kernel is truncated, as for any overflow
@@ -462,7 +468,7 @@ class TestPinchMaps:
         member = H.membership()
         spelled = 0
         for bw in _pinch_corpus(H, k, 20):
-            for h in (w for _, w in bw.tail):
+            for h in bw.segments[1:]:
                 if member.in_k(h):
                     spelled += h.code in member._spelled
                     assert member.phi_k(h) == apply_endo(H.phi, h)
@@ -476,7 +482,7 @@ class TestPinchMaps:
         assert member.phi_k(h) == apply_endo(H.phi, h)
         e = Word(AB, ())
         reduced, log = britton_reduce(H, britton_word(H, [e, h, e], [1, -1]))
-        assert len(log) == 1 and reduced.head == apply_endo(H.phi, h)
+        assert len(log) == 1 and reduced.segments[0] == apply_endo(H.phi, h)
 
     def counting(self, monkeypatch):
         calls = []
@@ -494,7 +500,7 @@ class TestPinchMaps:
         calls = self.counting(monkeypatch)
         e = Word(AB, ())
         reduced, log = britton_reduce(H, britton_word(H, [e, z * z, e], [1, -1]))
-        assert len(log) == 1 and reduced.head == apply_endo(H.phi, z * z)
+        assert len(log) == 1 and reduced.segments[0] == apply_endo(H.phi, z * z)
         assert not [c for c in calls if c is H.phi]
 
     def test_phi_k_pinch_applies_phi_inverse_once(self, monkeypatch):
@@ -503,7 +509,7 @@ class TestPinchMaps:
         calls = self.counting(monkeypatch)
         e = Word(AB, ())
         reduced, log = britton_reduce(H, britton_word(H, [e, phi_z2, e], [-1, 1]))
-        assert [p.kind for p in log] == ["t^-1 phi(k) t"] and reduced.head == H.m_word("z") ** 2
+        assert [p.kind for p in log] == ["t^-1 phi(k) t"] and reduced.segments[0] == H.m_word("z") ** 2
         assert len(calls) == 1 and calls[0] is member.phi_inv
 
 

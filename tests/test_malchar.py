@@ -140,7 +140,7 @@ class TestRunRestrictedAcyclic:
             assert malchar._run_restricted_acyclic(graph, gen) == _reference_run_restricted_acyclic(graph, gen)
 
     def test_seed_pair(self):
-        graph = build_and_fold(AB, list(seed_words_free(AB, 8).pair))
+        graph = build_and_fold(AB, list(seed_words_free(AB, 8)))
         assert malchar._run_restricted_acyclic(graph, 0) and malchar._run_restricted_acyclic(graph, 1)
         assert not malchar._run_restricted_acyclic(build_and_fold(AB, [w("a^2 b^3")]), 0)
 
@@ -163,14 +163,14 @@ class TestHypotheses:
 
     def test_seed_words_pass(self):
         seeds = seed_words_free(AB, 6)
-        assert malcharlem_hypotheses(AB, list(seeds.pair)).ok
+        assert malcharlem_hypotheses(AB, list(seeds)).ok
 
 
 class TestDecideFree:
     def test_seed_words_certified(self):
         for rho in (6, 8):
             seeds = seed_words_free(AB, rho)
-            assert decide_malcharacteristic_free(AB, list(seeds.pair)).malcharacteristic
+            assert decide_malcharacteristic_free(AB, list(seeds)).malcharacteristic
 
     def test_a3b3_rejected_with_witness(self):
         verdict = decide_malcharacteristic_free(AB, [w("a^3 b^3")])
@@ -201,7 +201,7 @@ class TestDecideFree:
     def test_pair_folded_once(self, monkeypatch):
         # the hypotheses, the malnormality check and the seven intersections
         # read one folded graph of the pair; only the images are folded anew
-        pair = list(seed_words_free(AB, 8).pair)
+        pair = list(seed_words_free(AB, 8))
         folded = []
 
         def counting(alpha, gens):
@@ -216,34 +216,34 @@ class TestDecideFree:
 class TestSeedWords:
     def test_free_rho2_closed_form(self):
         seeds = seed_words_free(AB, 2)
-        assert seeds.pair[0] == w("a^3 b^3 a^3 b^4")
-        assert seeds.pair[1] == w("a^3 b^5 a^3 b^6")
+        assert seeds[0] == w("a^3 b^3 a^3 b^4")
+        assert seeds[1] == w("a^3 b^5 a^3 b^6")
 
     def test_free_rho3_first_word(self):
-        assert seed_words_free(AB, 3).pair[0] == w("a^3 b^3 a^3 b^4 a^3 b^5")
+        assert seed_words_free(AB, 3)[0] == w("a^3 b^3 a^3 b^4 a^3 b^5")
 
     def test_length_formula(self):
         for rho in (2, 5, 9):
-            wx, wy = seed_words_free(AB, rho).pair
+            wx, wy = seed_words_free(AB, rho)
             assert len(wx) == 3 * rho + sum(range(3, rho + 3))
             assert len(wy) == 3 * rho + sum(range(rho + 3, 2 * rho + 3))
 
     def test_triangle_rho2_closed_form(self):
         seeds = seed_words_triangle(AB, 2)
-        assert seeds.pair[0] == w("(a b^-1)^3 (a^2 b^-1)^3 (a b^-1)^3 (a^2 b^-1)^4")
+        assert seeds[0] == w("(a b^-1)^3 (a^2 b^-1)^3 (a b^-1)^3 (a^2 b^-1)^4")
 
     def test_triangle_rho3_second_word(self):
         expected = w(
             "(a b^-1)^3 (a^2 b^-1)^6 (a b^-1)^3 (a^2 b^-1)^7 (a b^-1)^3 (a^2 b^-1)^8"
         )
-        assert seed_words_triangle(AB, 3).pair[1] == expected
+        assert seed_words_triangle(AB, 3)[1] == expected
 
     def test_block_substitution_identity(self):
         sub = seed_block_substitution(AB)
         for rho in (2, 4, 8):
             free = seed_words_free(AB, rho)
             tri = seed_words_triangle(AB, rho)
-            assert tuple(apply_endo(sub, v) for v in free.pair) == tri.pair
+            assert tuple(apply_endo(sub, v) for v in free) == tri
 
     def test_rho_below_two_rejected(self):
         with pytest.raises(MalcharError):
@@ -256,7 +256,7 @@ class TestRankNFamily:
     def test_first_natural_factor(self):
         seed = seed_words_free(AB, 2)
         fam = rank_n_family(seed, 1)
-        u, v = seed.pair
+        u, v = seed
         assert fam.words == [u * v * (u * v * v)]
 
     def test_requested_rank_achieved(self):
@@ -356,7 +356,7 @@ class TestVerifyPsiImages:
     def test_identity_map_reduces_to_seed_check(self):
         reports = verify_psi_images(AB, 6, 6, 6, 8, 3)
         ident = [r for r in reports if r.psi.is_identity()][0]
-        assert ident.images == list(seed_words_triangle(AB, 8).pair)
+        assert ident.images == list(seed_words_triangle(AB, 8))
 
     def test_small_rho_recorded_either_way(self):
         reports = verify_psi_images(AB, 6, 6, 6, 3, 3)

@@ -126,7 +126,7 @@ class TestCertifyMalnormal:
         from malkit.malchar import seed_words_triangle
 
         seeds = seed_words_triangle(AB, 8)
-        cert = certify_malnormal_in_quotient(AB, T6, list(seeds.pair))
+        cert = certify_malnormal_in_quotient(AB, T6, list(seeds))
         assert not cert.certified
         failure = cert.first_failure()
         assert failure is not None and "small-cancellation" in failure.name
@@ -153,7 +153,7 @@ class TestFamilyCheck:
         from malkit.malchar import seed_words_triangle
 
         v = check_family_cyclically_reduced(
-            AB, T6, list(seed_words_triangle(AB, 8).pair), 3
+            AB, T6, list(seed_words_triangle(AB, 8)), 3
         )
         assert v.ok and v.unconditional and v.caveat is None
 
@@ -224,7 +224,7 @@ class TestFamilyAgainstTuples:
         monkeypatch.setattr(quotientcert, "is_cyclically_dehn_reduced", counting)
         from malkit.malchar import seed_words_triangle
 
-        for t in (list(seed_words_triangle(AB, 8).pair), ws("a^5 b"), ws("a^3 b", "b^2 a")):
+        for t in (list(seed_words_triangle(AB, 8)), ws("a^5 b"), ws("a^3 b", "b^2 a")):
             calls.clear()
             v = check_family_cyclically_reduced(AB, T6, t, 3)
             assert v.checked_words == len(calls) > 0

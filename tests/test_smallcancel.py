@@ -465,7 +465,7 @@ class TestSeedWordInteraction:
     def test_seed_word_is_cyclically_dehn_reduced(self):
         from malkit.malchar import seed_words_triangle
 
-        x, _ = seed_words_triangle(AB, 8).pair
+        x, _ = seed_words_triangle(AB, 8)
         assert is_cyclically_dehn_reduced(T6, x)
 
     def test_joint_set_fails_strict_metric_at_every_rho(self):
@@ -477,7 +477,7 @@ class TestSeedWordInteraction:
         from malkit.malchar import seed_words_triangle
 
         for rho in (6, 8, 10):
-            x, y = seed_words_triangle(AB, rho).pair
+            x, y = seed_words_triangle(AB, rho)
             joint = RelatorSet(AB, [w("a^6"), w("b^6"), w("(a b)^6"), x, y])
             verdict = check_metric(joint, Fraction(1, 4))
             assert not verdict.ok
@@ -685,7 +685,7 @@ class TestCorpus:
             triangle = triangle_relators(AB, i, j, k)
             yield RelatorSet(AB, triangle), rng
             for rho in (6, 8):
-                yield RelatorSet(AB, triangle + list(seed_words_triangle(AB, rho).pair)), rng
+                yield RelatorSet(AB, triangle + list(seed_words_triangle(AB, rho))), rng
 
     @classmethod
     def _corpus(cls):

@@ -288,7 +288,7 @@ class TestRewriting:
         from malkit.malchar import seed_words_triangle
         from malkit.words import conjugate
 
-        x, y = seed_words_triangle(AB, 6).pair
+        x, y = seed_words_triangle(AB, 6)
         assert BasisRewriter(AB, [x, y]).rewrite(conjugate(x, y)) == over_gens(2, [-2, 1, 2])
 
     def test_random_roundtrips(self):
@@ -504,7 +504,7 @@ class TestSpanningTree:
     def test_seed_pair(self):
         from malkit.malchar import seed_words_triangle
 
-        g = build_and_fold(AB, list(seed_words_triangle(AB, 8).pair))
+        g = build_and_fold(AB, list(seed_words_triangle(AB, 8)))
         parent = _bfs_tree_parent(g)
         assert _tree_as_parents(g, g.fibre_facts().tree) == parent
         assert g.fibre_facts().nontree == _reference_nontree_edges(g, parent)
@@ -608,7 +608,7 @@ class TestFibreAnalysisDifferential:
         # at a source of a non-tree edge explores more than 2,000 pairs here.
         from malkit.malchar import psi_maps, seed_words_triangle
 
-        pair = list(seed_words_triangle(AB, 8).pair)
+        pair = list(seed_words_triangle(AB, 8))
         psi = next(p for p in psi_maps(AB) if p.name == "psi(2,+1)")
         t_graph = build_and_fold(AB, [apply_endo(psi.spec, x) for x in pair])
         s_graph = build_and_fold(AB, pair)
@@ -1094,7 +1094,7 @@ class TestChainReads:
         # the triangle seed pair at rho=6: 335 vertices, its stops found by the view
         from malkit.malchar import seed_words_triangle
 
-        g = build_and_fold(AB, list(seed_words_triangle(AB, 6).pair))
+        g = build_and_fold(AB, list(seed_words_triangle(AB, 6)))
         stops = [v for v, row in enumerate(g.chains()) if row is not None]
         assert stops == [v for v, d in enumerate(g.out) if len(d) != 2 or v == 0]
         assert sum(map(len, (g.chains()[v] for v in stops))) == sum(len(g.out[v]) for v in stops)
