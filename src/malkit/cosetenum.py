@@ -86,11 +86,6 @@ class CosetTable:
             reps.append(reps[v] + chr(tbl[v].index(w)))
         return reps
 
-    @property
-    def reps(self) -> list[tuple[int, ...]]:
-        """The representatives as signed-letter tuples, decoded."""
-        return [decode_letters(code) for code in self.rep_codes]
-
     def trace(self, code: str, start: int = 0) -> int:
         """The coset reached from ``start`` by a word's code."""
         v = start

@@ -38,6 +38,7 @@ from .words import (
     endo,
     endo_power,
     images_by_unit,
+    invert_code,
     reduced_words,
     word,
 )
@@ -258,7 +259,7 @@ def _maps_onto_z(p: InputPresentation) -> bool:
     is exact.  A generator with exponent sum zero in every relator is the
     case of a zero column."""
     n = len(p.alphabet)
-    rows = [[r.letters.count(g) - r.letters.count(-g) for g in range(1, n + 1)] for r in p.relators]
+    rows = [[r.code.count(chr(2 * g)) - r.code.count(chr(2 * g + 1)) for g in range(n)] for r in p.relators]
     rank = 0
     for c in range(n):
         top = next((row for row in rows if row[c]), None)
@@ -275,14 +276,12 @@ def _truncated_kernel(hat: HatPresentation, depth: int) -> tuple[Word, ...]:
     alpha = hat.presentation.alphabet
     out: list[Word] = []
     seen = set()
-    conjugators = [()] + list(reduced_words(len(alpha), depth))
-    for g in conjugators:
-        gw = Word(alpha, g, reduced=True)
+    for g in ["", *reduced_words(len(alpha), depth)]:
         for r in hat.presentation.relators:
-            conj = gw.inverse() * r * gw
-            if conj and conj.code not in seen:
-                seen.add(conj.code)
-                out.append(conj)
+            conj = code_product((invert_code(g), r.code, g))
+            if conj and conj not in seen:
+                seen.add(conj)
+                out.append(Word.from_code(alpha, conj))
     return tuple(out)
 
 

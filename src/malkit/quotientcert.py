@@ -23,6 +23,7 @@ from .words import (
     Word,
     code_product,
     cyclic_reduce,
+    images_by_unit,
     invert_code,
     proper_power,
     reduced_words,
@@ -50,6 +51,9 @@ class Certificate:
     route: Optional[str] = None
     caveats: list[str] = field(default_factory=list)
     data: dict = field(default_factory=dict)
+    # the word lists the certificate is about, by data key: spelled only
+    # by to_dict, after the other data
+    words: dict[str, Sequence[Word]] = field(default_factory=dict)
 
     @property
     def certified(self) -> bool:
@@ -78,7 +82,7 @@ class Certificate:
                 for h in self.hypotheses
             ],
             "caveats": self.caveats,
-            "data": self.data,
+            "data": {**self.data, **{key: [str(w) for w in ws] for key, ws in self.words.items()}},
         }
 
 
@@ -183,7 +187,7 @@ def certify_free_basis(alpha: Alphabet, r: Sequence[Word], s: Sequence[Word]) ->
         "the listed words are a free basis of the subgroup they generate in the "
         "quotient, and every word over them is cyclically Dehn-reduced"
     )
-    cert.data["s"] = [str(w) for w in s]
+    cert.words["s"] = s
     return cert
 
 
@@ -206,7 +210,7 @@ def certify_malnormal_in_quotient(
     else:
         cert.add("no proper powers in s", True)
     cert.conclusion = "the subgroup is malnormal in the quotient and free on the listed basis"
-    cert.data["s"] = [str(w) for w in s]
+    cert.words["s"] = s
     return cert
 
 
@@ -238,21 +242,17 @@ def check_family_cyclically_reduced(
     if base.alphabet != alpha or any(w.alphabet != alpha for w in t):
         raise CertificateError("relator set or t-word over a different alphabet")
 
-    # each t-word is spelled as a code from the codes of the images; only a
-    # failing word becomes a Word, for the witness
-    codes: dict[int, str] = {}
-    for k, w in enumerate(t, 1):
-        codes[k] = w.code
-        codes[-k] = invert_code(w.code)
+    # each word over t is substituted as a code through the t-words' codes
+    images = images_by_unit([w.code for w in t])
     checked = 0
     for expr in reduced_words(len(t), syllable_bound):
-        code = code_product([codes[x] for x in expr])
         checked += 1
-        v = Word.from_code(alpha, code)
+        v = Word.from_code(alpha, code_product(map(images.__getitem__, expr)))
         if not is_cyclically_dehn_reduced(base, v):
             return FamilyVerdict(False, False, witness=v, checked_words=checked)
 
-    unconditional = _block_criterion(base, t) if r else True
+    # with no t-words there is no word to check, and the scan was exhaustive
+    unconditional = _block_criterion(base, t) if r and t else True
     caveat = None if unconditional else f"t-family check bounded at syllable length {syllable_bound}"
     return FamilyVerdict(True, unconditional, caveat=caveat, checked_words=checked)
 
@@ -262,11 +262,8 @@ def _block_criterion(base: RelatorSet, t: Sequence[Word]) -> bool:
     minimal relator violation must stay strictly below the residual middle
     of every t-letter; then any violating subword spans at most three
     consecutive blocks and the window-3 scan is exhaustive.  ``base`` must
-    have at least one relator."""
-    letters = []
-    for w in t:
-        letters.append(w.code)
-        letters.append(invert_code(w.code))
+    have at least one relator, and ``t`` at least one word."""
+    letters = list(images_by_unit([w.code for w in t]).values())
 
     def cancel(g, h):
         # letters cancelled between g and h in the product g*h
@@ -337,8 +334,7 @@ def certify_trivial_intersection_in_quotient(
         )
     else:
         cert.caveats.append("transfer hypotheses failed - free verdict does not lift")
-    cert.data["s"] = [str(w) for w in s]
-    cert.data["t"] = [str(w) for w in t]
+    cert.words.update(s=s, t=t)
     return cert
 
 

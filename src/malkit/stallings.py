@@ -86,17 +86,16 @@ class SubgroupGraph:
     numbering; the basepoint is vertex 0.  ``out[v]`` maps signed letters
     to target vertices.  Membership reads a word along these rows in a graph
     of fewer than ``_ROWS_BELOW`` vertices, and through the dense
-    :meth:`table` in a larger one; basis rewriting reads it by the
-    :meth:`chains` view.
+    :meth:`table` in a larger one; :class:`BasisRewriter` reads it by its
+    own steps along branch-free paths.
     """
 
-    __slots__ = ("alphabet", "out", "_table", "_chains", "_fibre")
+    __slots__ = ("alphabet", "out", "_table", "_fibre")
 
     def __init__(self, alpha: Alphabet, out: list[dict[int, int]], fibre: FibreFacts):
         self.alphabet = alpha
         self.out = out
         self._table = None
-        self._chains = None
         self._fibre = fibre
 
     # -- size & invariants ---------------------------------------------------
@@ -126,43 +125,6 @@ class SubgroupGraph:
     def fibre_facts(self) -> FibreFacts:
         """The spanning tree and fibre-product facts (:class:`FibreFacts`)."""
         return self._fibre
-
-    def chains(self) -> list[Optional[dict[str, tuple[str, int]]]]:
-        """The chain view, which :class:`BasisRewriter` reads by.
-
-        A stop vertex is the basepoint or a vertex whose degree is not 2;
-        every other vertex lies inside one branch-free path between stops.
-        ``chains()[v]`` maps each code unit leaving a stop ``v`` to the code
-        of the path that starts with it and the stop where that path ends;
-        it is None at the other vertices.  In a graph with no vertex of
-        degree 2 every path is a single edge.  The view is built once, from
-        ``out`` alone: each path is walked once, and its reverse is the
-        inverse code."""
-        if self._chains is None:
-            out = self.out
-            stops = [v for v, d in enumerate(out) if len(d) != 2 or not v]
-            unit = LETTER_UNIT
-            view: list[Optional[dict[str, tuple[str, int]]]] = [None] * len(out)
-            for v in stops:
-                view[v] = {}
-            for a in stops:
-                row = view[a]
-                for s, w in out[a].items():
-                    first = unit[s]
-                    if first in row:  # the reverse of a path walked before
-                        continue
-                    path = [s]
-                    while view[w] is None:  # w has degree 2: leave by the other letter
-                        d = out[w]
-                        s1, s2 = d
-                        s = s2 if s1 == -s else s1
-                        path.append(s)
-                        w = d[s]
-                    code = "".join(map(unit.__getitem__, path))
-                    row[first] = (code, w)
-                    view[w][unit[-s]] = (invert_code(code), a)
-            self._chains = view
-        return self._chains
 
     def read(self, code: str) -> int:
         """Trace a code from the basepoint; return the final vertex or -1.
@@ -447,11 +409,33 @@ class BasisRewriter:
         for idx, (u, s, v) in enumerate(graph.fibre_facts().nontree):
             self._symbol_at[u, LETTER_UNIT[s]] = chr(2 * idx)
             self._symbol_at[v, LETTER_UNIT[-s]] = chr(2 * idx + 1)
-        # the graph's chains, each with the symbols it crosses
-        self._steps = [
-            None if row is None else {u: (path, end, self._walk(v, path)[1]) for u, (path, end) in row.items()}
-            for v, row in enumerate(graph.chains())
-        ]
+        # the steps _crossing reads by.  A stop is the basepoint or a vertex
+        # whose degree is not 2; every other vertex lies inside one
+        # branch-free path between stops.  At a stop v, steps[v] maps each
+        # code unit leaving it to the code of the path that starts with it,
+        # the stop where that path ends and the symbols it crosses; it is
+        # None elsewhere.  Each path is walked once, and its reverse step is
+        # the inverse of both codes
+        out, unit, symbol_at = graph.out, LETTER_UNIT, self._symbol_at
+        self._steps = steps = [{} if len(d) != 2 or not v else None for v, d in enumerate(out)]
+        for a, row in enumerate(steps):
+            if row is None:
+                continue
+            for s, w in out[a].items():
+                first = unit[s]
+                if first in row:  # the reverse of a path walked before
+                    continue
+                path, symbols = [first], [symbol_at.get((a, first), "")]
+                while steps[w] is None:  # w has degree 2: leave by the other letter
+                    d = out[w]
+                    s1, s2 = d
+                    s = s2 if s1 == -s else s1
+                    path.append(unit[s])
+                    symbols.append(symbol_at.get((w, unit[s]), ""))
+                    w = d[s]
+                code, crossed = "".join(path), "".join(symbols)
+                row[first] = (code, w, crossed)
+                steps[w][unit[-s]] = (invert_code(code), a, invert_code(crossed))
         self._gen_codes = images_by_unit([g.code for g in self.gens])
         self._basis_over_gens = images_by_unit(self._invert_basis())
 
@@ -471,7 +455,7 @@ class BasisRewriter:
     def _crossing(self, w: Word) -> Optional[str]:
         """Express a subgroup element over the tree basis (non-tree edges
         crossed, in order); None if the word is not in the subgroup.  It
-        reads by the graph's chains, each step a whole path taken with one
+        reads by the steps, each a whole path taken with one
         ``startswith``, and finishes letter by letter where the code leaves
         a path or ends inside one, so every code, reduced or not, reads as
         the table reads it."""

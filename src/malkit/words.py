@@ -17,10 +17,10 @@ substitution kernel: it multiplies freely reduced codes, and a
 substitution is the product of the images of a word's letters.  At each
 join it finds how many letters cancel by bisection on ``endswith``.
 :func:`invert_code` is the inversion, and :func:`common_prefix` the
-common prefix of two codes.  :func:`free_reduce_letters` is for
-raw input only; :func:`inverse_letters`, :func:`signed_letters` and
-:func:`reduced_words` are the shared inversion, letter order and
-reduced-word enumeration of letter tuples.
+common prefix of two codes.  :func:`reduced_words` is the one
+reduced-word enumerator, on codes.  :func:`free_reduce_letters` is for raw
+input only; :func:`inverse_letters` and :func:`signed_letters` are the
+shared inversion and letter order of letter tuples.
 """
 
 from __future__ import annotations
@@ -219,14 +219,14 @@ def code_product(factors: Iterable[str]) -> str:
     return "".join(out)
 
 
-def reduced_words(k: int, max_len: int) -> Iterator[tuple[int, ...]]:
-    """The nonempty freely reduced words over k symbols of length at most
-    ``max_len``, shortest first, each length in :func:`signed_letters`
-    order."""
-    symbols = tuple(signed_letters(k))
-    level: list[tuple[int, ...]] = [()]
+def reduced_words(k: int, max_len: int) -> Iterator[str]:
+    """The codes of the nonempty freely reduced words over k symbols of
+    length at most ``max_len``, shortest first, each length in
+    :func:`signed_letters` order."""
+    units = [chr(c) for c in range(2 * k)]
+    level = [""]
     for _ in range(max_len):
-        level = [t + (s,) for t in level for s in symbols if not t or t[-1] != -s]
+        level = [w + u for w in level for u in units if not w or w[-1] != UNIT_INVERSE[u]]
         yield from level
 
 

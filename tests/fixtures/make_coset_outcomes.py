@@ -11,7 +11,8 @@ power z^e (2 <= e <= 4) of each, (y z)^m (2 <= m <= 3) for each pair of
 generators and at most one subgroup generator of length at most 3.  Of
 their complete tables more than half have index above 6.  An outcome is the
 live count of the Overflow marker, or the sha256 of ``json.dumps([table,
-reps])`` of the complete table.  A standardized complete table is unique,
+reps])`` of the complete table, where ``reps`` is its ``rep_codes`` decoded
+into signed-letter tuples.  A standardized complete table is unique,
 so its digest does not depend on the enumeration strategy; the live count
 of an overflow, and whether a run completes under its cap, do.  So the
 fixture pins the strategy's definition and coincidence order through its
@@ -28,7 +29,7 @@ import random
 from pathlib import Path
 
 from malkit.cosetenum import Overflow, todd_coxeter
-from malkit.words import Word, alphabet
+from malkit.words import Word, alphabet, decode_letters
 
 CASES = 200
 COXETER_CASES = 100
@@ -62,7 +63,8 @@ def outcome(case: dict, cap: int) -> dict:
                           [Word(alpha, s) for s in case["subgroup"]], cap)
     if isinstance(result, Overflow):
         return {"cap": cap, "overflow": result.live_cosets}
-    digest = hashlib.sha256(json.dumps([result.table, result.reps]).encode()).hexdigest()
+    reps = [decode_letters(code) for code in result.rep_codes]
+    digest = hashlib.sha256(json.dumps([result.table, reps]).encode()).hexdigest()
     return {"cap": cap, "index": result.index, "sha256": digest}
 
 

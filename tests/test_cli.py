@@ -286,6 +286,16 @@ class TestCli:
         code, out = run_cli(capsys, "certify", "--kind", kind, "--rels", t666_file, "--s", "a b a^2 b^2", *extra)
         assert code == 0 and out["inputs_digest"] == digest
 
+    def test_certify_intersection_with_no_t_words(self, capsys, t666_file):
+        # a blank --t is an empty family: nothing to check, not a crash
+        code, out = run_cli(capsys, "certify", "--kind", "intersection", "--rels", t666_file,
+                            "--s", "a b a^2 b^2", "--t", " ")
+        assert code == 0
+        cert = out["certificate"]
+        family = next(h for h in cert["hypotheses"] if h["name"] == "every t-word cyclically Dehn-reduced")
+        assert (family["ok"], family["caveat"]) == (True, None)
+        assert cert["data"] == {"free_verdict": "trivial", "s": ["a b a^2 b^2"], "t": []}
+
     def test_certify_options_the_kind_ignores_are_usage_errors(self, capsys, t666_file, monkeypatch):
         # only intersection certificates read --t and --bound
         calls = []

@@ -20,7 +20,7 @@ from malkit.quotientcert import (
 )
 from malkit.smallcancel import RelatorSet, check_metric, is_cyclically_dehn_reduced
 from malkit.stallings import build_and_fold, is_malnormal
-from malkit.words import Word, alphabet, cyclic_reduce, inverse_letters, reduced_words, word
+from malkit.words import Word, alphabet, cyclic_reduce, decode_letters, inverse_letters, reduced_words, word
 
 AB = alphabet("a b")
 
@@ -174,6 +174,13 @@ class TestFamilyCheck:
         assert not v.unconditional
         assert v.caveat is not None
 
+    @pytest.mark.parametrize("r", [T6, []])
+    def test_empty_family_is_vacuously_fine(self, r):
+        # no t-words: no word to check, and no t-letter for the block
+        # criterion to measure
+        v = check_family_cyclically_reduced(AB, r, [], 3)
+        assert (v.ok, v.unconditional, v.caveat, v.witness, v.checked_words) == (True, True, None, None, 0)
+
 
 def _family_by_tuples(alpha, r, t, bound):
     """The family check spelled on letter tuples, every t-word a Word
@@ -184,7 +191,7 @@ def _family_by_tuples(alpha, r, t, bound):
     images.update({-k: inverse_letters(v) for k, v in list(images.items())})
     checked = 0
     for expr in reduced_words(len(t), bound):
-        wv = Word(alpha, [x for k in expr for x in images[k]])
+        wv = Word(alpha, [x for k in decode_letters(expr) for x in images[k]])
         checked += 1
         if not wv or not is_cyclically_dehn_reduced(base, wv):
             return False, wv, checked, False

@@ -77,12 +77,3 @@ def test_no_environment_reads():
         if hit:
             found.append(f"{path.name}:{node.lineno}")
     assert found == []
-
-
-def test_only_the_rewriter_reads_chains():
-    # membership reads a graph along its rows or through its dense table;
-    # the chain view is basis rewriting's reader alone
-    found = {f"{path.name}:{getattr(top, 'name', top.lineno)}" for path, node in _nodes() if isinstance(node, ast.Module)
-             for top in node.body for inner in ast.walk(top)
-             if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute) and inner.func.attr == "chains"}
-    assert found == {"stallings.py:BasisRewriter"}

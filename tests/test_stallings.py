@@ -962,16 +962,44 @@ def _read_by_letters(g, code):
     return v
 
 
-def _crossing_by_letters(rw, code):
-    """The rewriter's crossing word read one table step per code unit: the
-    non-tree edges crossed, freely reduced, or None off a basepoint loop;
-    and the positions of the crossing steps."""
-    g = rw.graph
+def _symbols_by_edge(g):
+    """(vertex, code unit) of each non-tree edge, both ways -> the unit of
+    the tree-basis symbol it crosses."""
     symbol = {}
     for idx, (u, s, v) in enumerate(g.fibre_facts().nontree):
         symbol[u, encode_letters(AB, [s])] = chr(2 * idx)
         symbol[v, encode_letters(AB, [-s])] = chr(2 * idx + 1)
-    tbl = g.table()
+    return symbol
+
+
+def _check_steps(rw):
+    """Each of the rewriter's steps read one table step per code unit: from
+    a stop, by each label leaving it, its path passes only vertices that
+    are not stops and ends at the step's stop, crossing the step's symbols;
+    and the step back from that stop is the inverse of both codes.  Returns
+    the stops."""
+    g, steps = rw.graph, rw._steps
+    symbol, tbl = _symbols_by_edge(g), g.table()
+    stops = [v for v, row in enumerate(steps) if row is not None]
+    for v in stops:
+        assert set(steps[v]) == {LETTER_UNIT[s] for s in g.out[v]}
+        for first, (path, end, symbols) in steps[v].items():
+            assert path[0] == first
+            u, crossed = v, []
+            for k, c in enumerate(path):
+                assert k == 0 or steps[u] is None
+                crossed.append(symbol.get((u, c), ""))
+                u = tbl[u][ord(c)]
+            assert (u, "".join(crossed)) == (end, symbols) and steps[end] is not None
+            assert steps[end][invert_code(path[-1])] == (invert_code(path), v, invert_code(symbols))
+    return stops
+
+
+def _crossing_by_letters(rw, code):
+    """The rewriter's crossing word read one table step per code unit: the
+    non-tree edges crossed, freely reduced, or None off a basepoint loop;
+    and the positions of the crossing steps."""
+    symbol, tbl = _symbols_by_edge(rw.graph), rw.graph.table()
     v, crossed, at = 0, [], []
     for k, c in enumerate(code):
         t = tbl[v][ord(c)]
@@ -1023,8 +1051,8 @@ def _walk(data, g):
 
 
 class TestChainReads:
-    """Membership's reader, and basis rewriting's reading by chains,
-    against the per-letter table reader."""
+    """Membership's reader, and basis rewriting's reading by its steps
+    along chains, against the per-letter table reader."""
 
     @settings(max_examples=150, deadline=None)
     @given(_chain_graphs(), st.data())
@@ -1072,7 +1100,7 @@ class TestChainReads:
         # the basepoint is a stop inside a cycle: chains start and end there
         rw = BasisRewriter(AB, ws(*gens))
         g = rw.graph
-        assert len(g.out[0]) == 2
+        assert len(g.out[0]) == 2 and 0 in _check_steps(rw)
         for x in ws(*gens):
             for code in (x.code, (x * x).code, x.code[:-1], x.code[1:], x.code + x.inverse().code):
                 assert g.read(code) == _read_by_letters(g, code)
@@ -1082,43 +1110,51 @@ class TestChainReads:
     def test_stops_decide(self):
         # the stops are the basepoint, which always is one, and the
         # vertices of degree other than 2
-        view = fold("a^20").chains()
-        assert view[0] == {"\x00": ("\x00" * 20, 0), "\x01": ("\x01" * 20, 0)}
-        assert all(row is None for row in view[1:])
+        steps = BasisRewriter(AB, ws("a^20"))._steps
+        assert steps[0] == {"\x00": ("\x00" * 20, 0, "\x00"), "\x01": ("\x01" * 20, 0, "\x01")}
+        assert all(row is None for row in steps[1:])
         # a lollipop: the basepoint and the vertex m where the stem meets
-        # the cycle are the stops
-        view = fold("b^10 a^30 b^-10").chains()
-        m = view[0]["\x02"][1]
-        assert [v for v, row in enumerate(view) if row is not None] == [0, m]
-        assert view[m] == {"\x00": ("\x00" * 30, m), "\x01": ("\x01" * 30, m), "\x03": ("\x03" * 10, 0)}
-        # the triangle seed pair at rho=6: 335 vertices, its stops found by the view
+        # the cycle are the stops; the stem crosses no non-tree edge
+        steps = BasisRewriter(AB, ws("b^10 a^30 b^-10"))._steps
+        m = steps[0]["\x02"][1]
+        assert [v for v, row in enumerate(steps) if row is not None] == [0, m]
+        assert steps[0] == {"\x02": ("\x02" * 10, m, "")}
+        assert steps[m] == {"\x00": ("\x00" * 30, m, "\x00"), "\x01": ("\x01" * 30, m, "\x01"),
+                            "\x03": ("\x03" * 10, 0, "")}
+        # the triangle seed pair at rho=6: 335 vertices, its stops found by the steps
         from malkit.malchar import seed_words_triangle
 
-        g = build_and_fold(AB, list(seed_words_triangle(AB, 6)))
-        stops = [v for v, row in enumerate(g.chains()) if row is not None]
-        assert stops == [v for v, d in enumerate(g.out) if len(d) != 2 or v == 0]
-        assert sum(map(len, (g.chains()[v] for v in stops))) == sum(len(g.out[v]) for v in stops)
+        rw = BasisRewriter(AB, list(seed_words_triangle(AB, 6)))
+        assert rw.graph.num_vertices == 335
+        assert _check_steps(rw) == [v for v, d in enumerate(rw.graph.out) if len(d) != 2 or v == 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_chain_graphs())
+    def test_steps_match_letters(self, g):
+        # every step of a graph made mostly of chains, and its reverse
+        rw = BasisRewriter(AB, basis(g))
+        assert _check_steps(rw) == [v for v, d in enumerate(rw.graph.out) if len(d) != 2 or v == 0]
 
     def test_no_degree_two_vertices_read_by_table(self):
         # the kernel of F(a, b) -> A5: a finite-index subgroup whose 60
         # vertices all have degree 4.  Membership reads it through the
-        # table and never builds the chain view
+        # table
         g = build_and_fold(AB, _a5_kernel_generators())
         assert g.num_vertices == 60 and all(len(d) == 4 for d in g.out)
-        assert g._table is None and g._chains is None
+        assert g._table is None
         rng = random.Random(7)
         for _ in range(200):
             code = encode_letters(AB, [rng.choice(SIGNED) for _ in range(rng.randrange(30))])
             assert g.read(code) == _read_by_letters(g, code)
-        assert g._table is not None and g._chains is None
+        assert g._table is not None
 
     def test_rewriter_with_no_degree_two_vertices(self):
-        # every vertex of the A5 kernel's graph is a stop, so each chain
+        # every vertex of the A5 kernel's graph is a stop, so each step
         # the rewriter reads is a single edge
         gens = _a5_kernel_generators()
         rw = BasisRewriter(AB, gens)
-        view = rw.graph.chains()
-        assert all(path == unit and len(path) == 1 for row in view for unit, (path, _end) in row.items())
+        assert _check_steps(rw) == list(range(60))
+        assert all(len(path) == 1 for row in rw._steps for path, _end, _symbols in row.values())
         rng, symbols = random.Random(11), tuple(signed_letters(len(gens)))
         for _ in range(50):
             letters = [rng.choice(symbols) for _ in range(rng.randrange(1, 6))]

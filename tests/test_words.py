@@ -122,7 +122,9 @@ class TestSubstitute:
         symbols = list(signed_letters(k))
         brute = [t for m in range(1, n + 1) for t in itertools.product(symbols, repeat=m)
                  if free_reduce_letters(t) == t]
-        assert list(reduced_words(k, n)) == brute
+        codes = list(reduced_words(k, n))
+        assert all(isinstance(code, str) for code in codes)
+        assert [decode_letters(code) for code in codes] == brute
 
 
 class TestCodeProduct:
