@@ -236,10 +236,7 @@ def cmd_build_tp(args):
     i, j, k = _triangle(args.triangle)
     parsed = presfile.parse_presentation(args.pres)
     P = hnnforge.InputPresentation(parsed.alphabet, parsed.relators)
-    hnn = hnnforge.build_tp(
-        AB, i, j, k, P, rho=args.rho, mode=args.mode,
-        max_cosets=args.max, truncate=args.truncate,
-    )
+    hnn = hnnforge.build_tp(AB, i, j, k, P, rho=args.rho, mode=args.mode, max_cosets=args.max)
     # the built presentation is the command's artefact, not its envelope
     text = presfile.format_presentation(presfile.hnn_to_parsed(hnn))
     if args.out:
@@ -251,12 +248,17 @@ def cmd_build_tp(args):
         "verdict": "built",
         "stable": hnn.stable,
         "kernel_generators": [str(u) for u in hnn.assoc_abstract],
-        "truncated": hnn.truncated,
-        "hnn_relators": hnn.hnn_relator_texts() if hnn.truncated is None else None,
+        "hnn_relators": hnn.hnn_relator_texts() if hnn.table is not None else None,
         "output": args.out,
     }
-    caveats = [f"kernel truncated at conjugator depth {hnn.truncated}"] if hnn.truncated is not None else []
-    return Outcome(payload, caveats=caveats)
+    if hnn.table is not None:
+        return Outcome(payload)
+    try:
+        route = f"decides by {hnn.membership().route}"
+    except hnnforge.HnnError as e:
+        route = f"refuses: {e}"
+    return Outcome(payload, caveats=["no coset table of the padded quotient: the kernel is the normal closure "
+                                     f"in M of the assoc words, and membership {route}"])
 
 
 def cmd_britton(args):
@@ -457,7 +459,6 @@ def build_parser():
     bt.add_argument("--rho", type=int, default=8)
     bt.add_argument("--pres", required=True)
     bt.add_argument("--mode", default="pq", choices=["pq", "minimal"])
-    bt.add_argument("--truncate", type=int, default=3)
     bt.add_argument("--max", type=int, default=DEFAULT_MAX_COSETS)
     bt.add_argument("-o", "--out", help="write the HNN presentation file here (stderr otherwise)")
     bt.set_defaults(func=cmd_build_tp)

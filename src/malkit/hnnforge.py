@@ -9,15 +9,16 @@ letter conjugating the kernel subgroup by the chosen base automorphism.
 The family subgroup M is folded once per extension, by the basis rewriter
 that membership reads, when membership is first asked; the kernel
 generators lie in M by construction, so the builder never folds it.
-An extension with no finite padded quotient has no coset table, and
-membership, which traces words in that table, refuses it.
+K is the normal closure in M of the listed words, and membership decides
+the padded quotient's word problem: in its coset table, or by free
+reduction or Dehn's algorithm once the killed generators are deleted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cosetenum import (
     DEFAULT_MAX_COSETS,
@@ -38,8 +39,6 @@ from .words import (
     endo,
     endo_power,
     images_by_unit,
-    invert_code,
-    reduced_words,
     word,
 )
 
@@ -125,9 +124,8 @@ class HnnPresentation:
     phi_order: int
     hat: HatPresentation
     m_gens: tuple[Word, ...]            # concrete family words, hat-alphabet order
-    assoc_abstract: tuple[Word, ...]    # kernel generators over the hat alphabet
-    table: Optional[CosetTable]         # hat quotient, None when not finite
-    truncated: Optional[int] = None     # depth of build_tp's truncated kernel
+    assoc_abstract: tuple[Word, ...]    # normal generators of the kernel, over the hat alphabet
+    table: Optional[CosetTable]         # hat quotient, None when not finite within the cap
 
     @property
     def hat_alphabet(self) -> Alphabet:
@@ -155,14 +153,12 @@ class HnnPresentation:
         return [f"{t} ({u}) {t}^-1 ({apply_endo(self.phi, c)})^-1"
                 for u, c in zip(self.assoc_abstract, self.assoc_concrete)]
 
-    def membership(self) -> "_KMembership":
-        if self.table is None:
-            raise HnnError("finite quotient required")
-        return self._membership
-
     @cached_property
     def _membership(self) -> "_KMembership":
         return _KMembership(self)
+
+    def membership(self) -> "_KMembership":
+        return self._membership
 
     @cached_property
     def rewriter(self) -> BasisRewriter:
@@ -190,24 +186,22 @@ def build_tp(
     rho: int = 8,
     mode: str = "pq",
     max_cosets: int = DEFAULT_MAX_COSETS,
-    truncate: int = 3,
 ) -> HnnPresentation:
     """The HNN-extension of the (i, j, k) triangle group realising the
     padded presentation's group as (a finite-index piece of) the outer
     automorphism group.
 
-    The kernel generators of the padded quotient are computed by coset
-    enumeration when the quotient is finite within the cap; when it is
-    visibly infinite (it maps onto Z) or overflows the cap, a
-    parametric conjugate family truncated at the given depth is emitted and
-    marked as such.  A coset cap below one is refused here, since a visibly
-    infinite quotient skips enumeration."""
+    The associated subgroup K is the normal closure in M of the listed
+    words.  When the padded quotient is finite within the cap, they are the
+    Schreier generators of its coset table, which already generate K; when
+    it maps onto Z or overflows the cap, they are the padded relators, and
+    membership decides the padded quotient's word problem without a table.
+    A coset cap below one is refused here, since a quotient that maps onto
+    Z skips enumeration."""
     if min(i, j, k) < 6:
         raise HnnError("exponents below 6 are outside the supported range")
     if max_cosets < 1:
         raise HnnError(f"the coset cap must be at least 1, not {max_cosets}")
-    if truncate < 0:
-        raise HnnError(f"the truncation depth must be at least 0, not {truncate}")
     rels = triangle_relators(alpha, i, j, k)
     rs = RelatorSet(alpha, rels)
     phi = _triangle_phi(alpha, i, j, k)
@@ -223,17 +217,7 @@ def build_tp(
     family = rank_n_family(seed_words_triangle(alpha, rho), n, r=rels)
     # the padding takes the first family words, then the original generators
     by_name = dict(zip(hat.padding + P.alphabet.names, family.words))
-
-    outcome = (None if _maps_onto_z(hat.presentation)
-               else todd_coxeter(hat_alpha, hat.presentation.relators, (), max_cosets))
-    if outcome is None or isinstance(outcome, Overflow):
-        abstract = _truncated_kernel(hat, truncate)
-        table = None
-        truncated = truncate
-    else:
-        abstract = tuple(outcome.kernel_generators())
-        table = outcome
-        truncated = None
+    table = padded_quotient(hat.presentation, max_cosets)
 
     # the kernel generators need no check against the family subgroup:
     # assoc_concrete spells each one through the family words
@@ -245,10 +229,18 @@ def build_tp(
         phi_order=order,
         hat=hat,
         m_gens=tuple(map(by_name.__getitem__, hat_alpha.names)),
-        assoc_abstract=abstract,
+        assoc_abstract=hat.presentation.relators if table is None else tuple(table.kernel_generators()),
         table=table,
-        truncated=truncated,
     )
+
+
+def padded_quotient(p: InputPresentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Optional[CosetTable]:
+    """The complete coset table of the group ``p`` presents, or None when it
+    maps onto Z, which skips enumeration, or overflows the cap."""
+    if _maps_onto_z(p):
+        return None
+    outcome = todd_coxeter(p.alphabet, p.relators, (), max_cosets)
+    return None if isinstance(outcome, Overflow) else outcome
 
 
 def _maps_onto_z(p: InputPresentation) -> bool:
@@ -269,31 +261,12 @@ def _maps_onto_z(p: InputPresentation) -> bool:
     return rank < n
 
 
-def _truncated_kernel(hat: HatPresentation, depth: int) -> tuple[Word, ...]:
-    """Conjugates g^-1 R g of the padded relators over all reduced
-    conjugators of length at most the depth: a marked, truncated slice of
-    the (not finitely generated) kernel."""
-    alpha = hat.presentation.alphabet
-    out: list[Word] = []
-    seen = set()
-    for g in ["", *reduced_words(len(alpha), depth)]:
-        for r in hat.presentation.relators:
-            conj = code_product((invert_code(g), r.code, g))
-            if conj and conj not in seen:
-                seen.add(conj)
-                out.append(Word.from_code(alpha, conj))
-    return tuple(out)
-
-
 # -- morphisms -------------------------------------------------------------------
 
 @dataclass
 class MorphismData:
     extra_abstract: list[Word]
     extra_concrete: list[Word]
-    caveats: list[str]
-    source_truncated: bool
-    target_truncated: bool
 
 
 def quotient_morphism(
@@ -306,37 +279,31 @@ def quotient_morphism(
     rho: int = 8,
     mode: str = "pq",
     max_cosets: int = DEFAULT_MAX_COSETS,
-    truncate: int = 3,
 ) -> MorphismData:
     """Extra HNN relators t U t^-1 phi(U)^-1 presenting the surjection from
     the source extension to the target: U runs over kernel generators of
     the target's padded presentation not already inside the source kernel.
 
     P2 must be a quotient presentation of P1 (same alphabet, strictly
-    larger normal closure); verified at desk scale when both padded
-    quotients are finite, otherwise taken on the caller's assertion with a
-    recorded caveat."""
+    larger normal closure), verified in the target's coset table; both
+    padded quotients need one."""
     if P1.alphabet != P2.alphabet:
         raise HnnError("quotient presentations must share the alphabet")
-    h1 = build_tp(alpha, i, j, k, P1, rho=rho, mode=mode, max_cosets=max_cosets, truncate=truncate)
-    h2 = build_tp(alpha, i, j, k, P2, rho=rho, mode=mode, max_cosets=max_cosets, truncate=truncate)
-    caveats: list[str] = []
+    h1 = build_tp(alpha, i, j, k, P1, rho=rho, mode=mode, max_cosets=max_cosets)
+    h2 = build_tp(alpha, i, j, k, P2, rho=rho, mode=mode, max_cosets=max_cosets)
     hat_alpha = h1.hat_alphabet
     if hat_alpha != h2.hat_alphabet:
         raise HnnError("internal: the two padded presentations have different alphabets")
+    _require_tables("a kernel comparison", h1, h2)
+    for r in h1.hat.presentation.relators:
+        if h2.table.image_in_quotient(r) != 1:
+            raise HnnError(f"not a quotient: relator '{r}' survives in the target")
 
-    if h2.table is not None:
-        for r in h1.hat.presentation.relators:
-            if h2.table.image_in_quotient(r) != 1:
-                raise HnnError(f"not a quotient: relator '{r}' survives in the target")
-    else:
-        caveats.append("target quotient infinite: inclusion taken on caller's assertion")
-
-    # With both quotients finite, the relator check above shows K1 <= K2,
-    # so K1 = K2 exactly when every generator of K2 lies in K1: an empty
-    # extra list is the whole kernel comparison.
-    data = _morphism(build_and_fold(hat_alpha, list(h1.assoc_abstract)), h1, h2, caveats)
-    if not (data.source_truncated or data.target_truncated or data.extra_abstract):
+    # The relator check above shows K1 <= K2, so K1 = K2 exactly when every
+    # generator of K2 lies in K1: an empty extra list is the whole kernel
+    # comparison.
+    data = _morphism(build_and_fold(hat_alpha, list(h1.assoc_abstract)), h2)
+    if not data.extra_abstract:
         raise HnnError("not a proper quotient")
     return data
 
@@ -350,19 +317,20 @@ def free_product_morphism(
     Q: InputPresentation,
     rho: int = 8,
     max_cosets: int = DEFAULT_MAX_COSETS,
-    truncate: int = 3,
 ) -> MorphismData:
     """Extra HNN relators presenting the surjection onto the extension of
     the free product (pq padding; the nested family convention makes the
-    source kernel a subgroup of the target kernel)."""
+    source kernel a subgroup of the target kernel).  Both padded quotients
+    need a coset table, so two nontrivial factors are refused."""
     shared = set(P.alphabet.names) & set(Q.alphabet.names)
     if shared:
         raise HnnError(f"free product factors share generators: {sorted(shared)}")
     pq_alpha = Alphabet(P.alphabet.names + Q.alphabet.names)
     PQ = InputPresentation(pq_alpha, tuple(_respell(r, pq_alpha) for r in P.relators + Q.relators))
 
-    hp = build_tp(alpha, i, j, k, P, rho=rho, mode="pq", max_cosets=max_cosets, truncate=truncate)
-    hpq = build_tp(alpha, i, j, k, PQ, rho=rho, mode="pq", max_cosets=max_cosets, truncate=truncate)
+    hp = build_tp(alpha, i, j, k, P, rho=rho, mode="pq", max_cosets=max_cosets)
+    hpq = build_tp(alpha, i, j, k, PQ, rho=rho, mode="pq", max_cosets=max_cosets)
+    _require_tables("a kernel comparison", hp, hpq)
 
     # the nested family convention: shared generators must receive the same
     # concrete words in both builds
@@ -377,22 +345,19 @@ def free_product_morphism(
         g2 = build_and_fold(big_alpha, list(hpq.assoc_abstract))
         if not same_subgroup(g1, g2):
             raise HnnError("internal: a trivial free factor changed the kernel")
-    return _morphism(g1, hp, hpq, [])
+    return _morphism(g1, hpq)
 
 
-def _morphism(g1, source: HnnPresentation, target: HnnPresentation, caveats: list[str]) -> MorphismData:
+def _require_tables(what: str, *extensions: HnnPresentation) -> None:
+    if any(H.table is None for H in extensions):
+        raise HnnError(f"{what} needs a complete coset table of every padded quotient")
+
+
+def _morphism(g1, target: HnnPresentation) -> MorphismData:
     """The target's kernel generators outside the source kernel, whose
     folded graph over the target's hat alphabet is ``g1``."""
-    if source.truncated is not None or target.truncated is not None:
-        caveats.append("kernel comparison on truncated parametric families")
     extra = [u for u in target.assoc_abstract if not g1.contains(u)]
-    return MorphismData(
-        extra_abstract=extra,
-        extra_concrete=[target.substitute(u) for u in extra],
-        caveats=caveats,
-        source_truncated=source.truncated is not None,
-        target_truncated=target.truncated is not None,
-    )
+    return MorphismData(extra, [target.substitute(u) for u in extra])
 
 
 # -- Britton reduction --------------------------------------------------------------
@@ -429,13 +394,13 @@ def britton_word(H: HnnPresentation, segments: Sequence[Word], exponents: Sequen
 
 
 class _KMembership:
-    """Membership oracle for the associated subgroup K.
+    """Membership oracle for K, the normal closure in M of the listed words.
 
     A word h is read in K when its Dehn-reduced form hn lies in the family
     subgroup M, its rewriting w over the family basis is spelled over the
-    hat alphabet, and w traces to coset 1 of the padded quotient.  In the
-    free group this decides whether hn lies in the subgroup generated by
-    the concrete kernel generators, exactly:
+    hat alphabet, and w is trivial in the padded quotient.  In the free
+    group this decides whether hn lies in the normal closure in M of the
+    concrete kernel generators, exactly:
 
     - M is free on the family words (the rewriter's rank check), so the map
       sending each hat letter to its family word is an isomorphism from the
@@ -443,11 +408,12 @@ class _KMembership:
       generators to the concrete ones;
     - w is verified by substitution before it is returned, so it is the one
       preimage of hn; hn outside M has none;
-    - the guard in the constructor folds the abstract kernel generators,
-      once per extension, and requires the folded graph to be the coset
-      table itself; so they generate exactly the stabiliser of coset 1, the
-      words that trace to coset 1.  A file whose assoc words generate a
-      subgroup that is not normal fails the guard.
+    - the normal closure of the listed words in the free group on the hat
+      alphabet is the padded quotient's kernel, which holds w exactly when
+      :func:`_word_problem` calls w trivial.  With a coset table, a guard
+      folds the listed words once and requires the folded graph to be the
+      table itself, so that they generate K; a file whose assoc words
+      generate a subgroup that is not normal fails it.
 
     That reading hn in the free group decides whether h lies in the image
     of K in the triangle group is not argued here.
@@ -462,9 +428,10 @@ class _KMembership:
     :meth:`unphi` memoises."""
 
     def __init__(self, H: HnnPresentation):
-        if build_and_fold(H.hat_alphabet, list(H.assoc_abstract)).table() != H.table.table:
+        if H.table is not None and build_and_fold(H.hat_alphabet, list(H.assoc_abstract)).table() != H.table.table:
             raise HnnError(f"the associated generators {', '.join(map(str, H.assoc_abstract))} do not "
                            "generate the kernel of the padded quotient; the subgroup they generate must be normal")
+        self.route, self._image = _word_problem(H)
         self.H = H
         self.rewriter = H.rewriter
         self.rs = H.base_relator_set()
@@ -480,14 +447,14 @@ class _KMembership:
 
     def k_coset(self, h: Word) -> Optional[int]:
         """The coset of K that h's hat spelling reaches in the padded
-        quotient, 1 for K itself; None when h lies outside M.  Memoised by
-        code, with the spelling that :meth:`phi_k` reads when h is in K and
-        Dehn-reduced as written."""
+        quotient, 1 for K itself (0 for any other without a table); None
+        when h lies outside M.  Memoised by code, with the spelling that
+        :meth:`phi_k` reads when h is in K and Dehn-reduced as written."""
         if h.code in self._cosets:
             return self._cosets[h.code]
         hn = dehn_reduce(self.rs, h)
         abstract = self.abstract_image(hn)
-        coset = self._cosets[h.code] = None if abstract is None else self.H.table.image_in_quotient(abstract)
+        coset = self._cosets[h.code] = None if abstract is None else self._image(abstract)
         if coset == 1 and hn.code == h.code:
             self._spelled[h.code] = abstract.code
         return coset
@@ -513,6 +480,36 @@ class _KMembership:
         return None if code is None else Word.from_code(self.H.hat_alphabet, code)
 
 
+def _word_problem(H: HnnPresentation) -> tuple[str, Callable[[Word], int]]:
+    """The route that decides the padded quotient's word problem, and the
+    map it gives from hat words to cosets of K, 1 for a trivial word.
+
+    With a complete coset table it is the table.  Otherwise the generators
+    that one-letter relators kill are deleted (a Tietze move) until no
+    relator is one letter; a word is then trivial when its deletion freely
+    reduces to the empty word if no relator is left, or Dehn-reduces to it
+    if what is left is Dehn-admissible.  Any other quotient is refused."""
+    if H.table is not None:
+        return "coset table", H.table.image_in_quotient
+    alpha, gone = H.hat_alphabet, {}  # both units of every killed generator -> None, for str.translate
+    rels = [r.code for r in H.hat.presentation.relators]
+    while killed := [ord(c) & ~1 for c in rels if len(c) == 1]:
+        gone.update((u, None) for g in killed for u in (g, g + 1))
+        rels = [c for c in (code_product(r.translate(gone)) for r in rels) if c]
+
+    def deleted(w: Word) -> Word:
+        return Word.from_code(alpha, code_product(w.code.translate(gone)))
+
+    if not rels:
+        return "free reduction", lambda w: int(not deleted(w))
+    rs = RelatorSet(alpha, [Word.from_code(alpha, r) for r in rels])
+    ok, condition = rs.dehn_admissible()
+    if not ok:
+        raise HnnError(f"the padded quotient's relators {', '.join(map(str, rs.relators))}, left after deleting "
+                       "the killed generators, are not Dehn-admissible")
+    return f"Dehn's algorithm under {condition}", lambda w: int(not dehn_reduce(rs, deleted(w)))
+
+
 # (e1, e2) -> for a subword t^e1 h t^e2: the kind of its Britton pinch, the
 # kind of its residual witness entry, and the subgroup h lies in when it
 # pinches.  Either way the pinch asks whether k is in K, with k = h for
@@ -532,7 +529,8 @@ def britton_reduce(H: HnnPresentation, bw: BrittonWord) -> tuple[BrittonWord, li
     """Remove pinches t k t^-1 (k in K) and t^-1 phi(k) t until none apply.
 
     The result is Britton-reduced: with any stable letters left it is
-    nontrivial in the extension.  Requires a finite padded quotient."""
+    nontrivial in the extension.  K is the normal closure in M of the
+    listed words: a pinch is decided in the padded quotient."""
     member = H.membership()
     segs, eps = list(bw.segments), list(bw.exponents)
     log: list[PinchStep] = []
@@ -588,7 +586,8 @@ def residual_witness(H: HnnPresentation, bw: BrittonWord) -> ResidualWitness:
     image of h in the (finite) padded quotient is nontrivial and the
     quotient itself separates; subwords whose h lies outside the family
     impose no constraint, and a word with no stable letters is separated by
-    the base group alone."""
+    the base group alone.  The padded quotient needs a coset table."""
+    _require_tables("a residual witness", H)
     member = H.membership()
     _, log = britton_reduce(H, bw)
     if log:

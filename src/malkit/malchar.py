@@ -29,7 +29,6 @@ from .smallcancel import RelatorSet, is_cyclically_dehn_reduced, word_problem
 from .stallings import (
     IntersectionWitness,
     build_and_fold,
-    is_malnormal,
     is_malnormal_graph,
     same_subgroup,
     trivial_intersection_graphs,
@@ -267,8 +266,7 @@ def rank_n_family(seed: tuple[Word, Word], n: int, r: Optional[Sequence[Word]] =
         if graph.rank() != n:
             last_reason = f"folded rank {graph.rank()} != {n}"
             continue
-        verdict = is_malnormal(_FAMILY_ALPHABET, abstract)
-        if not verdict.malnormal:
+        if not is_malnormal_graph(graph).malnormal:
             last_reason = "factors not malnormal in the block group"
             continue
         images = images_by_unit([w.code for w in seed])

@@ -14,7 +14,10 @@ them (order fixed, comments with '#'):
     endo: a -> b; b -> b^-1 a^-1     # base automorphism
 
 The mgens section names the ambient free basis; assoc words are spelled
-over those names and expand to base words by substitution.
+over those names and expand to base words by substitution.  The
+associated subgroup is the normal closure of the assoc words in the
+subgroup the mgens words generate; a file over a finite padded quotient
+lists Schreier generators, which generate it already.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cosetenum import Overflow, todd_coxeter
-from .hnnforge import HatPresentation, HnnError, HnnPresentation, InputPresentation
+from .hnnforge import HatPresentation, HnnError, HnnPresentation, InputPresentation, padded_quotient
 from .smallcancel import RelatorSet, SmallCancelError, endo_order_in_quotient
 from .stallings import StallingsError
 from .words import Alphabet, EndomorphismSpec, Word, WordError, format_word, parse_word_list, word
@@ -198,9 +200,9 @@ def hnn_to_parsed(hnn) -> ParsedPresentation:
 def parsed_to_hnn(parsed: ParsedPresentation):
     """Rebuild a working HNN presentation from a file.
 
-    The padded quotient is recovered by enumerating the presentation whose
-    relators are the abstract associated-subgroup generators (they generate
-    the kernel, whose normal closure they already are)."""
+    The padded quotient is the group presented by the mgens names with the
+    assoc words as relators, since their normal closure is its kernel; it
+    gets a coset table as in :func:`~malkit.hnnforge.build_tp`."""
     if not parsed.is_hnn:
         raise HnnError("not an HNN file")
     base_alpha = parsed.alphabet
@@ -213,8 +215,6 @@ def parsed_to_hnn(parsed: ParsedPresentation):
         raise HnnError(f"base relators and endo section: {e}") from None
     if order is None:
         raise HnnError("endo section does not define a finite-order automorphism")
-    outcome = todd_coxeter(hat_alpha, list(parsed.assoc), ())
-    table = None if isinstance(outcome, Overflow) else outcome
     hat = HatPresentation(InputPresentation(hat_alpha, tuple(parsed.assoc)), padding=())
     hnn = HnnPresentation(
         base_alphabet=base_alpha,
@@ -225,7 +225,7 @@ def parsed_to_hnn(parsed: ParsedPresentation):
         hat=hat,
         m_gens=tuple(parsed.mgen_words),
         assoc_abstract=tuple(parsed.assoc),
-        table=table,
+        table=padded_quotient(hat.presentation),
     )
     try:  # membership rewrites over the mgens words, which must be a free basis
         hnn.rewriter

@@ -8,7 +8,7 @@ import pytest
 from malkit import cli, malchar, presfile, quotientcert
 from malkit.cli import main
 from malkit.presfile import PresentationSyntaxError, format_presentation, parse_presentation
-from malkit.words import Word, alphabet
+from malkit.words import Word, alphabet, apply_endo, word
 
 
 T666 = "gens: a b\nrels: a^6, b^6, (a b)^6\n"
@@ -111,6 +111,16 @@ def t666_file(tmp_path):
     return str(path)
 
 
+NO_TABLE = "no coset table of the padded quotient: the kernel is the normal closure in M of the assoc words, " \
+           "and membership "
+
+
+def _phi_text(path, text):
+    """phi of an mgens word of an HNN file, spelled in the base letters."""
+    hnn = presfile.parsed_to_hnn(parse_presentation(path.read_text()))
+    return str(apply_endo(hnn.phi, hnn.substitute(word(hnn.hat_alphabet, text))))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -204,6 +214,9 @@ class TestCli:
 
     @pytest.mark.parametrize("cap, code", [("0", 2), ("-1", 2), ("1", 0)])
     def test_build_tp_cap(self, capsys, tmp_path, cap, code):
+        # the padded quotient <z, p, q | z^2, p, q> overflows a cap of one:
+        # the file lists the padded relators, and membership deletes p and
+        # q and decides z^2 by Dehn's algorithm
         pres = tmp_path / "z2.pres"
         pres.write_text("gens: z\nrels: z^2\n")
         got, out = run_cli(capsys, "build-tp", "--triangle", "6,6,6", "--rho", "2",
@@ -212,20 +225,69 @@ class TestCli:
         if code:
             assert "at least 1" in out["refusal"]
         else:
-            assert out["truncated"] == 3
+            assert out["kernel_generators"] == ["z^2", "p", "q"] and out["hnn_relators"] is None
+            assert out["caveats"] == [NO_TABLE + "decides by Dehn's algorithm under C'(1/6)"]
 
-    @pytest.mark.parametrize("depth, code", [("-1", 2), ("0", 0)])
-    def test_build_tp_truncate(self, capsys, tmp_path, depth, code):
-        # <z | > maps onto Z, so its kernel is always truncated
+    def test_build_tp_truncate(self, capsys, tmp_path):
+        # the kernel is never truncated, and build-tp has no option for it
         pres = tmp_path / "z.pres"
         pres.write_text("gens: z\nrels:\n")
-        got, out = run_cli(capsys, "build-tp", "--triangle", "6,6,6", "--rho", "2",
-                           "--pres", str(pres), "--truncate", depth, "-o", str(tmp_path / "tp.hnn"))
-        assert got == code
-        if code:
-            assert "at least 0" in out["refusal"]
-        else:
-            assert out["truncated"] == 0 and out["caveats"] == ["kernel truncated at conjugator depth 0"]
+        assert main(["build-tp", "--triangle", "6,6,6", "--rho", "2", "--pres", str(pres),
+                     "--truncate", "0", "-o", str(tmp_path / "tp.hnn")]) == 1
+        assert "unrecognized arguments: --truncate" in capsys.readouterr().err
+        assert not (tmp_path / "tp.hnn").exists()
+
+    def test_build_tp_infinite_quotient(self, capsys, tmp_path):
+        # <z | > pads to <x, z | x>, which maps onto Z: the file lists x,
+        # one caveat names the reading and the route, and britton decides
+        # by free reduction
+        pres = tmp_path / "z.pres"
+        pres.write_text("gens: z\nrels:\n")
+        path = tmp_path / "tp.hnn"
+        code, out = run_cli(capsys, "build-tp", "--triangle", "6,6,6", "--rho", "2", "--mode", "minimal",
+                            "--pres", str(pres), "-o", str(path))
+        assert code == 0 and out["kernel_generators"] == ["x"] and out["hnn_relators"] is None
+        assert out["caveats"] == [
+            "no coset table of the padded quotient: the kernel is the normal closure in M of the assoc words, "
+            "and membership decides by free reduction"]
+        assert "\nassoc: x\n" in path.read_text()
+        code, out = run_cli(capsys, "britton", "--hnn", str(path), "--word", "t z t^-1")
+        assert code == 0 and out["verdict"]["stable_letters"] == 2 and out["verdict"]["trivial"] is False
+        pinching = f"t z x z^-1 t^-1 ({_phi_text(path, 'z x z^-1')})^-1"
+        code, out = run_cli(capsys, "britton", "--hnn", str(path), "--word", pinching)
+        assert code == 0 and out["verdict"] == {"reduced": "1", "stable_letters": 0, "trivial": True}
+        assert [p["kind"] for p in out["pinches"]] == ["t k t^-1"]
+
+    def test_britton_decides_by_dehn_route(self, capsys, tmp_path):
+        # <z, w | z^2> in pq mode maps onto Z: membership deletes p and q and
+        # Dehn-reduces over z^2, where z w z z w^-1 z is trivial and z w is not
+        pres = tmp_path / "zw.pres"
+        pres.write_text("gens: z w\nrels: z^2\n")
+        path = tmp_path / "tp.hnn"
+        code, out = run_cli(capsys, "build-tp", "--triangle", "6,6,6", "--rho", "2", "--pres", str(pres),
+                            "-o", str(path))
+        assert code == 0 and out["caveats"] == [NO_TABLE + "decides by Dehn's algorithm under C'(1/6)"]
+        k = "z w p z z w^-1 q z"
+        code, out = run_cli(capsys, "britton", "--hnn", str(path), "--word", f"t {k} t^-1 ({_phi_text(path, k)})^-1")
+        assert code == 0 and out["verdict"]["trivial"] is True and len(out["pinches"]) == 1
+        code, out = run_cli(capsys, "britton", "--hnn", str(path), "--word", "t z w t^-1")
+        assert code == 0 and out["verdict"]["stable_letters"] == 2 and not out["pinches"]
+
+    def test_britton_refuses_quotient_without_word_problem(self, capsys, tmp_path):
+        # <y, z | y^4, z^4, (y z)^4> is infinite and not Dehn-admissible
+        # (its pieces y and z are a quarter of a relator): every word is
+        # refused
+        pres = tmp_path / "y4.pres"
+        pres.write_text("gens: y z\nrels: y^4, z^4, (y z)^4\n")
+        path = tmp_path / "tp.hnn"
+        code, out = run_cli(capsys, "build-tp", "--triangle", "6,6,6", "--rho", "2", "--mode", "minimal",
+                            "--pres", str(pres), "--max", "2000", "-o", str(path))
+        refusal = "the padded quotient's relators y^4, z^4, (y z)^4, left after deleting the killed " \
+                  "generators, are not Dehn-admissible"
+        assert code == 0 and out["caveats"] == [NO_TABLE + "refuses: " + refusal]
+        for text in ("t y^4 t^-1", "a"):
+            code, out = run_cli(capsys, "britton", "--hnn", str(path), "--word", text)
+            assert code == 2 and out["refusal"] == refusal
 
     def test_coset_enum_kernel_with_subgroup_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
         # the free group on a, b: the subgroup's enumeration would overflow

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import malkit
-from malkit import hnnforge, presfile, smallcancel, stallings
+from malkit import cosetenum, hnnforge, presfile, smallcancel, stallings
+from malkit.cosetenum import todd_coxeter
 from malkit.hnnforge import (
     HnnError,
     InputPresentation,
@@ -26,7 +27,7 @@ from malkit.hnnforge import (
     residual_witness,
 )
 from malkit.stallings import build_and_fold, same_subgroup
-from malkit.words import Alphabet, Word, alphabet, apply_endo, signed_letters, word
+from malkit.words import Alphabet, Word, alphabet, apply_endo, reduced_words, signed_letters, word
 
 AB = alphabet("a b")
 Z = alphabet("z")
@@ -139,36 +140,38 @@ class TestBuildTp:
         assert hnn.table.index == 2
 
     def test_infinite_quotient_truncates(self):
-        hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal", truncate=3)
-        assert hnn.truncated == 3
-        hat = hnn.hat_alphabet
-        # schema words z^-j x z^j for |j| <= 3 appear up to subgroup equality
-        fold_schema = build_and_fold(
-            hat, [word(hat, f"z^{-m} x z^{m}") if m else word(hat, "x") for m in range(-3, 4)]
-        )
-        fold_truncated = build_and_fold(hat, list(hnn.assoc_abstract))
-        assert same_subgroup(fold_schema, fold_truncated)
+        # <z | > pads to <x, z | x>, which maps onto Z: nothing is
+        # truncated, K is the normal closure of x in M, and membership
+        # decides it by free reduction once x is deleted.  Every conjugate
+        # z^-m x z^m is in K, and no z^m with m != 0 is
+        hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal")
+        assert hnn.table is None and hnn.assoc_abstract == hnn.hat.presentation.relators
+        member = hnn.membership()
+        assert member.route == "free reduction"
+        for m in range(-3, 4):
+            assert member.in_k(hnn.substitute(word(hnn.hat_alphabet, f"z^{-m} x z^{m}")))
+            assert member.in_k(hnn.substitute(word(hnn.hat_alphabet, f"z^{m}"))) is (m == 0)
 
     def test_truncated_kernel_golden(self):
-        # <z | > pads to <x, z | x>: the conjugates of x over reduced
-        # conjugators of length <= 3, in enumeration order, and their
-        # spellings through the family words, pinned from the hand-written
-        # loops that substitute and reduced_words replaced
+        # <z | > pads to <x, z | x>: the file lists the one padded relator,
+        # whose normal closure in M is K, and its spelling through the
+        # family words
         hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal")
-        assert hnn.truncated == 3 and len(hnn.assoc_abstract) == 27
+        assert [u.letters for u in hnn.assoc_abstract] == [(1,)]
 
         def digest(words):
             return hashlib.sha256(json.dumps([list(u.letters) for u in words]).encode()).hexdigest()[:16]
 
-        assert digest(hnn.assoc_abstract) == "bc87a1c3fde0f1df"
-        assert digest(hnn.assoc_concrete) == "2b756ef055156808"
+        assert hnn.assoc_concrete == (hnn.m_word("x"),)
+        assert digest(hnn.assoc_concrete) == "e9786bb640636756"
+        assert hnn.hnn_relator_texts() == [f"t (x) t^-1 ({apply_endo(hnn.phi, hnn.m_word('x'))})^-1"]
 
     @pytest.mark.parametrize("gens, rels", [("z", []), ("y z", ["y z y^-1 z^-1"]), ("y z", ["y^3", "z y z^-1 y"]),
                                             ("y z", ["y z^2"]), ("y z", ["y^2 z^4"])])
     def test_visibly_infinite_skips_enumeration(self, monkeypatch, gens, rels):
         # an exponent-sum matrix of the padded relators with rank below the
-        # number of generators maps the quotient onto Z, so the truncated
-        # kernel comes at once: with a zero column (z in <x, z | x>, y and z
+        # number of generators maps the quotient onto Z, so the padded
+        # relators are listed at once: with a zero column (z in <x, z | x>, y and z
         # in <y, z | [y, z]>, z in <y, z | y^3, z y z^-1 y>) or without one
         # (the inputs <y, z | y z^2> and <y, z | y^2 z^4> have rank 1 in two
         # generators)
@@ -176,8 +179,8 @@ class TestBuildTp:
             raise AssertionError("todd_coxeter called on a visibly infinite quotient")
 
         monkeypatch.setattr(hnnforge, "todd_coxeter", never)
-        hnn = build_tp(AB, 6, 6, 6, pres(gens, rels), rho=2, mode="minimal", truncate=2)
-        assert hnn.truncated == 2 and hnn.table is None
+        hnn = build_tp(AB, 6, 6, 6, pres(gens, rels), rho=2, mode="minimal")
+        assert hnn.table is None and hnn.assoc_abstract == hnn.hat.presentation.relators
 
     def test_finite_quotient_still_enumerates(self):
         assert not hnnforge._maps_onto_z(hat_presentation(pres("z", ["z^2"]), "pq").presentation)
@@ -194,9 +197,14 @@ class TestBuildTp:
         assert hnnforge._maps_onto_z(pres(gens, rels)) is onto_z
 
     def test_britton_refuses_truncated(self):
+        # <z | > has no coset table, and Britton reduction decides over it:
+        # t x t^-1 phi(x)^-1 pinches to the identity, t z t^-1 stays reduced
         hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal")
-        with pytest.raises(HnnError):
-            hnn.membership()
+        e = Word(AB, ())
+        x, z = hnn.m_word("x"), hnn.m_word("z")
+        assert britton_trivial(hnn, britton_word(hnn, [e, x, apply_endo(hnn.phi, x).inverse()], [1, -1]))
+        reduced, log = britton_reduce(hnn, britton_word(hnn, [e, z, e], [1, -1]))
+        assert reduced.stable_count == 2 and not log
 
     @pytest.mark.parametrize("cap", [0, -1])
     @pytest.mark.parametrize("rels", [["z^2"], []])
@@ -206,17 +214,24 @@ class TestBuildTp:
         with pytest.raises(HnnError, match="at least 1"):
             build_tp(AB, 6, 6, 6, pres("z", rels), rho=2, mode="minimal", max_cosets=cap)
 
-    @pytest.mark.parametrize("rels", [["z^2"], []])
-    def test_negative_truncation_refused(self, rels):
-        # refused whether or not the kernel would be truncated
-        with pytest.raises(HnnError, match="at least 0"):
-            build_tp(AB, 6, 6, 6, pres("z", rels), rho=2, mode="minimal", truncate=-1)
-
-    def test_cap_one_truncates(self):
+    def test_cap_one_truncates(self, tp2):
         # the padded quotient of <z | z^2> has two cosets, so it overflows
-        # a cap of one and the kernel is truncated, as for any overflow
+        # a cap of one: the padded relators are listed, x is deleted, and
+        # Dehn's algorithm over z^2 decides what the coset table decides
         hnn = build_tp(AB, 6, 6, 6, pres("z", ["z^2"]), rho=2, mode="minimal", max_cosets=1)
-        assert hnn.truncated == 3 and hnn.table is None
+        assert hnn.table is None and [str(u) for u in hnn.assoc_abstract] == ["x", "z^2"]
+        assert hnn.m_gens == tp2.m_gens
+        member, tabled = hnn.membership(), tp2.membership()
+        assert member.route == "Dehn's algorithm under C'(1/6)"
+        rng = random.Random(2)
+        verdicts = set()
+        for _ in range(200):
+            h = Word(AB, ())
+            for _ in range(rng.randint(1, 5)):
+                h = h * rng.choice(hnn.m_gens) ** rng.choice((1, -1))
+            verdicts.add(member.in_k(h))
+            assert member.in_k(h) == tabled.in_k(h), h
+        assert verdicts == {True, False}
 
     def test_m_folded_once(self, monkeypatch):
         # build_tp does not fold M; membership's rewriter folds it once,
@@ -302,7 +317,6 @@ class TestMorphisms:
         )
         hat = alphabet("x z")
         assert any(u == word(hat, "z^2") for u in data.extra_abstract)
-        assert not data.caveats
 
     def test_equal_presentations_rejected(self):
         with pytest.raises(HnnError, match="proper"):
@@ -317,12 +331,14 @@ class TestMorphisms:
             )
 
     def test_truncated_source_emits_schema_difference(self):
-        data = quotient_morphism(
-            AB, 6, 6, 6, pres("z"), pres("z", ["z^3"]), rho=2, mode="minimal", truncate=3
-        )
-        hat = alphabet("x z")
-        assert any(u == word(hat, "z^3") for u in data.extra_abstract)
-        assert data.source_truncated and data.caveats
+        # a kernel comparison needs both coset tables: <z | > maps onto Z,
+        # so it is refused as source and as target; over <z | z^6> the
+        # difference is z^3
+        for source, target in (([], ["z^3"]), (["z^6"], [])):
+            with pytest.raises(HnnError, match="coset table"):
+                quotient_morphism(AB, 6, 6, 6, pres("z", source), pres("z", target), rho=2, mode="minimal")
+        data = quotient_morphism(AB, 6, 6, 6, pres("z", ["z^6"]), pres("z", ["z^3"]), rho=2, mode="minimal")
+        assert [str(u) for u in data.extra_abstract] == ["z^3"]
 
     def test_functoriality_chain(self):
         # P1 -> P2 -> P3 composed relators generate the same kernel piece
@@ -339,11 +355,13 @@ class TestMorphisms:
         assert same_subgroup(composed, direct)
 
     def test_free_product_adds_block_relators(self):
-        data = free_product_morphism(
-            AB, 6, 6, 6, pres("z", ["z^2"]), pres("w"), rho=2, truncate=2
-        )
-        assert data.target_truncated  # Z/2 * Z is infinite
-        assert data.extra_abstract
+        # Z/2 * Z is infinite and has no coset table, so the morphism is
+        # refused; with the trivial factor <w | w> every extra relator is
+        # a block relator that involves w
+        with pytest.raises(HnnError, match="coset table"):
+            free_product_morphism(AB, 6, 6, 6, pres("z", ["z^2"]), pres("w"), rho=2)
+        data = free_product_morphism(AB, 6, 6, 6, pres("z", ["z^2"]), pres("w", ["w"]), rho=2)
+        assert [str(u) for u in data.extra_abstract] == ["w", "z w z^-1"]
         assert all("w" in str(u) for u in data.extra_abstract)
 
     def test_trivial_free_factor_no_extras(self):
@@ -626,6 +644,68 @@ class TestMembershipOracle:
                 assert rw.rewrite(target) is not None
 
 
+class TestTableFreeRoutes:
+    """Membership without a coset table, checked against quotients that
+    have one.  A hat word w is read through its substitution, so each
+    check runs the whole of in_k: Dehn reduction, rewriting over M and the
+    padded quotient's word problem."""
+
+    def test_free_route_agrees_with_finite_cyclic_quotients(self):
+        # K for <z | > is the kernel onto Z; K for <z | z^n> is the kernel
+        # onto Z/n, which contains it.  A word outside K has a z-exponent
+        # sum s with 0 < |s| <= 6, and z^7 does not divide it
+        free = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal")
+        cyclic = [build_tp(AB, 6, 6, 6, pres("z", [f"z^{n}"]), rho=2, mode="minimal") for n in range(2, 8)]
+        assert all(H.m_gens == free.m_gens for H in cyclic)
+        member, members = free.membership(), [H.membership() for H in cyclic]
+        inside = 0
+        for code in ["", *reduced_words(2, 6)]:
+            h = free.substitute(Word.from_code(free.hat_alphabet, code))
+            verdicts = [m.in_k(h) for m in members]
+            if member.in_k(h):
+                inside += 1
+                assert all(verdicts), code
+            else:
+                assert not all(verdicts), code
+        assert inside == 237
+
+    def test_dehn_route_agrees_with_finite_quotients(self):
+        # <z, w | z^2> is Z/2 * Z; its quotients <z, w | z^2, w^n, (z w)^2>
+        # (dihedral, n = 2..6) and <z, w | z^2, w^3, (z w)^m> (A4, S4, A5)
+        # separate every nontrivial word of length at most 4, so they decide
+        # the route's verdicts both ways
+        H = build_tp(AB, 6, 6, 6, pres("z w", ["z^2"]), rho=2, mode="pq")
+        hat = H.hat_alphabet
+        assert H.table is None and hat.names == ("z", "w", "p", "q")
+        member = H.membership()
+        assert member.route == "Dehn's algorithm under C'(1/6)"
+        quotients = [todd_coxeter(hat, [word(hat, r) for r in ("z^2", *rels, "p", "q")], ())
+                     for rels in [(f"w^{n}", "(z w)^2") for n in range(2, 7)]
+                     + [("w^3", f"(z w)^{m}") for m in (3, 4, 5)]]
+        assert [T.index for T in quotients] == [4, 6, 8, 10, 12, 12, 24, 60]
+        trivial = 0
+        for code in ["", *reduced_words(4, 4)]:
+            w = Word.from_code(hat, code)
+            verdict = member.in_k(H.substitute(w))
+            trivial += verdict
+            assert verdict == all(T.image_in_quotient(w) == 1 for T in quotients), w
+        assert trivial == 553
+
+    def test_reading_a_file_over_a_quotient_onto_z_never_enumerates(self, monkeypatch):
+        # <x, z | x> maps onto Z, which the exponent sums show at once
+        H = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal")
+        text = presfile.format_presentation(presfile.hnn_to_parsed(H))
+
+        def never(*args, **kwargs):
+            raise AssertionError("todd_coxeter called on a quotient that maps onto Z")
+
+        monkeypatch.setattr(hnnforge, "todd_coxeter", never)
+        monkeypatch.setattr(cosetenum, "todd_coxeter", never)
+        read = presfile.parsed_to_hnn(presfile.parse_presentation(text))
+        assert read.table is None and [str(u) for u in read.assoc_abstract] == ["x"]
+        assert read.membership().route == "free reduction"
+
+
 class TestConcreteFoldOracle:
     """The concrete kernel fold, which the library no longer builds, is the
     reference: in_k(h) must say whether the Dehn-reduced h reads as a loop
@@ -736,8 +816,10 @@ class TestResidualWitness:
         assert [x.constrained for x in report.entries] == [True, False, True]
 
     def test_truncated_family_refused(self):
-        hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal", truncate=2)
-        with pytest.raises(HnnError, match="finite quotient required"):
+        # the padded quotient of <z | > maps onto Z: it has no coset table
+        # whose cosets a witness could name
+        hnn = build_tp(AB, 6, 6, 6, pres("z"), rho=2, mode="minimal")
+        with pytest.raises(HnnError, match="needs a complete coset table"):
             residual_witness(hnn, britton_word(hnn, [word(AB, "a")], []))
 
     def test_rejects_unreduced(self, tp2):

@@ -201,6 +201,12 @@ class TestMetric:
         assert not verdict.ok
         assert len(verdict.failing_piece) == 1
 
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(-1, 4), Fraction(3, 2)])
+    def test_lambda_outside_the_open_unit_interval_refused(self, lam):
+        # C'(0) and C'(1) are not conditions: lambda lies strictly between
+        with pytest.raises(SmallCancelError, match=r"\(0, 1\)"):
+            check_metric(T6, lam)
+
     def test_monotone_in_lambda(self):
         sets = [T6, rels("a^2 b^3", "b a b a^2"), rels("(a b)^2")]
         lams = [Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]
@@ -501,6 +507,15 @@ class TestWordProblem:
         if not ok:
             with pytest.raises(SmallCancelError):
                 word_problem(bad, w("a"))
+
+    def test_quarter_but_not_fifth_is_admissible(self):
+        # T(5, 5, 5): its pieces are single letters, a fifth of a relator,
+        # so it is C'(1/4) but not C'(1/5), and T(4) holds; Dehn's
+        # algorithm applies, and the (a b)^5 relator reduces to nothing
+        t5 = rels("a^5", "b^5", "(a b)^5")
+        assert not check_metric(t5, Fraction(1, 5)).ok
+        assert t5.dehn_admissible() == (True, "C'(1/4)-T(4)")
+        assert word_problem(t5, w("b a b a b a b a b a")) and not word_problem(t5, w("a b"))
 
     def test_products_of_conjugated_relators_trivial(self):
         rng = random.Random(37)

@@ -77,3 +77,21 @@ def test_no_environment_reads():
         if hit:
             found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_presfile_imports_nothing_from_cosetenum():
+    # a file's padded quotient gets its coset table, or none, from the one
+    # hnnforge step that build_tp uses, so the reader cannot enumerate on
+    # its own terms
+    found = []
+    for path, node in _nodes():
+        if path.name != "presfile.py":
+            continue
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[-1] == "cosetenum"]
+    assert found == []
