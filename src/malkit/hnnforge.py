@@ -36,6 +36,7 @@ from .words import (
     alphabet,
     apply_endo,
     code_product,
+    core_bounds,
     endo,
     endo_power,
     images_by_unit,
@@ -485,15 +486,15 @@ def _word_problem(H: HnnPresentation) -> tuple[str, Callable[[Word], int]]:
     map it gives from hat words to cosets of K, 1 for a trivial word.
 
     With a complete coset table it is the table.  Otherwise the generators
-    that one-letter relators kill are deleted (a Tietze move) until no
-    relator is one letter; a word is then trivial when its deletion freely
-    reduces to the empty word if no relator is left, or Dehn-reduces to it
-    if what is left is Dehn-admissible.  Any other quotient is refused."""
+    killed by relators whose cyclic core is one letter are deleted (a Tietze
+    move) until none is left; a word is then trivial when its deletion
+    freely reduces to the empty word if no relator is left, or Dehn-reduces
+    to it if what is left is Dehn-admissible.  Any other quotient is refused."""
     if H.table is not None:
         return "coset table", H.table.image_in_quotient
     alpha, gone = H.hat_alphabet, {}  # both units of every killed generator -> None, for str.translate
     rels = [r.code for r in H.hat.presentation.relators]
-    while killed := [ord(c) & ~1 for c in rels if len(c) == 1]:
+    while killed := [ord(c[i]) & ~1 for c in rels for i, j in [core_bounds(c)] if j - i == 1]:
         gone.update((u, None) for g in killed for u in (g, g + 1))
         rels = [c for c in (code_product(r.translate(gone)) for r in rels) if c]
 

@@ -705,6 +705,25 @@ class TestTableFreeRoutes:
         assert read.table is None and [str(u) for u in read.assoc_abstract] == ["x"]
         assert read.membership().route == "free reduction"
 
+    def test_conjugated_one_letter_relator_kills_its_generator(self):
+        # assoc words z^2 p, w p^-1 w^-1, q have the normal closure of z^2, p, q:
+        # the cyclic core of w p^-1 w^-1 kills p, which leaves z^2.  Read as a
+        # Dehn set, p and z^2 p share the piece p, a whole relator, so
+        # membership would refuse
+        H = build_tp(AB, 6, 6, 6, pres("z w", ["z^2"]), rho=2, mode="pq")
+        text = presfile.format_presentation(presfile.hnn_to_parsed(H))
+        assert "\nassoc: z^2, p, q\n" in text
+        read = presfile.parsed_to_hnn(presfile.parse_presentation(
+            text.replace("\nassoc: z^2, p, q\n", "\nassoc: z^2 p, w p^-1 w^-1, q\n")))
+        assert read.table is None and read.m_gens == H.m_gens
+        member, reference = read.membership(), H.membership()
+        assert member.route == reference.route == "Dehn's algorithm under C'(1/6)"
+        verdicts = [member.in_k(H.substitute(Word.from_code(H.hat_alphabet, code)))
+                    for code in ["", *reduced_words(4, 3)]]
+        assert verdicts == [reference.in_k(H.substitute(Word.from_code(H.hat_alphabet, code)))
+                            for code in ["", *reduced_words(4, 3)]]
+        assert 0 < sum(verdicts) < len(verdicts)
+
 
 class TestConcreteFoldOracle:
     """The concrete kernel fold, which the library no longer builds, is the
