@@ -228,13 +228,16 @@ class TestCli:
             assert out["kernel_generators"] == ["z^2", "p", "q"] and out["hnn_relators"] is None
             assert out["caveats"] == [NO_TABLE + "decides by Dehn's algorithm under C'(1/6)"]
 
-    def test_build_tp_truncate(self, capsys, tmp_path):
+    # the ids keep the names of the cases from when --truncate took a depth
+    # and exited 2 (depth -1) or 0 (depth 0)
+    @pytest.mark.parametrize("depth", [pytest.param("-1", id="-1-2"), pytest.param("0", id="0-0")])
+    def test_build_tp_truncate(self, capsys, tmp_path, depth):
         # the kernel is never truncated, and build-tp has no option for it
         pres = tmp_path / "z.pres"
         pres.write_text("gens: z\nrels:\n")
         assert main(["build-tp", "--triangle", "6,6,6", "--rho", "2", "--pres", str(pres),
-                     "--truncate", "0", "-o", str(tmp_path / "tp.hnn")]) == 1
-        assert "unrecognized arguments: --truncate" in capsys.readouterr().err
+                     "--truncate", depth, "-o", str(tmp_path / "tp.hnn")]) == 1
+        assert f"unrecognized arguments: --truncate {depth}" in capsys.readouterr().err
         assert not (tmp_path / "tp.hnn").exists()
 
     def test_build_tp_infinite_quotient(self, capsys, tmp_path):
